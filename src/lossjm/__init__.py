@@ -1,23 +1,21 @@
 """Measurement incompatibility of continuous-variable detectors under loss.
 
 Builds displaced on-off photodetection POVMs in truncated Fock spaces, maps
-them through pure-loss channels, and decides joint measurability with a
-deterministic alternating-projection solver, an explicit linear-optical
-parent construction, a closed-form qubit pair criterion, and unambiguous
-state-discrimination witnesses.
+them through pure-loss channels, and decides joint measurability with one
+interior-point solve of the incompatibility-robustness SDP (a parent POVM
+proves each COMPATIBLE verdict, a dual witness each INCOMPATIBLE one), an
+explicit linear-optical parent construction, a closed-form qubit pair
+criterion, and unambiguous state-discrimination witnesses.
 """
 
 __version__ = "0.1.0"
 
 from .compat import (
-    DECISION_MARGIN,
     JmResult,
     ParentPovm,
     certify,
     decide_table_row,
     depolarize,
-    jm_feasibility,
-    marginal,
     robustness,
 )
 from .fock import (
@@ -75,7 +73,6 @@ from .usd import (
 )
 
 __all__ = [
-    "DECISION_MARGIN",
     "BlochParams",
     "DegenerateMeasurementError",
     "FamilyParams",
@@ -101,7 +98,6 @@ __all__ = [
     "dual_coherent_projector",
     "dual_coherent_q",
     "fock_from_q",
-    "jm_feasibility",
     "kraus_ops",
     "leading_order_check",
     "lon_parent",
@@ -109,7 +105,6 @@ __all__ = [
     "lossy_displaced_pair",
     "lossy_povm",
     "lossy_usd_success",
-    "marginal",
     "overlap",
     "p_d",
     "p_d_approx",

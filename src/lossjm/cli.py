@@ -13,11 +13,10 @@ Exit codes: 0 success, 1 error, 2 when the decided verdict is INCOMPATIBLE
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
-import os
 import platform
 import sys
 import time
@@ -30,8 +29,6 @@ from .measurements import FamilyParams, random_measurement_set, symmetric_family
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCOMPATIBLE = 2
-
-JOBS_ENV = "LOSSJM_JOBS"
 
 # Benchmark operating points of the symmetric family: for a label n the
 # family has n+1 measurements at tau = 1/n + eps and stays incompatible.
@@ -79,13 +76,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_family(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
     t0 = time.perf_counter()
@@ -104,7 +94,7 @@ def cmd_compat(args) -> int:
     row = compat.decide_table_row(
         params, d_sub=d_sub, tol=args.tol, max_iter=args.max_iter
     )
-    payload = row.as_dict()
+    payload = dataclasses.asdict(row)
     payload["manifest"] = _manifest("compat", _params(args))
     payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
     _emit_json(payload, args.out)
@@ -122,7 +112,7 @@ def _run_row(n: int, d: int, d_sub: int, tol: float, max_iter: int):
     at_break = compat.decide_table_row(
         FamilyParams(count, r, 1.0 / count, d), d_sub=d_sub, tol=tol, max_iter=max_iter
     )
-    return n, [at_tau_min, at_break]
+    return [at_tau_min, at_break]
 
 
 def cmd_table1(args) -> int:
@@ -132,27 +122,13 @@ def cmd_table1(args) -> int:
         raise ValueError(f"no bundled operating point for rows {unknown}")
     d_sub = args.d_sub or args.d
     t0 = time.perf_counter()
-    jobs = args.jobs or _default_jobs()
-    results = {}
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_run_row, n, args.d, d_sub, args.tol, args.max_iter)
-                for n in rows
-            ]
-            for fut in concurrent.futures.as_completed(futs):
-                n, recs = fut.result()
-                results[n] = recs
-    else:
-        for n in rows:
-            _, recs = _run_row(n, args.d, d_sub, args.tol, args.max_iter)
-            results[n] = recs
+    results = {n: _run_row(n, args.d, d_sub, args.tol, args.max_iter) for n in rows}
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "r", "tau", "d", "eta_star", "verdict", "seconds"])
     any_incompatible = False
-    for n in rows:  # deterministic ordering regardless of scheduling
+    for n in rows:
         for rec in results[n]:
             any_incompatible |= rec.verdict == "INCOMPATIBLE"
             writer.writerow(
@@ -210,7 +186,7 @@ def cmd_qubit_pair(args) -> int:
 def cmd_usd(args) -> int:
     t0 = time.perf_counter()
     report = usd.usd_report(args.n, args.r, args.tau)
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     payload["manifest"] = _manifest("usd", _params(args))
     if args.sweep:
         rows = ["r,p_d,p_lon,lossy_success"]
@@ -257,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--d-sub", type=int, default=None)
     tab.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
     tab.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
-    tab.add_argument("--jobs", type=int, default=None)
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=cmd_table1)
 

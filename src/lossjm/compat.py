@@ -5,20 +5,23 @@ POVM G indexed by outcome tuples (a_1, ..., a_n) reproduces every M^j_a as a
 marginal: sum over all other indices of G equals M^j_a, with every G block
 positive semidefinite.
 
-Feasibility is decided by Dykstra-corrected alternating projections between
-the product of PSD cones (blockwise eigenvalue clipping) and the affine
-marginal subspace, whose orthogonal projection has a closed form.
-Incompatibility robustness is the largest depolarizing weight eta at which
-the noisy set
+Incompatibility robustness is the largest weight eta at which the depolarized
+set M -> eta M + (1 - eta) tr(M)/d I stays jointly measurable: the optimum of
 
-    M -> eta M + (1 - eta) tr(M)/d I
+    maximise eta  s.t.  sum_{t_j = a} G_t - eta D^j_a = C^j_a,  G_t >= 0,  eta >= 0,
 
-stays jointly measurable, bracketed by bisection with the feasibility solver
-as the oracle.  Alternating projections can certify feasibility (the iterate
-is the certificate) but never infeasibility, so a probe that fails to
-converge counts as not-proven and the reported eta* is the highest proven
-feasible level; it never exceeds the true robustness.  A set is declared
-incompatible when eta* falls below 1 by more than the decision margin.
+with C^j_a = tr(M^j_a) I/d and D^j_a = M^j_a - C^j_a.  One primal-dual
+interior-point solve (HKM direction, Mehrotra predictor-corrector) treats it,
+and each verdict rests on a certificate checked after the solve:
+
+* INCOMPATIBLE: a repaired dual witness Y, with every Z_t = sum_j Y^j_{t_j}
+  PSD and <D, Y> <= -1, proves that no parent exists above eta_hi = <C, Y>;
+  the verdict is INCOMPATIBLE iff eta_hi < 1.
+* COMPATIBLE: a parent POVM of the noiseless set that passes ``certify``.
+
+``eta_star`` is the certified lower end: the returned parent certifies the set
+depolarized to eta_star.  When neither certificate holds the result is
+undecided, and ``decide_table_row`` raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -32,17 +35,14 @@ import numpy as np
 
 from .measurements import FamilyParams, MeasurementSet, Povm, project_set, symmetric_family
 
-# Decision margin on eta*: verdicts are INCOMPATIBLE iff eta* < 1 - margin.
-# Calibrated against an interior-point reference and the closed-form qubit
-# pair criterion: the smallest robustness gap among the bundled operating
-# points is 6e-5, and converged bisection runs reproduce gaps down to ~1e-6,
-# so 1e-5 separates real incompatibility from solver noise with headroom on
-# both sides.
-DECISION_MARGIN = 1e-5
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 40000
+DEFAULT_MAX_ITER = 100
 MAX_TUPLES = 1 << 16
 MAX_DIM = 8
+
+# stop rule of the interior-point iteration; the certificates, not it, decide
+_IPM_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,14 @@ class ParentPovm:
         return ParentPovm(self.outcome_counts, self.blocks[:, :d_sub, :d_sub])
 
 
-def marginal(parent: ParentPovm, j: int) -> Povm:
-    """Marginal measurement j of a parent POVM."""
-    return parent.marginal(j)
-
-
 @dataclass
 class JmResult:
-    """Outcome of a feasibility or robustness computation.
+    """Outcome of a certificate check or a robustness computation.
 
-    For feasibility runs, ``feasible`` means a certificate was found whose
-    residuals are below tolerance; False means the run was inconclusive
-    (infeasibility is never concluded from a single run).  For robustness
-    runs, ``eta_star`` is the highest depolarizing weight proven jointly
-    measurable and ``feasible`` reports the verdict at eta = 1.
+    ``feasible``: the parent certifies the set (for ``robustness``, the
+    noiseless set).  For ``robustness``, ``status`` is "sdp-parent",
+    "sdp-witness" or "undecided", ``parent`` certifies the set depolarized to
+    ``eta_star``, ``witness[j][a]`` = Y^j_a proves ``eta_hi`` (inf if nothing).
     """
 
     feasible: bool
@@ -128,14 +122,15 @@ class JmResult:
     psd_residual: float
     iterations: int
     eta_star: float | None = None
-    decision_margin: float | None = None
+    eta_hi: float | None = None
     parent: ParentPovm | None = None
+    witness: tuple | None = field(default=None, repr=False)
 
     @property
     def incompatible(self) -> bool:
-        if self.eta_star is None or self.decision_margin is None:
+        if self.eta_hi is None:
             raise ValueError("verdict is only defined for robustness results")
-        return self.eta_star < 1.0 - self.decision_margin
+        return self.eta_hi < 1.0
 
 
 class _MarginalProblem:
@@ -155,22 +150,13 @@ class _MarginalProblem:
         self._sum_axes = [
             tuple(k for k in range(self.n) if k != j) for j in range(self.n)
         ]
-        # broadcast shape that aligns a (o_j, d, d) marginal with the tuple grid
-        self._bshapes = []
-        for j in range(self.n):
-            shape = [1] * self.n
-            shape[j] = self.outs[j]
-            self._bshapes.append(tuple(shape) + (self.d, self.d))
-
-    def flat_start(self) -> np.ndarray:
-        G = np.broadcast_to(self.identity / self.T, (self.T, self.d, self.d))
-        return np.array(G).reshape(*self.outs, self.d, self.d)
 
     def marginals(self, G: np.ndarray) -> list[np.ndarray]:
-        return [
-            G.sum(axis=self._sum_axes[j]) if self._sum_axes[j] else G
-            for j in range(self.n)
-        ]
+        return [G.sum(axis=axes) for axes in self._sum_axes]
+
+    def spread(self, Y: list[np.ndarray]) -> np.ndarray:
+        """Adjoint of ``marginals``: the block for tuple t is sum_j Y[j][t_j]."""
+        return sum(np.expand_dims(y, axes) for y, axes in zip(Y, self._sum_axes))
 
     def project_affine(self, G: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {G : marginals(G) = targets}.
@@ -180,14 +166,10 @@ class _MarginalProblem:
         for consistent targets; that collapses the correction to closed form.
         """
         margs = self.marginals(G)
-        total_axes = tuple(range(self.n))
-        delta = G.sum(axis=total_axes) - self.identity
+        delta = G.sum(axis=tuple(range(self.n))) - self.identity
         shift = ((self.n - 1) / (self.n * self.T)) * delta
-        out = G.copy()
-        for j in range(self.n):
-            Y = (self.outs[j] / self.T) * (margs[j] - self.targets[j]) - shift
-            out -= Y.reshape(self._bshapes[j])
-        return out
+        deficits = zip(self.outs, margs, self.targets)
+        return G - self.spread([(o / self.T) * (m - t) - shift for o, m, t in deficits])
 
     def marginal_residual(self, G: np.ndarray) -> float:
         margs = self.marginals(G)
@@ -196,15 +178,162 @@ class _MarginalProblem:
         )
 
 
-def _psd_project(G: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(G)
-    np.clip(w, 0.0, None, out=w)
-    return (V * w[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Columns: an orthonormal basis of the d x d Hermitian matrices under
+    Re tr(AB), row-major vectorised; it gives each one d^2 real coordinates."""
+    i, j = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2).T
+    E, s = np.eye(d * d).reshape(d, d, d, d), np.sqrt(0.5)
+    sym, anti = s * (E[i, j] + E[j, i]), 1j * s * (E[i, j] - E[j, i])
+    return np.concatenate([E[range(d), range(d)], sym, anti]).reshape(d * d, d * d).T
 
 
-def _psd_residual_stack(G: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(G)
-    return max(0.0, float(-w.min()))
+def _inner(A: np.ndarray, B: np.ndarray) -> float:
+    """Re tr(A B) summed over stacks of Hermitian matrices."""
+    return float(np.vdot(A, B).real)
+
+
+def _max_step(X: np.ndarray, x: float, dX: np.ndarray, dx: float) -> float:
+    """Largest alpha keeping X + alpha dX and x + alpha dx positive (inf if any)."""
+    w, V = np.linalg.eigh(X)
+    if not w.min() > 0:
+        raise np.linalg.LinAlgError("iterate left the positive cone")
+    R = (V / np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    lam = float(np.linalg.eigvalsh(R @ dX @ R).min())
+    alpha = -1.0 / lam if lam < 0 else np.inf
+    return min(alpha, -x / dx) if dx < 0 else alpha
+
+
+class _RobustnessSdp(_MarginalProblem):
+    """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C.
+
+    Constraint arrays hold one row per outcome of every measurement.  The
+    solve keeps all outcomes of measurement 0 and all but the last of the
+    others (normalisation implies the rest); dropped rows stay zero.
+    """
+
+    def __init__(self, mset: MeasurementSet):
+        super().__init__(mset)
+        targets = np.concatenate(self.targets)
+        self.C = (np.trace(targets, axis1=1, axis2=2).real / self.d)[:, None, None] * self.identity
+        self.D = targets - self.C
+        self.offsets = np.cumsum((0,) + self.outs)
+        self.keep = np.ones(len(targets), dtype=bool)
+        self.keep[self.offsets[2:] - 1] = False
+        self.U = _hermitian_basis(self.d)
+
+    def rows(self, Y: np.ndarray) -> list[np.ndarray]:
+        return np.split(Y, self.offsets[1:-1])
+
+    def apply(self, G: np.ndarray, eta: float) -> np.ndarray:
+        return np.concatenate(self.marginals(G)) - eta * self.D
+
+    def adjoint(self, Y: np.ndarray) -> tuple[np.ndarray, float]:
+        return self.spread(self.rows(Y)), -_inner(self.D, Y)
+
+    def coords(self, V: np.ndarray) -> np.ndarray:
+        """Real coordinates of the Hermitian parts of the kept rows of V."""
+        V = V[self.keep]
+        return (V.reshape(len(V), -1) @ np.conj(self.U)).real.ravel()
+
+    def from_coords(self, c: np.ndarray) -> np.ndarray:
+        Y = np.zeros_like(self.C)
+        Y[self.keep] = (c.reshape(-1, self.U.shape[0]) @ self.U.T).reshape(-1, self.d, self.d)
+        return Y
+
+    def schur(self, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
+        """<A_i, X A_k Z^-1> over the kept real constraint coordinates: block t
+        adds Re U^H (X_t kron Z_t^-T) U to each pair of constraints it enters."""
+        n, off, d2 = self.n, self.offsets, self.d**2
+        K = np.einsum("...ab,...ec->...acbe", X, Zinv).reshape(self.outs + (d2, d2))
+        H = (np.conj(self.U.T) @ K @ self.U).real
+        M = np.zeros((len(self.C), d2, len(self.C), d2))
+        for j in range(n):
+            rj = np.arange(off[j], off[j + 1])
+            M[rj, :, rj, :] = H.sum(axis=self._sum_axes[j])
+            for k in range(j + 1, n):
+                Hjk = H.sum(axis=tuple(i for i in range(n) if i not in (j, k)))
+                M[off[j] : off[j + 1], :, off[k] : off[k + 1]] = Hjk.transpose(0, 2, 1, 3)
+                M[off[k] : off[k + 1], :, off[j] : off[j + 1]] = Hjk.transpose(1, 2, 0, 3)
+        M = M[self.keep][:, :, self.keep].reshape(self.keep.sum() * d2, -1)
+        dv = self.coords(self.D)
+        return M + x_over_z * np.outer(dv, dv)
+
+    def solve(self, max_iter: int):
+        """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
+        the best primal (G, eta), dual rows y and the step count.  A singular
+        Schur matrix, as near the optimum of degenerate sets, ends it early."""
+        X = np.broadcast_to(self.identity / self.T, self.outs + (self.d, self.d)).copy()
+        Z = np.broadcast_to(self.identity, X.shape).copy()
+        x = z = 1.0
+        Y = np.zeros_like(self.C)
+        N = self.T * self.d + 1
+        bnorm = 1.0 + np.linalg.norm(self.C[self.keep])
+        best = (np.inf, 0)
+        for steps in range(max_iter + 1):
+            Rp = self.C - self.apply(X, x)
+            AY, aY = self.adjoint(Y)
+            Rd, rd = -AY - Z, -1.0 - aY - z
+            dobj = _inner(self.C, Y)
+            gap = abs(x + dobj) / (1.0 + x + abs(dobj))
+            pinf = np.linalg.norm(Rp[self.keep]) / bnorm
+            err = max(gap, pinf, np.hypot(np.linalg.norm(Rd), rd) / 2)
+            if err < best[0]:
+                best = (err, steps, X, x, Y)
+            # rounding stalls ill-conditioned solves short of the tolerance
+            if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
+                break
+            try:
+                w, V = np.linalg.eigh(Z)
+                Zinv = (V / w[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+                M = self.schur(X, Zinv, x / z)
+                base = Rp + self.apply(X @ Rd @ Zinv, x * rd / z)
+
+                def direction(Rc, rc):
+                    c = np.linalg.solve(M, self.coords(base - self.apply(Rc, rc)))
+                    dY = self.from_coords(c)
+                    dAY, daY = self.adjoint(dY)
+                    dZ, dz = Rd - dAY, rd - daY
+                    dX = Rc - X @ dZ @ Zinv
+                    dX = 0.5 * (dX + np.conj(np.swapaxes(dX, -1, -2)))
+                    return dX, rc - x * dz / z, dY, dZ, dz
+
+                dX, dx, dY, dZ, dz = direction(-X, -x)
+                ap = min(1.0, _max_step(X, x, dX, dx))
+                ad = min(1.0, _max_step(Z, z, dZ, dz))
+                mu = (_inner(X, Z) + x * z) / N
+                mu_aff = (_inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
+                smu = min(1.0, (mu_aff / mu) ** 3) * mu
+                dX, dx, dY, dZ, dz = direction(
+                    smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
+                )
+                gamma = 0.9 + 0.09 * min(ap, ad)
+                ap = min(1.0, gamma * _max_step(X, x, dX, dx))
+                ad = min(1.0, gamma * _max_step(Z, z, dZ, dz))
+            except np.linalg.LinAlgError:
+                break
+            X, x = X + ap * dX, x + ap * dx
+            Y, Z, z = Y + ad * dY, Z + ad * dZ, z + ad * dz
+        return (*best[2:], steps)
+
+    def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
+        """Make W an exact witness; return it with the bound eta_hi it proves.
+
+        Adding c I to the rows of measurement 0, which every Z_t holds once,
+        makes each Z_t PSD; D is traceless, so <D, W> stays and the bound
+        grows by c d.  Scaling then gives <D, W> <= -1.  Each step is padded
+        by an a priori bound on its rounding error, so both hold exactly.
+        """
+        rows = self.rows(W)
+        guard = 4 * (self.n + self.d) * self.d**2 * _EPS * sum(np.abs(r).max() for r in rows)
+        lam = float(np.linalg.eigvalsh(self.spread(rows)).min())
+        W = W.copy()
+        W[: self.outs[0]] += max(0.0, guard - lam) * self.identity
+        err = 4 * W.size * _EPS * np.abs(W)  # times |D| or |C|: error of a sum of products
+        s = -_inner(self.D, W) - float(np.sum(err * np.abs(self.D)))
+        if not s > 0:
+            return W, np.inf
+        W /= s
+        return W, _inner(self.C, W) + float(np.sum(err * np.abs(self.C))) / s
 
 
 def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
@@ -231,7 +360,7 @@ def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) 
         raise ValueError("parent shape does not match the measurement set")
     G = parent.blocks.reshape(*prob.outs, prob.d, prob.d)
     marg = prob.marginal_residual(G)
-    psd = _psd_residual_stack(parent.blocks)
+    psd = parent.validation_residuals()[0]
     return JmResult(
         feasible=(marg <= tol and psd <= tol),
         status="certificate",
@@ -242,124 +371,59 @@ def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) 
     )
 
 
-def jm_feasibility(
-    mset: MeasurementSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    initial: ParentPovm | None = None,
-    check_every: int = 25,
-    stall_window: int = 3000,
-    stall_ratio: float = 0.97,
-    stall_min_iter: int = 4000,
-) -> JmResult:
-    """Search for a parent POVM by Dykstra alternating projections.
-
-    Returns feasible=True with the certificate when the combined residual
-    drops below ``tol``.  A False result means not determined within budget:
-    either the residual stopped improving (status "stalled", the typical
-    signature of an infeasible problem) or the budget ran out ("maxiter").
-    The sweep order is fixed, so a solve is deterministic.
-    """
-    prob = _MarginalProblem(mset)
-    if initial is not None:
-        res = certify(mset, initial, tol)
-        if res.feasible:
-            return res
-        G = initial.blocks.reshape(*prob.outs, prob.d, prob.d)
-    else:
-        G = prob.flat_start()
-    G = prob.project_affine(G)
-    P = np.zeros_like(G)
-    flat = (prob.T, prob.d, prob.d)
-    history: dict[int, float] = {}
-    status = "maxiter"
-    it = 0
-    for it in range(1, max_iter + 1):
-        H = _psd_project(G + P)
-        P = G + P - H
-        G = prob.project_affine(H)
-        if it % check_every == 0:
-            psd = _psd_residual_stack(G.reshape(flat))
-            if psd < tol:
-                parent = ParentPovm(prob.outs, G.reshape(flat).copy())
-                return JmResult(
-                    feasible=True,
-                    status="feasible",
-                    marginal_residual=prob.marginal_residual(G),
-                    psd_residual=psd,
-                    iterations=it,
-                    parent=parent,
-                )
-            history[it] = psd
-            past = it - stall_window
-            if (
-                it >= stall_min_iter
-                and past in history
-                and psd > 100 * tol
-                and psd / history[past] > stall_ratio
-            ):
-                status = "stalled"
-                break
-    return JmResult(
-        feasible=False,
-        status=status,
-        marginal_residual=prob.marginal_residual(G),
-        psd_residual=_psd_residual_stack(G.reshape(flat)),
-        iterations=it,
-        parent=None,
-    )
-
-
 def robustness(
     mset: MeasurementSet,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    width: float = 1e-5,
-    margin: float = DECISION_MARGIN,
 ) -> JmResult:
-    """Highest proven-feasible depolarizing weight eta*, by bisection.
+    """Incompatibility robustness, with a certificate for each end, from one
+    solve of at most ``max_iter`` Newton steps (``iterations``).
 
-    The noiseless set (eta = 1) is probed first; if it is proven feasible the
-    answer is eta* = 1.  Otherwise eta* is bracketed to ``width``, warm-
-    starting each probe with the certificate of the last feasible one.
-    eta = 0 is always feasible (every element proportional to the identity
-    admits a product parent), so the bracket starts at [0, 1].
+    The repaired dual iterate is the witness behind ``eta_hi``.  Unless it
+    proves eta_hi < 1, the primal iterate at eta_p is carried to eta = 1 and
+    checked by ``certify`` at ``tol``: it passing gives COMPATIBLE with
+    eta_star = 1.  Otherwise the primal, projected onto the marginals at
+    eta_p and mixed with the eta = 0 product parent until certify passes,
+    gives eta_star < eta_p.
     """
-    probe = jm_feasibility(depolarize(mset, 1.0), tol=tol, max_iter=max_iter)
-    iterations = probe.iterations
-    if probe.feasible:
-        return JmResult(
-            feasible=True,
-            status="feasible",
-            marginal_residual=probe.marginal_residual,
-            psd_residual=probe.psd_residual,
-            iterations=iterations,
-            eta_star=1.0,
-            decision_margin=margin,
-            parent=probe.parent,
-        )
-    lo, hi = 0.0, 1.0
-    best = None
-    seed = None
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        probe = jm_feasibility(
-            depolarize(mset, mid), tol=tol, max_iter=max_iter, initial=seed
-        )
-        iterations += probe.iterations
-        if probe.feasible:
-            lo, best, seed = mid, probe, probe.parent
-        else:
-            hi = mid
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    sdp = _RobustnessSdp(mset)
+    weights = np.ix_(*[r[:, 0, 0].real for r in sdp.rows(sdp.C)])  # tr(M^j_a)/d
+    G0 = math.prod(weights)[..., None, None] * sdp.identity  # the eta = 0 product parent
+    if np.any(sdp.D):
+        X, eta_p, y, steps = sdp.solve(max_iter)
+    else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
+        X, eta_p, y, steps = G0, 1.0, np.zeros_like(sdp.C), 0
+    W, eta_hi = sdp.repair_witness(-y)
+    flat = (sdp.T, sdp.d, sdp.d)
+    P = _MarginalProblem(depolarize(mset, eta_p)).project_affine(X)
+    if eta_hi >= 1.0:
+        lam = min(1.0, 1.0 / eta_p)
+        G = sdp.project_affine(lam * P + (1.0 - lam) * G0)
+        check = certify(mset, ParentPovm(sdp.outs, G.reshape(flat)), tol)
+    if eta_hi >= 1.0 and check.feasible:
+        status, eta_star = "sdp-parent", 1.0
+    else:
+        # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
+        # stop once what is left is within tol, as certify demands
+        neg = ParentPovm(sdp.outs, P.reshape(flat)).validation_residuals()[0]
+        g0 = float(G0[..., 0, 0].real.min())
+        lam = min(1.0, (g0 + 0.5 * tol) / (g0 + neg))
+        eta_star = lam * eta_p
+        G = lam * P + (1.0 - lam) * G0
+        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G.reshape(flat)), tol)
+        status = "sdp-witness" if eta_hi < 1.0 else "undecided"
     return JmResult(
-        feasible=(lo >= 1.0 - margin),
-        status="bisection",
-        marginal_residual=best.marginal_residual if best else 0.0,
-        psd_residual=best.psd_residual if best else 0.0,
-        iterations=iterations,
-        eta_star=lo,
-        decision_margin=margin,
-        parent=best.parent if best else None,
+        feasible=status == "sdp-parent",
+        status=status,
+        marginal_residual=check.marginal_residual,
+        psd_residual=check.psd_residual,
+        iterations=steps,
+        eta_star=eta_star,
+        eta_hi=eta_hi,
+        parent=check.parent,
+        witness=tuple(sdp.rows(W)) if eta_hi < np.inf else None,
     )
 
 
@@ -370,7 +434,8 @@ class TableRow:
     An INCOMPATIBLE verdict at the truncated dimension implies the full set
     is incompatible (scope "full-set"); a COMPATIBLE verdict only speaks for
     the truncated set (scope "subspace") unless it came from an explicit
-    parent certificate of the untruncated construction.
+    parent certificate of the untruncated construction.  ``method`` names the
+    certificate: "lon-parent", "sdp-parent" or "sdp-witness".
     """
 
     count: int
@@ -387,30 +452,12 @@ class TableRow:
     iterations: int
     seconds: float
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "r": self.r,
-            "tau": self.tau,
-            "d": self.d,
-            "d_sub": self.d_sub,
-            "eta_star": self.eta_star,
-            "verdict": self.verdict,
-            "scope": self.scope,
-            "method": self.method,
-            "marginal_residual": self.marginal_residual,
-            "psd_residual": self.psd_residual,
-            "iterations": self.iterations,
-            "seconds": self.seconds,
-        }
-
 
 def decide_table_row(
     params: FamilyParams,
     d_sub: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    margin: float = DECISION_MARGIN,
 ) -> TableRow:
     """Build the symmetric family, project, and decide compatibility.
 
@@ -418,8 +465,8 @@ def decide_table_row(
     balanced linear-optical network dilutes the signal into count arms of
     transmissivity tau each, and measuring every arm realizes an explicit
     parent.  That certificate is checked by its residuals and returned with
-    eta* = 1 and zero solver iterations.  Otherwise the verdict comes from
-    the robustness bisection at the projected dimension.
+    eta* = 1 and zero solver iterations.  Otherwise ``robustness`` decides at
+    the projected dimension.  A certificate that does not hold raises RuntimeError.
     """
     from .parent import lon_parent  # local import to avoid a module cycle
 
@@ -439,14 +486,14 @@ def decide_table_row(
                 f"marginal {res.marginal_residual:.3e}, psd {res.psd_residual:.3e}"
             )
         eta_star, verdict, scope, method = 1.0, "COMPATIBLE", "full-set", "lon-parent"
-        marg, psd, iters = res.marginal_residual, res.psd_residual, 0
     else:
-        res = robustness(lossy, tol=tol, max_iter=max_iter, margin=margin)
-        eta_star = res.eta_star
+        res = robustness(lossy, tol=tol, max_iter=max_iter)
+        if res.status == "undecided":
+            raise RuntimeError(f"no certificate: witness bound {res.eta_hi:.9g} is not below 1"
+                               f" and the parent certifies only eta = {res.eta_star:.9g}")
+        eta_star, method = res.eta_star, res.status
         verdict = "INCOMPATIBLE" if res.incompatible else "COMPATIBLE"
         scope = "full-set" if verdict == "INCOMPATIBLE" else "subspace"
-        method = "robustness-bisection"
-        marg, psd, iters = res.marginal_residual, res.psd_residual, res.iterations
 
     return TableRow(
         count=params.count,
@@ -458,8 +505,8 @@ def decide_table_row(
         verdict=verdict,
         scope=scope,
         method=method,
-        marginal_residual=marg,
-        psd_residual=psd,
-        iterations=iters,
+        marginal_residual=res.marginal_residual,
+        psd_residual=res.psd_residual,
+        iterations=res.iterations,
         seconds=time.perf_counter() - t0,
     )

@@ -218,11 +218,6 @@ def complete_unitary(first_row: np.ndarray, deficit_tol: float = 1e-12) -> np.nd
     return U
 
 
-def vacuum_ancilla_columns(d: int, modes: int) -> np.ndarray:
-    """Flat indices of |i, 0, ..., 0> in the d^modes lexicographic grid."""
-    return np.arange(d) * d ** (modes - 1)
-
-
 def phase_rotation(phi: float, d: int) -> np.ndarray:
     """Number-basis phase unitary diag(1, e^{i phi}, e^{2 i phi}, ...)."""
     return np.diag(np.exp(1j * phi * np.arange(d)))

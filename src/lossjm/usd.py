@@ -176,20 +176,6 @@ class UsdReport:
     threshold_n: int
     beats_optimum: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "tau": self.tau,
-            "p_d": self.p_d,
-            "p_lon": self.p_lon,
-            "p_d_approx": self.p_d_approx,
-            "p_lon_approx": self.p_lon_approx,
-            "lossy_success": self.lossy_success,
-            "threshold_n": self.threshold_n,
-            "beats_optimum": self.beats_optimum,
-        }
-
 
 def usd_report(n: int, r: float, tau: float) -> UsdReport:
     report = UsdReport(

@@ -1,16 +1,10 @@
-"""Acceptance suite: one test per exit criterion, each printing a verdict line.
-
-Criterion 8 (large families at qubit truncation) is a stretch check, off by
-default; enable it with LOSSJM_STRETCH=1.
-"""
+"""Acceptance suite: one test per exit criterion, each printing a verdict line."""
 
 import math
-import os
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from lossjm import (
     compat,
@@ -237,11 +231,6 @@ def test_criterion_7_discrimination(criterion_report):
     assert ok
 
 
-@pytest.mark.stretch
-@pytest.mark.skipif(
-    os.environ.get("LOSSJM_STRETCH") != "1",
-    reason="stretch rows are long-running; set LOSSJM_STRETCH=1",
-)
 def test_criterion_8_stretch_rows(criterion_report):
     """Rows n = 6..8 at qubit truncation stay incompatible within an hour each."""
     ok = True

@@ -1,5 +1,7 @@
 """Joint-measurability solver: feasibility, robustness, and verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def projective_z():
 class TestJmFeasibility:
     def test_single_povm_is_its_own_parent(self):
         p = projective_z()
-        res = compat.jm_feasibility(meas.MeasurementSet((p,)))
+        res = compat.robustness(meas.MeasurementSet((p,)))
         assert res.feasible
         assert res.marginal_residual < 1e-12
         assert res.psd_residual < 1e-12
@@ -22,8 +24,9 @@ class TestJmFeasibility:
 
     def test_identical_projective_pair(self):
         p = projective_z()
-        res = compat.jm_feasibility(meas.MeasurementSet((p, p)))
+        res = compat.robustness(meas.MeasurementSet((p, p)))
         assert res.feasible
+        assert compat.certify(meas.MeasurementSet((p, p)), res.parent).feasible
         # the canonical parent puts all weight on matching outcomes
         expected = compat.ParentPovm(
             (2, 2),
@@ -34,31 +37,18 @@ class TestJmFeasibility:
         check = compat.certify(meas.MeasurementSet((p, p)), expected)
         assert check.feasible
 
-    def test_seeded_with_network_parent(self):
-        rng = np.random.default_rng(5)
-        mset = meas.random_measurement_set(2, 2, rng)
-        lossy = meas.MeasurementSet(
-            tuple(meas.lossy_povm(p, 0.5) for p in mset)
-        )
-        seed = parent.lon_parent(mset, [0.5, 0.5])
-        res = compat.jm_feasibility(lossy, initial=seed)
-        assert res.feasible
-        assert res.iterations == 0
-        assert res.marginal_residual < 1e-8
-        assert res.psd_residual < 1e-8
-
     def test_desk_scale_guards(self):
         p = meas.Povm((np.eye(9) / 2, np.eye(9) / 2))
         with pytest.raises(ValueError):
-            compat.jm_feasibility(meas.MeasurementSet((p,)))
+            compat.robustness(meas.MeasurementSet((p,)))
 
 
 class TestMarginal:
     def test_marginals_recover_projective_pair(self):
         p = projective_z()
-        res = compat.jm_feasibility(meas.MeasurementSet((p, p)))
+        res = compat.robustness(meas.MeasurementSet((p, p)))
         for j in range(2):
-            marg = compat.marginal(res.parent, j)
+            marg = res.parent.marginal(j)
             for a in range(2):
                 assert np.abs(marg.elements[a] - p.elements[a]).max() < 1e-7
 
@@ -69,7 +59,7 @@ class TestMarginal:
         from lossjm.loss import apply_dual
 
         for j in range(2):
-            marg = compat.marginal(par, j)
+            marg = par.marginal(j)
             for a in range(2):
                 expect = apply_dual(0.5, mset.povms[j].elements[a])
                 assert np.abs(marg.elements[a] - expect).max() < 1e-10
@@ -79,14 +69,14 @@ class TestMarginal:
         mset = meas.random_measurement_set(2, 3, rng)
         par = parent.lon_parent(mset, [1 / 3] * 3)
         for j in range(3):
-            compat.marginal(par, j).validate()
+            par.marginal(j).validate()
 
     def test_index_out_of_range(self):
         par = parent.lon_parent(
             meas.MeasurementSet((projective_z(), projective_z())), [0.5, 0.5]
         )
         with pytest.raises(IndexError):
-            compat.marginal(par, 2)
+            par.marginal(2)
 
 
 class TestRobustness:
@@ -121,15 +111,30 @@ class TestRobustness:
         rng = np.random.default_rng(21)
         for _ in range(20):
             mset = meas.random_measurement_set(2, 2, rng)
-            res = compat.robustness(mset, max_iter=20000)
+            res = compat.robustness(mset)
             eta2 = res.eta_star
             if eta2 <= 0.0:
                 continue
-            eta1 = 0.9 * eta2
-            probe = compat.jm_feasibility(
-                compat.depolarize(mset, eta1), max_iter=20000
-            )
+            probe = compat.robustness(compat.depolarize(mset, 0.9 * eta2))
             assert probe.feasible
+            assert probe.eta_star == 1.0
+
+    def test_near_boundary_pair_incompatible(self):
+        # Test = 8.0e-6: a robustness gap of 4e-6, which the former fixed
+        # decision margin of 1e-5 called compatible
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            mset = meas.random_measurement_set(2, 2, rng)
+        report = qubit.pair_test(mset.povms[0], mset.povms[1])
+        assert 7e-6 < report.test_value < 9e-6
+        res = compat.robustness(mset)
+        assert res.incompatible
+        assert res.status == "sdp-witness"
+        assert res.eta_star <= res.eta_hi < 1.0 - 1e-6
+
+    def test_negative_step_cap_rejected(self):
+        with pytest.raises(ValueError):
+            compat.robustness(meas.MeasurementSet((projective_z(),)), max_iter=-1)
 
     def test_soundness_recheck(self):
         # every feasible verdict ships a certificate that passes independent
@@ -177,7 +182,16 @@ class TestDecideTableRow:
         )
         assert row.verdict == "INCOMPATIBLE"
         assert row.scope == "full-set"
-        assert row.eta_star < 1 - compat.DECISION_MARGIN
+        assert row.method == "sdp-witness"
+        assert row.eta_star < 1.0
+
+    def test_no_certificate_raises(self):
+        # no Newton step: the witness proves nothing and the starting parent
+        # fails certify, so the row is refused rather than guessed
+        with pytest.raises(RuntimeError, match="no certificate"):
+            compat.decide_table_row(
+                meas.FamilyParams(3, 0.005, 0.5 + 0.00005, 3), max_iter=0
+            )
 
     def test_triple_stays_incompatible_below_half(self):
         # three measurements are only guaranteed compatible at tau <= 1/3;
@@ -207,7 +221,7 @@ class TestDecideTableRow:
 
     def test_record_fields(self):
         row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.4, 3))
-        rec = row.as_dict()
+        rec = dataclasses.asdict(row)
         assert set(rec) == {
             "count", "r", "tau", "d", "d_sub", "eta_star", "verdict", "scope",
             "method", "marginal_residual", "psd_residual", "iterations", "seconds",

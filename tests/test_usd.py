@@ -1,5 +1,6 @@
 """Unambiguous state discrimination formulas and the loss threshold."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -185,7 +186,7 @@ class TestThreshold:
 class TestReport:
     def test_report_fields(self):
         rep = usd.usd_report(3, 0.01, 0.5)
-        d = rep.as_dict()
+        d = dataclasses.asdict(rep)
         assert d["threshold_n"] == 3
         assert d["beats_optimum"] is True
         assert 0 <= d["p_lon"] <= d["p_d"] + 1e-12
