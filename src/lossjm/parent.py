@@ -11,62 +11,64 @@ ancilla arms prepared in vacuum.  Its j-th marginal equals the dual-loss
 image of M^j at transmissivity tau_j, exactly: the network conserves photon
 number, so the truncated computation reproduces the untruncated matrix
 elements.  An extra loss channel of transmissivity eta in front of the
-network turns the marginals into dual-loss images at eta * tau_j.
+network turns the marginals into dual-loss images at eta * tau_j; it is the
+same as a network with arm weights w_k = eta * tau_k and a leak arm of
+weight 1 - eta * sum(tau).
+
+The network is built as a chain of beam splitters: arm k takes a share
+s_k = w_k / sum_{j >= k} w_j of the photons that reach it and passes the
+rest on, so r photons split as k into the arm and r - k onward with
+amplitude B[r, k] = sqrt(C(r, k) s_k^k (1 - s_k)^(r - k)).  Contracting the
+arms from last to first keeps one d x d block per outcome tuple of the arms
+already contracted, indexed by the photon numbers still to be split:
+
+    R'[t, u, r, r'] = sum_{k, k'} B[r, k] B[r', k'] M_t[k, k'] R[u, r - k, r' - k'],
+
+starting from the identity (the leak arm measures nothing).  With T outcome
+tuples this costs O(T d^4) time and O(T d^2) memory, against the d^m Fock
+grid of the whole m-arm network.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .compat import ParentPovm
-from .fock import complete_unitary
 from .loss import apply_dual
 from .measurements import MeasurementSet
 
-# d ** modes above this would allocate beyond desk scale.
+# Kept limit on the arm count: d ** arms above this is refused, although the
+# chain never forms that grid (arms count the deficit arm).
 MAX_GRID = 1 << 17
 
 
-def _signal_columns(transfer: np.ndarray, d: int) -> np.ndarray:
-    """Columns U |i, 0, ..., 0> of the network unitary, shape (d**m, d).
+def _split_amplitudes(s: float, d: int) -> np.ndarray:
+    """B[r, k] = sqrt(C(r, k) s^k (1 - s)^(r - k)), zero for k > r.
 
-    Column i is (b_1^dag)^i |vac> / sqrt(i!) with b_1^dag the transformed
-    creation operator of the signal arm, built by recursion; every column
-    lives in a complete photon-number sector, so no truncation error enters.
+    The binomial probabilities come from Pascal's rule, so every entry stays
+    in [0, 1] and nothing overflows at large d.
     """
-    m = transfer.shape[0]
-    dim = d**m
-    shape = (d,) * m
-    root = np.sqrt(np.arange(1, d))
-    V = np.zeros((dim, d), dtype=complex)
-    V[0, 0] = 1.0
-    for i in range(1, d):
-        col = V[:, i - 1].reshape(shape)
-        new = np.zeros(shape, dtype=complex)
-        for k in range(m):
-            src = [slice(None)] * m
-            dst = [slice(None)] * m
-            src[k] = slice(0, d - 1)
-            dst[k] = slice(1, d)
-            bshape = [1] * m
-            bshape[k] = d - 1
-            new[tuple(dst)] += transfer[0, k] * root.reshape(bshape) * col[tuple(src)]
-        V[:, i] = new.ravel() / math.sqrt(i)
-    return V
+    P = np.zeros((d, d))
+    P[0, 0] = 1.0
+    for r in range(1, d):
+        P[r, 1:] = s * P[r - 1, :-1]
+        P[r] += (1.0 - s) * P[r - 1]
+    return np.sqrt(P)
 
 
-def _apply_tensor(ops: list[np.ndarray], V: np.ndarray, d: int) -> np.ndarray:
-    """(op_1 x ... x op_m) V without forming the d**m square operator."""
-    m = len(ops)
-    W = V.reshape((d,) * m + (V.shape[1],))
-    for j, op in enumerate(ops):
-        if op is None:
-            continue
-        W = np.moveaxis(np.tensordot(op, W, axes=([1], [j])), 0, j)
-    return W.reshape(V.shape)
+def _chain_step(elements: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Contract one arm into R: shape (U, d, d) -> (outcomes * U, d, d), t-major."""
+    o, d = elements.shape[0], elements.shape[1]
+    U = R.shape[0]
+    # Rs[u, q, r', k'] = B[r', k'] R[u, q, r' - k']; B is zero where k' > r'
+    shift = np.maximum(np.subtract.outer(np.arange(d), np.arange(d)), 0)
+    Rs = (R[:, :, shift] * B).reshape(U * d * d, d)
+    out = np.zeros((o, U, d, d), dtype=complex)
+    for k in range(d):
+        # inner[t, u, q, r'] = sum_k' M_t[k, k'] Rs[u, q, r', k'], then q = r - k
+        inner = (Rs @ elements[:, k, :].T).T.reshape(o, U, d, d)
+        out[:, :, k:, :] += B[k:, k, None] * inner[:, :, : d - k, :]
+    return out.reshape(o * U, d, d)
 
 
 def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
@@ -95,26 +97,26 @@ def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
         raise ValueError("eta must lie in (0, 1]")
 
     d = mset.dim
-    transfer = complete_unitary(np.sqrt(taus))
-    m = transfer.shape[0]
+    m = n + int(1.0 - total > 1e-12)
     if d**m > MAX_GRID:
         raise ValueError(
             f"multimode grid {d}^{m} exceeds the desk-scale limit {MAX_GRID}"
         )
-    V = _signal_columns(transfer, d)
 
-    outs = tuple(p.outcomes for p in mset)
-    blocks = np.empty((int(np.prod(outs)), d, d), dtype=complex)
-    for flat, t in enumerate(itertools.product(*[range(o) for o in outs])):
-        ops = [mset.povms[j].elements[t[j]] for j in range(n)]
-        ops += [None] * (m - n)  # unmeasured deficit arm: identity
-        W = _apply_tensor(ops, V, d)
-        el = V.conj().T @ W
-        el = (el + el.conj().T) / 2
-        if eta < 1.0:
-            el = apply_dual(eta, el)
-        blocks[flat] = el
-    return ParentPovm(outs, blocks)
+    # The leak arm is last in the chain and measures nothing, so contracting
+    # it leaves the identity.  A deficit within rounding of zero gets no arm,
+    # as in fock.complete_unitary.
+    leak = 1.0 - eta * total
+    suffix = leak if leak > 1e-12 else 0.0
+    R = np.eye(d, dtype=complex)[None]
+    for j in reversed(range(n)):
+        w = eta * taus[j]
+        suffix += w  # weight of arm j and of every arm after it
+        s = w / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
+        elements = np.stack(mset.povms[j].elements)
+        R = _chain_step(elements, _split_amplitudes(s, d), R)
+    blocks = (R + R.conj().transpose(0, 2, 1)) / 2
+    return ParentPovm(tuple(p.outcomes for p in mset), blocks)
 
 
 def verify_marginal_identity(mset: MeasurementSet, taus, eta: float = 1.0) -> float:

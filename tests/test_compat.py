@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lossjm import compat, measurements as meas, parent, qubit
+from lossjm.cli import TABLE_POINTS
 
 
 def projective_z():
@@ -167,6 +168,22 @@ class TestResult2Completeness:
 
 
 class TestDecideTableRow:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_table_breaking_point_certified(self, n):
+        # count n+1 at tau = 1/(n+1): every row the network parent can reach
+        r, _ = TABLE_POINTS[n]
+        row = compat.decide_table_row(meas.FamilyParams(n + 1, r, 1.0 / (n + 1), 3))
+        assert row.verdict == "COMPATIBLE"
+        assert row.method == "lon-parent"
+        assert row.iterations == 0
+        assert row.marginal_residual <= 1e-10
+        assert row.psd_residual <= 1e-10
+
+    def test_table_breaking_point_beyond_arm_limit(self):
+        r, _ = TABLE_POINTS[10]
+        with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
+            compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
+
     def test_breaking_point_compatible_by_certificate(self):
         row = compat.decide_table_row(
             meas.FamilyParams(3, 0.005, 1.0 / 3.0, 3)

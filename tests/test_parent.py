@@ -1,9 +1,11 @@
 """Network parent construction and the marginal identity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from lossjm import compat, loss, measurements as meas, parent
+from lossjm import compat, fock, loss, measurements as meas, parent
 
 
 def vacuum_onoff(d):
@@ -55,8 +57,54 @@ class TestLonParent:
         # deficit adds a fourth arm: 8**4 = 4096 is fine, 24**4 is not
         parent.lon_parent(mset, [0.2, 0.2, 0.2])
         big = meas.MeasurementSet(tuple(vacuum_onoff(24) for _ in range(3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="desk-scale limit"):
             parent.lon_parent(big, [0.2, 0.2, 0.2])
+
+    def test_large_cutoff_stays_finite(self):
+        # a cutoff far above the table's d = 3: the splitting amplitudes and
+        # the chain stay finite, and the marginals stay exact
+        rng = np.random.default_rng(67)
+        mset = meas.random_measurement_set(60, 2, rng)
+        par = parent.lon_parent(mset, [0.5, 0.5])
+        assert np.isfinite(par.blocks).all()
+        for j in range(2):
+            marg = par.marginal(j)
+            for a in range(2):
+                expect = loss.apply_dual(0.5, mset.povms[j].elements[a])
+                assert np.abs(marg.elements[a] - expect).max() < 1e-10
+
+
+def network_oracle(mset, taus, eta):
+    """<vac| U^dag (M^1 x ... x M^n) U |vac> on the full d**m Fock grid."""
+    d, n = mset.dim, len(mset)
+    transfer = fock.complete_unitary(np.sqrt(taus))
+    m = transfer.shape[0]
+    # columns U |i, 0, ..., 0>: the signal enters arm 1, the others are vacuum
+    V = fock.lon_unitary(transfer, d)[:, [i * d ** (m - 1) for i in range(d)]]
+    blocks = []
+    for t in itertools.product(*[range(p.outcomes) for p in mset]):
+        op = np.eye(1)
+        for j in range(n):
+            op = np.kron(op, mset.povms[j].elements[t[j]])
+        op = np.kron(op, np.eye(d ** (m - n)))  # unmeasured deficit arm
+        el = V.conj().T @ op @ V
+        blocks.append(loss.apply_dual(eta, (el + el.conj().T) / 2))
+    return np.array(blocks)
+
+
+class TestNetworkOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "taus",
+        [[0.5, 0.5], [0.2, 0.3], [1 / 3, 1 / 3, 1 / 3], [0.1, 0.4, 0.3]],
+        ids=["pair", "pair-deficit", "triple", "triple-deficit"],
+    )
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_matches_fock_grid_unitary(self, d, taus, eta):
+        rng = np.random.default_rng(71 + d)
+        mset = meas.random_measurement_set(d, len(taus), rng)
+        par = parent.lon_parent(mset, taus, eta)
+        assert np.abs(par.blocks - network_oracle(mset, taus, eta)).max() <= 1e-12
 
 
 class TestMarginalIdentity:
