@@ -18,25 +18,8 @@ from .compat import (
     depolarize,
     robustness,
 )
-from .fock import (
-    bs_transfer,
-    bs_unitary,
-    coherent_ket,
-    complete_unitary,
-    lon_unitary,
-    overlap,
-    psd_residual,
-)
-from .loss import (
-    GaussianQ,
-    apply_channel,
-    apply_dual,
-    dual_coherent_projector,
-    dual_coherent_q,
-    fock_from_q,
-    kraus_ops,
-    q_function,
-)
+from .fock import coherent_ket, psd_residual
+from .loss import apply_dual, kraus_ops
 from .measurements import (
     BlochParams,
     FamilyParams,
@@ -68,7 +51,6 @@ from .usd import (
     p_lon,
     p_lon_approx,
     result4_threshold,
-    root_distance_product,
     usd_report,
 )
 
@@ -76,36 +58,26 @@ __all__ = [
     "BlochParams",
     "DegenerateMeasurementError",
     "FamilyParams",
-    "GaussianQ",
     "JmResult",
     "MeasurementSet",
     "PairTestReport",
     "ParentPovm",
     "Povm",
     "UsdReport",
-    "apply_channel",
     "apply_dual",
     "beats_no_loss_optimum",
     "bloch_params",
-    "bs_transfer",
-    "bs_unitary",
     "certify",
     "coherent_ket",
-    "complete_unitary",
     "decide_table_row",
     "depolarize",
     "displaced_onoff",
-    "dual_coherent_projector",
-    "dual_coherent_q",
-    "fock_from_q",
     "kraus_ops",
     "leading_order_check",
     "lon_parent",
-    "lon_unitary",
     "lossy_displaced_pair",
     "lossy_povm",
     "lossy_usd_success",
-    "overlap",
     "p_d",
     "p_d_approx",
     "p_lon",
@@ -114,12 +86,10 @@ __all__ = [
     "project_povm",
     "project_set",
     "psd_residual",
-    "q_function",
     "random_measurement_set",
     "random_two_outcome_povm",
     "result4_threshold",
     "robustness",
-    "root_distance_product",
     "symmetric_family",
     "usd_report",
     "verify_marginal_identity",

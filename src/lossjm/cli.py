@@ -173,7 +173,7 @@ def cmd_qubit_pair(args) -> int:
     a, b = qubit.lossy_displaced_pair(args.r, args.tau)
     report = qubit.pair_test(a, b)
     test_value, predicted = qubit.leading_order_check(args.r, args.tau)
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     payload["r"] = args.r
     payload["tau"] = args.tau
     payload["leading_order_prediction"] = predicted

@@ -1,28 +1,20 @@
 """The pure-loss channel and its dual action on measurement operators.
 
 The channel with transmissivity tau sends a coherent state |a> to
-|sqrt(tau) a>.  Its dual (Heisenberg) action on measurement operators is
-available through two independent routes:
-
-* a Kraus sum over photon-loss operators (:func:`apply_dual`), and
-* a closed-form Gaussian phase-space kernel whose Taylor coefficients give
-  the number-basis matrix elements directly (:func:`dual_coherent_projector`).
-
-The two routes are used as mutual oracles in the test suite; the Kraus sum is
-treated as ground truth.  Because every loss operator lowers photon number,
-entry (n, n') of the dual output depends only on entries (n-k, n'-k) of the
-input, so truncation at any cutoff commutes with the dual channel and the
-computed blocks are exact.
+|sqrt(tau) a>.  Its dual (Heisenberg) action on measurement operators is a
+Kraus sum over photon-loss operators (:func:`apply_dual`).  Because every
+loss operator lowers photon number, entry (n, n') of the dual output depends
+only on entries (n-k, n'-k) of the input, so truncation at any cutoff
+commutes with the dual channel and the computed blocks are exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .fock import coherent_ket, require_hermitian
+from .fock import require_hermitian
 
 
 def _check_tau(tau: float) -> float:
@@ -53,20 +45,6 @@ def kraus_ops(tau: float, d: int) -> list[np.ndarray]:
     return ops
 
 
-def apply_channel(tau: float, rho: np.ndarray) -> np.ndarray:
-    """Schroedinger action: sum_k A_k rho A_k^dag.
-
-    Unlike the dual, the primal action does not commute with truncation
-    (output entries draw on input entries above the cutoff), so results carry
-    the usual truncation error of the input state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for A in kraus_ops(tau, rho.shape[0]):
-        out += A @ rho @ A.conj().T
-    return out
-
-
 def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
     """Dual (Heisenberg) action on a Hermitian operator: sum_k A_k^dag M A_k.
 
@@ -77,81 +55,3 @@ def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
     for A in kraus_ops(tau, M.shape[0]):
         out += A.conj().T @ M @ A
     return out
-
-
-class GaussianQ(NamedTuple):
-    """Parameters of a Gaussian Husimi function (1/pi) exp(c0 + c1 a + c2 a* + c3 |a|^2)."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-
-
-def dual_coherent_q(tau: float, mu: complex) -> GaussianQ:
-    """Husimi parameters of the dual-loss image of the projector |mu><mu|.
-
-    Q(a) = (1/pi) exp(-tau |a - mu/sqrt(tau)|^2), expanded into the canonical
-    exponent c0 + c1 a + c2 a* + c3 |a|^2.
-    """
-    tau = _check_tau(tau)
-    st = math.sqrt(tau)
-    return GaussianQ(-abs(mu) ** 2, st * np.conj(mu), st * mu, -tau)
-
-
-def fock_from_q(q: GaussianQ, d: int) -> np.ndarray:
-    """Number-basis matrix of an operator with Gaussian Husimi function.
-
-    Entry (k, j) is pi/sqrt(k! j!) times the coefficient of a^j (a*)^k in the
-    two-variable Taylor expansion of e^{|a|^2} Q(a), where a and a* count as
-    independent variables.  With s = 1 + c3 the expansion reduces to the exact
-    finite sum
-
-        M[k, j] = e^{c0} sqrt(j! k!) sum_t c1^{j-t} c2^{k-t} s^t
-                                            / ((j-t)! (k-t)! t!).
-
-    Requires |1 + c3| <= 1; beyond that the coefficients grow with the cutoff
-    and the series route is invalid.
-    """
-    s = 1.0 + complex(q.c3)
-    if abs(s) > 1.0 + 1e-12:
-        raise ValueError(
-            f"|1 + c3| = {abs(s):.6f} > 1: coefficient growth diverges with the cutoff"
-        )
-    pref = np.exp(complex(q.c0))
-    M = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        for j in range(d):
-            acc = 0.0 + 0.0j
-            for t in range(min(j, k) + 1):
-                acc += (
-                    q.c1 ** (j - t)
-                    * q.c2 ** (k - t)
-                    * s**t
-                    / (math.factorial(j - t) * math.factorial(k - t) * math.factorial(t))
-                )
-            M[k, j] = pref * math.sqrt(math.factorial(j) * math.factorial(k)) * acc
-    return M
-
-
-def dual_coherent_projector(tau: float, mu: complex, d: int) -> np.ndarray:
-    """Dual-loss image of |mu><mu| via the Gaussian route, truncated to d.
-
-    Agrees with apply_dual(tau, P) for the truncated projector P entrywise;
-    at tau = 1 it reduces to the truncated coherent projector itself.
-    """
-    return fock_from_q(dual_coherent_q(tau, mu), d)
-
-
-def q_function(M: np.ndarray, alpha: complex) -> float:
-    """Husimi function (1/pi) <alpha|M|alpha> of a Hermitian operator.
-
-    Evaluated with the truncated coherent ket at M's own cutoff, so values
-    are meaningful while |alpha|^2 stays well below the cutoff.
-    """
-    M = require_hermitian(M)
-    ket = coherent_ket(alpha, M.shape[0])
-    val = complex(np.vdot(ket, M @ ket)) / math.pi
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"Husimi value has imaginary residue {val.imag:.3e}")
-    return val.real

@@ -49,11 +49,12 @@ class Povm:
         total = sum(self.elements)
         return psd, float(np.abs(total - np.eye(self.dim)).max())
 
-    def validate(self, psd_tol: float = PSD_TOL, sum_tol: float = PSD_TOL) -> "Povm":
+    def validate(self) -> "Povm":
+        """Raise ValueError unless both residuals are at most PSD_TOL."""
         psd, ssum = self.validation_residuals()
-        if psd > psd_tol:
-            raise ValueError(f"PSD residual {psd:.3e} exceeds {psd_tol:.1e}")
-        if ssum > sum_tol:
+        if psd > PSD_TOL:
+            raise ValueError(f"PSD residual {psd:.3e} exceeds {PSD_TOL:.1e}")
+        if ssum > PSD_TOL:
             raise ValueError(f"element sum deviates from identity by {ssum:.3e}")
         return self
 

@@ -104,8 +104,8 @@ def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
         )
 
     # The leak arm is last in the chain and measures nothing, so contracting
-    # it leaves the identity.  A deficit within rounding of zero gets no arm,
-    # as in fock.complete_unitary.
+    # it leaves the identity.  A leak weight within rounding of zero (at most
+    # 1e-12) is dropped.
     leak = 1.0 - eta * total
     suffix = leak if leak > 1e-12 else 0.0
     R = np.eye(d, dtype=complex)[None]

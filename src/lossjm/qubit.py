@@ -14,12 +14,12 @@ oracle for the joint-measurability solver on qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import dual_coherent_projector
-from .measurements import BlochParams, Povm, bloch_params
+from .loss import apply_dual
+from .measurements import BlochParams, Povm, bloch_params, coherent_projector
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -32,26 +32,16 @@ class DegenerateMeasurementError(ValueError):
 
 @dataclass(frozen=True)
 class PairTestReport:
+    """Criterion inputs and value; Bloch vectors m1, m2 in Pauli order (x, y, z)."""
+
     gamma1: float
     gamma2: float
-    m1: np.ndarray = field(repr=False)
-    m2: np.ndarray = field(repr=False)
+    m1: tuple[float, float, float]
+    m2: tuple[float, float, float]
     F1: float
     F2: float
     test_value: float
     incompatible: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "m1": list(self.m1),
-            "m2": list(self.m2),
-            "F1": self.F1,
-            "F2": self.F2,
-            "test_value": self.test_value,
-            "incompatible": self.incompatible,
-        }
 
 
 def _fuzziness(b: BlochParams) -> float:
@@ -78,8 +68,8 @@ def pair_test(a: Povm, b: Povm) -> PairTestReport:
     return PairTestReport(
         gamma1=pa.gamma,
         gamma2=pb.gamma,
-        m1=pa.m,
-        m2=pb.m,
+        m1=tuple(pa.m.tolist()),
+        m2=tuple(pb.m.tolist()),
         F1=F1,
         F2=F2,
         test_value=test,
@@ -95,7 +85,7 @@ def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:
     """
     povms = []
     for mu in (r, -r):
-        A = dual_coherent_projector(tau, mu, 2)
+        A = apply_dual(tau, coherent_projector(mu, 2))
         povms.append(Povm((A, np.eye(2, dtype=complex) - A)))
     return povms[0], povms[1]
 

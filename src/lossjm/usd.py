@@ -22,10 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-IMAG_RESIDUE_TOL = 1e-9
-
 
 def _check_n(n: int) -> int:
     if n < 2:
@@ -33,31 +29,23 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-def p_d(n: int, r: float, method: str = "series") -> float:
+def p_d(n: int, r: float) -> float:
     """Optimal unambiguous-discrimination probability for n symmetric states.
 
-    The default "series" evaluation resums each term of the min over t into
-    a series with positive terms,
+    Each term of the min over t is resummed into a series with positive
+    terms,
 
         S_t = n e^{-r^2} sum_{m >= 0, m = -t (mod n)} r^{2m} / m!,
 
     which is exact and free of the catastrophic cancellation that hits the
     direct alternating sum for small r (relative accuracy is lost there
-    below r ~ 1e-3 once n >= 4).  ``method="direct"`` evaluates the quoted
-    alternating sum with compensated summation and asserts that the
-    imaginary parts cancel; it is kept as an independent route for
-    cross-checks.  Values are clamped to [0, 1]; the raw expression can
-    exceed 1 for large r, outside its regime of validity.
+    below r ~ 1e-3 once n >= 4).  Values are clamped to [0, 1]; the raw
+    expression can exceed 1 for large r, outside its regime of validity.
     """
     n = _check_n(n)
     if r < 0:
         raise ValueError("amplitude must be non-negative")
-    if method == "series":
-        vals = [_p_d_series_term(n, r, t) for t in range(1, n + 1)]
-    elif method == "direct":
-        vals = [_p_d_direct_term(n, r, t) for t in range(1, n + 1)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    vals = [_p_d_series_term(n, r, t) for t in range(1, n + 1)]
     return min(1.0, max(0.0, min(vals)))
 
 
@@ -78,34 +66,10 @@ def _p_d_series_term(n: int, r: float, t: int) -> float:
     return n * math.exp(-r2) * total
 
 
-def _p_d_direct_term(n: int, r: float, t: int) -> float:
-    re_parts, im_parts = [], []
-    for j in range(1, n + 1):
-        z = np.exp(2j * math.pi * j * t / n) * np.exp(
-            r * r * (np.exp(2j * math.pi * j / n) - 1.0)
-        )
-        re_parts.append(z.real)
-        im_parts.append(z.imag)
-    imag = math.fsum(im_parts)
-    if abs(imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(
-            f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_TOL:.1e}"
-        )
-    return math.fsum(re_parts)
-
-
 def p_d_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n! of the optimal probability."""
     n = _check_n(n)
     return n * n * r ** (2 * (n - 1)) / math.factorial(n)
-
-
-def root_distance_product(n: int) -> float:
-    """prod_{k=1}^{n-1} |e^{2 pi i k / n} - 1|^2, equal to n^2."""
-    n = _check_n(n)
-    return float(
-        np.prod([2.0 - 2.0 * math.cos(2.0 * math.pi * k / n) for k in range(1, n)])
-    )
 
 
 def p_lon(n: int, r: float) -> float:

@@ -1,0 +1,345 @@
+"""Reference implementations that the tests compare the library against.
+
+None of these is on a verdict path, so they live beside the tests rather than
+in the package:
+
+* Fock-space unitaries of beam splitters and linear-optical networks (LON),
+  unitary completion of a row vector, the number-basis phase rotation, and the
+  total-photon-number sectors of a multimode grid;
+* the Schroedinger action of the pure-loss channel, the Husimi function, and
+  the closed-form Gaussian route to the dual-loss image of a coherent
+  projector (an independent check of the Kraus sum in ``lossjm.loss``);
+* the direct alternating sum for the optimal unambiguous-discrimination
+  probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2.
+
+Operators follow the conventions of ``lossjm.fock``: dense complex matrices
+in the number basis, multimode states indexed row-major by photon-number
+tuples.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from lossjm.fock import coherent_ket, require_hermitian
+from lossjm.loss import _check_tau, kraus_ops
+from lossjm.usd import _check_n
+
+IMAG_RESIDUE_TOL = 1e-9
+
+
+# -- Fock-space unitaries ---------------------------------------------------
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b>, conjugate-linear in the first argument."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def bs_transfer(eta: float) -> np.ndarray:
+    """All-real beam-splitter transfer matrix with transmissivity eta.
+
+    Convention: positive transmission amplitude, [[t, r], [r, -t]] with
+    t = sqrt(eta), r = sqrt(1 - eta).
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return np.array([[t, r], [r, -t]])
+
+
+def _fact(n: int) -> float:
+    return float(math.factorial(n))
+
+
+def bs_unitary(eta: float, d: int) -> np.ndarray:
+    """Two-mode beam-splitter unitary on the d x d photon-number grid.
+
+    Built from the closed-form binomial expansion of the transformed creation
+    operators, independently of :func:`lon_unitary`.  The matrix is block
+    diagonal in total photon number.  Sectors with more than d-1 total photons
+    do not fit the per-mode grid; they are filled with the identity so the
+    matrix stays exactly unitary.  Only the complete sectors (total <= d-1)
+    represent the physical beam splitter, which is all consumers of this
+    module ever touch (ancilla ports start in vacuum).
+
+    eta = 1 returns the identity: a lossless channel performs no interaction,
+    and the all-real convention would otherwise leave a spurious sign on the
+    idle mode.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
+    dim = d * d
+    if eta == 1.0:
+        return np.eye(dim, dtype=complex)
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    U = np.zeros((dim, dim), dtype=complex)
+    for n1 in range(d):
+        for n2 in range(d):
+            col = n1 * d + n2
+            total = n1 + n2
+            if total > d - 1:
+                U[col, col] = 1.0
+                continue
+            for m1 in range(total + 1):
+                m2 = total - m1
+                acc = 0.0
+                for j in range(max(0, m1 - n1), min(n2, m1) + 1):
+                    acc += (
+                        math.comb(n1, m1 - j)
+                        * math.comb(n2, j)
+                        * t ** (m1 - j)
+                        * r ** (n1 - m1 + 2 * j)
+                        * (-t) ** (n2 - j)
+                    )
+                U[m1 * d + m2, col] = acc * math.sqrt(
+                    _fact(m1) * _fact(m2) / (_fact(n1) * _fact(n2))
+                )
+    return U
+
+
+def lon_unitary(transfer: np.ndarray, d: int, unitary_tol: float = 1e-10) -> np.ndarray:
+    """Fock-basis unitary of a passive m-mode network with the given transfer matrix.
+
+    On coherent states the network acts as |a_1,...,a_m> -> |b_1,...,b_m> with
+    b_k = sum_j transfer[j, k] a_j.  Columns are built by the photon-adding
+    recursion column(n) = b_j^dag column(n - e_j) / sqrt(n_j), which is exact
+    on every complete total-photon-number sector (total <= d-1).  Incomplete
+    sectors are filled with the identity, as in :func:`bs_unitary`.
+    """
+    transfer = np.asarray(transfer, dtype=complex)
+    if transfer.ndim != 2 or transfer.shape[0] != transfer.shape[1]:
+        raise ValueError("transfer matrix must be square")
+    m = transfer.shape[0]
+    resid = np.abs(transfer @ transfer.conj().T - np.eye(m)).max()
+    if resid > unitary_tol:
+        raise ValueError(f"transfer matrix is not unitary (residual {resid:.3e})")
+
+    dim = d**m
+    shape = (d,) * m
+    strides = [d ** (m - 1 - k) for k in range(m)]
+    root = np.sqrt(np.arange(1, d))
+    U = np.zeros((dim, dim), dtype=complex)
+    for flat in range(dim):
+        n = np.unravel_index(flat, shape)
+        total = int(sum(n))
+        if total == 0:
+            U[0, 0] = 1.0
+        elif total > d - 1:
+            U[flat, flat] = 1.0
+        else:
+            j = next(i for i, nj in enumerate(n) if nj > 0)
+            col = U[:, flat - strides[j]].reshape(shape)
+            new = np.zeros(shape, dtype=complex)
+            for k in range(m):
+                src = [slice(None)] * m
+                dst = [slice(None)] * m
+                src[k] = slice(0, d - 1)
+                dst[k] = slice(1, d)
+                bshape = [1] * m
+                bshape[k] = d - 1
+                new[tuple(dst)] += transfer[j, k] * root.reshape(bshape) * col[tuple(src)]
+            U[:, flat] = new.ravel() / math.sqrt(n[j])
+    return U
+
+
+def complete_unitary(first_row: np.ndarray, deficit_tol: float = 1e-12) -> np.ndarray:
+    """Complete a row vector with squared norm <= 1 to a unitary matrix.
+
+    If the squared norm falls short of 1 by more than ``deficit_tol`` an extra
+    column is appended to absorb the deficit, so the output is (n+1) x (n+1).
+    The first n entries of the first row equal the input bit for bit.  The
+    remaining rows come from Gram-Schmidt over the standard basis, run twice
+    for orthogonality at machine precision.
+
+    Raises ValueError when the squared norm exceeds 1: such a row cannot be
+    part of any transfer matrix.
+    """
+    row = np.asarray(first_row, dtype=complex).ravel()
+    if row.size == 0:
+        raise ValueError("first row must be non-empty")
+    nsq = float(np.sum(np.abs(row) ** 2))
+    if nsq > 1.0 + 1e-12:
+        raise ValueError(
+            f"squared norm {nsq:.12f} exceeds 1; no network has such a first row"
+        )
+    deficit = 1.0 - nsq
+    if deficit > deficit_tol:
+        u1 = np.concatenate([row, [math.sqrt(deficit)]])
+    else:
+        u1 = row.copy()
+    m = u1.size
+
+    rows = [u1]
+    for i in range(m):
+        if len(rows) == m:
+            break
+        w = np.zeros(m, dtype=complex)
+        w[i] = 1.0
+        for _ in range(2):
+            for r in rows:
+                w = w - np.vdot(r, w) * r
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-8:
+            rows.append(w / norm)
+    if len(rows) != m:
+        raise RuntimeError("Gram-Schmidt completion failed")  # unreachable
+    U = np.array(rows)
+    U[0, : row.size] = row
+    return U
+
+
+def phase_rotation(phi: float, d: int) -> np.ndarray:
+    """Number-basis phase unitary diag(1, e^{i phi}, e^{2 i phi}, ...)."""
+    return np.diag(np.exp(1j * phi * np.arange(d)))
+
+
+def total_photon_sectors(d: int, modes: int):
+    """Yield (total, flat indices) for each total-photon-number sector."""
+    grid = np.indices((d,) * modes).reshape(modes, -1).sum(axis=0)
+    for total in range(modes * (d - 1) + 1):
+        yield total, np.where(grid == total)[0]
+
+
+# -- the loss channel: Schroedinger action and the Gaussian-Husimi route -----
+
+
+def apply_channel(tau: float, rho: np.ndarray) -> np.ndarray:
+    """Schroedinger action: sum_k A_k rho A_k^dag.
+
+    Unlike the dual, the primal action does not commute with truncation
+    (output entries draw on input entries above the cutoff), so results carry
+    the usual truncation error of the input state.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for A in kraus_ops(tau, rho.shape[0]):
+        out += A @ rho @ A.conj().T
+    return out
+
+
+class GaussianQ(NamedTuple):
+    """Parameters of a Gaussian Husimi function (1/pi) exp(c0 + c1 a + c2 a* + c3 |a|^2)."""
+
+    c0: complex
+    c1: complex
+    c2: complex
+    c3: complex
+
+
+def dual_coherent_q(tau: float, mu: complex) -> GaussianQ:
+    """Husimi parameters of the dual-loss image of the projector |mu><mu|.
+
+    Q(a) = (1/pi) exp(-tau |a - mu/sqrt(tau)|^2), expanded into the canonical
+    exponent c0 + c1 a + c2 a* + c3 |a|^2.
+    """
+    tau = _check_tau(tau)
+    st = math.sqrt(tau)
+    return GaussianQ(-abs(mu) ** 2, st * np.conj(mu), st * mu, -tau)
+
+
+def fock_from_q(q: GaussianQ, d: int) -> np.ndarray:
+    """Number-basis matrix of an operator with Gaussian Husimi function.
+
+    Entry (k, j) is pi/sqrt(k! j!) times the coefficient of a^j (a*)^k in the
+    two-variable Taylor expansion of e^{|a|^2} Q(a), where a and a* count as
+    independent variables.  With s = 1 + c3 the expansion reduces to the exact
+    finite sum
+
+        M[k, j] = e^{c0} sqrt(j! k!) sum_t c1^{j-t} c2^{k-t} s^t
+                                            / ((j-t)! (k-t)! t!).
+
+    Requires |1 + c3| <= 1; beyond that the coefficients grow with the cutoff
+    and the series route is invalid.
+    """
+    s = 1.0 + complex(q.c3)
+    if abs(s) > 1.0 + 1e-12:
+        raise ValueError(
+            f"|1 + c3| = {abs(s):.6f} > 1: coefficient growth diverges with the cutoff"
+        )
+    pref = np.exp(complex(q.c0))
+    M = np.empty((d, d), dtype=complex)
+    for k in range(d):
+        for j in range(d):
+            acc = 0.0 + 0.0j
+            for t in range(min(j, k) + 1):
+                acc += (
+                    q.c1 ** (j - t)
+                    * q.c2 ** (k - t)
+                    * s**t
+                    / (math.factorial(j - t) * math.factorial(k - t) * math.factorial(t))
+                )
+            M[k, j] = pref * math.sqrt(math.factorial(j) * math.factorial(k)) * acc
+    return M
+
+
+def dual_coherent_projector(tau: float, mu: complex, d: int) -> np.ndarray:
+    """Dual-loss image of |mu><mu| via the Gaussian route, truncated to d.
+
+    Agrees with apply_dual(tau, P) for the truncated projector P entrywise;
+    at tau = 1 it reduces to the truncated coherent projector itself.
+    """
+    return fock_from_q(dual_coherent_q(tau, mu), d)
+
+
+def q_function(M: np.ndarray, alpha: complex) -> float:
+    """Husimi function (1/pi) <alpha|M|alpha> of a Hermitian operator.
+
+    Evaluated with the truncated coherent ket at M's own cutoff, so values
+    are meaningful while |alpha|^2 stays well below the cutoff.
+    """
+    M = require_hermitian(M)
+    ket = coherent_ket(alpha, M.shape[0])
+    val = complex(np.vdot(ket, M @ ket)) / math.pi
+    if abs(val.imag) > 1e-12:
+        raise ValueError(f"Husimi value has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
+# -- unambiguous discrimination ----------------------------------------------
+
+
+def p_d_direct(n: int, r: float) -> float:
+    """Optimal unambiguous-discrimination probability by the direct sum.
+
+    Evaluates min_t sum_j e^{2 pi i j t / n} exp(r^2 (e^{2 pi i j / n} - 1))
+    as written, with compensated summation, and asserts that the imaginary
+    parts cancel.  Relative accuracy is lost below r ~ 1e-3 once n >= 4,
+    where ``lossjm.usd.p_d`` stays exact.  Clamped to [0, 1] like ``p_d``.
+    """
+    n = _check_n(n)
+    if r < 0:
+        raise ValueError("amplitude must be non-negative")
+    vals = [_p_d_direct_term(n, r, t) for t in range(1, n + 1)]
+    return min(1.0, max(0.0, min(vals)))
+
+
+def _p_d_direct_term(n: int, r: float, t: int) -> float:
+    re_parts, im_parts = [], []
+    for j in range(1, n + 1):
+        z = np.exp(2j * math.pi * j * t / n) * np.exp(
+            r * r * (np.exp(2j * math.pi * j / n) - 1.0)
+        )
+        re_parts.append(z.real)
+        im_parts.append(z.imag)
+    imag = math.fsum(im_parts)
+    if abs(imag) > IMAG_RESIDUE_TOL:
+        raise ArithmeticError(
+            f"imaginary residue {imag:.3e} exceeds {IMAG_RESIDUE_TOL:.1e}"
+        )
+    return math.fsum(re_parts)
+
+
+def root_distance_product(n: int) -> float:
+    """prod_{k=1}^{n-1} |e^{2 pi i k / n} - 1|^2, equal to n^2."""
+    n = _check_n(n)
+    return float(
+        np.prod([2.0 - 2.0 * math.cos(2.0 * math.pi * k / n) for k in range(1, n)])
+    )

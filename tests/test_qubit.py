@@ -7,6 +7,8 @@ import pytest
 
 from lossjm import measurements as meas, qubit
 
+import oracles
+
 
 def noisy_direction(axis, visibility):
     """Unbiased measurement [I +/- v sigma_axis] / 2."""
@@ -74,6 +76,29 @@ class TestPairTest:
         z = meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
         with pytest.raises(qubit.DegenerateMeasurementError):
             qubit.pair_test(z, z)
+
+
+class TestKrausRoute:
+    def test_matches_gaussian_oracle(self):
+        # the library builds the pair by the Kraus sum; the closed-form
+        # Gaussian-Husimi kernel is an independent route to the same blocks
+        worst_entry = worst_test = 0.0
+        for r in np.geomspace(1e-3, 1.0, 12):
+            for tau in np.linspace(0.05, 1.0, 20):
+                pair = qubit.lossy_displaced_pair(r, tau)
+                ref = []
+                for mu in (r, -r):
+                    A = oracles.dual_coherent_projector(tau, mu, 2)
+                    ref.append(meas.Povm((A, np.eye(2, dtype=complex) - A)))
+                for p, q in zip(pair, ref):
+                    for E, F in zip(p.elements, q.elements):
+                        worst_entry = max(worst_entry, float(np.abs(E - F).max()))
+                got, want = qubit.pair_test(*pair), qubit.pair_test(*ref)
+                worst_test = max(worst_test, abs(got.test_value - want.test_value))
+                assert got.incompatible == want.incompatible
+                assert np.sign(got.test_value) == np.sign(want.test_value)
+        assert worst_entry <= 1e-15
+        assert worst_test <= 1e-14
 
 
 class TestLeadingOrder:
