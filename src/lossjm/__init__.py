@@ -12,24 +12,22 @@ __version__ = "0.1.0"
 
 from .compat import (
     JmResult,
-    ParentPovm,
     certify,
     decide_table_row,
     depolarize,
     robustness,
 )
 from .fock import coherent_ket, psd_residual
-from .loss import apply_dual, kraus_ops
+from .loss import apply_dual
 from .measurements import (
     BlochParams,
     FamilyParams,
     MeasurementSet,
+    ParentPovm,
     Povm,
     bloch_params,
     displaced_onoff,
     lossy_povm,
-    project_povm,
-    project_set,
     random_measurement_set,
     random_two_outcome_povm,
     symmetric_family,
@@ -72,7 +70,6 @@ __all__ = [
     "decide_table_row",
     "depolarize",
     "displaced_onoff",
-    "kraus_ops",
     "leading_order_check",
     "lon_parent",
     "lossy_displaced_pair",
@@ -83,8 +80,6 @@ __all__ = [
     "p_lon",
     "p_lon_approx",
     "pair_test",
-    "project_povm",
-    "project_set",
     "psd_residual",
     "random_measurement_set",
     "random_two_outcome_povm",

@@ -172,11 +172,10 @@ def cmd_qubit_pair(args) -> int:
     t0 = time.perf_counter()
     a, b = qubit.lossy_displaced_pair(args.r, args.tau)
     report = qubit.pair_test(a, b)
-    test_value, predicted = qubit.leading_order_check(args.r, args.tau)
     payload = dataclasses.asdict(report)
     payload["r"] = args.r
     payload["tau"] = args.tau
-    payload["leading_order_prediction"] = predicted
+    payload["leading_order_prediction"] = qubit.leading_order_prediction(args.r, args.tau)
     payload["manifest"] = _manifest("qubit-pair", _params(args))
     payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
     _emit_json(payload, args.out)

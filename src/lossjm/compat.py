@@ -26,6 +26,7 @@ undecided, and ``decide_table_row`` raises RuntimeError.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import FamilyParams, MeasurementSet, Povm, project_set, symmetric_family
+from .measurements import FamilyParams, MeasurementSet, ParentPovm, Povm, symmetric_family
+from .parent import lon_parent
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -43,67 +45,6 @@ MAX_DIM = 8
 # stop rule of the interior-point iteration; the certificates, not it, decide
 _IPM_TOL = 1e-10
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class ParentPovm:
-    """POVM indexed by outcome tuples; the certificate of joint measurability.
-
-    ``blocks`` has shape (T, d, d) with T the product of the per-measurement
-    outcome counts; tuples are ordered lexicographically (first measurement
-    most significant).
-    """
-
-    outcome_counts: tuple
-    blocks: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        counts = tuple(int(o) for o in self.outcome_counts)
-        blocks = np.asarray(self.blocks, dtype=complex)
-        T = int(np.prod(counts))
-        if blocks.ndim != 3 or blocks.shape[0] != T or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must have shape (prod(outcome_counts), d, d)")
-        object.__setattr__(self, "outcome_counts", counts)
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.outcome_counts)
-
-    def element(self, outcome_tuple) -> np.ndarray:
-        flat = int(np.ravel_multi_index(tuple(outcome_tuple), self.outcome_counts))
-        return self.blocks[flat]
-
-    def tuples(self):
-        return itertools.product(*[range(o) for o in self.outcome_counts])
-
-    def marginal(self, j: int) -> Povm:
-        """Sum the blocks over every index except the j-th."""
-        n = self.n_measurements
-        if not 0 <= j < n:
-            raise IndexError(f"measurement index {j} out of range for {n} measurements")
-        d = self.dim
-        nd = self.blocks.reshape(*self.outcome_counts, d, d)
-        axes = tuple(k for k in range(n) if k != j)
-        summed = nd.sum(axis=axes) if axes else nd
-        return Povm(tuple(summed[a] for a in range(self.outcome_counts[j])))
-
-    def validation_residuals(self) -> tuple[float, float]:
-        """(worst block PSD residual, max-norm distance of the block sum from I)."""
-        w = np.linalg.eigvalsh(self.blocks)
-        psd = max(0.0, float(-w.min()))
-        total = self.blocks.sum(axis=0)
-        return psd, float(np.abs(total - np.eye(self.dim)).max())
-
-    def project(self, d_sub: int) -> "ParentPovm":
-        """Leading d_sub block of every element; certifies the projected set."""
-        if d_sub > self.dim:
-            raise ValueError("subspace dimension exceeds the parent dimension")
-        return ParentPovm(self.outcome_counts, self.blocks[:, :d_sub, :d_sub])
 
 
 @dataclass
@@ -459,26 +400,26 @@ def decide_table_row(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> TableRow:
-    """Build the symmetric family, project, and decide compatibility.
+    """Build the symmetric family at ``d_sub`` in [2, params.d] levels, the
+    leading blocks of the family at ``params.d``, and decide compatibility.
 
     When count * tau <= 1 the set is jointly measurable by construction: a
     balanced linear-optical network dilutes the signal into count arms of
     transmissivity tau each, and measuring every arm realizes an explicit
     parent.  That certificate is checked by its residuals and returned with
     eta* = 1 and zero solver iterations.  Otherwise ``robustness`` decides at
-    the projected dimension.  A certificate that does not hold raises RuntimeError.
+    ``d_sub``.  A certificate that does not hold raises RuntimeError.
     """
-    from .parent import lon_parent  # local import to avoid a module cycle
-
     d_sub = params.d if d_sub is None else d_sub
+    if not 2 <= d_sub <= params.d:
+        raise ValueError(f"d_sub must lie in [2, d] = [2, {params.d}], got {d_sub}")
     t0 = time.perf_counter()
-    lossy = project_set(symmetric_family(params), d_sub)
+    built = dataclasses.replace(params, d=d_sub)
+    lossy = symmetric_family(built)
 
     if params.count * params.tau <= 1.0 + 1e-12:
-        noiseless = symmetric_family(
-            FamilyParams(params.count, params.r, 1.0, params.d)
-        )
-        parent = lon_parent(noiseless, [params.tau] * params.count).project(d_sub)
+        noiseless = symmetric_family(dataclasses.replace(built, tau=1.0))
+        parent = lon_parent(noiseless, [params.tau] * params.count)
         res = certify(lossy, parent, tol)
         if not res.feasible:
             raise RuntimeError(

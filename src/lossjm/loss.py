@@ -1,16 +1,18 @@
-"""The pure-loss channel and its dual action on measurement operators.
+"""The pure-loss channel as a beam splitter, and the photon-number split.
 
 The channel with transmissivity tau sends a coherent state |a> to
-|sqrt(tau) a>.  Its dual (Heisenberg) action on measurement operators is a
-Kraus sum over photon-loss operators (:func:`apply_dual`).  Because every
-loss operator lowers photon number, entry (n, n') of the dual output depends
-only on entries (n-k, n'-k) of the input, so truncation at any cutoff
-commutes with the dual channel and the computed blocks are exact.
+|sqrt(tau) a>.  It is a beam splitter whose second arm is thrown away: r
+photons split as k into the kept arm and r - k into the leak with amplitude
+B[r, k] = sqrt(C(r, k) tau^k (1 - tau)^(r - k)).  The dual (Heisenberg)
+action on M (:func:`apply_dual`) measures M on the kept arm and nothing on
+the leak; the network parent of :mod:`lossjm.parent` repeats the split over
+n arms (:func:`_chain_step`).  The split only lowers photon number, so entry
+(r, r') of the output depends only on entries (k, k') with k <= r and
+k' <= r' of the input: truncation at any cutoff commutes with it and the
+computed blocks are exact.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,35 +25,48 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
-def kraus_ops(tau: float, d: int) -> list[np.ndarray]:
-    """Photon-loss Kraus operators A_k on a d-dimensional space.
+def _split_amplitudes(s: float, d: int) -> np.ndarray:
+    """B[r, k] = sqrt(C(r, k) s^k (1 - s)^(r - k)), zero for k > r.
 
-    <m|A_k|n> = delta_{m,n-k} sqrt(C(n,k)) tau^{(n-k)/2} (1-tau)^{k/2}.
-    Operators that vanish identically (k >= 1 at tau = 1) are dropped, so a
-    lossless channel is represented by the identity alone.
+    The binomial probabilities come from Pascal's rule, so every entry stays
+    in [0, 1] and nothing overflows at large d.
     """
-    tau = _check_tau(tau)
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    ops = []
+    P = np.zeros((d, d))
+    P[0, 0] = 1.0
+    for r in range(1, d):
+        P[r, 1:] = s * P[r - 1, :-1]
+        P[r] += (1.0 - s) * P[r - 1]
+    return np.sqrt(P)
+
+
+def _chain_step(elements: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Contract one arm into R: shape (U, d, d) -> (outcomes * U, d, d), t-major."""
+    o, d = elements.shape[0], elements.shape[1]
+    U = R.shape[0]
+    # Rs[u, q, r', k'] = B[r', k'] R[u, q, r' - k']; B is zero where k' > r'
+    shift = np.maximum(np.subtract.outer(np.arange(d), np.arange(d)), 0)
+    Rs = (R[:, :, shift] * B).reshape(U * d * d, d)
+    out = np.zeros((o, U, d, d), dtype=complex)
     for k in range(d):
-        A = np.zeros((d, d), dtype=complex)
-        for n in range(k, d):
-            A[n - k, n] = (
-                math.sqrt(math.comb(n, k)) * tau ** ((n - k) / 2) * (1.0 - tau) ** (k / 2)
-            )
-        if np.any(A):
-            ops.append(A)
-    return ops
+        # inner[t, u, q, r'] = sum_k' M_t[k, k'] Rs[u, q, r', k'], then q = r - k
+        inner = (Rs @ elements[:, k, :].T).T.reshape(o, U, d, d)
+        out[:, :, k:, :] += B[k:, k, None] * inner[:, :, : d - k, :]
+    return out.reshape(o * U, d, d)
 
 
 def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
-    """Dual (Heisenberg) action on a Hermitian operator: sum_k A_k^dag M A_k.
+    """Dual (Heisenberg) action on a Hermitian operator: the beam-splitter
+    split with M on the kept arm and the identity on the leak arm.
 
     Unital, positive, and exact under truncation.
     """
+    tau = _check_tau(tau)
     M = require_hermitian(M)
-    out = np.zeros_like(M)
-    for A in kraus_ops(tau, M.shape[0]):
-        out += A.conj().T @ M @ A
+    d = M.shape[0]
+    out = _chain_step(M[None], _split_amplitudes(tau, d), np.eye(d, dtype=complex)[None])[0]
+    # the two triangles agree to rounding; keep the lower one, which eigh
+    # reads, and a real diagonal, so the result is exactly Hermitian
+    r = np.arange(d)
+    out = np.where(r[:, None] >= r, out, out.conj().T)
+    out.imag.flat[:: d + 1] = 0.0
     return out

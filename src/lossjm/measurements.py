@@ -1,9 +1,11 @@
-"""POVMs and measurement sets: displaced on-off photodetection, symmetric
-families under loss, subspace projection, and the Bloch picture for qubits.
+"""POVMs, measurement sets and parent POVMs: displaced on-off
+photodetection, symmetric families under loss, and the Bloch picture for
+qubits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -86,6 +88,61 @@ class MeasurementSet:
 
 
 @dataclass(frozen=True)
+class ParentPovm:
+    """POVM indexed by outcome tuples; the certificate of joint measurability.
+
+    ``blocks`` has shape (T, d, d) with T the product of the per-measurement
+    outcome counts; tuples are ordered lexicographically (first measurement
+    most significant).
+    """
+
+    outcome_counts: tuple
+    blocks: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        counts = tuple(int(o) for o in self.outcome_counts)
+        blocks = np.asarray(self.blocks, dtype=complex)
+        T = int(np.prod(counts))
+        if blocks.ndim != 3 or blocks.shape[0] != T or blocks.shape[1] != blocks.shape[2]:
+            raise ValueError("blocks must have shape (prod(outcome_counts), d, d)")
+        object.__setattr__(self, "outcome_counts", counts)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def n_measurements(self) -> int:
+        return len(self.outcome_counts)
+
+    def element(self, outcome_tuple) -> np.ndarray:
+        flat = int(np.ravel_multi_index(tuple(outcome_tuple), self.outcome_counts))
+        return self.blocks[flat]
+
+    def tuples(self):
+        return itertools.product(*[range(o) for o in self.outcome_counts])
+
+    def marginal(self, j: int) -> Povm:
+        """Sum the blocks over every index except the j-th."""
+        n = self.n_measurements
+        if not 0 <= j < n:
+            raise IndexError(f"measurement index {j} out of range for {n} measurements")
+        d = self.dim
+        nd = self.blocks.reshape(*self.outcome_counts, d, d)
+        axes = tuple(k for k in range(n) if k != j)
+        summed = nd.sum(axis=axes) if axes else nd
+        return Povm(tuple(summed[a] for a in range(self.outcome_counts[j])))
+
+    def validation_residuals(self) -> tuple[float, float]:
+        """(worst block PSD residual, max-norm distance of the block sum from I)."""
+        w = np.linalg.eigvalsh(self.blocks)
+        psd = max(0.0, float(-w.min()))
+        total = self.blocks.sum(axis=0)
+        return psd, float(np.abs(total - np.eye(self.dim)).max())
+
+
+@dataclass(frozen=True)
 class FamilyParams:
     """Parameters of the symmetric displaced on-off family.
 
@@ -133,7 +190,12 @@ def displaced_onoff(mu: complex, d: int) -> Povm:
 
 
 def lossy_povm(povm: Povm, tau: float) -> Povm:
-    """Image of a POVM under the dual loss channel (exact under truncation)."""
+    """Image of a POVM under the dual loss channel (exact under truncation).
+
+    At tau = 1 the channel is the identity map and ``povm`` is returned.
+    """
+    if tau == 1.0:
+        return povm
     return Povm(tuple(apply_dual(tau, E) for E in povm.elements))
 
 
@@ -147,21 +209,6 @@ def symmetric_family(params: FamilyParams) -> MeasurementSet:
     for mu in params.displacements():
         povms.append(lossy_povm(displaced_onoff(mu, params.d), params.tau))
     return MeasurementSet(tuple(povms))
-
-
-def project_povm(povm: Povm, d_sub: int) -> Povm:
-    """Leading d_sub x d_sub block of every element.
-
-    Principal blocks of PSD matrices are PSD and the element sums equal the
-    subspace identity, so the result is a valid POVM on the subspace.
-    """
-    if d_sub > povm.dim:
-        raise ValueError("subspace dimension exceeds the POVM dimension")
-    return Povm(tuple(E[:d_sub, :d_sub] for E in povm.elements))
-
-
-def project_set(mset: MeasurementSet, d_sub: int) -> MeasurementSet:
-    return MeasurementSet(tuple(project_povm(p, d_sub) for p in mset))
 
 
 @dataclass(frozen=True)

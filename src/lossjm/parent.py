@@ -15,16 +15,18 @@ network turns the marginals into dual-loss images at eta * tau_j; it is the
 same as a network with arm weights w_k = eta * tau_k and a leak arm of
 weight 1 - eta * sum(tau).
 
-The network is built as a chain of beam splitters: arm k takes a share
-s_k = w_k / sum_{j >= k} w_j of the photons that reach it and passes the
-rest on, so r photons split as k into the arm and r - k onward with
-amplitude B[r, k] = sqrt(C(r, k) s_k^k (1 - s_k)^(r - k)).  Contracting the
-arms from last to first keeps one d x d block per outcome tuple of the arms
-already contracted, indexed by the photon numbers still to be split:
+The network is built as a chain of the beam splitters of
+:mod:`lossjm.loss`: arm k takes a share s_k = w_k / sum_{j >= k} w_j of the
+photons that reach it and passes the rest on, so r photons split as k into
+the arm and r - k onward with amplitude B[r, k] = sqrt(C(r, k) s_k^k
+(1 - s_k)^(r - k)).  Contracting the arms from last to first keeps one
+d x d block per outcome tuple of the arms already contracted, indexed by the
+photon numbers still to be split:
 
     R'[t, u, r, r'] = sum_{k, k'} B[r, k] B[r', k'] M_t[k, k'] R[u, r - k, r' - k'],
 
-starting from the identity (the leak arm measures nothing).  With T outcome
+starting from the identity (the leak arm measures nothing).  A single arm
+with share tau is the dual loss channel ``loss.apply_dual``.  With T outcome
 tuples this costs O(T d^4) time and O(T d^2) memory, against the d^m Fock
 grid of the whole m-arm network.
 """
@@ -33,42 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compat import ParentPovm
-from .loss import apply_dual
-from .measurements import MeasurementSet
+from .loss import _chain_step, _split_amplitudes, apply_dual
+from .measurements import MeasurementSet, ParentPovm
 
 # Kept limit on the arm count: d ** arms above this is refused, although the
 # chain never forms that grid (arms count the deficit arm).
 MAX_GRID = 1 << 17
-
-
-def _split_amplitudes(s: float, d: int) -> np.ndarray:
-    """B[r, k] = sqrt(C(r, k) s^k (1 - s)^(r - k)), zero for k > r.
-
-    The binomial probabilities come from Pascal's rule, so every entry stays
-    in [0, 1] and nothing overflows at large d.
-    """
-    P = np.zeros((d, d))
-    P[0, 0] = 1.0
-    for r in range(1, d):
-        P[r, 1:] = s * P[r - 1, :-1]
-        P[r] += (1.0 - s) * P[r - 1]
-    return np.sqrt(P)
-
-
-def _chain_step(elements: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Contract one arm into R: shape (U, d, d) -> (outcomes * U, d, d), t-major."""
-    o, d = elements.shape[0], elements.shape[1]
-    U = R.shape[0]
-    # Rs[u, q, r', k'] = B[r', k'] R[u, q, r' - k']; B is zero where k' > r'
-    shift = np.maximum(np.subtract.outer(np.arange(d), np.arange(d)), 0)
-    Rs = (R[:, :, shift] * B).reshape(U * d * d, d)
-    out = np.zeros((o, U, d, d), dtype=complex)
-    for k in range(d):
-        # inner[t, u, q, r'] = sum_k' M_t[k, k'] Rs[u, q, r', k'], then q = r - k
-        inner = (Rs @ elements[:, k, :].T).T.reshape(o, U, d, d)
-        out[:, :, k:, :] += B[k:, k, None] * inner[:, :, : d - k, :]
-    return out.reshape(o * U, d, d)
 
 
 def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compat import ParentPovm
-from .measurements import MeasurementSet, Povm
+from .measurements import MeasurementSet, ParentPovm, Povm
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

@@ -73,13 +73,11 @@ def p_d_approx(n: int, r: float) -> float:
 
 
 def p_lon(n: int, r: float) -> float:
-    """Split-and-detect success probability over a balanced n-arm network."""
-    n = _check_n(n)
-    r2n = r * r / n
-    out = 1.0
-    for k in range(1, n):
-        out *= -math.expm1(-r2n * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
-    return out
+    """Split-and-detect success probability over a balanced n-arm network.
+
+    Each arm receives 1/n of the signal: ``lossy_usd_success`` at tau_b = 1/n.
+    """
+    return lossy_usd_success(n, r, 1.0 / _check_n(n))
 
 
 def p_lon_approx(n: int, r: float) -> float:

@@ -6,9 +6,10 @@ in the package:
 * Fock-space unitaries of beam splitters and linear-optical networks (LON),
   unitary completion of a row vector, the number-basis phase rotation, and the
   total-photon-number sectors of a multimode grid;
-* the Schroedinger action of the pure-loss channel, the Husimi function, and
-  the closed-form Gaussian route to the dual-loss image of a coherent
-  projector (an independent check of the Kraus sum in ``lossjm.loss``);
+* the photon-loss Kraus operators (the reference for the beam-splitter split
+  of ``lossjm.loss.apply_dual``), the Schroedinger action of the pure-loss
+  channel, the Husimi function, and the closed-form Gaussian route to the
+  dual-loss image of a coherent projector;
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2.
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
-from lossjm.loss import _check_tau, kraus_ops
+from lossjm.loss import _check_tau
 from lossjm.usd import _check_n
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -208,7 +209,29 @@ def total_photon_sectors(d: int, modes: int):
         yield total, np.where(grid == total)[0]
 
 
-# -- the loss channel: Schroedinger action and the Gaussian-Husimi route -----
+# -- the loss channel: Kraus operators, Schroedinger action, Gaussian route --
+
+
+def kraus_ops(tau: float, d: int) -> list[np.ndarray]:
+    """Photon-loss Kraus operators A_k on a d-dimensional space.
+
+    <m|A_k|n> = delta_{m,n-k} sqrt(C(n,k)) tau^{(n-k)/2} (1-tau)^{k/2}.
+    Operators that vanish identically (k >= 1 at tau = 1) are dropped, so a
+    lossless channel is represented by the identity alone.
+    """
+    tau = _check_tau(tau)
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    ops = []
+    for k in range(d):
+        A = np.zeros((d, d), dtype=complex)
+        for n in range(k, d):
+            A[n - k, n] = (
+                math.sqrt(math.comb(n, k)) * tau ** ((n - k) / 2) * (1.0 - tau) ** (k / 2)
+            )
+        if np.any(A):
+            ops.append(A)
+    return ops
 
 
 def apply_channel(tau: float, rho: np.ndarray) -> np.ndarray:

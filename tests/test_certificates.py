@@ -36,7 +36,7 @@ def digits50():
 def test_row_witness_is_exact(digits50):
     """The repaired witness of the d=3 n=2 row proves eta* < 1 exactly."""
     r, eps = TABLE_POINTS[2]
-    mset = meas.project_set(meas.symmetric_family(meas.FamilyParams(3, r, 0.5 + eps, 3)), 3)
+    mset = meas.symmetric_family(meas.FamilyParams(3, r, 0.5 + eps, 3))
     res = compat.robustness(mset)
     assert res.incompatible
 
@@ -57,7 +57,7 @@ def test_row_witness_is_exact(digits50):
 
 def test_compatible_parent_is_exact(digits50):
     """The eta = 1 parent of a compatible pair has PSD blocks and the set's marginals."""
-    mset = meas.project_set(meas.symmetric_family(meas.FamilyParams(2, 0.1, 0.4, 3)), 3)
+    mset = meas.symmetric_family(meas.FamilyParams(2, 0.1, 0.4, 3))
     res = compat.robustness(mset)
     assert res.status == "sdp-parent" and res.eta_star == 1.0
 

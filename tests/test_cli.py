@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lossjm import cli, serialize
+from lossjm import cli, qubit, serialize
 from lossjm.measurements import FamilyParams, symmetric_family
 
 
@@ -98,8 +98,30 @@ class TestCompatCommand:
         assert payload["verdict"] == "INCOMPATIBLE"
         assert payload["eta_star"] < 1
 
+    @pytest.mark.parametrize("d_sub", ["1", "4"])
+    def test_d_sub_outside_range_exit_one(self, capsys, d_sub):
+        code = cli.main(
+            ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3",
+             "--d-sub", d_sub]
+        )
+        assert code == 1
+        assert "d_sub must lie in [2, d]" in capsys.readouterr().err
+
 
 class TestQubitPairCommand:
+    def test_pair_test_runs_once(self, capsys, monkeypatch):
+        calls = []
+        pair_test = qubit.pair_test
+
+        def counted(*args):
+            calls.append(args)
+            return pair_test(*args)
+
+        monkeypatch.setattr(qubit, "pair_test", counted)
+        code, _ = run(["qubit-pair", "--r", "0.01", "--tau", "0.6"], capsys)
+        assert code == 2
+        assert len(calls) == 1
+
     def test_leading_order_agreement(self, capsys):
         code, out = run(["qubit-pair", "--r", "0.01", "--tau", "0.6"], capsys)
         assert code == 2  # incompatible above half transmissivity

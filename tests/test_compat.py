@@ -184,6 +184,29 @@ class TestDecideTableRow:
         with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
             compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_built_at_d_sub_equals_row_at_d_sub(self, n):
+        # the family and parent are built at d_sub, so the row cannot depend
+        # on the cutoff d it was asked at
+        r, eps = TABLE_POINTS[n]
+        for tau in (1.0 / n + eps, 1.0 / (n + 1)):
+            a = dataclasses.asdict(
+                compat.decide_table_row(meas.FamilyParams(n + 1, r, tau, 5), d_sub=3)
+            )
+            b = dataclasses.asdict(compat.decide_table_row(meas.FamilyParams(n + 1, r, tau, 3)))
+            for rec in (a, b):
+                del rec["d"], rec["seconds"]
+            assert a == b
+
+    def test_breaking_point_at_high_cutoff_certified_at_d_sub(self):
+        # at d = 8 the arms grid 8^6 is above MAX_GRID; built at d_sub = 3 it is 3^6
+        r, _ = TABLE_POINTS[5]
+        row = compat.decide_table_row(meas.FamilyParams(6, r, 1.0 / 6, 8), d_sub=3)
+        assert (row.d, row.d_sub) == (8, 3)
+        assert row.verdict == "COMPATIBLE"
+        assert row.method == "lon-parent"
+        assert max(row.marginal_residual, row.psd_residual) <= 1e-10
+
     def test_breaking_point_compatible_by_certificate(self):
         row = compat.decide_table_row(
             meas.FamilyParams(3, 0.005, 1.0 / 3.0, 3)

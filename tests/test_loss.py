@@ -1,4 +1,5 @@
-"""Pure-loss channel: Kraus route, Gaussian route, and their agreement."""
+"""Pure-loss channel: the beam-splitter split against the Kraus and Gaussian
+routes of the oracles."""
 
 import math
 
@@ -30,14 +31,14 @@ def random_density(d, rng):
 
 class TestKrausOps:
     def test_lossless_single_identity(self):
-        ops = loss.kraus_ops(1.0, 5)
+        ops = oracles.kraus_ops(1.0, 5)
         assert len(ops) == 1
         assert np.array_equal(ops[0], np.eye(5))
 
     @pytest.mark.parametrize("tau", [0.0, 0.17, 0.5, 0.93, 1.0])
     @pytest.mark.parametrize("d", [1, 2, 6, 12])
     def test_trace_preservation(self, tau, d):
-        total = sum(A.conj().T @ A for A in loss.kraus_ops(tau, d))
+        total = sum(A.conj().T @ A for A in oracles.kraus_ops(tau, d))
         assert np.abs(total - np.eye(d)).max() < 1e-12
 
     def test_full_loss_sends_everything_to_vacuum(self):
@@ -78,6 +79,23 @@ class TestApplyDual:
     def test_unital(self, tau):
         assert np.abs(loss.apply_dual(tau, np.eye(7)) - np.eye(7)).max() < 1e-12
 
+    @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.3, 0.5, 0.77, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 30])
+    def test_matches_kraus_oracle(self, d, tau):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            M = random_hermitian(d, rng)
+            out = loss.apply_dual(tau, M)
+            brute = sum(A.conj().T @ M @ A for A in oracles.kraus_ops(tau, d))
+            assert np.array_equal(out, out.conj().T)
+            assert np.abs(out - brute).max() <= 1e-14 * np.abs(brute).max()
+
+    def test_unital_and_finite_at_large_cutoff(self):
+        for tau in (0.3, 0.5, 0.77):
+            out = loss.apply_dual(tau, np.eye(60))
+            assert np.isfinite(out).all()
+            assert np.abs(out - np.eye(60)).max() < 1e-12
+
     def test_vacuum_projector_image(self):
         # only the k = n loss operator connects |n> back to |0>, leaving the
         # geometric diagonal (1 - tau)^m
@@ -85,7 +103,7 @@ class TestApplyDual:
         expect = np.diag([1.0, 0.5, 0.25, 0.125, 0.0625])
         assert np.abs(out - expect).max() < 1e-14
         brute = sum(
-            A.conj().T @ np.diag([1.0] + [0.0] * 4) @ A for A in loss.kraus_ops(0.5, 5)
+            A.conj().T @ np.diag([1.0] + [0.0] * 4) @ A for A in oracles.kraus_ops(0.5, 5)
         )
         assert np.abs(out - brute).max() == 0.0
 
@@ -102,6 +120,11 @@ class TestApplyDual:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             loss.apply_dual(0.5, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.5])
+    def test_rejects_transmissivity_outside_unit_interval(self, tau):
+        with pytest.raises(ValueError, match="transmissivity"):
+            loss.apply_dual(tau, np.eye(3))
 
     @pytest.mark.parametrize("t1,t2", [(0.3, 0.5), (0.3, 0.9), (0.5, 0.9)])
     def test_composition_law(self, t1, t2):
@@ -156,7 +179,7 @@ class TestGaussianRoute:
     def test_printed_closed_form_disagrees_with_kraus(self):
         # A published closed form for these 3x3 blocks carries inconsistent
         # prefactors (e.g. entry (0,1) as e^{-|mu|^2/2} sqrt(tau) mu* / sqrt(2)).
-        # The Kraus route is the ground truth; entry (0,1) is
+        # The dual channel (the Kraus sum) is the ground truth; entry (0,1) is
         # e^{-|mu|^2} sqrt(tau) mu*, without the sqrt(2).  Keep the
         # discrepancy visible rather than matching the printed form.
         tau, mu = 0.6, 0.015

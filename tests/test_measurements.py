@@ -1,12 +1,13 @@
-"""POVM construction, loss images, projection, and the Bloch picture."""
+"""POVM construction, loss images, truncation, and the Bloch picture."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from lossjm import loss, measurements as meas
+from lossjm import compat, loss, measurements as meas, parent
 
 import oracles
 
@@ -64,34 +65,46 @@ class TestSymmetricFamily:
 
     @pytest.mark.parametrize("count,r,tau", [(3, 0.005, 0.50005), (5, 0.065, 0.2512)])
     def test_validity_after_loss_and_projection(self, count, r, tau):
-        mset = meas.symmetric_family(meas.FamilyParams(count, r, tau, 5))
-        for p in mset:
-            p.validate()
-        for p in meas.project_set(mset, 2):
-            p.validate()
-        for p in meas.project_set(mset, 3):
-            p.validate()
+        for d in (2, 3, 5):
+            for p in meas.symmetric_family(meas.FamilyParams(count, r, tau, d)):
+                p.validate()
 
 
 class TestProjection:
+    """Loss and the network only split or lower the photon number, so what is
+    built at d_sub levels is, bit for bit, the leading block of what is built
+    at d levels: decide_table_row builds at d_sub instead of cutting down."""
+
     def test_identity_projection(self):
-        mset = meas.symmetric_family(meas.FamilyParams(2, 0.2, 0.8, 4))
-        same = meas.project_set(mset, 4)
-        for p, q in zip(mset, same):
-            for E, F in zip(p.elements, q.elements):
-                assert np.array_equal(E, F)
+        params = meas.FamilyParams(3, 0.2, 0.8, 3)
+        a = dataclasses.asdict(compat.decide_table_row(params, d_sub=3))
+        b = dataclasses.asdict(compat.decide_table_row(params))
+        del a["seconds"], b["seconds"]
+        assert a == b
 
     def test_blocks_are_subblocks(self):
-        mset = meas.symmetric_family(meas.FamilyParams(3, 0.3, 0.6, 5))
-        proj = meas.project_set(mset, 2)
-        for p, q in zip(mset, proj):
-            for E, F in zip(p.elements, q.elements):
-                assert np.array_equal(E[:2, :2], F)
+        for tau in (0.0, 0.25, 0.6, 1.0):
+            params = meas.FamilyParams(3, 0.3, tau, 8)
+            full = meas.symmetric_family(params)
+            for d_sub in (2, 3, 5):
+                sub = meas.symmetric_family(dataclasses.replace(params, d=d_sub))
+                for p, q in zip(full, sub):
+                    for E, F in zip(p.elements, q.elements):
+                        assert np.array_equal(E[:d_sub, :d_sub], F)
+
+    @pytest.mark.parametrize("taus", [[0.25] * 3, [0.2, 0.3, 0.1]])
+    def test_parent_blocks_are_subblocks(self, taus):
+        params = meas.FamilyParams(3, 0.3, 1.0, 8)
+        full = parent.lon_parent(meas.symmetric_family(params), taus)
+        for d_sub in (2, 3, 5):
+            noiseless = meas.symmetric_family(dataclasses.replace(params, d=d_sub))
+            sub = parent.lon_parent(noiseless, taus)
+            assert np.array_equal(full.blocks[:, :d_sub, :d_sub], sub.blocks)
 
     def test_rejects_oversized_subspace(self):
-        mset = meas.symmetric_family(meas.FamilyParams(2, 0.2, 0.8, 3))
-        with pytest.raises(ValueError):
-            meas.project_set(mset, 4)
+        for d_sub in (4, 1, 0):
+            with pytest.raises(ValueError, match="d_sub"):
+                compat.decide_table_row(meas.FamilyParams(2, 0.2, 0.8, 3), d_sub=d_sub)
 
 
 class TestBlochParams:

@@ -1,5 +1,7 @@
-"""The installed surface: numpy-only imports and a resolvable public API."""
+"""The installed surface: numpy-only imports, a resolvable public API, and
+module layers without cycles."""
 
+import ast
 import json
 import os
 import subprocess
@@ -32,4 +34,48 @@ def test_import_loads_numpy_only():
     assert third_party == ["numpy"]
     assert not {"scipy", "mpmath", "hypothesis", "pytest"} & set(probe["loaded"])
     assert probe["missing"] == []
-    assert probe["count"] == len(set(lossjm.__all__)) == 38
+    assert probe["count"] == len(set(lossjm.__all__)) == 35
+
+
+def _relative_imports(path: Path) -> tuple[set[str], list[int]]:
+    """(modules imported with ``from .x``, lines of imports inside a function)."""
+    tree = ast.parse(path.read_text())
+    imports, nested = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested += [
+                n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+            ]
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                imports.add(node.module)
+            else:  # from . import a, b
+                imports.update(alias.name for alias in node.names)
+    return imports, nested
+
+
+def test_module_layers():
+    # the package facade __init__ imports every module and is left out
+    package = Path(lossjm.__file__).resolve().parent
+    graph, nested = {}, {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "__init__":
+            graph[path.stem], lines = _relative_imports(path)
+            if lines:
+                nested[path.name] = lines
+    assert nested == {}
+    assert graph["loss"] == {"fock"}
+    done, active = set(), []
+
+    def visit(module):  # depth-first search for a back edge
+        if module in active:
+            raise AssertionError(f"import cycle: {' -> '.join(active + [module])}")
+        if module not in done:
+            active.append(module)
+            for dep in graph[module] & graph.keys():
+                visit(dep)
+            active.pop()
+            done.add(module)
+
+    for module in graph:
+        visit(module)

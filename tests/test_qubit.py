@@ -80,7 +80,7 @@ class TestPairTest:
 
 class TestKrausRoute:
     def test_matches_gaussian_oracle(self):
-        # the library builds the pair by the Kraus sum; the closed-form
+        # the library builds the pair by the beam-splitter split; the closed-form
         # Gaussian-Husimi kernel is an independent route to the same blocks
         worst_entry = worst_test = 0.0
         for r in np.geomspace(1e-3, 1.0, 12):
