@@ -36,7 +36,6 @@ from .parent import lon_parent, verify_marginal_identity
 from .qubit import (
     DegenerateMeasurementError,
     PairTestReport,
-    leading_order_check,
     lossy_displaced_pair,
     pair_test,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "decide_table_row",
     "depolarize",
     "displaced_onoff",
-    "leading_order_check",
     "lon_parent",
     "lossy_displaced_pair",
     "lossy_povm",

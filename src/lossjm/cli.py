@@ -89,10 +89,9 @@ def cmd_family(args) -> int:
 
 def cmd_compat(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
-    d_sub = args.d_sub or args.d
     t0 = time.perf_counter()
     row = compat.decide_table_row(
-        params, d_sub=d_sub, tol=args.tol, max_iter=args.max_iter
+        params, d_sub=args.d_sub, tol=args.tol, max_iter=args.max_iter
     )
     payload = dataclasses.asdict(row)
     payload["manifest"] = _manifest("compat", _params(args))
@@ -101,7 +100,7 @@ def cmd_compat(args) -> int:
     return EXIT_INCOMPATIBLE if row.verdict == "INCOMPATIBLE" else EXIT_OK
 
 
-def _run_row(n: int, d: int, d_sub: int, tol: float, max_iter: int):
+def _run_row(n: int, d: int, d_sub: int | None, tol: float, max_iter: int):
     r, eps = TABLE_POINTS[n]
     count = n + 1
     at_tau_min = compat.decide_table_row(
@@ -120,9 +119,8 @@ def cmd_table1(args) -> int:
     unknown = [n for n in rows if n not in TABLE_POINTS]
     if unknown:
         raise ValueError(f"no bundled operating point for rows {unknown}")
-    d_sub = args.d_sub or args.d
     t0 = time.perf_counter()
-    results = {n: _run_row(n, args.d, d_sub, args.tol, args.max_iter) for n in rows}
+    results = {n: _run_row(n, args.d, args.d_sub, args.tol, args.max_iter) for n in rows}
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -75,7 +75,13 @@ class JmResult:
 
 
 class _MarginalProblem:
-    """Precomputed structure of the marginal constraint map for one set shape."""
+    """Precomputed structure of the marginal constraint map for one set shape.
+
+    Parents are stacks of T blocks, tuples in lexicographic order; marginal
+    rows are stacked measurement by measurement, ``offsets[j]`` being the
+    first row of measurement j.  The indicator ``A`` (T x rows) has
+    A[t, offsets[j] + t_j] = 1: the rows tuple t contributes to.
+    """
 
     def __init__(self, mset: MeasurementSet):
         self.outs = tuple(p.outcomes for p in mset)
@@ -86,18 +92,20 @@ class _MarginalProblem:
             raise ValueError(f"{self.T} outcome tuples exceed the {MAX_TUPLES} limit")
         if self.d > MAX_DIM:
             raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
-        self.targets = [np.stack(p.elements) for p in mset]
+        self.targets = np.concatenate([np.stack(p.elements) for p in mset])
         self.identity = np.eye(self.d, dtype=complex)
-        self._sum_axes = [
-            tuple(k for k in range(self.n) if k != j) for j in range(self.n)
-        ]
+        self.offsets = np.cumsum((0,) + self.outs)
+        digits = np.indices(self.outs).reshape(self.n, self.T)
+        self.A = np.zeros((self.T, self.offsets[-1]))
+        self.A[np.arange(self.T)[:, None], digits.T + self.offsets[:-1]] = 1.0
 
-    def marginals(self, G: np.ndarray) -> list[np.ndarray]:
-        return [G.sum(axis=axes) for axes in self._sum_axes]
+    def marginals(self, G: np.ndarray) -> np.ndarray:
+        """Row i is the sum of the blocks of G over the tuples entering it."""
+        return (self.A.T @ G.reshape(self.T, -1)).reshape(-1, self.d, self.d)
 
-    def spread(self, Y: list[np.ndarray]) -> np.ndarray:
-        """Adjoint of ``marginals``: the block for tuple t is sum_j Y[j][t_j]."""
-        return sum(np.expand_dims(y, axes) for y, axes in zip(Y, self._sum_axes))
+    def spread(self, Y: np.ndarray) -> np.ndarray:
+        """Adjoint of ``marginals``: the block for tuple t is sum_j Y[offsets[j] + t_j]."""
+        return (self.A @ Y.reshape(len(Y), -1)).reshape(self.T, self.d, self.d)
 
     def project_affine(self, G: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {G : marginals(G) = targets}.
@@ -106,17 +114,13 @@ class _MarginalProblem:
         per-measurement deficit sums, which all equal the total-sum deficit
         for consistent targets; that collapses the correction to closed form.
         """
-        margs = self.marginals(G)
-        delta = G.sum(axis=tuple(range(self.n))) - self.identity
+        delta = G.sum(axis=0) - self.identity
         shift = ((self.n - 1) / (self.n * self.T)) * delta
-        deficits = zip(self.outs, margs, self.targets)
-        return G - self.spread([(o / self.T) * (m - t) - shift for o, m, t in deficits])
+        weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
+        return G - self.spread(weight * (self.marginals(G) - self.targets) - shift)
 
     def marginal_residual(self, G: np.ndarray) -> float:
-        margs = self.marginals(G)
-        return max(
-            float(np.abs(margs[j] - self.targets[j]).max()) for j in range(self.n)
-        )
+        return float(np.abs(self.marginals(G) - self.targets).max())
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -133,13 +137,21 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-def _max_step(X: np.ndarray, x: float, dX: np.ndarray, dx: float) -> float:
-    """Largest alpha keeping X + alpha dX and x + alpha dx positive (inf if any)."""
-    w, V = np.linalg.eigh(X)
-    if not w.min() > 0:
-        raise np.linalg.LinAlgError("iterate left the positive cone")
-    R = (V / np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-    lam = float(np.linalg.eigvalsh(R @ dX @ R).min())
+def _ct(X: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(X, -1, -2))
+
+
+def _inverse_factor(X: np.ndarray) -> np.ndarray:
+    """R = L^-1 for the Cholesky factor L L^H = X of each block, so that
+    R X R^H = I and X^-1 = R^H R; LinAlgError if a block is not positive
+    definite."""
+    return np.linalg.inv(np.linalg.cholesky(X))
+
+
+def _max_step(R: np.ndarray, x: float, dX: np.ndarray, dx: float) -> float:
+    """Largest alpha keeping X + alpha dX and x + alpha dx positive (inf if any),
+    for R the inverse factor of X: X + alpha dX >= 0 iff I + alpha R dX R^H >= 0."""
+    lam = float(np.linalg.eigvalsh(R @ dX @ _ct(R)).min())
     alpha = -1.0 / lam if lam < 0 else np.inf
     return min(alpha, -x / dx) if dx < 0 else alpha
 
@@ -150,26 +162,28 @@ class _RobustnessSdp(_MarginalProblem):
     Constraint arrays hold one row per outcome of every measurement.  The
     solve keeps all outcomes of measurement 0 and all but the last of the
     others (normalisation implies the rest); dropped rows stay zero.
+    ``pairs`` (T x kept^2) indicates, for each tuple, the pairs of kept rows
+    it enters together: the Schur matrix is one product with it.
     """
 
     def __init__(self, mset: MeasurementSet):
         super().__init__(mset)
-        targets = np.concatenate(self.targets)
-        self.C = (np.trace(targets, axis1=1, axis2=2).real / self.d)[:, None, None] * self.identity
-        self.D = targets - self.C
-        self.offsets = np.cumsum((0,) + self.outs)
-        self.keep = np.ones(len(targets), dtype=bool)
+        self.C = (np.trace(self.targets, axis1=1, axis2=2).real / self.d)[:, None, None] * self.identity
+        self.D = self.targets - self.C
+        self.keep = np.ones(len(self.targets), dtype=bool)
         self.keep[self.offsets[2:] - 1] = False
         self.U = _hermitian_basis(self.d)
+        kept = self.A[:, self.keep]
+        self.pairs = (kept[:, :, None] * kept[:, None, :]).reshape(self.T, -1)
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
 
     def apply(self, G: np.ndarray, eta: float) -> np.ndarray:
-        return np.concatenate(self.marginals(G)) - eta * self.D
+        return self.marginals(G) - eta * self.D
 
     def adjoint(self, Y: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.spread(self.rows(Y)), -_inner(self.D, Y)
+        return self.spread(Y), -_inner(self.D, Y)
 
     def coords(self, V: np.ndarray) -> np.ndarray:
         """Real coordinates of the Hermitian parts of the kept rows of V."""
@@ -183,27 +197,28 @@ class _RobustnessSdp(_MarginalProblem):
 
     def schur(self, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
         """<A_i, X A_k Z^-1> over the kept real constraint coordinates: block t
-        adds Re U^H (X_t kron Z_t^-T) U to each pair of constraints it enters."""
-        n, off, d2 = self.n, self.offsets, self.d**2
-        K = np.einsum("...ab,...ec->...acbe", X, Zinv).reshape(self.outs + (d2, d2))
-        H = (np.conj(self.U.T) @ K @ self.U).real
-        M = np.zeros((len(self.C), d2, len(self.C), d2))
-        for j in range(n):
-            rj = np.arange(off[j], off[j + 1])
-            M[rj, :, rj, :] = H.sum(axis=self._sum_axes[j])
-            for k in range(j + 1, n):
-                Hjk = H.sum(axis=tuple(i for i in range(n) if i not in (j, k)))
-                M[off[j] : off[j + 1], :, off[k] : off[k + 1]] = Hjk.transpose(0, 2, 1, 3)
-                M[off[k] : off[k + 1], :, off[j] : off[j + 1]] = Hjk.transpose(1, 2, 0, 3)
-        M = M[self.keep][:, :, self.keep].reshape(self.keep.sum() * d2, -1)
+        adds Re U^H (X_t kron Z_t^-T) U to each pair of kept rows it enters.
+
+        The basis change commutes with the sum over tuples, so one product of
+        ``pairs`` with the stacked Kronecker products gives every diagonal
+        and pairwise block, and U is applied once per pair, not per tuple.
+        """
+        d2, kept = self.d**2, int(self.keep.sum())
+        K = np.einsum("tab,tec->tacbe", X, Zinv).reshape(self.T, -1)
+        # pairs is real: one real product sums the interleaved re/im parts
+        S = (self.pairs.T @ K.view(float)).view(complex).reshape(-1, d2, d2)
+        H = (np.conj(self.U.T) @ S @ self.U).real.reshape(kept, kept, d2, d2)
+        M = H.transpose(0, 2, 1, 3).reshape(kept * d2, kept * d2)
         dv = self.coords(self.D)
         return M + x_over_z * np.outer(dv, dv)
 
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
-        the best primal (G, eta), dual rows y and the step count.  A singular
-        Schur matrix, as near the optimum of degenerate sets, ends it early."""
-        X = np.broadcast_to(self.identity / self.T, self.outs + (self.d, self.d)).copy()
+        the best primal (G, eta), dual rows y and the step count.  Each step
+        factorises X and Z once: Z^-1 and both step-length searches reuse
+        the factors.  A singular Schur matrix, as near the optimum of
+        degenerate sets, ends it early."""
+        X = np.broadcast_to(self.identity / self.T, (self.T, self.d, self.d)).copy()
         Z = np.broadcast_to(self.identity, X.shape).copy()
         x = z = 1.0
         Y = np.zeros_like(self.C)
@@ -224,8 +239,8 @@ class _RobustnessSdp(_MarginalProblem):
             if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
                 break
             try:
-                w, V = np.linalg.eigh(Z)
-                Zinv = (V / w[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+                RX, RZ = _inverse_factor(X), _inverse_factor(Z)
+                Zinv = _ct(RZ) @ RZ
                 M = self.schur(X, Zinv, x / z)
                 base = Rp + self.apply(X @ Rd @ Zinv, x * rd / z)
 
@@ -235,12 +250,12 @@ class _RobustnessSdp(_MarginalProblem):
                     dAY, daY = self.adjoint(dY)
                     dZ, dz = Rd - dAY, rd - daY
                     dX = Rc - X @ dZ @ Zinv
-                    dX = 0.5 * (dX + np.conj(np.swapaxes(dX, -1, -2)))
+                    dX = 0.5 * (dX + _ct(dX))
                     return dX, rc - x * dz / z, dY, dZ, dz
 
                 dX, dx, dY, dZ, dz = direction(-X, -x)
-                ap = min(1.0, _max_step(X, x, dX, dx))
-                ad = min(1.0, _max_step(Z, z, dZ, dz))
+                ap = min(1.0, _max_step(RX, x, dX, dx))
+                ad = min(1.0, _max_step(RZ, z, dZ, dz))
                 mu = (_inner(X, Z) + x * z) / N
                 mu_aff = (_inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
                 smu = min(1.0, (mu_aff / mu) ** 3) * mu
@@ -248,8 +263,8 @@ class _RobustnessSdp(_MarginalProblem):
                     smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
                 )
                 gamma = 0.9 + 0.09 * min(ap, ad)
-                ap = min(1.0, gamma * _max_step(X, x, dX, dx))
-                ad = min(1.0, gamma * _max_step(Z, z, dZ, dz))
+                ap = min(1.0, gamma * _max_step(RX, x, dX, dx))
+                ad = min(1.0, gamma * _max_step(RZ, z, dZ, dz))
             except np.linalg.LinAlgError:
                 break
             X, x = X + ap * dX, x + ap * dx
@@ -266,7 +281,7 @@ class _RobustnessSdp(_MarginalProblem):
         """
         rows = self.rows(W)
         guard = 4 * (self.n + self.d) * self.d**2 * _EPS * sum(np.abs(r).max() for r in rows)
-        lam = float(np.linalg.eigvalsh(self.spread(rows)).min())
+        lam = float(np.linalg.eigvalsh(self.spread(W)).min())
         W = W.copy()
         W[: self.outs[0]] += max(0.0, guard - lam) * self.identity
         err = 4 * W.size * _EPS * np.abs(W)  # times |D| or |C|: error of a sum of products
@@ -299,8 +314,7 @@ def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) 
     prob = _MarginalProblem(mset)
     if parent.outcome_counts != prob.outs or parent.dim != prob.d:
         raise ValueError("parent shape does not match the measurement set")
-    G = parent.blocks.reshape(*prob.outs, prob.d, prob.d)
-    marg = prob.marginal_residual(G)
+    marg = prob.marginal_residual(parent.blocks)
     psd = parent.validation_residuals()[0]
     return JmResult(
         feasible=(marg <= tol and psd <= tol),
@@ -331,29 +345,28 @@ def robustness(
         raise ValueError("max_iter must be non-negative")
     sdp = _RobustnessSdp(mset)
     weights = np.ix_(*[r[:, 0, 0].real for r in sdp.rows(sdp.C)])  # tr(M^j_a)/d
-    G0 = math.prod(weights)[..., None, None] * sdp.identity  # the eta = 0 product parent
+    G0 = math.prod(weights).reshape(-1, 1, 1) * sdp.identity  # the eta = 0 product parent
     if np.any(sdp.D):
         X, eta_p, y, steps = sdp.solve(max_iter)
     else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
         X, eta_p, y, steps = G0, 1.0, np.zeros_like(sdp.C), 0
     W, eta_hi = sdp.repair_witness(-y)
-    flat = (sdp.T, sdp.d, sdp.d)
     P = _MarginalProblem(depolarize(mset, eta_p)).project_affine(X)
     if eta_hi >= 1.0:
         lam = min(1.0, 1.0 / eta_p)
         G = sdp.project_affine(lam * P + (1.0 - lam) * G0)
-        check = certify(mset, ParentPovm(sdp.outs, G.reshape(flat)), tol)
+        check = certify(mset, ParentPovm(sdp.outs, G), tol)
     if eta_hi >= 1.0 and check.feasible:
         status, eta_star = "sdp-parent", 1.0
     else:
         # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
         # stop once what is left is within tol, as certify demands
-        neg = ParentPovm(sdp.outs, P.reshape(flat)).validation_residuals()[0]
-        g0 = float(G0[..., 0, 0].real.min())
+        neg = ParentPovm(sdp.outs, P).validation_residuals()[0]
+        g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * tol) / (g0 + neg))
         eta_star = lam * eta_p
         G = lam * P + (1.0 - lam) * G0
-        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G.reshape(flat)), tol)
+        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G), tol)
         status = "sdp-witness" if eta_hi < 1.0 else "undecided"
     return JmResult(
         feasible=status == "sdp-parent",

@@ -55,18 +55,22 @@ def _chain_step(elements: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarra
 
 
 def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
-    """Dual (Heisenberg) action on a Hermitian operator: the beam-splitter
-    split with M on the kept arm and the identity on the leak arm.
+    """Dual (Heisenberg) action on a Hermitian operator, or on each of a
+    stack (o, d, d) of them in one contraction: the beam-splitter split with
+    M on the kept arm and the identity on the leak arm.
 
     Unital, positive, and exact under truncation.
     """
     tau = _check_tau(tau)
-    M = require_hermitian(M)
-    d = M.shape[0]
-    out = _chain_step(M[None], _split_amplitudes(tau, d), np.eye(d, dtype=complex)[None])[0]
+    M = np.asarray(M, dtype=complex)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    for E in stack:
+        require_hermitian(E)
+    d = stack.shape[-1]
+    out = _chain_step(stack, _split_amplitudes(tau, d), np.eye(d, dtype=complex)[None])
     # the two triangles agree to rounding; keep the lower one, which eigh
     # reads, and a real diagonal, so the result is exactly Hermitian
     r = np.arange(d)
-    out = np.where(r[:, None] >= r, out, out.conj().T)
-    out.imag.flat[:: d + 1] = 0.0
-    return out
+    out = np.where(r[:, None] >= r, out, np.conj(np.swapaxes(out, -1, -2)))
+    out.imag[:, r, r] = 0.0
+    return out.reshape(M.shape)

@@ -192,11 +192,12 @@ def displaced_onoff(mu: complex, d: int) -> Povm:
 def lossy_povm(povm: Povm, tau: float) -> Povm:
     """Image of a POVM under the dual loss channel (exact under truncation).
 
-    At tau = 1 the channel is the identity map and ``povm`` is returned.
+    All elements go through one stacked :func:`apply_dual`.  At tau = 1 the
+    channel is the identity map and ``povm`` is returned.
     """
     if tau == 1.0:
         return povm
-    return Povm(tuple(apply_dual(tau, E) for E in povm.elements))
+    return Povm(tuple(apply_dual(tau, np.stack(povm.elements))))
 
 
 def symmetric_family(params: FamilyParams) -> MeasurementSet:

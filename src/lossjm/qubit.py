@@ -94,14 +94,3 @@ def leading_order_prediction(r: float, tau: float) -> float:
     """Small-r form 16 tau (2 tau - 1) r^2 of Test for the lossy displaced pair."""
     return 16.0 * tau * (2.0 * tau - 1.0) * r**2
 
-
-def leading_order_check(r: float, tau: float) -> tuple[float, float]:
-    """(evaluated Test, :func:`leading_order_prediction`) for the lossy
-    displaced pair.
-
-    The remainder is O(r^4): halving r shrinks the deviation roughly 4x,
-    which the tests verify by Richardson-style scaling.
-    """
-    a, b = lossy_displaced_pair(r, tau)
-    report = pair_test(a, b)
-    return report.test_value, leading_order_prediction(r, tau)

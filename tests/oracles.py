@@ -11,7 +11,10 @@ in the package:
   channel, the Husimi function, and the closed-form Gaussian route to the
   dual-loss image of a coherent projector;
 * the direct alternating sum for the optimal unambiguous-discrimination
-  probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2.
+  probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2;
+* the small-displacement check of the qubit pair criterion;
+* the marginal map and the Schur matrix of the robustness solve by sums over
+  the axes of the outcome-tuple grid, one measurement or pair at a time.
 
 Operators follow the conventions of ``lossjm.fock``: dense complex matrices
 in the number basis, multimode states indexed row-major by photon-number
@@ -27,6 +30,7 @@ import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
 from lossjm.loss import _check_tau
+from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -366,3 +370,54 @@ def root_distance_product(n: int) -> float:
     return float(
         np.prod([2.0 - 2.0 * math.cos(2.0 * math.pi * k / n) for k in range(1, n)])
     )
+
+
+# -- qubit pair criterion -------------------------------------------------------
+
+
+def leading_order_check(r: float, tau: float) -> tuple[float, float]:
+    """(evaluated Test, :func:`lossjm.qubit.leading_order_prediction`) for the
+    lossy displaced pair.
+
+    The remainder is O(r^4): halving r shrinks the deviation roughly 4x,
+    which the tests verify by Richardson-style scaling.
+    """
+    a, b = lossy_displaced_pair(r, tau)
+    report = pair_test(a, b)
+    return report.test_value, leading_order_prediction(r, tau)
+
+
+# -- robustness solve -------------------------------------------------------------
+
+
+def _other_axes(n: int, *kept: int) -> tuple:
+    return tuple(i for i in range(n) if i not in kept)
+
+
+def marginals_reference(outs: tuple, G: np.ndarray) -> np.ndarray:
+    """Marginal rows of parent blocks G (T, d, d), measurement by measurement,
+    each the sum of the tuple grid over every other measurement's axis."""
+    n = len(outs)
+    G = G.reshape(outs + G.shape[-2:])
+    return np.concatenate([G.sum(axis=_other_axes(n, j)) for j in range(n)])
+
+
+def schur_reference(sdp, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
+    """Schur matrix of ``lossjm.compat._RobustnessSdp`` assembled block by
+    block: H_t = Re U^H (X_t kron Z_t^-T) U per tuple, then each diagonal
+    block summed over the other measurements' axes and each pairwise block
+    over the axes of the measurements outside the pair."""
+    n, off, d2 = sdp.n, sdp.offsets, sdp.d**2
+    K = np.einsum("...ab,...ec->...acbe", X, Zinv).reshape(sdp.outs + (d2, d2))
+    H = (np.conj(sdp.U.T) @ K @ sdp.U).real
+    M = np.zeros((len(sdp.C), d2, len(sdp.C), d2))
+    for j in range(n):
+        rj = np.arange(off[j], off[j + 1])
+        M[rj, :, rj, :] = H.sum(axis=_other_axes(n, j))
+        for k in range(j + 1, n):
+            Hjk = H.sum(axis=_other_axes(n, j, k))
+            M[off[j] : off[j + 1], :, off[k] : off[k + 1]] = Hjk.transpose(0, 2, 1, 3)
+            M[off[k] : off[k + 1], :, off[j] : off[j + 1]] = Hjk.transpose(1, 2, 0, 3)
+    M = M[sdp.keep][:, :, sdp.keep].reshape(sdp.keep.sum() * d2, -1)
+    dv = sdp.coords(sdp.D)
+    return M + x_over_z * np.outer(dv, dv)

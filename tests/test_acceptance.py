@@ -111,7 +111,7 @@ def test_criterion_4_leading_order(criterion_report):
     for tau in (0.55, 0.6, 0.75):
         rel_devs = {}
         for r in (0.01, 0.005):
-            test, predicted = qubit.leading_order_check(r, tau)
+            test, predicted = oracles.leading_order_check(r, tau)
             rel_devs[r] = abs(test - predicted) / abs(predicted)
             ok &= rel_devs[r] <= 0.05
         # quartic remainder over a quadratic leading term: halving r cuts the

@@ -98,7 +98,7 @@ class TestCompatCommand:
         assert payload["verdict"] == "INCOMPATIBLE"
         assert payload["eta_star"] < 1
 
-    @pytest.mark.parametrize("d_sub", ["1", "4"])
+    @pytest.mark.parametrize("d_sub", ["0", "1", "4"])
     def test_d_sub_outside_range_exit_one(self, capsys, d_sub):
         code = cli.main(
             ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3",
@@ -211,6 +211,12 @@ class TestTable1Command:
     def test_unknown_row_errors(self, capsys):
         code = cli.main(["table1", "--row-min", "11", "--row-max", "11"])
         assert code == 1
+
+    def test_d_sub_zero_exit_one(self, capsys):
+        # 0 is an explicit subspace dimension, not "unset"
+        code = cli.main(["table1", "--row-min", "2", "--row-max", "2", "--d-sub", "0"])
+        assert code == 1
+        assert "d_sub must lie in [2, d]" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lossjm import compat, measurements as meas, parent, qubit
+from lossjm import compat, loss, measurements as meas, parent, qubit
 from lossjm.cli import TABLE_POINTS
+
+import oracles
 
 
 def projective_z():
@@ -42,6 +44,50 @@ class TestJmFeasibility:
         p = meas.Povm((np.eye(9) / 2, np.eye(9) / 2))
         with pytest.raises(ValueError):
             compat.robustness(meas.MeasurementSet((p,)))
+
+
+def random_povm(outcomes, d, rng):
+    A = rng.normal(size=(outcomes, d, d)) + 1j * rng.normal(size=(outcomes, d, d))
+    P = A @ A.conj().transpose(0, 2, 1)
+    w, V = np.linalg.eigh(P.sum(axis=0))
+    R = (V / np.sqrt(w)) @ V.conj().T
+    return meas.Povm(tuple(R @ E @ R for E in P))
+
+
+def random_blocks(T, d, rng, shift=0.0):
+    A = rng.normal(size=(T, d, d)) + 1j * rng.normal(size=(T, d, d))
+    return A @ A.conj().transpose(0, 2, 1) / d + shift * np.eye(d)
+
+
+class TestMarginalMap:
+    SHAPES = [(2,), (2, 3), (3, 2, 2), (2,) * 5]
+
+    @pytest.mark.parametrize("outs", SHAPES)
+    def test_indicator_matches_axis_sums(self, outs):
+        rng = np.random.default_rng(sum(outs))
+        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
+        G = random_blocks(sdp.T, 3, rng) / sdp.T
+        assert np.abs(sdp.marginals(G) - oracles.marginals_reference(outs, G)).max() <= 1e-14
+
+    @pytest.mark.parametrize("outs", SHAPES)
+    def test_spread_is_adjoint(self, outs):
+        rng = np.random.default_rng(10 + sum(outs))
+        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
+        G = random_blocks(sdp.T, 3, rng) / sdp.T
+        Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
+        lhs, rhs = compat._inner(sdp.marginals(G), Y), compat._inner(G, sdp.spread(Y))
+        assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("outs", SHAPES)
+    def test_schur_matches_per_pair_assembly(self, outs):
+        rng = np.random.default_rng(20 + sum(outs))
+        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
+        X = random_blocks(sdp.T, 3, rng, 0.1) / sdp.T
+        Zinv = random_blocks(sdp.T, 3, rng, 0.1)
+        got = sdp.schur(X, Zinv, 0.7)
+        want = oracles.schur_reference(sdp, X, Zinv, 0.7)
+        assert got.shape == want.shape == (9 * sdp.keep.sum(),) * 2
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMarginal:
@@ -148,6 +194,42 @@ class TestRobustness:
                 noisy = compat.depolarize(mset, res.eta_star if res.eta_star < 1 else 1.0)
                 check = compat.certify(noisy, res.parent)
                 assert check.feasible
+
+
+class TestNewtonStep:
+    def test_one_factorisation_per_iterate_per_step(self, monkeypatch):
+        counts = {"cholesky": 0, "eigh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(3, 0.005, 0.50005, 3)))
+        assert res.iterations > 0
+        assert counts == {"cholesky": 2 * res.iterations, "eigh": 0}
+
+    def test_verdict_insensitive_to_input_rounding(self):
+        # the same row with each element the average of the two triangles of
+        # the split instead of the mirrored lower one; at d = 3 n = 6 that
+        # moves 12 entries by one rounding and the Newton step count by 4
+        n, d = 6, 3
+        r, eps = TABLE_POINTS[n]
+        params = meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
+        built = meas.symmetric_family(params)
+        B, eye = loss._split_amplitudes(params.tau, d), np.eye(d, dtype=complex)[None]
+        povms = []
+        for mu in params.displacements():
+            raw = loss._chain_step(np.stack(meas.displaced_onoff(mu, d).elements), B, eye)
+            povms.append(meas.Povm(tuple(0.5 * (raw + raw.conj().transpose(0, 2, 1)))))
+        averaged = meas.MeasurementSet(tuple(povms))
+        gaps = [np.abs(E - F).max() for p, q in zip(built, averaged)
+                for E, F in zip(p.elements, q.elements)]
+        assert 0.0 < max(gaps) <= 1e-16
+        a, b = compat.robustness(built), compat.robustness(averaged)
+        assert (a.status, a.incompatible) == (b.status, b.incompatible) == ("sdp-witness", True)
+        assert abs(a.eta_star - b.eta_star) <= 1e-8
+        assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
 
 class TestResult2Completeness:

@@ -121,6 +121,23 @@ class TestApplyDual:
         with pytest.raises(ValueError):
             loss.apply_dual(0.5, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 0.77, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_stack_matches_each_element(self, d, tau):
+        rng = np.random.default_rng(40 + d)
+        stack = np.stack([random_hermitian(d, rng) for _ in range(4)])
+        out = loss.apply_dual(tau, stack)
+        assert out.shape == stack.shape
+        for E, image in zip(stack, out):
+            alone = loss.apply_dual(tau, E)
+            assert np.array_equal(image, image.conj().T)
+            assert np.abs(image - alone).max() <= 1e-15 * np.abs(alone).max()
+
+    def test_rejects_nonhermitian_in_stack(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            loss.apply_dual(0.5, stack)
+
     @pytest.mark.parametrize("tau", [-0.1, 1.5])
     def test_rejects_transmissivity_outside_unit_interval(self, tau):
         with pytest.raises(ValueError, match="transmissivity"):

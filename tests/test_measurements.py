@@ -63,6 +63,26 @@ class TestSymmetricFamily:
         for p, mu in zip(meas.symmetric_family(params), params.displacements()):
             assert np.abs(p.elements[0] - meas.coherent_projector(mu, 4)).max() < 1e-14
 
+    @pytest.mark.parametrize("tau", [0.2512, 0.50005, 0.9])
+    def test_lossy_povm_one_dual_call_per_povm(self, monkeypatch, tau):
+        rng = np.random.default_rng(17)
+        povms = [meas.displaced_onoff(0.3 - 0.1j, 4), meas.random_two_outcome_povm(5, rng)]
+        calls = []
+
+        def counted(t, M):
+            calls.append(np.shape(M))
+            return loss.apply_dual(t, M)
+
+        monkeypatch.setattr(meas, "apply_dual", counted)
+        for p in povms:
+            out = meas.lossy_povm(p, tau)
+            for E, image in zip(p.elements, out.elements):
+                alone = loss.apply_dual(tau, E)
+                assert np.array_equal(image, image.conj().T)
+                assert np.abs(image - alone).max() <= 1e-15 * np.abs(alone).max()
+        assert calls == [(2, 4, 4), (2, 5, 5)]
+        assert meas.lossy_povm(povms[0], 1.0) is povms[0]
+
     @pytest.mark.parametrize("count,r,tau", [(3, 0.005, 0.50005), (5, 0.065, 0.2512)])
     def test_validity_after_loss_and_projection(self, count, r, tau):
         for d in (2, 3, 5):

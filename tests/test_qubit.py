@@ -103,12 +103,12 @@ class TestKrausRoute:
 
 class TestLeadingOrder:
     def test_prediction_value(self):
-        test, predicted = qubit.leading_order_check(0.01, 0.6)
+        test, predicted = oracles.leading_order_check(0.01, 0.6)
         assert predicted == pytest.approx(1.92e-4, rel=1e-12)
         assert test == pytest.approx(predicted, rel=0.05)
 
     def test_negative_below_half(self):
-        test, predicted = qubit.leading_order_check(0.01, 0.4)
+        test, predicted = oracles.leading_order_check(0.01, 0.4)
         assert predicted == pytest.approx(-1.28e-4, rel=1e-12)
         assert test < 0
         assert test == pytest.approx(predicted, rel=0.05)
@@ -116,7 +116,7 @@ class TestLeadingOrder:
     def test_quartic_remainder_at_half(self):
         # the leading term vanishes at tau = 1/2; what remains scales as r^4
         rs = [0.02, 0.01, 0.005]
-        tests = [qubit.leading_order_check(r, 0.5)[0] for r in rs]
+        tests = [oracles.leading_order_check(r, 0.5)[0] for r in rs]
         C = abs(tests[0]) / rs[0] ** 4
         for r, t in zip(rs, tests):
             assert abs(t) <= 1.5 * C * r**4
@@ -124,8 +124,8 @@ class TestLeadingOrder:
     @pytest.mark.parametrize("tau", [0.55, 0.6, 0.75])
     def test_deviation_shrinks_quadratically(self, tau):
         r = 0.01
-        t1, p1 = qubit.leading_order_check(r, tau)
-        t2, p2 = qubit.leading_order_check(r / 2, tau)
+        t1, p1 = oracles.leading_order_check(r, tau)
+        t2, p2 = oracles.leading_order_check(r / 2, tau)
         dev1 = abs(t1 - p1)
         dev2 = abs(t2 - p2)
         assert dev2 <= dev1 / 3.0  # ~4x shrink for an O(r^4) remainder
