@@ -20,8 +20,17 @@ and each verdict rests on a certificate checked after the solve:
 * COMPATIBLE: a parent POVM of the noiseless set that passes ``certify``.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
-depolarized to eta_star.  When neither certificate holds the result is
-undecided, and ``decide_table_row`` raises RuntimeError.
+depolarized to eta_star, up to the tolerance of ``certify``.  When neither
+certificate holds the result is undecided, and ``decide_table_row`` raises
+RuntimeError.
+
+The solve runs in the subspace fixed by the group that permutes the set.  For
+the symmetric family that is the dihedral group generated by the phase
+rotation R = exp(2 pi i N / n) and complex conjugation: averaging a parent or
+a witness over it keeps it valid, so one block per orbit of outcome tuples
+and the rows of measurement 0 suffice (Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004).  The solution is expanded to all tuples and rows before
+the repair and ``certify``, which check the full problem.
 """
 
 from __future__ import annotations
@@ -34,7 +43,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import FamilyParams, MeasurementSet, ParentPovm, Povm, symmetric_family
+from .measurements import (
+    FamilyParams,
+    MeasurementSet,
+    ParentPovm,
+    Povm,
+    _rotated,
+    _rotation_phases,
+    symmetric_family,
+)
 from .parent import lon_parent
 
 DEFAULT_TOL = 1e-8
@@ -55,6 +72,13 @@ class JmResult:
     noiseless set).  For ``robustness``, ``status`` is "sdp-parent",
     "sdp-witness" or "undecided", ``parent`` certifies the set depolarized to
     ``eta_star``, ``witness[j][a]`` = Y^j_a proves ``eta_hi`` (inf if nothing).
+
+    The two ends of the bracket hold in different senses.  ``eta_hi`` is
+    exact: the witness is valid in exact arithmetic on the stored floats, so
+    no parent exists above it.  ``eta_star`` holds up to ``tol``: its parent
+    passes ``certify``, i.e. has marginal and PSD residuals at most tol, not
+    zero.  So eta_star can exceed eta_hi by a rounding-sized margin (seen up
+    to 4e-10); eta_star <= eta_hi + tol.
     """
 
     feasible: bool
@@ -90,8 +114,6 @@ class _MarginalProblem:
         self.T = int(np.prod(self.outs))
         if self.T > MAX_TUPLES:
             raise ValueError(f"{self.T} outcome tuples exceed the {MAX_TUPLES} limit")
-        if self.d > MAX_DIM:
-            raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
         self.targets = np.concatenate([np.stack(p.elements) for p in mset])
         self.identity = np.eye(self.d, dtype=complex)
         self.offsets = np.cumsum((0,) + self.outs)
@@ -107,8 +129,8 @@ class _MarginalProblem:
         """Adjoint of ``marginals``: the block for tuple t is sum_j Y[offsets[j] + t_j]."""
         return (self.A @ Y.reshape(len(Y), -1)).reshape(self.T, self.d, self.d)
 
-    def project_affine(self, G: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto {G : marginals(G) = targets}.
+    def project_affine(self, G: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+        """Orthogonal projection onto {G : marginals(G) = targets} (default: the set's).
 
         The normal equations of the constraint map couple only through the
         per-measurement deficit sums, which all equal the total-sum deficit
@@ -117,7 +139,8 @@ class _MarginalProblem:
         delta = G.sum(axis=0) - self.identity
         shift = ((self.n - 1) / (self.n * self.T)) * delta
         weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
-        return G - self.spread(weight * (self.marginals(G) - self.targets) - shift)
+        targets = self.targets if targets is None else targets
+        return G - self.spread(weight * (self.marginals(G) - targets) - shift)
 
     def marginal_residual(self, G: np.ndarray) -> float:
         return float(np.abs(self.marginals(G) - self.targets).max())
@@ -125,7 +148,9 @@ class _MarginalProblem:
 
 def _hermitian_basis(d: int) -> np.ndarray:
     """Columns: an orthonormal basis of the d x d Hermitian matrices under
-    Re tr(AB), row-major vectorised; it gives each one d^2 real coordinates."""
+    Re tr(AB), row-major vectorised; it gives each one d^2 real coordinates.
+    The d diagonal columns come first, then the real symmetric and the
+    imaginary antisymmetric one of each pair i < j."""
     i, j = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2).T
     E, s = np.eye(d * d).reshape(d, d, d, d), np.sqrt(0.5)
     sym, anti = s * (E[i, j] + E[j, i]), 1j * s * (E[i, j] - E[j, i])
@@ -141,149 +166,320 @@ def _ct(X: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(X, -1, -2))
 
 
-def _inverse_factor(X: np.ndarray) -> np.ndarray:
-    """R = L^-1 for the Cholesky factor L L^H = X of each block, so that
-    R X R^H = I and X^-1 = R^H R; LinAlgError if a block is not positive
-    definite."""
-    return np.linalg.inv(np.linalg.cholesky(X))
+def _inverse_factors(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """R = L^-1 for the Cholesky factor L L^H of each block of X, then of Z,
+    stacked, so that R X R^H = I and X^-1 = R^H R; LinAlgError if a block is
+    not positive definite."""
+    return np.linalg.inv(np.concatenate([np.linalg.cholesky(X), np.linalg.cholesky(Z)]))
 
 
-def _max_step(R: np.ndarray, x: float, dX: np.ndarray, dx: float) -> float:
-    """Largest alpha keeping X + alpha dX and x + alpha dx positive (inf if any),
-    for R the inverse factor of X: X + alpha dX >= 0 iff I + alpha R dX R^H >= 0."""
-    lam = float(np.linalg.eigvalsh(R @ dX @ _ct(R)).min())
-    alpha = -1.0 / lam if lam < 0 else np.inf
-    return min(alpha, -x / dx) if dx < 0 else alpha
+def _max_steps(R: np.ndarray, RH: np.ndarray, x, z, dX, dx, dZ, dz) -> list[float]:
+    """Largest alphas keeping X + alpha dX, x + alpha dx and Z + alpha dZ,
+    z + alpha dz positive (inf if any), from one eigvalsh over both blocks:
+    R stacks the inverse factors of X and Z, RH = R^H, and X + alpha dX >= 0
+    iff I + alpha R dX R^H >= 0."""
+    lam = np.linalg.eigvalsh(R @ np.concatenate([dX, dZ]) @ RH)[:, 0]
+    alphas = []
+    for l, a, da in zip(lam.reshape(2, -1).min(axis=1), (x, z), (dx, dz)):
+        alpha = -1.0 / l if l < 0 else np.inf
+        alphas.append(min(alpha, -a / da) if da < 0 else alpha)
+    return alphas
+
+
+def _covariance_phases(prob: _MarginalProblem) -> np.ndarray | None:
+    """The phases Omega of ``symmetric_family`` when the set is, bit for bit,
+    the rotated copies M^k = R^k M^0 R^-k of a real measurement 0, so that the
+    dihedral group generated by R = exp(2 pi i N / n) and complex conjugation
+    permutes it; None (the trivial group) otherwise.  No tolerance enters."""
+    n, o, d = prob.n, prob.outs[0], prob.d
+    first = prob.targets[:o]
+    if any(k != o for k in prob.outs) or first.imag.any():
+        return None
+    phases = _rotation_phases(n, d)
+    covariant = np.array_equal(_rotated(first, phases), prob.targets.reshape(n, o, d, d))
+    return phases if covariant else None
+
+
+def _orbits(outs: tuple, elements: list) -> tuple:
+    """Orbits of the outcome tuples under the group ``elements``: pairs (s, f)
+    standing for shift^s reverse^f, where shift moves the outcome of
+    measurement j to j + 1 and reverse that of j to -j (mod n).
+
+    Returns the representatives (the least flat index of each orbit), the
+    orbit of each tuple t, the element (s, f) with t = (s, f)(representative),
+    and (i, s, f) for each element other than the identity that fixes
+    representative i, in increasing i.  ``elements[0]`` must be the identity.
+    """
+    n, T = len(outs), math.prod(outs)
+    digits = np.indices(outs).reshape(n, T)
+    place = T // np.cumprod(outs)
+    j = np.arange(n)
+    images = np.stack([place @ digits[(s - j if f else j - s) % n] for s, f in elements])
+    to_rep = images.argmin(axis=0)  # the first element taking t to its representative
+    least = images[to_rep, np.arange(T)]
+    is_rep = least == np.arange(T)
+    rep, orbit = np.flatnonzero(is_rep), np.cumsum(is_rep)[least] - 1
+    s, f = np.array(elements).T
+    i, e = np.nonzero((images[1:, rep] == rep).T)  # sorted by representative
+    fixed = i, s[1:][e], f[1:][e].astype(bool)
+    s, f = s[to_rep], f[to_rep]
+    # a reversal is its own inverse; the inverse of shift^s is shift^-s
+    return rep, orbit, np.where(f, s, -s) % n, f.astype(bool), fixed
+
+
+def _phase_classes(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real functions c (n, K) of the rotation index and class matrices
+    P (K, d, d) with phases[j] = sum_k c[j, k] P[k].
+
+    Entries with equal (a - b) mod n share their phase w^(j (a - b)); a class
+    and its conjugate class give a cosine and a sine function, a
+    self-conjugate class (a - b = 0 or n/2) one real function.
+    """
+    n, d = phases.shape[0], phases.shape[-1]
+    a = np.arange(d)
+    delta = (a[:, None] - a) % n
+    funcs, mats = [], []
+    for k in np.flatnonzero(np.bincount(delta.ravel())):  # the classes present
+        at, conj_at = delta == k, delta == (n - k) % n
+        w = phases[:, at][:, 0]
+        if 2 * k % n == 0:
+            funcs.append(w.real)
+            mats.append(at.astype(complex))
+        elif 2 * k < n:
+            funcs += [w.real, w.imag]
+            mats += [(at | conj_at).astype(complex), 1j * (at.astype(float) - conj_at)]
+    return np.stack(funcs, axis=1), np.stack(mats)
+
+
+def _coordinate_mask(d: int, m: int, classes: int, real: bool) -> np.ndarray:
+    """The ``_hermitian_basis`` coordinates kept per class (classes x d^2):
+    the real symmetric ones if conjugation fixes measurement 0 (``real``),
+    and for the last class only entries a = b mod m; the others are a gauge
+    that changes no dual block."""
+    i, j = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2).T
+    resonant = np.concatenate([np.ones(d, dtype=bool), (j - i) % m == 0, (j - i) % m == 0])
+    symmetric = np.arange(d * d) < d * (d + 1) // 2 if real else np.ones(d * d, dtype=bool)
+    return symmetric & ((np.arange(classes) < classes - 1)[:, None] | resonant)
+
+
+def _kept_norm(is_class: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """N with ||N rp|| the norm of an invariant residual over the rows the
+    full solve keeps, from its coordinates rp: a class's coordinates pair
+    with all the rows it generates (``is_class``: rows x classes), and the
+    last class's coordinates outside the mask are minus the sum of the
+    others' (the outcome rows of an invariant residual sum to an
+    R-invariant matrix)."""
+    classes, d2 = mask.shape
+    k = int(mask.sum())
+    E = np.zeros((k, classes, d2))
+    E[:, mask] = np.eye(k)
+    E /= is_class.sum(axis=0)[:, None]
+    E[:, -1, ~mask[-1]] = -E[:, :-1, ~mask[-1]].sum(axis=1)
+    kept = (is_class & keep[:, None]).sum(axis=0)
+    return (np.sqrt(kept)[:, None] * E).reshape(k, -1).T
 
 
 class _RobustnessSdp(_MarginalProblem):
-    """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C.
+    """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C,
+    solved in the subspace fixed by the group that permutes the set.
 
-    Constraint arrays hold one row per outcome of every measurement.  The
-    solve keeps all outcomes of measurement 0 and all but the last of the
-    others (normalisation implies the rest); dropped rows stay zero.
-    ``pairs`` (T x kept^2) indicates, for each tuple, the pairs of kept rows
-    it enters together: the Schur matrix is one product with it.
+    The group is found from the set alone (``_covariance_phases``): the
+    dihedral group of order 2n for the rotated copies of ``symmetric_family``,
+    else the trivial one.  An invariant parent needs one block per orbit of
+    outcome tuples (binary bracelets for two outcomes: 4 of 8 at n = 3, 126
+    of 2048 at n = 11); sums over tuples become sums over representatives,
+    each weighted by its orbit size, and ``full_blocks`` recovers all T.
+
+    The dual is held in real coordinates c of Y = ``full_rows(c)``: one
+    generating row class rho per outcome of measurement 0 (every outcome row
+    of measurement j is R^j Y_rho R^-j), restricted to the real symmetric
+    matrices its conjugation stabiliser fixes, and for the last outcome to
+    the entries with a = b mod n (the rest is a gauge: it does not change
+    any Z_t).  For the trivial group the classes are the rows the full
+    solve keeps: all outcomes of measurement 0 and all but the last of the
+    others (normalisation implies the rest).  A rotation acts on a class by
+    entrywise phases, each a combination of K real functions of the
+    rotation index (``_phase_classes``); ``gen`` (rows x classes*K) holds
+    them and ``V`` maps c to the class matrices times the K phase masks.
     """
 
     def __init__(self, mset: MeasurementSet):
         super().__init__(mset)
-        self.C = (np.trace(self.targets, axis1=1, axis2=2).real / self.d)[:, None, None] * self.identity
+        if self.d > MAX_DIM:
+            raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
+        n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
+        self.C = (np.trace(self.targets, axis1=1, axis2=2).real / d)[:, None, None] * self.identity
         self.D = self.targets - self.C
-        self.keep = np.ones(len(self.targets), dtype=bool)
-        self.keep[self.offsets[2:] - 1] = False
-        self.U = _hermitian_basis(self.d)
-        kept = self.A[:, self.keep]
-        self.pairs = (kept[:, :, None] * kept[:, None, :]).reshape(self.T, -1)
+        keep = np.ones(len(self.targets), dtype=bool)
+        keep[self.offsets[2:] - 1] = False
+        # each row's class (-1: none) and the rotation taking the class to it
+        phases = _covariance_phases(self)
+        dihedral = phases is not None
+        if dihedral:
+            elements = [(s, f) for f in (0, 1) for s in range(n)]
+            src, rshift = np.tile(np.arange(o), n), np.repeat(np.arange(n), o)
+        else:
+            elements = [(0, 0)]
+            src, rshift = np.where(keep, np.cumsum(keep) - 1, -1), np.zeros(len(keep), dtype=int)
+            phases = np.ones((1, d, d), dtype=complex)
+        self.phases, m = phases, len(phases)
+        self.rep, self.orbit, self.shift, self.flip, self.fixed = _orbits(self.outs, elements)
+        self.weight = np.bincount(self.orbit).astype(float)
+        fixed_rep, fixed_shift, _ = self.fixed
+        self.stabiliser = 1.0 + np.bincount(fixed_rep, minlength=len(self.rep))
+        self.fixed_phases = phases[fixed_shift]
+        # the representatives with a stabiliser, and where each one's elements start
+        self.symmetric = np.flatnonzero(self.stabiliser > 1)
+        self.starts = np.flatnonzero(np.diff(fixed_rep, prepend=-1))
+        funcs, mats = _phase_classes(phases)
+        classes = int(src.max()) + 1
+        is_class = src[:, None] == np.arange(classes)
+        self.gen = (is_class[:, :, None] * funcs[rshift][:, None, :]).reshape(len(src), -1)
+
+        mask = _coordinate_mask(d, m, classes, real=dihedral)
+        # per class: its matrix times each phase mask, in the Hermitian basis
+        masked = (mats.reshape(-1, d2, 1) * _hermitian_basis(d)).reshape(-1, d2)
+        self.V = np.kron(np.eye(classes), masked)[:, mask.ravel()]
+        self.VH = self.V.conj().T
+
+        g = self.A[self.rep] @ self.gen  # (reps, classes*K), real
+        gw = self.weight[:, None] * g
+        self.pairs = (g[:, :, None] * gw[:, None, :]).reshape(len(g), -1)
+        self.g, self.gwT = g.astype(complex), gw.T.astype(complex, order="C")
+        self.cv, self.dv = self.row_coords(self.C), self.row_coords(self.D)
+        self.dd = np.outer(self.dv, self.dv)
+        self.kept_norm = _kept_norm(is_class, keep, mask)
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
 
-    def apply(self, G: np.ndarray, eta: float) -> np.ndarray:
-        return self.marginals(G) - eta * self.D
+    def row_coords(self, Y: np.ndarray) -> np.ndarray:
+        """Coordinates <full_rows(e_i), Y> of a full row stack Y."""
+        return (self.VH @ (self.gen.T @ Y.reshape(len(Y), -1)).ravel()).real
 
-    def adjoint(self, Y: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.spread(Y), -_inner(self.D, Y)
+    def full_rows(self, c: np.ndarray) -> np.ndarray:
+        """The dual row stack Y of coordinates c."""
+        return (self.gen @ (self.V @ c).reshape(self.gen.shape[1], -1)).reshape(-1, self.d, self.d)
 
-    def coords(self, V: np.ndarray) -> np.ndarray:
-        """Real coordinates of the Hermitian parts of the kept rows of V."""
-        V = V[self.keep]
-        return (V.reshape(len(V), -1) @ np.conj(self.U)).real.ravel()
+    def full_blocks(self, X: np.ndarray) -> np.ndarray:
+        """The blocks of all T tuples from those of the representatives."""
+        B = X[self.orbit]
+        return np.where(self.flip[:, None, None], B.conj(), B) * self.phases[self.shift]
 
-    def from_coords(self, c: np.ndarray) -> np.ndarray:
-        Y = np.zeros_like(self.C)
-        Y[self.keep] = (c.reshape(-1, self.U.shape[0]) @ self.U.T).reshape(-1, self.d, self.d)
-        return Y
+    def invariant(self, X: np.ndarray) -> np.ndarray:
+        """Each representative's block averaged over the elements that fix the
+        representative: the projection onto invariant parents, which keeps
+        rounding from building up outside them over the Newton steps."""
+        i, _, f = self.fixed
+        images = np.where(f[:, None, None], X[i].conj(), X[i]) * self.fixed_phases
+        X = X.copy()
+        X[self.symmetric] += np.add.reduceat(images, self.starts, axis=0)
+        return X / self.stabiliser[:, None, None]
+
+    def marginal_coords(self, G: np.ndarray) -> np.ndarray:
+        """``row_coords(marginals(full_blocks(G)))`` from the representatives."""
+        return (self.VH @ (self.gwT @ G.reshape(len(G), -1)).ravel()).real
+
+    def dual_blocks(self, c: np.ndarray) -> np.ndarray:
+        """``spread(full_rows(c))`` at the representatives."""
+        return (self.g @ (self.V @ c).reshape(self.g.shape[1], -1)).reshape(-1, self.d, self.d)
+
+    def inner(self, A: np.ndarray, B: np.ndarray) -> float:
+        """``_inner`` of the full stacks of two invariant Hermitian stacks of
+        representatives: Re tr(A_t B_t) weighted by the orbit sizes."""
+        return float(np.einsum("t,tab,tba->", self.weight, A, B).real)
 
     def schur(self, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
-        """<A_i, X A_k Z^-1> over the kept real constraint coordinates: block t
-        adds Re U^H (X_t kron Z_t^-T) U to each pair of kept rows it enters.
+        """<A_i, X A_k Z^-1> over the coordinates: representative t, of weight
+        w_t, adds w_t Re tr(S_i X_t S_k Z_t^-1) for S_i = dual_blocks(e_i)_t.
 
-        The basis change commutes with the sum over tuples, so one product of
-        ``pairs`` with the stacked Kronecker products gives every diagonal
-        and pairwise block, and U is applied once per pair, not per tuple.
+        S_i is the class matrix times sum_k g[t, rho k] P_k, so one product
+        of ``pairs`` (w_t g g^T per representative) with the stacked
+        Kronecker products X_t kron Z_t^-T gives every pair of classes and
+        phase functions; V then applies the masks and the basis once.
         """
-        d2, kept = self.d**2, int(self.keep.sum())
-        K = np.einsum("tab,tec->tacbe", X, Zinv).reshape(self.T, -1)
+        d2 = self.d**2
+        K = np.einsum("tab,tec->tacbe", X, Zinv).reshape(len(X), -1)
         # pairs is real: one real product sums the interleaved re/im parts
-        S = (self.pairs.T @ K.view(float)).view(complex).reshape(-1, d2, d2)
-        H = (np.conj(self.U.T) @ S @ self.U).real.reshape(kept, kept, d2, d2)
-        M = H.transpose(0, 2, 1, 3).reshape(kept * d2, kept * d2)
-        dv = self.coords(self.D)
-        return M + x_over_z * np.outer(dv, dv)
+        S = (self.pairs.T @ K.view(float)).view(complex)
+        q = self.g.shape[1]
+        S = S.reshape(q, q, d2, d2).transpose(0, 2, 1, 3).reshape(q * d2, q * d2)
+        return (self.VH @ S @ self.V).real + x_over_z * self.dd
 
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
-        the best primal (G, eta), dual rows y and the step count.  Each step
-        factorises X and Z once: Z^-1 and both step-length searches reuse
-        the factors.  A singular Schur matrix, as near the optimum of
-        degenerate sets, ends it early."""
-        X = np.broadcast_to(self.identity / self.T, (self.T, self.d, self.d)).copy()
+        the best primal (G, eta) and dual rows Y, expanded to the full
+        problem, and the step count.  Each step factorises X and Z once:
+        Z^-1 and both step-length searches reuse the factors.  A singular
+        Schur matrix, as near the optimum of degenerate sets, ends it early.
+
+        The orbit weights make <X, Z>, mu, the residual norms and so the
+        stop rule those of the solve over all T blocks and kept rows.
+        """
+        X = np.broadcast_to(self.identity / self.T, (len(self.rep), self.d, self.d)).copy()
         Z = np.broadcast_to(self.identity, X.shape).copy()
         x = z = 1.0
-        Y = np.zeros_like(self.C)
+        c = np.zeros(len(self.dv))
         N = self.T * self.d + 1
-        bnorm = 1.0 + np.linalg.norm(self.C[self.keep])
+        bnorm = 1.0 + np.linalg.norm(self.kept_norm @ self.cv)
         best = (np.inf, 0)
         for steps in range(max_iter + 1):
-            Rp = self.C - self.apply(X, x)
-            AY, aY = self.adjoint(Y)
-            Rd, rd = -AY - Z, -1.0 - aY - z
-            dobj = _inner(self.C, Y)
+            rp = self.cv - self.marginal_coords(X) + x * self.dv
+            Rd, rd = -self.dual_blocks(c) - Z, -1.0 + self.dv @ c - z
+            dobj = self.cv @ c
             gap = abs(x + dobj) / (1.0 + x + abs(dobj))
-            pinf = np.linalg.norm(Rp[self.keep]) / bnorm
-            err = max(gap, pinf, np.hypot(np.linalg.norm(Rd), rd) / 2)
+            pinf = np.linalg.norm(self.kept_norm @ rp) / bnorm
+            err = max(gap, pinf, np.hypot(np.sqrt(self.inner(Rd, Rd)), rd) / 2)
             if err < best[0]:
-                best = (err, steps, X, x, Y)
+                best = (err, steps, X, x, c)
             # rounding stalls ill-conditioned solves short of the tolerance
             if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
                 break
             try:
-                RX, RZ = _inverse_factor(X), _inverse_factor(Z)
-                Zinv = _ct(RZ) @ RZ
+                R = _inverse_factors(X, Z)
+                RH = _ct(R)
+                Zinv = RH[len(X) :] @ R[len(X) :]
                 M = self.schur(X, Zinv, x / z)
-                base = Rp + self.apply(X @ Rd @ Zinv, x * rd / z)
+                XRdZ = X @ Rd @ Zinv
 
                 def direction(Rc, rc):
-                    c = np.linalg.solve(M, self.coords(base - self.apply(Rc, rc)))
-                    dY = self.from_coords(c)
-                    dAY, daY = self.adjoint(dY)
-                    dZ, dz = Rd - dAY, rd - daY
+                    rhs = rp + self.marginal_coords(XRdZ - Rc) + (rc - x * rd / z) * self.dv
+                    dc = np.linalg.solve(M, rhs)
+                    dZ, dz = Rd - self.dual_blocks(dc), rd + self.dv @ dc
                     dX = Rc - X @ dZ @ Zinv
                     dX = 0.5 * (dX + _ct(dX))
-                    return dX, rc - x * dz / z, dY, dZ, dz
+                    return dX, rc - x * dz / z, dc, dZ, dz
 
-                dX, dx, dY, dZ, dz = direction(-X, -x)
-                ap = min(1.0, _max_step(RX, x, dX, dx))
-                ad = min(1.0, _max_step(RZ, z, dZ, dz))
-                mu = (_inner(X, Z) + x * z) / N
-                mu_aff = (_inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
+                dX, dx, dc, dZ, dz = direction(-X, -x)
+                ap, ad = (min(1.0, a) for a in _max_steps(R, RH, x, z, dX, dx, dZ, dz))
+                mu = (self.inner(X, Z) + x * z) / N
+                mu_aff = (self.inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
                 smu = min(1.0, (mu_aff / mu) ** 3) * mu
-                dX, dx, dY, dZ, dz = direction(
+                dX, dx, dc, dZ, dz = direction(
                     smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
                 )
                 gamma = 0.9 + 0.09 * min(ap, ad)
-                ap = min(1.0, gamma * _max_step(RX, x, dX, dx))
-                ad = min(1.0, gamma * _max_step(RZ, z, dZ, dz))
+                ap, ad = (min(1.0, gamma * a) for a in _max_steps(R, RH, x, z, dX, dx, dZ, dz))
             except np.linalg.LinAlgError:
                 break
-            X, x = X + ap * dX, x + ap * dx
-            Y, Z, z = Y + ad * dY, Z + ad * dZ, z + ad * dz
-        return (*best[2:], steps)
+            X, x = self.invariant(X + ap * dX), x + ap * dx
+            c, Z, z = c + ad * dc, Z + ad * dZ, z + ad * dz
+        _, _, X, x, c = best
+        return self.full_blocks(X), x, self.full_rows(c), steps
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Make W an exact witness; return it with the bound eta_hi it proves.
 
-        Adding c I to the rows of measurement 0, which every Z_t holds once,
-        makes each Z_t PSD; D is traceless, so <D, W> stays and the bound
+        Adding c I / n to every row, so that each Z_t (which holds one row of
+        every measurement) gains c I, makes each Z_t PSD and keeps a
+        covariant W covariant; D is traceless, so <D, W> stays and the bound
         grows by c d.  Scaling then gives <D, W> <= -1.  Each step is padded
         by an a priori bound on its rounding error, so both hold exactly.
         """
         rows = self.rows(W)
         guard = 4 * (self.n + self.d) * self.d**2 * _EPS * sum(np.abs(r).max() for r in rows)
         lam = float(np.linalg.eigvalsh(self.spread(W)).min())
-        W = W.copy()
-        W[: self.outs[0]] += max(0.0, guard - lam) * self.identity
+        W = W + (max(0.0, guard - lam) / self.n) * self.identity
         err = 4 * W.size * _EPS * np.abs(W)  # times |D| or |C|: error of a sum of products
         s = -_inner(self.D, W) - float(np.sum(err * np.abs(self.D)))
         if not s > 0:
@@ -351,7 +547,7 @@ def robustness(
     else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
         X, eta_p, y, steps = G0, 1.0, np.zeros_like(sdp.C), 0
     W, eta_hi = sdp.repair_witness(-y)
-    P = _MarginalProblem(depolarize(mset, eta_p)).project_affine(X)
+    P = sdp.project_affine(X, sdp.C + eta_p * sdp.D)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
         lam = min(1.0, 1.0 / eta_p)
         G = sdp.project_affine(lam * P + (1.0 - lam) * G0)

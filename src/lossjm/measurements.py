@@ -200,16 +200,46 @@ def lossy_povm(povm: Povm, tau: float) -> Povm:
     return Povm(tuple(apply_dual(tau, np.stack(povm.elements))))
 
 
+def _rotation_phases(count: int, d: int) -> np.ndarray:
+    """Omega[k, a, b] = w^(k (a - b)) with w = exp(2 pi i / count): the phases
+    by which the number-basis rotation R^k = diag(w^(k n)) acts, R^k E R^-k =
+    E * Omega[k] elementwise.
+
+    Every entry comes from one table of the powers w^l whose entries l and
+    count - l are exact conjugates (w^(count/2) is exactly -1), so
+    conj(Omega[k]) is Omega[-k] and Omega[k].T is conj(Omega[k]), bitwise.
+    """
+    half = np.exp(2j * math.pi * np.arange(count // 2 + 1) / count)
+    if count % 2 == 0:
+        half[-1] = -1.0
+    table = np.concatenate([half, np.conj(half[1 : (count + 1) // 2][::-1])])
+    a = np.arange(d)
+    return table[np.arange(count)[:, None, None] * (a[:, None] - a) % count]
+
+
+def _rotated(elements: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Copies (c, o, d, d) of the elements (o, d, d) of a real POVM, rotated by
+    each phase matrix of ``phases`` (c, d, d): the lower triangle of
+    E * Omega, mirrored, with a real diagonal, so each copy is exactly
+    Hermitian."""
+    out = elements * phases[:, None]
+    r = np.arange(elements.shape[-1])
+    out = np.where(r[:, None] >= r, out, np.conj(np.swapaxes(out, -1, -2)))
+    out.imag[..., r, r] = 0.0
+    return out
+
+
 def symmetric_family(params: FamilyParams) -> MeasurementSet:
     """The symmetric displaced on-off family after loss.
 
-    tau = 1 returns the noiseless family; the dual channel is then the
-    identity map exactly.
+    Measurement 0 (displacement r) goes through one stacked dual-loss call;
+    measurement k is its exact phase rotation R^k M^0 R^-k (the loss channel
+    is phase covariant), so conj(M^k) == M^-k holds bitwise.  tau = 1 returns
+    the noiseless family; the dual channel is then the identity map exactly.
     """
-    povms = []
-    for mu in params.displacements():
-        povms.append(lossy_povm(displaced_onoff(mu, params.d), params.tau))
-    return MeasurementSet(tuple(povms))
+    first = lossy_povm(displaced_onoff(params.r, params.d), params.tau)
+    copies = _rotated(np.stack(first.elements), _rotation_phases(params.count, params.d))
+    return MeasurementSet(tuple(Povm(tuple(els)) for els in copies))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loss import _chain_step, _split_amplitudes, apply_dual
-from .measurements import MeasurementSet, ParentPovm
+from .loss import _chain_step, _split_amplitudes
+from .measurements import MeasurementSet, ParentPovm, lossy_povm
 
 # Kept limit on the arm count: d ** arms above this is refused, although the
 # chain never forms that grid (arms count the deficit arm).
@@ -99,11 +99,9 @@ def verify_marginal_identity(mset: MeasurementSet, taus, eta: float = 1.0) -> fl
     to rounding because both sides are exact under truncation.
     """
     parent = lon_parent(mset, taus, eta)
-    taus = [float(t) for t in taus]
     worst = 0.0
     for j, p in enumerate(mset):
-        marg = parent.marginal(j)
-        for a, E in enumerate(p.elements):
-            expect = apply_dual(eta * taus[j], E)
-            worst = max(worst, float(np.abs(marg.elements[a] - expect).max()))
+        images = lossy_povm(p, eta * float(taus[j])).elements
+        marg = parent.marginal(j).elements
+        worst = max(worst, max(float(np.abs(m - e).max()) for m, e in zip(marg, images)))
     return worst

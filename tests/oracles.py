@@ -13,8 +13,9 @@ in the package:
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2;
 * the small-displacement check of the qubit pair criterion;
-* the marginal map and the Schur matrix of the robustness solve by sums over
-  the axes of the outcome-tuple grid, one measurement or pair at a time.
+* the marginal map, its adjoint and the Schur matrix of the robustness solve
+  by sums over the axes of the outcome-tuple grid, and the average of parent
+  blocks over the dihedral group of a rotation-covariant set.
 
 Operators follow the conventions of ``lossjm.fock``: dense complex matrices
 in the number basis, multimode states indexed row-major by photon-number
@@ -23,6 +24,7 @@ tuples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -402,22 +404,40 @@ def marginals_reference(outs: tuple, G: np.ndarray) -> np.ndarray:
     return np.concatenate([G.sum(axis=_other_axes(n, j)) for j in range(n)])
 
 
-def schur_reference(sdp, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
-    """Schur matrix of ``lossjm.compat._RobustnessSdp`` assembled block by
-    block: H_t = Re U^H (X_t kron Z_t^-T) U per tuple, then each diagonal
-    block summed over the other measurements' axes and each pairwise block
-    over the axes of the measurements outside the pair."""
-    n, off, d2 = sdp.n, sdp.offsets, sdp.d**2
-    K = np.einsum("...ab,...ec->...acbe", X, Zinv).reshape(sdp.outs + (d2, d2))
-    H = (np.conj(sdp.U.T) @ K @ sdp.U).real
-    M = np.zeros((len(sdp.C), d2, len(sdp.C), d2))
+def spread_reference(outs: tuple, Y: np.ndarray) -> np.ndarray:
+    """Adjoint of the marginal map: the block of tuple t is sum_j Y[row (j, t_j)],
+    each measurement's rows broadcast along its own axis of the tuple grid."""
+    n, off, d = len(outs), np.cumsum((0,) + tuple(outs)), Y.shape[-1]
+    S = np.zeros(tuple(outs) + (d, d), dtype=complex)
     for j in range(n):
-        rj = np.arange(off[j], off[j + 1])
-        M[rj, :, rj, :] = H.sum(axis=_other_axes(n, j))
-        for k in range(j + 1, n):
-            Hjk = H.sum(axis=_other_axes(n, j, k))
-            M[off[j] : off[j + 1], :, off[k] : off[k + 1]] = Hjk.transpose(0, 2, 1, 3)
-            M[off[k] : off[k + 1], :, off[j] : off[j + 1]] = Hjk.transpose(1, 2, 0, 3)
-    M = M[sdp.keep][:, :, sdp.keep].reshape(sdp.keep.sum() * d2, -1)
-    dv = sdp.coords(sdp.D)
-    return M + x_over_z * np.outer(dv, dv)
+        shape = [1] * n
+        shape[j] = outs[j]
+        S = S + Y[off[j] : off[j + 1]].reshape(shape + [d, d])
+    return S.reshape(-1, d, d)
+
+
+def schur_reference(outs: tuple, X: np.ndarray, Zinv: np.ndarray, directions) -> np.ndarray:
+    """Schur matrix of the robustness solve over dual directions Y_i (full
+    row stacks), without the eta term: sum over every tuple t of
+    Re tr(S_i(t) X_t S_k(t) Zinv_t), S_i = ``spread_reference(outs, Y_i)``."""
+    S = np.stack([spread_reference(outs, Y) for Y in directions])
+    P = X[None] @ S @ Zinv[None]
+    return np.einsum("itab,ktba->ik", S, P).real
+
+
+def dihedral_average(outs: tuple, X: np.ndarray) -> np.ndarray:
+    """Average of blocks X (T, d, d) over the dihedral group of the n
+    measurements: the shift by s moves the outcome of measurement j to j + s
+    and maps a block to R^s X R^-s, R = exp(2 pi i N / n); the reversal moves
+    it to -j and maps a block to conj(X)."""
+    n, d = len(outs), X.shape[-1]
+    tuples = list(itertools.product(*[range(o) for o in outs]))
+    index = {t: i for i, t in enumerate(tuples)}
+    out = np.zeros_like(X, dtype=complex)
+    for s in range(n):
+        R = phase_rotation(2 * math.pi * s / n, d)
+        for f in (False, True):
+            for i, t in enumerate(tuples):
+                image = tuple(t[(s - j) % n] if f else t[(j - s) % n] for j in range(n))
+                out[index[image]] += R @ (np.conj(X[i]) if f else X[i]) @ R.conj().T
+    return out / (2 * n)

@@ -98,6 +98,15 @@ class TestCompatCommand:
         assert payload["verdict"] == "INCOMPATIBLE"
         assert payload["eta_star"] < 1
 
+    def test_breaking_point_above_sdp_dimension_limit(self, capsys):
+        # the network parent certifies the row; no SDP, so no dimension limit
+        code, out = run(
+            ["compat", "--count", "2", "--r", "0.1", "--tau", "0.5", "--d", "10"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["method"]) == ("COMPATIBLE", "lon-parent")
+
     @pytest.mark.parametrize("d_sub", ["0", "1", "4"])
     def test_d_sub_outside_range_exit_one(self, capsys, d_sub):
         code = cli.main(

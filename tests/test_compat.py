@@ -59,6 +59,40 @@ def random_blocks(T, d, rng, shift=0.0):
     return A @ A.conj().transpose(0, 2, 1) / d + shift * np.eye(d)
 
 
+def directions(sdp):
+    """The dual row stack of every coordinate of the solve."""
+    return [sdp.full_rows(e) for e in np.eye(len(sdp.dv))]
+
+
+def covariant_sets():
+    """Rotation-covariant sets: families of 1 to 6 measurements, and the
+    rotated copies of a real three-outcome POVM."""
+    sets = [
+        meas.symmetric_family(meas.FamilyParams(count, 0.3, 0.6, d))
+        for count, d in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 4)]
+    ]
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(3, 3, 3))
+    P = A @ A.transpose(0, 2, 1)
+    w, V = np.linalg.eigh(P.sum(axis=0))
+    R = (V / np.sqrt(w)) @ V.T
+    first = (R @ P @ R).astype(complex)
+    first = 0.5 * (first + first.transpose(0, 2, 1))
+    copies = meas._rotated(first, meas._rotation_phases(3, 3))
+    sets.append(meas.MeasurementSet(tuple(meas.Povm(tuple(els)) for els in copies)))
+    return sets
+
+
+COVARIANT = covariant_sets()
+COVARIANT_IDS = ["count1", "count2", "count3", "count4", "count5", "count6-d4", "three-outcome"]
+
+
+def invariant_blocks(sdp, rng, shift=0.0):
+    """Random blocks averaged over the dihedral group, all T and the representatives."""
+    full = oracles.dihedral_average(sdp.outs, random_blocks(sdp.T, sdp.d, rng, shift))
+    return full, full[sdp.rep]
+
+
 class TestMarginalMap:
     SHAPES = [(2,), (2, 3), (3, 2, 2), (2,) * 5]
 
@@ -82,12 +116,71 @@ class TestMarginalMap:
     def test_schur_matches_per_pair_assembly(self, outs):
         rng = np.random.default_rng(20 + sum(outs))
         sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
+        assert len(sdp.rep) == sdp.T  # no symmetry: one block per tuple
         X = random_blocks(sdp.T, 3, rng, 0.1) / sdp.T
         Zinv = random_blocks(sdp.T, 3, rng, 0.1)
         got = sdp.schur(X, Zinv, 0.7)
-        want = oracles.schur_reference(sdp, X, Zinv, 0.7)
-        assert got.shape == want.shape == (9 * sdp.keep.sum(),) * 2
+        Ys = directions(sdp)
+        dv = np.array([compat._inner(sdp.D, Y) for Y in Ys])
+        want = oracles.schur_reference(outs, X, Zinv, Ys) + 0.7 * np.outer(dv, dv)
+        # the kept rows: every outcome of measurement 0, all but one of the others
+        assert got.shape == want.shape == (9 * (sum(outs) - len(outs) + 1),) * 2
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
+    def test_covariant_expansion_matches_group_average(self, mset):
+        rng = np.random.default_rng(30)
+        sdp = compat._RobustnessSdp(mset)
+        assert sdp.weight.sum() == sdp.T and (len(mset) == 1 or len(sdp.rep) < sdp.T)
+        full, reps = invariant_blocks(sdp, rng)
+        assert np.abs(sdp.full_blocks(reps) - full).max() <= 1e-14 * np.abs(full).max()
+
+    @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
+    def test_covariant_marginal_coords_match_full_map(self, mset):
+        rng = np.random.default_rng(31)
+        sdp = compat._RobustnessSdp(mset)
+        full, reps = invariant_blocks(sdp, rng)
+        marg = oracles.marginals_reference(sdp.outs, full)
+        want = np.array([compat._inner(Y, marg) for Y in directions(sdp)])
+        assert np.abs(sdp.marginal_coords(reps) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
+    def test_covariant_residual_norm_matches_kept_rows(self, mset):
+        # the stop rule's primal residual: the norm over the rows the full
+        # solve keeps (all of measurement 0, all but the last of the others)
+        rng = np.random.default_rng(34)
+        sdp = compat._RobustnessSdp(mset)
+        full, reps = invariant_blocks(sdp, rng)
+        rp = sdp.cv - sdp.marginal_coords(reps) + 0.3 * sdp.dv
+        residual = sdp.C - oracles.marginals_reference(sdp.outs, full) + 0.3 * sdp.D
+        kept = np.ones(len(residual), dtype=bool)
+        kept[sdp.offsets[2:] - 1] = False
+        want = np.linalg.norm(residual[kept])
+        assert abs(np.linalg.norm(sdp.kept_norm @ rp) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
+    def test_covariant_dual_blocks_match_full_spread(self, mset):
+        rng = np.random.default_rng(32)
+        sdp = compat._RobustnessSdp(mset)
+        c = rng.normal(size=len(sdp.dv))
+        Y = sdp.full_rows(c)
+        full = oracles.spread_reference(sdp.outs, Y)
+        assert np.abs(sdp.dual_blocks(c) - full[sdp.rep]).max() <= 1e-14 * np.abs(full).max()
+        # the dual blocks are invariant too
+        assert np.abs(oracles.dihedral_average(sdp.outs, full) - full).max() <= 1e-14 * np.abs(full).max()
+
+    @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
+    def test_covariant_schur_matches_full_assembly(self, mset):
+        rng = np.random.default_rng(33)
+        sdp = compat._RobustnessSdp(mset)
+        X, Xr = invariant_blocks(sdp, rng, 0.1)
+        Zinv, Zr = invariant_blocks(sdp, rng, 0.1)
+        Ys = directions(sdp)
+        dv = np.array([compat._inner(sdp.D, Y) for Y in Ys])
+        want = oracles.schur_reference(sdp.outs, X, Zinv, Ys) + 0.7 * np.outer(dv, dv)
+        got = sdp.schur(Xr, Zr, 0.7)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.linalg.matrix_rank(got) == len(got)  # no gauge left in the coordinates
 
 
 class TestMarginal:
@@ -210,9 +303,10 @@ class TestNewtonStep:
         assert counts == {"cholesky": 2 * res.iterations, "eigh": 0}
 
     def test_verdict_insensitive_to_input_rounding(self):
-        # the same row with each element the average of the two triangles of
-        # the split instead of the mirrored lower one; at d = 3 n = 6 that
-        # moves 12 entries by one rounding and the Newton step count by 4
+        # the same row with each element, built per POVM, the average of the
+        # two triangles of the split instead of a rotation of the mirrored
+        # lower one: entries move by at most one rounding, and the set is no
+        # longer exactly covariant, so it is solved with one block per tuple
         n, d = 6, 3
         r, eps = TABLE_POINTS[n]
         params = meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
@@ -230,6 +324,89 @@ class TestNewtonStep:
         assert (a.status, a.incompatible) == (b.status, b.incompatible) == ("sdp-witness", True)
         assert abs(a.eta_star - b.eta_star) <= 1e-8
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
+
+
+TIER1_ROWS = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 7)]
+
+
+def table_family(d, n):
+    r, eps = TABLE_POINTS[n]
+    return meas.symmetric_family(meas.FamilyParams(n + 1, r, 1.0 / n + eps, d))
+
+
+def broken_copy(mset):
+    """The set with one entry of measurement 1 moved by one rounding: no
+    longer exactly covariant, so it is solved with one block per tuple."""
+    povms = list(mset)
+    E = povms[1].elements[0].copy()
+    E[0, 0] = np.nextafter(E[0, 0].real, 2.0)
+    povms[1] = meas.Povm((E,) + povms[1].elements[1:])
+    return meas.MeasurementSet(tuple(povms))
+
+
+class TestReduction:
+    # binary bracelets, OEIS A000029
+    BRACELETS = [2, 3, 4, 6, 8, 13, 18, 30, 46, 78, 126, 224, 380, 687, 1224, 2250]
+
+    @pytest.mark.parametrize("count", range(1, 17))
+    def test_orbit_counts_are_bracelet_numbers(self, count):
+        sdp = compat._RobustnessSdp(meas.symmetric_family(meas.FamilyParams(count, 0.1, 0.5, 2)))
+        assert len(sdp.rep) == self.BRACELETS[count - 1]
+        assert sdp.weight.sum() == sdp.T == 2**count
+
+    @pytest.mark.parametrize("params", [
+        meas.FamilyParams(3, 0.005, 0.50005, 3),  # INCOMPATIBLE; the repair shifts the witness
+        meas.FamilyParams(5, 0.045, 0.25135, 3),  # INCOMPATIBLE
+        meas.FamilyParams(3, 0.1, 0.3, 3),  # COMPATIBLE by the solve
+    ], ids=["witness-repaired", "witness", "parent"])
+    def test_certificates_are_covariant(self, params):
+        mset = meas.symmetric_family(params)
+        res = compat.robustness(mset)
+        assert res.status == ("sdp-witness" if res.incompatible else "sdp-parent")
+        n, d = params.count, params.d
+        R = oracles.phase_rotation(2 * np.pi / n, d)
+        G = res.parent
+        for t in G.tuples():
+            shifted = tuple(t[(j - 1) % n] for j in range(n))
+            reversed_ = tuple(t[-j % n] for j in range(n))
+            assert np.abs(G.element(shifted) - R @ G.element(t) @ R.conj().T).max() <= 1e-15
+            assert np.abs(G.element(reversed_) - G.element(t).conj()).max() <= 1e-15
+        if res.incompatible:
+            Y = res.witness
+            for j in range(n):
+                for a in range(2):
+                    scale = np.abs(Y[j][a]).max()
+                    assert np.abs(Y[(j + 1) % n][a] - R @ Y[j][a] @ R.conj().T).max() <= 1e-15 * scale
+                    assert np.abs(Y[-j % n][a] - Y[j][a].conj()).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("d,n", TIER1_ROWS)
+    def test_reduced_matches_trivial_group(self, d, n):
+        family = table_family(d, n)
+        broken = broken_copy(family)
+        assert len(compat._RobustnessSdp(family).rep) < 2 ** (n + 1)
+        assert len(compat._RobustnessSdp(broken).rep) == 2 ** (n + 1)
+        a, b = compat.robustness(family), compat.robustness(broken)
+        assert (a.status, a.incompatible) == (b.status, b.incompatible) == ("sdp-witness", True)
+        assert abs(a.eta_star - b.eta_star) <= 1e-8
+        assert abs(a.eta_hi - b.eta_hi) <= 1e-8
+
+    @pytest.mark.parametrize("d,n", TIER1_ROWS)
+    def test_eta_star_within_tol_of_eta_hi(self, d, n):
+        # eta_hi is an exact bound; the eta_star parent passes certify only
+        # up to tol, so eta_star may exceed eta_hi, by no more than tol
+        res = compat.robustness(table_family(d, n))
+        assert res.eta_star <= res.eta_hi + compat.DEFAULT_TOL
+
+    @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
+    def test_benchmark_rows_keep_step_counts(self, n, steps):
+        assert compat.robustness(table_family(3, n)).iterations == steps
+
+    def test_count_13_row_incompatible(self):
+        # 8192 outcome tuples, 380 orbits
+        params = meas.FamilyParams(13, 0.005, 1.0 / 12 + 5e-5, 3)
+        row = compat.decide_table_row(params)
+        assert (row.verdict, row.method) == ("INCOMPATIBLE", "sdp-witness")
+        assert row.eta_star < 1.0
 
 
 class TestResult2Completeness:
@@ -279,6 +456,13 @@ class TestDecideTableRow:
             for rec in (a, b):
                 del rec["d"], rec["seconds"]
             assert a == b
+
+    def test_breaking_point_above_sdp_dimension_limit_certified(self):
+        # no SDP runs on the lon-parent path, so MAX_DIM does not apply
+        row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.5, 10))
+        assert row.d_sub == 10 > compat.MAX_DIM
+        assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
+        assert max(row.marginal_residual, row.psd_residual) <= 1e-10
 
     def test_breaking_point_at_high_cutoff_certified_at_d_sub(self):
         # at d = 8 the arms grid 8^6 is above MAX_GRID; built at d_sub = 3 it is 3^6

@@ -83,6 +83,44 @@ class TestSymmetricFamily:
         assert calls == [(2, 4, 4), (2, 5, 5)]
         assert meas.lossy_povm(povms[0], 1.0) is povms[0]
 
+    @pytest.mark.parametrize("tau", [1.0, 0.50005, 0.0913])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_rotation_matches_per_povm_construction(self, d, tau):
+        for count in range(1, 17):
+            params = meas.FamilyParams(count, 0.3, tau, d)
+            family = meas.symmetric_family(params)
+            for p, mu in zip(family, params.displacements()):
+                alone = meas.lossy_povm(meas.displaced_onoff(mu, d), tau)
+                for E, F in zip(p.elements, alone.elements):
+                    assert np.array_equal(E, E.conj().T)
+                    assert np.abs(E - F).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_covariance_is_bitwise(self, d):
+        # conj(M^k) == M^-k and M^k == R^k M^0 R^-k in the phases the solver
+        # compares against, with no tolerance
+        for count in range(1, 17):
+            family = meas.symmetric_family(meas.FamilyParams(count, 0.2, 0.6, d))
+            first = np.stack(family.povms[0].elements)
+            assert not first.imag.any()
+            rotated = meas._rotated(first, meas._rotation_phases(count, d))
+            for k, p in enumerate(family):
+                mirror = family.povms[-k % count]
+                for a, E in enumerate(p.elements):
+                    assert np.array_equal(E.conj(), mirror.elements[a])
+                    assert np.array_equal(E, rotated[k, a])
+
+    def test_one_dual_call_per_family(self, monkeypatch):
+        calls = []
+
+        def counted(t, M):
+            calls.append(np.shape(M))
+            return loss.apply_dual(t, M)
+
+        monkeypatch.setattr(meas, "apply_dual", counted)
+        meas.symmetric_family(meas.FamilyParams(7, 0.1, 0.3, 4))
+        assert calls == [(2, 4, 4)]
+
     @pytest.mark.parametrize("count,r,tau", [(3, 0.005, 0.50005), (5, 0.065, 0.2512)])
     def test_validity_after_loss_and_projection(self, count, r, tau):
         for d in (2, 3, 5):

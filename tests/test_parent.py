@@ -139,6 +139,18 @@ class TestMarginalIdentity:
                 expect = loss.apply_dual(tau_j, mset.povms[j].elements[a])
                 assert np.abs(marg.elements[a] - expect).max() < 1e-10
 
+    def test_one_lossy_povm_call_per_measurement(self, monkeypatch):
+        calls = []
+
+        def counted(povm, tau):
+            calls.append(tau)
+            return meas.lossy_povm(povm, tau)
+
+        monkeypatch.setattr(parent, "lossy_povm", counted)
+        mset = meas.random_measurement_set(3, 3, np.random.default_rng(59))
+        assert parent.verify_marginal_identity(mset, [0.2, 0.3, 0.4], eta=0.5) <= 1e-11
+        assert calls == [0.1, 0.15, 0.2]
+
     def test_deficit_arm(self):
         rng = np.random.default_rng(53)
         mset = meas.random_measurement_set(4, 2, rng)
