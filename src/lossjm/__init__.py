@@ -17,7 +17,7 @@ from .compat import (
     depolarize,
     robustness,
 )
-from .fock import coherent_ket, psd_residual
+from .fock import coherent_ket
 from .loss import apply_dual
 from .measurements import (
     BlochParams,
@@ -78,7 +78,6 @@ __all__ = [
     "p_lon",
     "p_lon_approx",
     "pair_test",
-    "psd_residual",
     "random_measurement_set",
     "random_two_outcome_povm",
     "result4_threshold",

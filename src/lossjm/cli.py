@@ -51,24 +51,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-
-
-def _manifest(command: str, params: dict) -> dict:
+def _manifest(args, t0: float) -> dict:
+    """The command, its resolved parameters, version stamps, and the seconds
+    since ``t0``."""
     return {
-        "command": command,
-        "params": params,
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "versions": {
             "lossjm": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        "wall_time_s": time.perf_counter() - t0,
     }
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write to stdout when ``out`` is None or "-", else to the file ``out``."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -76,14 +75,21 @@ def _emit_json(payload: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _json(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_json(args, payload: dict, t0: float) -> None:
+    """Add the run's manifest to ``payload`` and write it to ``args.out``."""
+    payload["manifest"] = _manifest(args, t0)
+    _write(_json(payload), args.out)
+
+
 def cmd_family(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
     t0 = time.perf_counter()
     mset = symmetric_family(params)
-    payload = serialize.measurement_set_to_json(mset)
-    payload["manifest"] = _manifest("family", _params(args))
-    payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
-    _emit_json(payload, args.out)
+    _emit_json(args, serialize.measurement_set_to_json(mset), t0)
     return EXIT_OK
 
 
@@ -93,10 +99,7 @@ def cmd_compat(args) -> int:
     row = compat.decide_table_row(
         params, d_sub=args.d_sub, tol=args.tol, max_iter=args.max_iter
     )
-    payload = dataclasses.asdict(row)
-    payload["manifest"] = _manifest("compat", _params(args))
-    payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
-    _emit_json(payload, args.out)
+    _emit_json(args, dataclasses.asdict(row), t0)
     return EXIT_INCOMPATIBLE if row.verdict == "INCOMPATIBLE" else EXIT_OK
 
 
@@ -132,17 +135,9 @@ def cmd_table1(args) -> int:
             writer.writerow(
                 [n, rec.r, rec.tau, rec.d_sub, rec.eta_star, rec.verdict, f"{rec.seconds:.3f}"]
             )
-    text = buf.getvalue()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        manifest = _manifest("table1", _params(args))
-        manifest["wall_time_s"] = time.perf_counter() - t0
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write(buf.getvalue(), args.out)
+    if args.out not in (None, "-"):
+        _write(_json(_manifest(args, t0)), args.out + ".manifest.json")
     return EXIT_INCOMPATIBLE if any_incompatible else EXIT_OK
 
 
@@ -159,10 +154,8 @@ def cmd_parent_verify(args) -> int:
         "eta": args.eta,
         "random_seed": args.random_seed,
         "marginal_identity_residual": residual,
-        "manifest": _manifest("parent-verify", _params(args)),
     }
-    payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
-    _emit_json(payload, args.out)
+    _emit_json(args, payload, t0)
     return EXIT_OK
 
 
@@ -174,9 +167,7 @@ def cmd_qubit_pair(args) -> int:
     payload["r"] = args.r
     payload["tau"] = args.tau
     payload["leading_order_prediction"] = qubit.leading_order_prediction(args.r, args.tau)
-    payload["manifest"] = _manifest("qubit-pair", _params(args))
-    payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
-    _emit_json(payload, args.out)
+    _emit_json(args, payload, t0)
     return EXIT_INCOMPATIBLE if report.incompatible else EXIT_OK
 
 
@@ -184,7 +175,6 @@ def cmd_usd(args) -> int:
     t0 = time.perf_counter()
     report = usd.usd_report(args.n, args.r, args.tau)
     payload = dataclasses.asdict(report)
-    payload["manifest"] = _manifest("usd", _params(args))
     if args.sweep:
         rows = ["r,p_d,p_lon,lossy_success"]
         for r in np.linspace(args.sweep_min, args.sweep_max, args.sweep_steps):
@@ -195,8 +185,7 @@ def cmd_usd(args) -> int:
         with open(args.sweep, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         payload["sweep_file"] = args.sweep
-    payload["manifest"]["wall_time_s"] = time.perf_counter() - t0
-    _emit_json(payload, args.out)
+    _emit_json(args, payload, t0)
     return EXIT_OK
 
 
@@ -204,32 +193,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lossjm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    fam = sub.add_parser("family", help="construct a displaced on-off family")
-    fam.add_argument("--count", type=int, required=True)
-    fam.add_argument("--r", type=float, required=True)
-    fam.add_argument("--tau", type=float, required=True)
-    fam.add_argument("--d", type=int, required=True)
+    family = argparse.ArgumentParser(add_help=False)  # the FamilyParams fields
+    family.add_argument("--count", type=int, required=True)
+    family.add_argument("--r", type=float, required=True)
+    family.add_argument("--tau", type=float, required=True)
+    family.add_argument("--d", type=int, required=True)
+    decide = argparse.ArgumentParser(add_help=False)  # decide_table_row's knobs
+    decide.add_argument("--d-sub", type=int, default=None)
+    decide.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
+    decide.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
+
+    fam = sub.add_parser("family", parents=[family], help="construct a displaced on-off family")
     fam.add_argument("--out", default=None)
     fam.set_defaults(func=cmd_family)
 
-    cmp_ = sub.add_parser("compat", help="decide joint measurability of a family")
-    cmp_.add_argument("--count", type=int, required=True)
-    cmp_.add_argument("--r", type=float, required=True)
-    cmp_.add_argument("--tau", type=float, required=True)
-    cmp_.add_argument("--d", type=int, required=True)
-    cmp_.add_argument("--d-sub", type=int, default=None)
-    cmp_.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
-    cmp_.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
+    cmp_ = sub.add_parser(
+        "compat", parents=[family, decide], help="decide joint measurability of a family"
+    )
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=cmd_compat)
 
-    tab = sub.add_parser("table1", help="verdicts over the bundled operating points")
+    tab = sub.add_parser(
+        "table1", parents=[decide], help="verdicts over the bundled operating points"
+    )
     tab.add_argument("--row-min", type=int, default=2)
     tab.add_argument("--row-max", type=int, default=5)
     tab.add_argument("--d", type=int, default=3)
-    tab.add_argument("--d-sub", type=int, default=None)
-    tab.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
-    tab.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=cmd_table1)
 

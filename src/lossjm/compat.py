@@ -19,6 +19,14 @@ and each verdict rests on a certificate checked after the solve:
   the verdict is INCOMPATIBLE iff eta_hi < 1.
 * COMPATIBLE: a parent POVM of the noiseless set that passes ``certify``.
 
+``certify`` runs no solver.  It checks that the parent has the set's outcome
+counts and dimension, then asks the parent for two numbers, each to be at most
+tol: ``ParentPovm.marginal_residual``, the max-norm gap between its marginal
+rows and the set's elements, and ``ParentPovm.psd_residual``, minus its least
+block eigenvalue.  The blocks then sum to the identity up to the same gap,
+because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP
+only: ``certify`` takes every parent ``lon_parent`` builds.
+
 ``eta_star`` is the certified lower end: the returned parent certifies the set
 depolarized to eta_star, up to the tolerance of ``certify``.  When neither
 certificate holds the result is undecided, and ``decide_table_row`` raises
@@ -98,54 +106,6 @@ class JmResult:
         return self.eta_hi < 1.0
 
 
-class _MarginalProblem:
-    """Precomputed structure of the marginal constraint map for one set shape.
-
-    Parents are stacks of T blocks, tuples in lexicographic order; marginal
-    rows are stacked measurement by measurement, ``offsets[j]`` being the
-    first row of measurement j.  The indicator ``A`` (T x rows) has
-    A[t, offsets[j] + t_j] = 1: the rows tuple t contributes to.
-    """
-
-    def __init__(self, mset: MeasurementSet):
-        self.outs = tuple(p.outcomes for p in mset)
-        self.n = len(self.outs)
-        self.d = mset.dim
-        self.T = int(np.prod(self.outs))
-        if self.T > MAX_TUPLES:
-            raise ValueError(f"{self.T} outcome tuples exceed the {MAX_TUPLES} limit")
-        self.targets = np.concatenate([np.stack(p.elements) for p in mset])
-        self.identity = np.eye(self.d, dtype=complex)
-        self.offsets = np.cumsum((0,) + self.outs)
-        digits = np.indices(self.outs).reshape(self.n, self.T)
-        self.A = np.zeros((self.T, self.offsets[-1]))
-        self.A[np.arange(self.T)[:, None], digits.T + self.offsets[:-1]] = 1.0
-
-    def marginals(self, G: np.ndarray) -> np.ndarray:
-        """Row i is the sum of the blocks of G over the tuples entering it."""
-        return (self.A.T @ G.reshape(self.T, -1)).reshape(-1, self.d, self.d)
-
-    def spread(self, Y: np.ndarray) -> np.ndarray:
-        """Adjoint of ``marginals``: the block for tuple t is sum_j Y[offsets[j] + t_j]."""
-        return (self.A @ Y.reshape(len(Y), -1)).reshape(self.T, self.d, self.d)
-
-    def project_affine(self, G: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        """Orthogonal projection onto {G : marginals(G) = targets} (default: the set's).
-
-        The normal equations of the constraint map couple only through the
-        per-measurement deficit sums, which all equal the total-sum deficit
-        for consistent targets; that collapses the correction to closed form.
-        """
-        delta = G.sum(axis=0) - self.identity
-        shift = ((self.n - 1) / (self.n * self.T)) * delta
-        weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
-        targets = self.targets if targets is None else targets
-        return G - self.spread(weight * (self.marginals(G) - targets) - shift)
-
-    def marginal_residual(self, G: np.ndarray) -> float:
-        return float(np.abs(self.marginals(G) - self.targets).max())
-
-
 def _hermitian_basis(d: int) -> np.ndarray:
     """Columns: an orthonormal basis of the d x d Hermitian matrices under
     Re tr(AB), row-major vectorised; it gives each one d^2 real coordinates.
@@ -186,17 +146,17 @@ def _max_steps(R: np.ndarray, RH: np.ndarray, x, z, dX, dx, dZ, dz) -> list[floa
     return alphas
 
 
-def _covariance_phases(prob: _MarginalProblem) -> np.ndarray | None:
+def _covariance_phases(sdp: _RobustnessSdp) -> np.ndarray | None:
     """The phases Omega of ``symmetric_family`` when the set is, bit for bit,
     the rotated copies M^k = R^k M^0 R^-k of a real measurement 0, so that the
     dihedral group generated by R = exp(2 pi i N / n) and complex conjugation
     permutes it; None (the trivial group) otherwise.  No tolerance enters."""
-    n, o, d = prob.n, prob.outs[0], prob.d
-    first = prob.targets[:o]
-    if any(k != o for k in prob.outs) or first.imag.any():
+    n, o, d = sdp.n, sdp.outs[0], sdp.d
+    first = sdp.targets[:o]
+    if any(k != o for k in sdp.outs) or first.imag.any():
         return None
     phases = _rotation_phases(n, d)
-    covariant = np.array_equal(_rotated(first, phases), prob.targets.reshape(n, o, d, d))
+    covariant = np.array_equal(_rotated(first, phases), sdp.targets.reshape(n, o, d, d))
     return phases if covariant else None
 
 
@@ -279,9 +239,14 @@ def _kept_norm(is_class: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> np.n
     return (np.sqrt(kept)[:, None] * E).reshape(k, -1).T
 
 
-class _RobustnessSdp(_MarginalProblem):
+class _RobustnessSdp:
     """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C,
     solved in the subspace fixed by the group that permutes the set.
+
+    Parents are stacks of T blocks in the tuple order of ``ParentPovm``;
+    constraint rows are stacked measurement by measurement, ``offsets[j]``
+    being the first row of measurement j.  The indicator ``A`` (T x rows)
+    has A[t, offsets[j] + t_j] = 1: the rows tuple t contributes to.
 
     The group is found from the set alone (``_covariance_phases``): the
     dihedral group of order 2n for the rotated copies of ``symmetric_family``,
@@ -304,9 +269,19 @@ class _RobustnessSdp(_MarginalProblem):
     """
 
     def __init__(self, mset: MeasurementSet):
-        super().__init__(mset)
+        self.outs = tuple(p.outcomes for p in mset)
+        self.n, self.d = len(self.outs), mset.dim
+        self.T = math.prod(self.outs)
+        if self.T > MAX_TUPLES:
+            raise ValueError(f"{self.T} outcome tuples exceed the {MAX_TUPLES} limit")
         if self.d > MAX_DIM:
             raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
+        self.targets = np.concatenate([np.stack(p.elements) for p in mset])
+        self.identity = np.eye(self.d, dtype=complex)
+        self.offsets = np.cumsum((0,) + self.outs)
+        digits = np.indices(self.outs).reshape(self.n, self.T)
+        self.A = np.zeros((self.T, self.offsets[-1]))
+        self.A[np.arange(self.T)[:, None], digits.T + self.offsets[:-1]] = 1.0
         n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
         self.C = (np.trace(self.targets, axis1=1, axis2=2).real / d)[:, None, None] * self.identity
         self.D = self.targets - self.C
@@ -353,6 +328,25 @@ class _RobustnessSdp(_MarginalProblem):
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
 
+    def spread(self, Y: np.ndarray) -> np.ndarray:
+        """Adjoint of the marginal map: the block for tuple t is sum_j Y[offsets[j] + t_j]."""
+        return (self.A @ Y.reshape(len(Y), -1)).reshape(self.T, self.d, self.d)
+
+    def project_affine(self, G: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+        """Orthogonal projection onto the parents G with marginal rows
+        ``targets`` (default: the set's).
+
+        The normal equations of the constraint map couple only through the
+        per-measurement deficit sums, which all equal the total-sum deficit
+        for consistent targets; that collapses the correction to closed form.
+        """
+        delta = G.sum(axis=0) - self.identity
+        shift = ((self.n - 1) / (self.n * self.T)) * delta
+        weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
+        targets = self.targets if targets is None else targets
+        gap = ParentPovm(self.outs, G).marginals() - targets
+        return G - self.spread(weight * gap - shift)
+
     def row_coords(self, Y: np.ndarray) -> np.ndarray:
         """Coordinates <full_rows(e_i), Y> of a full row stack Y."""
         return (self.VH @ (self.gen.T @ Y.reshape(len(Y), -1)).ravel()).real
@@ -377,7 +371,8 @@ class _RobustnessSdp(_MarginalProblem):
         return X / self.stabiliser[:, None, None]
 
     def marginal_coords(self, G: np.ndarray) -> np.ndarray:
-        """``row_coords(marginals(full_blocks(G)))`` from the representatives."""
+        """``row_coords`` of the marginal rows of ``full_blocks(G)``, from the
+        representatives."""
         return (self.VH @ (self.gwT @ G.reshape(len(G), -1)).ravel()).real
 
     def dual_blocks(self, c: np.ndarray) -> np.ndarray:
@@ -506,12 +501,12 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
 
 
 def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) -> JmResult:
-    """Check a candidate parent against a measurement set, no solver involved."""
-    prob = _MarginalProblem(mset)
-    if parent.outcome_counts != prob.outs or parent.dim != prob.d:
+    """Check a candidate parent against a measurement set, no solver involved:
+    its marginals must match the set and its blocks be PSD, each within tol."""
+    if parent.outcome_counts != tuple(p.outcomes for p in mset) or parent.dim != mset.dim:
         raise ValueError("parent shape does not match the measurement set")
-    marg = prob.marginal_residual(parent.blocks)
-    psd = parent.validation_residuals()[0]
+    marg = parent.marginal_residual(mset)
+    psd = parent.psd_residual()
     return JmResult(
         feasible=(marg <= tol and psd <= tol),
         status="certificate",
@@ -557,7 +552,7 @@ def robustness(
     else:
         # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
         # stop once what is left is within tol, as certify demands
-        neg = ParentPovm(sdp.outs, P).validation_residuals()[0]
+        neg = ParentPovm(sdp.outs, P).psd_residual()
         g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * tol) / (g0 + neg))
         eta_star = lam * eta_p

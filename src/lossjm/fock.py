@@ -1,5 +1,5 @@
-"""Fock-space primitives: truncated coherent states and Hermitian/positivity
-checks.
+"""Fock-space primitives: truncated coherent states and the Hermiticity check
+and rule.
 
 All operators are dense complex matrices in the number basis |0>, ..., |d-1>.
 """
@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-PSD_TOL = 1e-10
 
 
 def coherent_ket(mu: complex, d: int) -> np.ndarray:
@@ -47,8 +46,11 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def psd_residual(M: np.ndarray) -> float:
-    """max(0, -lambda_min(M)) for Hermitian M; zero means positive semidefinite."""
-    M = require_hermitian(M)
-    lam_min = float(np.linalg.eigvalsh(M)[0])
-    return max(0.0, -lam_min)
+def _hermitian_lower(M: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack M with its upper triangle the mirror of its
+    lower one, which eigh reads, and a real diagonal: exactly Hermitian, for
+    operators whose two triangles agree only to rounding."""
+    r = np.arange(M.shape[-1])
+    out = np.where(r[:, None] >= r, M, np.conj(np.swapaxes(M, -1, -2)))
+    out.imag[..., r, r] = 0.0
+    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import require_hermitian
+from .fock import _hermitian_lower, require_hermitian
 
 
 def _check_tau(tau: float) -> float:
@@ -68,9 +68,4 @@ def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
         require_hermitian(E)
     d = stack.shape[-1]
     out = _chain_step(stack, _split_amplitudes(tau, d), np.eye(d, dtype=complex)[None])
-    # the two triangles agree to rounding; keep the lower one, which eigh
-    # reads, and a real diagonal, so the result is exactly Hermitian
-    r = np.arange(d)
-    out = np.where(r[:, None] >= r, out, np.conj(np.swapaxes(out, -1, -2)))
-    out.imag[:, r, r] = 0.0
-    return out.reshape(M.shape)
+    return _hermitian_lower(out).reshape(M.shape)

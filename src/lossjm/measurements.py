@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import PSD_TOL, coherent_ket, psd_residual
+from .fock import _hermitian_lower, coherent_ket
 from .loss import apply_dual
 
 PAULI = (
@@ -44,21 +44,6 @@ class Povm:
     @property
     def outcomes(self) -> int:
         return len(self.elements)
-
-    def validation_residuals(self) -> tuple[float, float]:
-        """(worst PSD residual, max-norm distance of the element sum from I)."""
-        psd = max(psd_residual(E) for E in self.elements)
-        total = sum(self.elements)
-        return psd, float(np.abs(total - np.eye(self.dim)).max())
-
-    def validate(self) -> "Povm":
-        """Raise ValueError unless both residuals are at most PSD_TOL."""
-        psd, ssum = self.validation_residuals()
-        if psd > PSD_TOL:
-            raise ValueError(f"PSD residual {psd:.3e} exceeds {PSD_TOL:.1e}")
-        if ssum > PSD_TOL:
-            raise ValueError(f"element sum deviates from identity by {ssum:.3e}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,9 @@ class ParentPovm:
 
     ``blocks`` has shape (T, d, d) with T the product of the per-measurement
     outcome counts; tuples are ordered lexicographically (first measurement
-    most significant).
+    most significant).  It certifies a measurement set when its marginals
+    equal the set's elements and every block is positive semidefinite; the
+    marginals then sum to the identity because the set's POVMs do.
     """
 
     outcome_counts: tuple
@@ -112,10 +99,6 @@ class ParentPovm:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
-    @property
-    def n_measurements(self) -> int:
-        return len(self.outcome_counts)
-
     def element(self, outcome_tuple) -> np.ndarray:
         flat = int(np.ravel_multi_index(tuple(outcome_tuple), self.outcome_counts))
         return self.blocks[flat]
@@ -123,23 +106,26 @@ class ParentPovm:
     def tuples(self):
         return itertools.product(*[range(o) for o in self.outcome_counts])
 
-    def marginal(self, j: int) -> Povm:
-        """Sum the blocks over every index except the j-th."""
-        n = self.n_measurements
-        if not 0 <= j < n:
-            raise IndexError(f"measurement index {j} out of range for {n} measurements")
-        d = self.dim
-        nd = self.blocks.reshape(*self.outcome_counts, d, d)
-        axes = tuple(k for k in range(n) if k != j)
-        summed = nd.sum(axis=axes) if axes else nd
-        return Povm(tuple(summed[a] for a in range(self.outcome_counts[j])))
+    def marginals(self) -> np.ndarray:
+        """The marginal rows (sum(outcome_counts), d, d), measurement by
+        measurement: row sum(outcome_counts[:j]) + a sums the blocks of every
+        tuple whose j-th outcome is a."""
+        d, T = self.dim, len(self.blocks)
+        rows, inner = [], T
+        for o in self.outcome_counts:
+            inner //= o  # tuples per step of this measurement's outcome
+            rows.append(self.blocks.reshape(T // (o * inner), o, inner, d, d).sum(axis=(0, 2)))
+        return np.concatenate(rows)
 
-    def validation_residuals(self) -> tuple[float, float]:
-        """(worst block PSD residual, max-norm distance of the block sum from I)."""
-        w = np.linalg.eigvalsh(self.blocks)
-        psd = max(0.0, float(-w.min()))
-        total = self.blocks.sum(axis=0)
-        return psd, float(np.abs(total - np.eye(self.dim)).max())
+    def marginal_residual(self, mset: MeasurementSet) -> float:
+        """Max-norm gap between the marginal rows and the elements of a set of
+        the parent's shape."""
+        targets = np.concatenate([np.stack(p.elements) for p in mset])
+        return float(np.abs(self.marginals() - targets).max())
+
+    def psd_residual(self) -> float:
+        """max(0, -lambda_min) over the blocks; zero means every block is PSD."""
+        return max(0.0, float(-np.linalg.eigvalsh(self.blocks).min()))
 
 
 @dataclass(frozen=True)
@@ -222,11 +208,7 @@ def _rotated(elements: np.ndarray, phases: np.ndarray) -> np.ndarray:
     each phase matrix of ``phases`` (c, d, d): the lower triangle of
     E * Omega, mirrored, with a real diagonal, so each copy is exactly
     Hermitian."""
-    out = elements * phases[:, None]
-    r = np.arange(elements.shape[-1])
-    out = np.where(r[:, None] >= r, out, np.conj(np.swapaxes(out, -1, -2)))
-    out.imag[..., r, r] = 0.0
-    return out
+    return _hermitian_lower(elements * phases[:, None])
 
 
 def symmetric_family(params: FamilyParams) -> MeasurementSet:
@@ -249,12 +231,6 @@ class BlochParams:
 
     gamma: float
     m: np.ndarray = field(repr=False)
-
-    def reconstruct(self) -> np.ndarray:
-        A = (1.0 + self.gamma) * np.eye(2, dtype=complex)
-        for mi, s in zip(self.m, PAULI):
-            A = A + mi * s
-        return A / 2.0
 
 
 def bloch_params(povm: Povm) -> BlochParams:

@@ -99,9 +99,5 @@ def verify_marginal_identity(mset: MeasurementSet, taus, eta: float = 1.0) -> fl
     to rounding because both sides are exact under truncation.
     """
     parent = lon_parent(mset, taus, eta)
-    worst = 0.0
-    for j, p in enumerate(mset):
-        images = lossy_povm(p, eta * float(taus[j])).elements
-        marg = parent.marginal(j).elements
-        worst = max(worst, max(float(np.abs(m - e).max()) for m, e in zip(marg, images)))
-    return worst
+    images = tuple(lossy_povm(p, eta * float(t)) for p, t in zip(mset, taus))
+    return parent.marginal_residual(MeasurementSet(images))

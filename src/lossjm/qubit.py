@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .loss import apply_dual
-from .measurements import BlochParams, Povm, bloch_params, coherent_projector
+from .measurements import BlochParams, Povm, bloch_params, displaced_onoff, lossy_povm
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -83,11 +80,8 @@ def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:
     Truncation commutes with the dual loss channel, so the leading 2x2 block
     computed directly equals the projection of any higher-cutoff computation.
     """
-    povms = []
-    for mu in (r, -r):
-        A = apply_dual(tau, coherent_projector(mu, 2))
-        povms.append(Povm((A, np.eye(2, dtype=complex) - A)))
-    return povms[0], povms[1]
+    a, b = (lossy_povm(displaced_onoff(mu, 2), tau) for mu in (r, -r))
+    return a, b
 
 
 def leading_order_prediction(r: float, tau: float) -> float:

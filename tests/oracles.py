@@ -13,6 +13,9 @@ in the package:
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2;
 * the small-displacement check of the qubit pair criterion;
+* the positivity residual of an operator, the validity check of a POVM
+  (positive elements summing to the identity), and the qubit effect
+  rebuilt from its Bloch parameters;
 * the marginal map, its adjoint and the Schur matrix of the robustness solve
   by sums over the axes of the outcome-tuple grid, and the average of parent
   blocks over the dihedral group of a rotation-covariant set.
@@ -32,10 +35,12 @@ import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
 from lossjm.loss import _check_tau
+from lossjm.measurements import PAULI, BlochParams, Povm
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
 IMAG_RESIDUE_TOL = 1e-9
+PSD_TOL = 1e-10
 
 
 # -- Fock-space unitaries ---------------------------------------------------
@@ -387,6 +392,41 @@ def leading_order_check(r: float, tau: float) -> tuple[float, float]:
     a, b = lossy_displaced_pair(r, tau)
     report = pair_test(a, b)
     return report.test_value, leading_order_prediction(r, tau)
+
+
+# -- validity checks -----------------------------------------------------------
+
+
+def psd_residual(M: np.ndarray) -> float:
+    """max(0, -lambda_min(M)) for Hermitian M; zero means positive semidefinite."""
+    M = require_hermitian(M)
+    lam_min = float(np.linalg.eigvalsh(M)[0])
+    return max(0.0, -lam_min)
+
+
+def validation_residuals(povm: Povm) -> tuple[float, float]:
+    """(worst PSD residual, max-norm distance of the element sum from I)."""
+    psd = max(psd_residual(E) for E in povm.elements)
+    total = sum(povm.elements)
+    return psd, float(np.abs(total - np.eye(povm.dim)).max())
+
+
+def validate(povm: Povm) -> Povm:
+    """Raise ValueError unless both residuals are at most PSD_TOL."""
+    psd, ssum = validation_residuals(povm)
+    if psd > PSD_TOL:
+        raise ValueError(f"PSD residual {psd:.3e} exceeds {PSD_TOL:.1e}")
+    if ssum > PSD_TOL:
+        raise ValueError(f"element sum deviates from identity by {ssum:.3e}")
+    return povm
+
+
+def bloch_reconstruct(b: BlochParams) -> np.ndarray:
+    """The first element A = [(1 + gamma) I + m . sigma] / 2 of the Bloch parameters."""
+    A = (1.0 + b.gamma) * np.eye(2, dtype=complex)
+    for mi, s in zip(b.m, PAULI):
+        A = A + mi * s
+    return A / 2.0
 
 
 # -- robustness solve -------------------------------------------------------------

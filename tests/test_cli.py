@@ -229,6 +229,22 @@ class TestTable1Command:
 
 
 class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["family", "--count", "2", "--r", "0.1", "--tau", "0.7", "--d", "3"],
+        ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3"],
+        ["parent-verify", "--n", "2", "--d", "3"],
+        ["qubit-pair", "--r", "0.01", "--tau", "0.6"],
+        ["usd", "--n", "2", "--r", "0.1", "--tau", "0.9"],
+    ], ids=lambda argv: argv[0])
+    def test_json_commands_share_one_manifest(self, capsys, argv):
+        _, out = run(argv, capsys)
+        manifest = json.loads(out)["manifest"]
+        assert set(manifest) == {"command", "params", "versions", "wall_time_s"}
+        assert manifest["command"] == argv[0]
+        given = {k.lstrip("-").replace("-", "_"): v for k, v in zip(argv[1::2], argv[2::2])}
+        assert {k: str(manifest["params"][k]) for k in given} == given
+        assert set(manifest["versions"]) == {"lossjm", "numpy", "python"}
+
     def test_every_run_carries_versions_and_params(self, capsys):
         _, out = run(["usd", "--n", "2", "--r", "0.1", "--tau", "0.9"], capsys)
         manifest = json.loads(out)["manifest"]

@@ -98,10 +98,15 @@ class TestMarginalMap:
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_indicator_matches_axis_sums(self, outs):
+        # the parent's marginal rows, and the solver's indicator behind spread
+        # and the Schur matrix, against sums over the axes of the tuple grid
         rng = np.random.default_rng(sum(outs))
         sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
         G = random_blocks(sdp.T, 3, rng) / sdp.T
-        assert np.abs(sdp.marginals(G) - oracles.marginals_reference(outs, G)).max() <= 1e-14
+        want = oracles.marginals_reference(outs, G)
+        assert np.abs(meas.ParentPovm(outs, G).marginals() - want).max() <= 1e-14
+        by_indicator = (sdp.A.T @ G.reshape(sdp.T, -1)).reshape(want.shape)
+        assert np.abs(by_indicator - want).max() <= 1e-14
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_spread_is_adjoint(self, outs):
@@ -109,7 +114,8 @@ class TestMarginalMap:
         sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
         G = random_blocks(sdp.T, 3, rng) / sdp.T
         Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
-        lhs, rhs = compat._inner(sdp.marginals(G), Y), compat._inner(G, sdp.spread(Y))
+        lhs = compat._inner(meas.ParentPovm(outs, G).marginals(), Y)
+        rhs = compat._inner(G, sdp.spread(Y))
         assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("outs", SHAPES)
@@ -186,37 +192,28 @@ class TestMarginalMap:
 class TestMarginal:
     def test_marginals_recover_projective_pair(self):
         p = projective_z()
-        res = compat.robustness(meas.MeasurementSet((p, p)))
-        for j in range(2):
-            marg = res.parent.marginal(j)
-            for a in range(2):
-                assert np.abs(marg.elements[a] - p.elements[a]).max() < 1e-7
+        mset = meas.MeasurementSet((p, p))
+        res = compat.robustness(mset)
+        want = np.concatenate([np.stack(p.elements)] * 2)
+        assert np.abs(res.parent.marginals() - want).max() < 1e-7
+        assert res.parent.marginal_residual(mset) < 1e-7
 
     def test_network_parent_marginals(self):
         rng = np.random.default_rng(9)
         mset = meas.random_measurement_set(3, 2, rng)
         par = parent.lon_parent(mset, [0.5, 0.5])
-        from lossjm.loss import apply_dual
-
+        marg = par.marginals()
         for j in range(2):
-            marg = par.marginal(j)
             for a in range(2):
-                expect = apply_dual(0.5, mset.povms[j].elements[a])
-                assert np.abs(marg.elements[a] - expect).max() < 1e-10
+                expect = loss.apply_dual(0.5, mset.povms[j].elements[a])
+                assert np.abs(marg[2 * j + a] - expect).max() < 1e-10
 
     def test_marginal_normalization(self):
         rng = np.random.default_rng(13)
         mset = meas.random_measurement_set(2, 3, rng)
         par = parent.lon_parent(mset, [1 / 3] * 3)
-        for j in range(3):
-            par.marginal(j).validate()
-
-    def test_index_out_of_range(self):
-        par = parent.lon_parent(
-            meas.MeasurementSet((projective_z(), projective_z())), [0.5, 0.5]
-        )
-        with pytest.raises(IndexError):
-            par.marginal(2)
+        for rows in np.split(par.marginals(), 3):
+            oracles.validate(meas.Povm(tuple(rows)))
 
 
 class TestRobustness:
@@ -461,6 +458,13 @@ class TestDecideTableRow:
         # no SDP runs on the lon-parent path, so MAX_DIM does not apply
         row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.5, 10))
         assert row.d_sub == 10 > compat.MAX_DIM
+        assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
+        assert max(row.marginal_residual, row.psd_residual) <= 1e-10
+
+    def test_breaking_point_above_sdp_tuple_limit_certified(self):
+        # 2^17 outcome tuples: MAX_TUPLES binds the SDP only, as MAX_DIM does
+        row = compat.decide_table_row(meas.FamilyParams(17, 0.01, 1.0 / 17, 2))
+        assert 2**17 > compat.MAX_TUPLES
         assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
         assert max(row.marginal_residual, row.psd_residual) <= 1e-10
 

@@ -1,4 +1,4 @@
-"""Fock-space primitives (coherent kets, PSD checks) and the network-unitary oracles."""
+"""Fock-space primitives (coherent kets) and the network-unitary and PSD-check oracles."""
 
 import math
 
@@ -212,18 +212,18 @@ class TestCompleteUnitary:
 
 class TestPsdResidual:
     def test_identity(self):
-        assert fock.psd_residual(np.eye(4)) == 0.0
+        assert oracles.psd_residual(np.eye(4)) == 0.0
 
     def test_indefinite_diagonal(self):
-        assert fock.psd_residual(np.diag([1.0, -0.25])) == pytest.approx(0.25)
+        assert oracles.psd_residual(np.diag([1.0, -0.25])) == pytest.approx(0.25)
 
     def test_gram_matrices(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             G = A.conj().T @ A
-            assert fock.psd_residual(G) < 1e-12
+            assert oracles.psd_residual(G) < 1e-12
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
-            fock.psd_residual(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            oracles.psd_residual(np.array([[0.0, 1.0], [0.0, 0.0]]))

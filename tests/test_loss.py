@@ -157,7 +157,7 @@ class TestApplyDual:
         for _ in range(100):
             A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             out = loss.apply_dual(rng.uniform(), A @ A.conj().T / 5)
-            assert fock.psd_residual(out) < 1e-10
+            assert oracles.psd_residual(out) < 1e-10
 
     def test_truncation_exactness(self):
         # computing at cutoff d and at 2d gives identical leading blocks

@@ -34,7 +34,7 @@ def test_import_loads_numpy_only():
     assert third_party == ["numpy"]
     assert not {"scipy", "mpmath", "hypothesis", "pytest"} & set(probe["loaded"])
     assert probe["missing"] == []
-    assert probe["count"] == len(set(lossjm.__all__)) == 34
+    assert probe["count"] == len(set(lossjm.__all__)) == 33
 
 
 def _relative_imports(path: Path) -> tuple[set[str], list[int]]:
