@@ -182,8 +182,7 @@ def cmd_usd(args) -> int:
                 f"{r},{usd.p_d(args.n, r)},{usd.p_lon(args.n, r)},"
                 f"{usd.lossy_usd_success(args.n, r, args.tau)}"
             )
-        with open(args.sweep, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write("\n".join(rows) + "\n", args.sweep)
         payload["sweep_file"] = args.sweep
     _emit_json(args, payload, t0)
     return EXIT_OK
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     us.add_argument("--n", type=int, required=True)
     us.add_argument("--r", type=float, required=True)
     us.add_argument("--tau", type=float, required=True)
-    us.add_argument("--sweep", default=None, help="write a CSV sweep over r to this path")
+    us.add_argument("--sweep", default=None, help="CSV sweep over r to this path (- for stdout)")
     us.add_argument("--sweep-min", type=float, default=0.001)
     us.add_argument("--sweep-max", type=float, default=0.5)
     us.add_argument("--sweep-steps", type=int, default=50)

@@ -222,23 +222,6 @@ def _coordinate_mask(d: int, m: int, classes: int, real: bool) -> np.ndarray:
     return symmetric & ((np.arange(classes) < classes - 1)[:, None] | resonant)
 
 
-def _kept_norm(is_class: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """N with ||N rp|| the norm of an invariant residual over the rows the
-    full solve keeps, from its coordinates rp: a class's coordinates pair
-    with all the rows it generates (``is_class``: rows x classes), and the
-    last class's coordinates outside the mask are minus the sum of the
-    others' (the outcome rows of an invariant residual sum to an
-    R-invariant matrix)."""
-    classes, d2 = mask.shape
-    k = int(mask.sum())
-    E = np.zeros((k, classes, d2))
-    E[:, mask] = np.eye(k)
-    E /= is_class.sum(axis=0)[:, None]
-    E[:, -1, ~mask[-1]] = -E[:, :-1, ~mask[-1]].sum(axis=1)
-    kept = (is_class & keep[:, None]).sum(axis=0)
-    return (np.sqrt(kept)[:, None] * E).reshape(k, -1).T
-
-
 class _RobustnessSdp:
     """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C,
     solved in the subspace fixed by the group that permutes the set.
@@ -285,8 +268,6 @@ class _RobustnessSdp:
         n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
         self.C = (np.trace(self.targets, axis1=1, axis2=2).real / d)[:, None, None] * self.identity
         self.D = self.targets - self.C
-        keep = np.ones(len(self.targets), dtype=bool)
-        keep[self.offsets[2:] - 1] = False
         # each row's class (-1: none) and the rotation taking the class to it
         phases = _covariance_phases(self)
         dihedral = phases is not None
@@ -295,6 +276,8 @@ class _RobustnessSdp:
             src, rshift = np.tile(np.arange(o), n), np.repeat(np.arange(n), o)
         else:
             elements = [(0, 0)]
+            keep = np.ones(len(self.targets), dtype=bool)
+            keep[self.offsets[2:] - 1] = False
             src, rshift = np.where(keep, np.cumsum(keep) - 1, -1), np.zeros(len(keep), dtype=int)
             phases = np.ones((1, d, d), dtype=complex)
         self.phases, m = phases, len(phases)
@@ -323,7 +306,6 @@ class _RobustnessSdp:
         self.g, self.gwT = g.astype(complex), gw.T.astype(complex, order="C")
         self.cv, self.dv = self.row_coords(self.C), self.row_coords(self.D)
         self.dd = np.outer(self.dv, self.dv)
-        self.kept_norm = _kept_norm(is_class, keep, mask)
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
@@ -408,22 +390,24 @@ class _RobustnessSdp:
         Z^-1 and both step-length searches reuse the factors.  A singular
         Schur matrix, as near the optimum of degenerate sets, ends it early.
 
-        The orbit weights make <X, Z>, mu, the residual norms and so the
-        stop rule those of the solve over all T blocks and kept rows.
+        The orbit weights make <X, Z>, mu and the dual residual those of the
+        solve over all T blocks; the primal residual is measured on the
+        solve's own coordinates.  The stop rule only ends the iteration: the
+        certificates checked after it decide.
         """
         X = np.broadcast_to(self.identity / self.T, (len(self.rep), self.d, self.d)).copy()
         Z = np.broadcast_to(self.identity, X.shape).copy()
         x = z = 1.0
         c = np.zeros(len(self.dv))
         N = self.T * self.d + 1
-        bnorm = 1.0 + np.linalg.norm(self.kept_norm @ self.cv)
+        bnorm = 1.0 + np.linalg.norm(self.cv)
         best = (np.inf, 0)
         for steps in range(max_iter + 1):
             rp = self.cv - self.marginal_coords(X) + x * self.dv
             Rd, rd = -self.dual_blocks(c) - Z, -1.0 + self.dv @ c - z
             dobj = self.cv @ c
             gap = abs(x + dobj) / (1.0 + x + abs(dobj))
-            pinf = np.linalg.norm(self.kept_norm @ rp) / bnorm
+            pinf = np.linalg.norm(rp) / bnorm
             err = max(gap, pinf, np.hypot(np.sqrt(self.inner(Rd, Rd)), rd) / 2)
             if err < best[0]:
                 best = (err, steps, X, x, c)

@@ -152,11 +152,6 @@ class FamilyParams:
         if self.d < 2:
             raise ValueError("d must be >= 2")
 
-    def displacements(self) -> list[complex]:
-        return [
-            self.r * np.exp(2j * math.pi * k / self.count) for k in range(self.count)
-        ]
-
 
 def coherent_projector(mu: complex, d: int) -> np.ndarray:
     ket = coherent_ket(mu, d)

@@ -25,16 +25,18 @@ photon numbers still to be split:
 
     R'[t, u, r, r'] = sum_{k, k'} B[r, k] B[r', k'] M_t[k, k'] R[u, r - k, r' - k'],
 
-starting from the identity (the leak arm measures nothing).  A single arm
-with share tau is the dual loss channel ``loss.apply_dual``.  With T outcome
-tuples this costs O(T d^4) time and O(T d^2) memory, against the d^m Fock
-grid of the whole m-arm network.
+starting from the identity (the leak arm measures nothing), with the
+Hermitian rule of ``loss.apply_dual``: a single arm with share tau is that
+dual loss channel, bit for bit.  With T outcome tuples this costs O(T d^4)
+time and O(T d^2) memory, against the d^m Fock grid of the whole m-arm
+network.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fock import _hermitian_lower
 from .loss import _chain_step, _split_amplitudes
 from .measurements import MeasurementSet, ParentPovm, lossy_povm
 
@@ -87,8 +89,7 @@ def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
         s = w / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
         elements = np.stack(mset.povms[j].elements)
         R = _chain_step(elements, _split_amplitudes(s, d), R)
-    blocks = (R + R.conj().transpose(0, 2, 1)) / 2
-    return ParentPovm(tuple(p.outcomes for p in mset), blocks)
+    return ParentPovm(tuple(p.outcomes for p in mset), _hermitian_lower(R))
 
 
 def verify_marginal_identity(mset: MeasurementSet, taus, eta: float = 1.0) -> float:

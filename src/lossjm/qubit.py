@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .measurements import BlochParams, Povm, bloch_params, displaced_onoff, lossy_povm
+from .measurements import BlochParams, FamilyParams, Povm, bloch_params, symmetric_family
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -75,12 +75,13 @@ def pair_test(a: Povm, b: Povm) -> PairTestReport:
 
 
 def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:
-    """The mu = +r / -r displaced on-off pair after loss, on the qubit block.
+    """The mu = +r / -r displaced on-off pair after loss, on the qubit block:
+    the count-2 symmetric family at d = 2.
 
     Truncation commutes with the dual loss channel, so the leading 2x2 block
     computed directly equals the projection of any higher-cutoff computation.
     """
-    a, b = (lossy_povm(displaced_onoff(mu, 2), tau) for mu in (r, -r))
+    a, b = symmetric_family(FamilyParams(2, r, tau, 2))
     return a, b
 
 

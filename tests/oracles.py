@@ -12,7 +12,9 @@ in the package:
   dual-loss image of a coherent projector;
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2;
-* the small-displacement check of the qubit pair criterion;
+* the displacements mu_k = r exp(2 pi i k / count) of the symmetric family,
+  the +r / -r displaced on-off pair after loss built one displacement at a
+  time, and the small-displacement check of the qubit pair criterion;
 * the positivity residual of an operator, the validity check of a POVM
   (positive elements summing to the identity), and the qubit effect
   rebuilt from its Bloch parameters;
@@ -35,7 +37,7 @@ import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
 from lossjm.loss import _check_tau
-from lossjm.measurements import PAULI, BlochParams, Povm
+from lossjm.measurements import PAULI, BlochParams, FamilyParams, Povm, displaced_onoff, lossy_povm
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
@@ -379,7 +381,19 @@ def root_distance_product(n: int) -> float:
     )
 
 
-# -- qubit pair criterion -------------------------------------------------------
+# -- displaced families and the qubit pair criterion ------------------------------
+
+
+def displacements(params: FamilyParams) -> list[complex]:
+    """The displacements mu_k = r exp(2 pi i k / count) of the family's
+    measurements, k = 0, ..., count - 1."""
+    return [params.r * np.exp(2j * math.pi * k / params.count) for k in range(params.count)]
+
+
+def displaced_pair_reference(r: float, tau: float) -> tuple[Povm, Povm]:
+    """The mu = +r / -r displaced on-off pair after loss on the qubit block,
+    each measurement sent through the dual loss channel on its own."""
+    return tuple(lossy_povm(displaced_onoff(mu, 2), tau) for mu in (r, -r))
 
 
 def leading_order_check(r: float, tau: float) -> tuple[float, float]:

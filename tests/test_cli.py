@@ -143,6 +143,12 @@ class TestQubitPairCommand:
         assert code == 0
         assert json.loads(out)["incompatible"] is False
 
+    def test_negative_r_exit_one(self, capsys):
+        # the pair is the count-2 family, so its parameter checks apply
+        code = cli.main(["qubit-pair", "--r", "-0.1", "--tau", "0.6"])
+        assert code == 1
+        assert "r must be >= 0" in capsys.readouterr().err
+
     def test_payload_schema(self, capsys):
         _, out = run(["qubit-pair", "--r", "0.01", "--tau", "0.6"], capsys)
         payload = json.loads(out)
@@ -191,6 +197,19 @@ class TestUsdCommand:
         lines = sweep.read_text().strip().splitlines()
         assert lines[0] == "r,p_d,p_lon,lossy_success"
         assert len(lines) == 6
+
+    def test_sweep_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(
+            ["usd", "--n", "3", "--r", "0.01", "--tau", "0.5", "--sweep", "-",
+             "--sweep-steps", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        lines = out.splitlines()
+        header = lines.index("r,p_d,p_lon,lossy_success")
+        assert all(len(line.split(",")) == 4 for line in lines[header + 1 : header + 4])
 
 
 class TestTable1Command:

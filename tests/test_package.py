@@ -65,6 +65,8 @@ def test_module_layers():
                 nested[path.name] = lines
     assert nested == {}
     assert graph["loss"] == {"fock"}
+    assert graph["qubit"] == {"measurements"}
+    assert graph["parent"] == {"fock", "loss", "measurements"}
     done, active = set(), []
 
     def visit(module):  # depth-first search for a back edge

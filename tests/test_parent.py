@@ -62,6 +62,16 @@ class TestLonParent:
         with pytest.raises(ValueError, match="desk-scale limit"):
             parent.lon_parent(big, [0.2, 0.2, 0.2])
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_one_arm_is_the_dual_loss_channel(self, d):
+        # a single arm with share tau is apply_dual, Hermitian rule included
+        p = meas.random_two_outcome_povm(d, np.random.default_rng(d))
+        for tau in np.linspace(0.0, 1.0, 21):
+            got = parent.lon_parent(meas.MeasurementSet((p,)), [tau]).blocks
+            want = loss.apply_dual(tau, np.stack(p.elements))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), f"tau = {tau}"
+
     def test_large_cutoff_stays_finite(self):
         # a cutoff far above the table's d = 3: the splitting amplitudes and
         # the chain stay finite, and the marginals stay exact

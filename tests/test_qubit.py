@@ -101,6 +101,20 @@ class TestKrausRoute:
         assert worst_test <= 1e-14
 
 
+class TestFamilyRoute:
+    def test_matches_per_displacement_reference(self):
+        # the pair is the count-2 family at d = 2; sending each displacement's
+        # on-off POVM through the dual loss channel on its own gives the same
+        # entries (zeros may differ in sign)
+        for r in np.linspace(0.0, 2.0, 41):
+            for tau in np.linspace(0.0, 1.0, 31):
+                got = qubit.lossy_displaced_pair(r, tau)
+                want = oracles.displaced_pair_reference(r, tau)
+                for p, q in zip(got, want):
+                    for E, F in zip(p.elements, q.elements):
+                        assert np.array_equal(E, F), (r, tau)
+
+
 class TestLeadingOrder:
     def test_prediction_value(self):
         test, predicted = oracles.leading_order_check(0.01, 0.6)
