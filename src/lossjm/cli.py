@@ -145,8 +145,10 @@ def cmd_parent_verify(args) -> int:
     rng = np.random.default_rng(args.random_seed)
     mset = random_measurement_set(args.d, args.n, rng)
     taus = [args.tau if args.tau is not None else 1.0 / args.n] * args.n
+    if not 0.0 < args.eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
     t0 = time.perf_counter()
-    residual = parent.verify_marginal_identity(mset, taus, eta=args.eta)
+    residual = parent.verify_marginal_identity(mset, [args.eta * t for t in taus])
     payload = {
         "n": args.n,
         "d": args.d,
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--d", type=int, required=True)
     pv.add_argument("--tau", type=float, default=None, help="per-arm transmissivity (default 1/n)")
-    pv.add_argument("--eta", type=float, default=1.0)
+    pv.add_argument("--eta", type=float, default=1.0, help="scales every arm transmissivity")
     pv.add_argument("--random-seed", type=int, default=0)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_parent_verify)

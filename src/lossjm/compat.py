@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import _ct
 from .measurements import (
     FamilyParams,
     MeasurementSet,
@@ -60,7 +61,7 @@ from .measurements import (
     _rotation_phases,
     symmetric_family,
 )
-from .parent import lon_parent
+from .parent import SLACK, lon_parent
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -120,10 +121,6 @@ def _hermitian_basis(d: int) -> np.ndarray:
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
     """Re tr(A B) summed over stacks of Hermitian matrices."""
     return float(np.vdot(A, B).real)
-
-
-def _ct(X: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(X, -1, -2))
 
 
 def _inverse_factors(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -473,14 +470,9 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     eye = np.eye(d)
     povms = []
     for p in mset:
-        povms.append(
-            Povm(
-                tuple(
-                    eta * E + (1.0 - eta) * (np.trace(E).real / d) * eye
-                    for E in p.elements
-                )
-            )
-        )
+        E = np.stack(p.elements)
+        weights = np.trace(E, axis1=1, axis2=2).real / d
+        povms.append(Povm(tuple(eta * E + (1.0 - eta) * weights[:, None, None] * eye)))
     return MeasurementSet(tuple(povms))
 
 
@@ -605,7 +597,7 @@ def decide_table_row(
     built = dataclasses.replace(params, d=d_sub)
     lossy = symmetric_family(built)
 
-    if params.count * params.tau <= 1.0 + 1e-12:
+    if params.count * params.tau <= 1.0 + SLACK:
         noiseless = symmetric_family(dataclasses.replace(built, tau=1.0))
         parent = lon_parent(noiseless, [params.tau] * params.count)
         res = certify(lossy, parent, tol)

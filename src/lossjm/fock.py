@@ -28,17 +28,18 @@ def coherent_ket(mu: complex, d: int) -> np.ndarray:
     return amps
 
 
-def hermiticity_residual(M: np.ndarray) -> float:
-    """Max-norm distance between M and its conjugate transpose."""
-    M = np.asarray(M)
-    return float(np.abs(M - M.conj().T).max())
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of the stack M."""
+    return np.conj(np.swapaxes(M, -1, -2))
 
 
 def require_hermitian(M: np.ndarray) -> np.ndarray:
+    """M as a complex array, checked to be a Hermitian matrix or a stack
+    (..., d, d) of them to within HERMITIAN_TOL in the max norm."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("expected a square matrix")
-    res = hermiticity_residual(M)
+    res = float(np.abs(M - _ct(M)).max(initial=0.0))
     if res > HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian (residual {res:.3e} > {HERMITIAN_TOL:.1e})"
@@ -51,6 +52,6 @@ def _hermitian_lower(M: np.ndarray) -> np.ndarray:
     lower one, which eigh reads, and a real diagonal: exactly Hermitian, for
     operators whose two triangles agree only to rounding."""
     r = np.arange(M.shape[-1])
-    out = np.where(r[:, None] >= r, M, np.conj(np.swapaxes(M, -1, -2)))
+    out = np.where(r[:, None] >= r, M, _ct(M))
     out.imag[..., r, r] = 0.0
     return out

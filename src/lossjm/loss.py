@@ -62,10 +62,8 @@ def apply_dual(tau: float, M: np.ndarray) -> np.ndarray:
     Unital, positive, and exact under truncation.
     """
     tau = _check_tau(tau)
-    M = np.asarray(M, dtype=complex)
+    M = require_hermitian(M)
     stack = M.reshape((-1,) + M.shape[-2:])
-    for E in stack:
-        require_hermitian(E)
     d = stack.shape[-1]
     out = _chain_step(stack, _split_amplitudes(tau, d), np.eye(d, dtype=complex)[None])
     return _hermitian_lower(out).reshape(M.shape)

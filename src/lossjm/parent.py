@@ -11,17 +11,16 @@ ancilla arms prepared in vacuum.  Its j-th marginal equals the dual-loss
 image of M^j at transmissivity tau_j, exactly: the network conserves photon
 number, so the truncated computation reproduces the untruncated matrix
 elements.  An extra loss channel of transmissivity eta in front of the
-network turns the marginals into dual-loss images at eta * tau_j; it is the
-same as a network with arm weights w_k = eta * tau_k and a leak arm of
-weight 1 - eta * sum(tau).
+network needs no parameter of its own: it is the same network with arm
+transmissivities eta * tau_k and a leak arm of weight 1 - eta * sum(tau).
 
 The network is built as a chain of the beam splitters of
-:mod:`lossjm.loss`: arm k takes a share s_k = w_k / sum_{j >= k} w_j of the
-photons that reach it and passes the rest on, so r photons split as k into
-the arm and r - k onward with amplitude B[r, k] = sqrt(C(r, k) s_k^k
-(1 - s_k)^(r - k)).  Contracting the arms from last to first keeps one
-d x d block per outcome tuple of the arms already contracted, indexed by the
-photon numbers still to be split:
+:mod:`lossjm.loss`: arm k takes a share s_k = tau_k / sum_{j >= k} tau_j
+(the leak weight included) of the photons that reach it and passes the rest
+on, so r photons split as k into the arm and r - k onward with amplitude
+B[r, k] = sqrt(C(r, k) s_k^k (1 - s_k)^(r - k)).  Contracting the arms
+from last to first keeps one d x d block per outcome tuple of the arms
+already contracted, indexed by the photon numbers still to be split:
 
     R'[t, u, r, r'] = sum_{k, k'} B[r, k] B[r', k'] M_t[k, k'] R[u, r - k, r' - k'],
 
@@ -41,16 +40,21 @@ from .loss import _chain_step, _split_amplitudes
 from .measurements import MeasurementSet, ParentPovm, lossy_povm
 
 # Kept limit on the arm count: d ** arms above this is refused, although the
-# chain never forms that grid (arms count the deficit arm).
+# chain never forms that grid (arms count the leak arm).
 MAX_GRID = 1 << 17
 
+# Rounding slack on transmissivities: a sum up to 1 + SLACK is accepted, and
+# a leak weight of at most SLACK is dropped with its arm.
+SLACK = 1e-12
 
-def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
-    """Parent POVM for the dual-loss images {E*_{eta tau_j}(M^j)}.
 
-    ``taus`` lists one transmissivity per measurement with sum at most 1;
-    a strict deficit adds one unmeasured arm.  ``eta`` < 1 post-composes
-    every parent element with the dual loss channel at eta.
+def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
+    """Parent POVM for the dual-loss images {E*_{tau_j}(M^j)}.
+
+    ``taus`` lists one arm transmissivity per measurement with sum at most
+    1; a deficit 1 - sum(taus) above ``SLACK`` leaks into one unmeasured arm.
+    A loss channel of transmissivity eta in front of the network is the same
+    network at ``[eta * t for t in taus]``.
 
     Raises ValueError when sum(taus) exceeds 1: no quantum channel has all
     the required loss channels as its single-arm marginals.
@@ -62,43 +66,39 @@ def lon_parent(mset: MeasurementSet, taus, eta: float = 1.0) -> ParentPovm:
     if any(t < 0 for t in taus):
         raise ValueError("transmissivities must be non-negative")
     total = sum(taus)
-    if total > 1.0 + 1e-12:
+    if total > 1.0 + SLACK:
         raise ValueError(
             f"sum of transmissivities {total:.6f} exceeds 1; "
             "no channel has these loss channels as marginals"
         )
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
 
     d = mset.dim
-    m = n + int(1.0 - total > 1e-12)
+    # The leak arm is last in the chain and measures nothing, so contracting
+    # it leaves the identity.
+    leak = 1.0 - total if 1.0 - total > SLACK else 0.0
+    m = n + (leak > 0.0)
     if d**m > MAX_GRID:
         raise ValueError(
             f"multimode grid {d}^{m} exceeds the desk-scale limit {MAX_GRID}"
         )
 
-    # The leak arm is last in the chain and measures nothing, so contracting
-    # it leaves the identity.  A leak weight within rounding of zero (at most
-    # 1e-12) is dropped.
-    leak = 1.0 - eta * total
-    suffix = leak if leak > 1e-12 else 0.0
+    suffix = leak
     R = np.eye(d, dtype=complex)[None]
     for j in reversed(range(n)):
-        w = eta * taus[j]
-        suffix += w  # weight of arm j and of every arm after it
-        s = w / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
+        suffix += taus[j]  # weight of arm j and of every arm after it
+        s = taus[j] / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
         elements = np.stack(mset.povms[j].elements)
         R = _chain_step(elements, _split_amplitudes(s, d), R)
     return ParentPovm(tuple(p.outcomes for p in mset), _hermitian_lower(R))
 
 
-def verify_marginal_identity(mset: MeasurementSet, taus, eta: float = 1.0) -> float:
+def verify_marginal_identity(mset: MeasurementSet, taus) -> float:
     """Worst-case gap between the parent marginals and the dual-loss images.
 
     Returns max over measurements j and outcomes a of
-    || marginal_j(parent)_a - E*_{eta tau_j}(M^j_a) ||_max, which is zero up
-    to rounding because both sides are exact under truncation.
+    || marginal_j(parent)_a - E*_{tau_j}(M^j_a) ||_max, which is zero up to
+    rounding because both sides are exact under truncation.
     """
-    parent = lon_parent(mset, taus, eta)
-    images = tuple(lossy_povm(p, eta * float(t)) for p, t in zip(mset, taus))
+    parent = lon_parent(mset, taus)
+    images = tuple(lossy_povm(p, float(t)) for p, t in zip(mset, taus))
     return parent.marginal_residual(MeasurementSet(images))

@@ -60,9 +60,10 @@ def parent_to_json(parent: ParentPovm) -> dict:
 def parent_from_json(obj: dict) -> ParentPovm:
     counts = tuple(int(o) for o in obj["outcome_counts"])
     d = int(obj["dim"])
-    T = int(np.prod(counts))
-    blocks = np.zeros((T, d, d), dtype=complex)
-    for key, payload in obj["elements"].items():
-        t = tuple(int(x) for x in key.split(","))
-        blocks[int(np.ravel_multi_index(t, counts))] = matrix_from_json(payload)
-    return ParentPovm(counts, blocks)
+    keys = [",".join(map(str, t)) for t in np.ndindex(*counts)]
+    if obj["elements"].keys() != set(keys):
+        raise ValueError("parent elements must be keyed by exactly the outcome tuples")
+    blocks = [matrix_from_json(obj["elements"][key]) for key in keys]
+    if any(B.shape != (d, d) for B in blocks):
+        raise ValueError(f"parent elements must be {d} x {d} matrices")
+    return ParentPovm(counts, np.array(blocks))

@@ -29,6 +29,12 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _check_tau(tau: float) -> float:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("transmissivity must lie in (0, 1]")
+    return tau
+
+
 def p_d(n: int, r: float) -> float:
     """Optimal unambiguous-discrimination probability for n symmetric states.
 
@@ -93,8 +99,7 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     this approaches n^2 r^{2(n-1)} tau_b^{n-1}.
     """
     n = _check_n(n)
-    if not 0.0 < tau_b <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
+    _check_tau(tau_b)
     out = 1.0
     for k in range(1, n):
         out *= -math.expm1(-tau_b * r * r * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
@@ -104,21 +109,18 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
 def beats_no_loss_optimum(n: int, tau: float) -> bool:
     """Exact test of n! > tau^{1-n}, i.e. n! tau^{n-1} > 1, in rational arithmetic."""
     n = _check_n(n)
-    if tau <= 0:
-        raise ValueError("transmissivity must be positive")
-    t = Fraction(tau)  # floats convert exactly
+    t = Fraction(_check_tau(tau))  # floats convert exactly
     return math.factorial(n) * t ** (n - 1) > 1
 
 
 def result4_threshold(tau: float) -> int:
     """Smallest n >= 2 with n! > tau^{1-n}, by exact comparison.
 
-    Exists for every tau > 0 since n! grows faster than any geometric
+    Exists for every tau in (0, 1] since n! grows faster than any geometric
     sequence; comparisons use exact rationals so boundary cases like
-    2! > 2 at tau = 1/2 are decided without floating-point error.
+    2! > 2 at tau = 1/2 are decided without floating-point error.  The
+    first comparison rejects tau outside (0, 1].
     """
-    if tau <= 0:
-        raise ValueError("transmissivity must be positive")
     n = 2
     while not beats_no_loss_optimum(n, tau):
         n += 1

@@ -18,6 +18,7 @@ in the package:
 * the positivity residual of an operator, the validity check of a POVM
   (positive elements summing to the identity), and the qubit effect
   rebuilt from its Bloch parameters;
+* random Hermitian operators and density matrices as test inputs;
 * the marginal map, its adjoint and the Schur matrix of the robustness solve
   by sums over the axes of the outcome-tuple grid, and the average of parent
   blocks over the dihedral group of a rotation-covariant set.
@@ -441,6 +442,20 @@ def bloch_reconstruct(b: BlochParams) -> np.ndarray:
     for mi, s in zip(b.m, PAULI):
         A = A + mi * s
     return A / 2.0
+
+
+# -- random test inputs ---------------------------------------------------------
+
+
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (A + A.conj().T) / 2
+
+
+def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
 
 
 # -- robustness solve -------------------------------------------------------------

@@ -8,7 +8,6 @@ import numpy as np
 
 from lossjm import (
     compat,
-    fock,
     loss,
     measurements as meas,
     parent,
@@ -18,22 +17,6 @@ from lossjm import (
 from lossjm.cli import TABLE_POINTS
 
 import oracles
-
-
-def coherent_projector(mu, d):
-    ket = fock.coherent_ket(mu, d)
-    return np.outer(ket, ket.conj())
-
-
-def random_hermitian(d, rng):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (A + A.conj().T) / 2
-
-
-def random_density(d, rng):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_criterion_1_benchmark_verdicts(criterion_report):
@@ -66,7 +49,7 @@ def test_criterion_2_constructive_breaking(criterion_report):
         d = 3 if trial % 4 < 2 else 4
         mset = meas.random_measurement_set(d, n, rng)
         for eta in (1.0, 0.8):
-            par = parent.lon_parent(mset, [1.0 / n] * n, eta=eta)
+            par = parent.lon_parent(mset, [eta / n] * n)
             lossy = meas.MeasurementSet(
                 tuple(meas.lossy_povm(p, eta / n) for p in mset)
             )
@@ -158,14 +141,14 @@ def test_criterion_6_loss_channel_algebra(criterion_report):
     for tau in np.arange(0.1, 1.01, 0.1):
         for mu in (0.0, 0.3, -0.8, 0.5 + 0.5j, 1.0, -1.0j):
             for d in (2, 4, 8):
-                kraus = loss.apply_dual(tau, coherent_projector(mu, d))
+                kraus = loss.apply_dual(tau, meas.coherent_projector(mu, d))
                 gauss = oracles.dual_coherent_projector(tau, mu, d)
                 route = max(route, float(np.abs(kraus - gauss).max()))
 
     dual = 0.0
     for _ in range(50):
         tau = rng.uniform()
-        rho, M = random_density(6, rng), random_hermitian(6, rng)
+        rho, M = oracles.random_density(6, rng), oracles.random_hermitian(6, rng)
         lhs = np.trace(M @ oracles.apply_channel(tau, rho))
         rhs = np.trace(rho @ loss.apply_dual(tau, M))
         dual = max(dual, abs(lhs - rhs))
@@ -173,14 +156,14 @@ def test_criterion_6_loss_channel_algebra(criterion_report):
     comp = 0.0
     for t1 in (0.3, 0.5, 0.9):
         for t2 in (0.3, 0.5, 0.9):
-            M = random_hermitian(6, rng)
+            M = oracles.random_hermitian(6, rng)
             delta = loss.apply_dual(t2, loss.apply_dual(t1, M)) - loss.apply_dual(
                 t1 * t2, M
             )
             comp = max(comp, float(np.abs(delta).max()))
 
     tau, mu, alpha, d = 0.6, 0.1, 0.2, 25
-    M = loss.apply_dual(tau, coherent_projector(mu, d))
+    M = loss.apply_dual(tau, meas.coherent_projector(mu, d))
     got = oracles.q_function(M, alpha)
     expect = math.exp(-tau * abs(alpha - mu / math.sqrt(tau)) ** 2) / math.pi
     husimi_rel = abs(got - expect) / expect

@@ -177,6 +177,27 @@ class TestParentVerifyCommand:
         r2 = json.loads(out2)["marginal_identity_residual"]
         assert r1 <= 1e-10 and r2 <= 1e-10
 
+    @pytest.mark.parametrize(
+        "n, d, eta, tau",
+        [("10", "3", "0.9", "0.09"), ("4", "3", "0.5", "0.125")],
+        ids=["above-grid-limit", "inside-grid-limit"],
+    )
+    def test_eta_is_a_scaled_tau(self, capsys, n, d, eta, tau):
+        # a loss channel at eta in front of arms at 1/n is the network with
+        # arms at eta / n: same exit code, same residual
+        results = []
+        for spelling in (["--eta", eta], ["--tau", tau]):
+            code, out = run(["parent-verify", "--n", n, "--d", d, *spelling], capsys)
+            results.append((code, json.loads(out)["marginal_identity_residual"] if out else None))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("eta", ["0", "1.5"])
+    def test_eta_outside_unit_interval_exit_one(self, capsys, eta):
+        code = cli.main(["parent-verify", "--n", "2", "--d", "3", "--eta", eta])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "eta must lie in (0, 1]" in captured.err
+
 
 class TestUsdCommand:
     def test_report_flags_threshold(self, capsys):

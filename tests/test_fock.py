@@ -1,4 +1,5 @@
-"""Fock-space primitives (coherent kets) and the network-unitary and PSD-check oracles."""
+"""Fock-space primitives (coherent kets, the Hermiticity check) and the network-unitary and
+PSD-check oracles."""
 
 import math
 
@@ -208,6 +209,19 @@ class TestCompleteUnitary:
         m = U.shape[0]
         assert np.abs(U @ U.conj().T - np.eye(m)).max() < 1e-12
         assert np.array_equal(U[0, : row.size], row)
+
+
+class TestRequireHermitian:
+    def test_stack_with_one_non_hermitian_element(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4).reshape(2, 2, 3, 3)
+        assert np.array_equal(fock.require_hermitian(stack), stack)
+        stack[1, 0, 0, 2] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock.require_hermitian(stack)
+
+    def test_non_square_stack(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            fock.require_hermitian(np.zeros((4, 2, 3)))
 
 
 class TestPsdResidual:

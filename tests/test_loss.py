@@ -8,25 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossjm import fock, loss
+from lossjm import fock, loss, measurements as meas
 
 import oracles
-
-
-def coherent_projector(mu, d):
-    ket = fock.coherent_ket(mu, d)
-    return np.outer(ket, ket.conj())
-
-
-def random_hermitian(d, rng):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (A + A.conj().T) / 2
-
-
-def random_density(d, rng):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestKrausOps:
@@ -52,14 +36,14 @@ class TestKrausOps:
         # input the match degrades gracefully: corner entries are off by the
         # amplitude of the missing Poisson tail.
         d, tau, alpha = 6, 0.5, 0.4
-        out = oracles.apply_channel(tau, coherent_projector(alpha, d))
-        target = coherent_projector(math.sqrt(tau) * alpha, d)
+        out = oracles.apply_channel(tau, meas.coherent_projector(alpha, d))
+        target = meas.coherent_projector(math.sqrt(tau) * alpha, d)
         tail_amp = math.sqrt(1 - np.linalg.norm(fock.coherent_ket(alpha, d)) ** 2)
         assert np.abs(out - target).max() < 3 * tail_amp
         # deep cutoff: the tail is gone and the defining property is exact
         d = 20
-        out = oracles.apply_channel(tau, coherent_projector(alpha, d))
-        target = coherent_projector(math.sqrt(tau) * alpha, d)
+        out = oracles.apply_channel(tau, meas.coherent_projector(alpha, d))
+        target = meas.coherent_projector(math.sqrt(tau) * alpha, d)
         assert np.abs(out - target).max() < 1e-9
 
     def test_channel_agrees_with_beam_splitter_dilation(self):
@@ -67,7 +51,7 @@ class TestKrausOps:
         # and trace out the second arm
         d, tau = 6, 0.35
         rng = np.random.default_rng(8)
-        rho = random_density(d, rng)
+        rho = oracles.random_density(d, rng)
         U = oracles.bs_unitary(tau, d)
         big = U @ np.kron(rho, np.diag([1.0] + [0.0] * (d - 1))) @ U.conj().T
         dilated = big.reshape(d, d, d, d).trace(axis1=1, axis2=3)
@@ -84,7 +68,7 @@ class TestApplyDual:
     def test_matches_kraus_oracle(self, d, tau):
         rng = np.random.default_rng(d)
         for _ in range(3):
-            M = random_hermitian(d, rng)
+            M = oracles.random_hermitian(d, rng)
             out = loss.apply_dual(tau, M)
             brute = sum(A.conj().T @ M @ A for A in oracles.kraus_ops(tau, d))
             assert np.array_equal(out, out.conj().T)
@@ -111,8 +95,8 @@ class TestApplyDual:
         rng = np.random.default_rng(17)
         for _ in range(50):
             tau = rng.uniform()
-            rho = random_density(6, rng)
-            M = random_hermitian(6, rng)
+            rho = oracles.random_density(6, rng)
+            M = oracles.random_hermitian(6, rng)
             lhs = np.trace(M @ oracles.apply_channel(tau, rho))
             rhs = np.trace(rho @ loss.apply_dual(tau, M))
             assert abs(lhs - rhs) < 1e-12
@@ -125,7 +109,7 @@ class TestApplyDual:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_stack_matches_each_element(self, d, tau):
         rng = np.random.default_rng(40 + d)
-        stack = np.stack([random_hermitian(d, rng) for _ in range(4)])
+        stack = np.stack([oracles.random_hermitian(d, rng) for _ in range(4)])
         out = loss.apply_dual(tau, stack)
         assert out.shape == stack.shape
         for E, image in zip(stack, out):
@@ -147,7 +131,7 @@ class TestApplyDual:
     def test_composition_law(self, t1, t2):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            M = random_hermitian(6, rng)
+            M = oracles.random_hermitian(6, rng)
             lhs = loss.apply_dual(t2, loss.apply_dual(t1, M))
             rhs = loss.apply_dual(t1 * t2, M)
             assert np.abs(lhs - rhs).max() < 1e-11
@@ -162,8 +146,8 @@ class TestApplyDual:
     def test_truncation_exactness(self):
         # computing at cutoff d and at 2d gives identical leading blocks
         d, tau, mu = 5, 0.4, 0.6 + 0.2j
-        small = loss.apply_dual(tau, coherent_projector(mu, d))
-        big = loss.apply_dual(tau, coherent_projector(mu, 2 * d))
+        small = loss.apply_dual(tau, meas.coherent_projector(mu, d))
+        big = loss.apply_dual(tau, meas.coherent_projector(mu, 2 * d))
         assert np.abs(small - big[:d, :d]).max() < 1e-15
 
 
@@ -171,7 +155,7 @@ class TestGaussianRoute:
     def test_lossless_is_projector(self):
         mu, d = 0.37 - 0.21j, 6
         out = oracles.dual_coherent_projector(1.0, mu, d)
-        assert np.abs(out - coherent_projector(mu, d)).max() < 1e-14
+        assert np.abs(out - meas.coherent_projector(mu, d)).max() < 1e-14
 
     def test_vacuum_displacement(self):
         out = oracles.dual_coherent_projector(0.5, 0.0, 4)
@@ -179,7 +163,7 @@ class TestGaussianRoute:
 
     def test_matches_kraus_route_small_displacement(self):
         tau, mu, d = 0.5, 0.015, 3
-        kraus = loss.apply_dual(tau, coherent_projector(mu, d))
+        kraus = loss.apply_dual(tau, meas.coherent_projector(mu, d))
         gauss = oracles.dual_coherent_projector(tau, mu, d)
         assert np.abs(kraus - gauss).max() < 1e-12
 
@@ -188,7 +172,7 @@ class TestGaussianRoute:
         for tau in np.arange(0.1, 1.01, 0.1):
             for mu in [0.0, 0.3, -0.8, 0.5 + 0.5j, 1.0, -1.0j]:
                 for d in (2, 4, 8):
-                    kraus = loss.apply_dual(tau, coherent_projector(mu, d))
+                    kraus = loss.apply_dual(tau, meas.coherent_projector(mu, d))
                     gauss = oracles.dual_coherent_projector(tau, mu, d)
                     worst = max(worst, float(np.abs(kraus - gauss).max()))
         assert worst < 1e-10
@@ -200,7 +184,7 @@ class TestGaussianRoute:
         # e^{-|mu|^2} sqrt(tau) mu*, without the sqrt(2).  Keep the
         # discrepancy visible rather than matching the printed form.
         tau, mu = 0.6, 0.015
-        kraus = loss.apply_dual(tau, coherent_projector(mu, 3))
+        kraus = loss.apply_dual(tau, meas.coherent_projector(mu, 3))
         printed_01 = math.exp(-abs(mu) ** 2 / 2) * math.sqrt(tau) * mu / math.sqrt(2)
         ours_01 = math.exp(-abs(mu) ** 2) * math.sqrt(tau) * mu
         assert abs(kraus[0, 1] - ours_01) < 1e-14
@@ -234,7 +218,7 @@ class TestFockFromQ:
     def test_cross_validates_dual_route(self):
         out = oracles.fock_from_q(oracles.dual_coherent_q(0.5, 0.01), 3)
         assert np.abs(out - oracles.dual_coherent_projector(0.5, 0.01, 3)).max() == 0.0
-        kraus = loss.apply_dual(0.5, coherent_projector(0.01, 3))
+        kraus = loss.apply_dual(0.5, meas.coherent_projector(0.01, 3))
         assert np.abs(out - kraus).max() < 1e-12
 
 
@@ -251,7 +235,7 @@ class TestQFunction:
 
     def test_lossy_projector_gaussian_form(self):
         tau, mu, alpha, d = 0.6, 0.1, 0.2, 25
-        M = loss.apply_dual(tau, coherent_projector(mu, d))
+        M = loss.apply_dual(tau, meas.coherent_projector(mu, d))
         got = oracles.q_function(M, alpha)
         expect = math.exp(-tau * abs(alpha - mu / math.sqrt(tau)) ** 2) / math.pi
         assert abs(got - expect) / expect < 1e-8
@@ -259,6 +243,6 @@ class TestQFunction:
     @given(st.floats(0.0, 1.0), st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
     @settings(max_examples=40, deadline=None)
     def test_real_and_bounded_for_povm_elements(self, tau, re, im):
-        M = loss.apply_dual(tau, coherent_projector(re + 1j * im, 12))
+        M = loss.apply_dual(tau, meas.coherent_projector(re + 1j * im, 12))
         q = oracles.q_function(M, 0.1)
         assert 0.0 <= q <= 1 / math.pi + 1e-12

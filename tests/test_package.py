@@ -64,6 +64,8 @@ def test_module_layers():
             if lines:
                 nested[path.name] = lines
     assert nested == {}
+    assert graph["fock"] == set()
+    assert graph["usd"] == set()
     assert graph["loss"] == {"fock"}
     assert graph["qubit"] == {"measurements"}
     assert graph["parent"] == {"fock", "loss", "measurements"}

@@ -113,9 +113,11 @@ class TestNetworkOracle:
     )
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_matches_fock_grid_unitary(self, d, taus, eta):
+        # a loss channel at eta in front of the network is the network with
+        # every arm transmissivity scaled by eta
         rng = np.random.default_rng(71 + d)
         mset = meas.random_measurement_set(d, len(taus), rng)
-        par = parent.lon_parent(mset, taus, eta)
+        par = parent.lon_parent(mset, [eta * t for t in taus])
         assert np.abs(par.blocks - network_oracle(mset, taus, eta)).max() <= 1e-12
 
 
@@ -137,7 +139,7 @@ class TestMarginalIdentity:
         # a channel of transmissivity eta before the network shifts every
         # marginal to the product transmissivity
         mset = meas.MeasurementSet((vacuum_onoff(5), vacuum_onoff(5)))
-        assert parent.verify_marginal_identity(mset, [0.5, 0.5], eta=0.8) <= 1e-11
+        assert parent.verify_marginal_identity(mset, [0.8 * 0.5, 0.8 * 0.5]) <= 1e-11
 
     def test_asymmetric_transmissivities(self):
         rng = np.random.default_rng(47)
@@ -158,7 +160,8 @@ class TestMarginalIdentity:
 
         monkeypatch.setattr(parent, "lossy_povm", counted)
         mset = meas.random_measurement_set(3, 3, np.random.default_rng(59))
-        assert parent.verify_marginal_identity(mset, [0.2, 0.3, 0.4], eta=0.5) <= 1e-11
+        taus = [0.5 * t for t in (0.2, 0.3, 0.4)]
+        assert parent.verify_marginal_identity(mset, taus) <= 1e-11
         assert calls == [0.1, 0.15, 0.2]
 
     def test_deficit_arm(self):

@@ -48,3 +48,23 @@ def test_parent_roundtrip():
     back = serialize.parent_from_json(json.loads(text))
     assert back.outcome_counts == par.outcome_counts
     assert np.array_equal(back.blocks, par.blocks)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (lambda els: els.pop("1,1"), "outcome tuples"),
+        (lambda els: els.update({"2,0": els["0,0"]}), "outcome tuples"),
+        (lambda els: els.update({"1,1": {"rows": 1, "cols": 1, "data": [0.25, 0.0]}}), "3 x 3"),
+    ],
+    ids=["missing-tuple", "out-of-range-tuple", "wrong-shape-block"],
+)
+def test_parent_payload_must_hold_every_block(edit):
+    # a missing key loaded as a zero block, and a 1 x 1 block broadcast
+    # over a whole d x d block
+    change, message = edit
+    mset = meas.random_measurement_set(3, 2, np.random.default_rng(4))
+    obj = serialize.parent_to_json(parent.lon_parent(mset, [0.5, 0.5]))
+    change(obj["elements"])
+    with pytest.raises(ValueError, match=message):
+        serialize.parent_from_json(obj)

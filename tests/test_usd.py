@@ -172,6 +172,16 @@ class TestThreshold:
         with pytest.raises(ValueError):
             usd.result4_threshold(0.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, 2.0])
+    def test_transmissivity_outside_unit_interval(self, tau):
+        for call in (
+            lambda: usd.beats_no_loss_optimum(3, tau),
+            lambda: usd.result4_threshold(tau),
+            lambda: usd.lossy_usd_success(3, 0.1, tau),
+        ):
+            with pytest.raises(ValueError, match=r"transmissivity must lie in \(0, 1\]"):
+                call()
+
     @pytest.mark.parametrize("tau", [0.9, 0.5, 0.25, 0.1])
     def test_contradiction_exhibited(self, tau):
         # at the threshold the lossy split-and-detect small-r form strictly
