@@ -225,8 +225,7 @@ class _RobustnessSdp:
 
     Parents are stacks of T blocks in the tuple order of ``ParentPovm``;
     constraint rows are stacked measurement by measurement, ``offsets[j]``
-    being the first row of measurement j.  The indicator ``A`` (T x rows)
-    has A[t, offsets[j] + t_j] = 1: the rows tuple t contributes to.
+    being the first row of measurement j.
 
     The group is found from the set alone (``_covariance_phases``): the
     dihedral group of order 2n for the rotated copies of ``symmetric_family``,
@@ -259,9 +258,6 @@ class _RobustnessSdp:
         self.targets = np.concatenate([np.stack(p.elements) for p in mset])
         self.identity = np.eye(self.d, dtype=complex)
         self.offsets = np.cumsum((0,) + self.outs)
-        digits = np.indices(self.outs).reshape(self.n, self.T)
-        self.A = np.zeros((self.T, self.offsets[-1]))
-        self.A[np.arange(self.T)[:, None], digits.T + self.offsets[:-1]] = 1.0
         n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
         self.C = (np.trace(self.targets, axis1=1, axis2=2).real / d)[:, None, None] * self.identity
         self.D = self.targets - self.C
@@ -297,7 +293,8 @@ class _RobustnessSdp:
         self.V = np.kron(np.eye(classes), masked)[:, mask.ravel()]
         self.VH = self.V.conj().T
 
-        g = self.A[self.rep] @ self.gen  # (reps, classes*K), real
+        rep_digits = np.unravel_index(self.rep, self.outs)  # each one's outcome per measurement
+        g = self.gen[self.offsets[:-1, None] + rep_digits].sum(axis=0)  # (reps, classes*K), real
         gw = self.weight[:, None] * g
         self.pairs = (g[:, :, None] * gw[:, None, :]).reshape(len(g), -1)
         self.g, self.gwT = g.astype(complex), gw.T.astype(complex, order="C")
@@ -306,10 +303,6 @@ class _RobustnessSdp:
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
-
-    def spread(self, Y: np.ndarray) -> np.ndarray:
-        """Adjoint of the marginal map: the block for tuple t is sum_j Y[offsets[j] + t_j]."""
-        return (self.A @ Y.reshape(len(Y), -1)).reshape(self.T, self.d, self.d)
 
     def project_affine(self, G: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
         """Orthogonal projection onto the parents G with marginal rows
@@ -324,7 +317,7 @@ class _RobustnessSdp:
         weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
         targets = self.targets if targets is None else targets
         gap = ParentPovm(self.outs, G).marginals() - targets
-        return G - self.spread(weight * gap - shift)
+        return G - ParentPovm.spread(self.outs, weight * gap - shift)
 
     def row_coords(self, Y: np.ndarray) -> np.ndarray:
         """Coordinates <full_rows(e_i), Y> of a full row stack Y."""
@@ -355,7 +348,7 @@ class _RobustnessSdp:
         return (self.VH @ (self.gwT @ G.reshape(len(G), -1)).ravel()).real
 
     def dual_blocks(self, c: np.ndarray) -> np.ndarray:
-        """``spread(full_rows(c))`` at the representatives."""
+        """``ParentPovm.spread`` of ``full_rows(c)`` at the representatives."""
         return (self.g @ (self.V @ c).reshape(self.g.shape[1], -1)).reshape(-1, self.d, self.d)
 
     def inner(self, A: np.ndarray, B: np.ndarray) -> float:
@@ -454,7 +447,7 @@ class _RobustnessSdp:
         """
         rows = self.rows(W)
         guard = 4 * (self.n + self.d) * self.d**2 * _EPS * sum(np.abs(r).max() for r in rows)
-        lam = float(np.linalg.eigvalsh(self.spread(W)).min())
+        lam = float(np.linalg.eigvalsh(ParentPovm.spread(self.outs, W)).min())
         W = W + (max(0.0, guard - lam) / self.n) * self.identity
         err = 4 * W.size * _EPS * np.abs(W)  # times |D| or |C|: error of a sum of products
         s = -_inner(self.D, W) - float(np.sum(err * np.abs(self.D)))

@@ -117,6 +117,18 @@ class ParentPovm:
             rows.append(self.blocks.reshape(T // (o * inner), o, inner, d, d).sum(axis=(0, 2)))
         return np.concatenate(rows)
 
+    @staticmethod
+    def spread(outcome_counts: tuple, rows: np.ndarray) -> np.ndarray:
+        """Adjoint of ``marginals``: the block of tuple t is sum_j of row
+        sum(outcome_counts[:j]) + t_j, each measurement's rows broadcast over
+        the tuple grid."""
+        T, d = math.prod(outcome_counts), rows.shape[-1]
+        blocks, inner = np.zeros((T, d, d), dtype=rows.dtype), T
+        for o, part in zip(outcome_counts, np.split(rows, np.cumsum(outcome_counts)[:-1])):
+            inner //= o
+            blocks.reshape(T // (o * inner), o, inner, d, d)[...] += part[:, None]
+        return blocks
+
     def marginal_residual(self, mset: MeasurementSet) -> float:
         """Max-norm gap between the marginal rows and the elements of a set of
         the parent's shape."""

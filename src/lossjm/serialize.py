@@ -47,8 +47,7 @@ def measurement_set_from_json(obj: dict) -> MeasurementSet:
 
 def parent_to_json(parent: ParentPovm) -> dict:
     elements = {
-        ",".join(map(str, t)): matrix_to_json(parent.element(t))
-        for t in parent.tuples()
+        ",".join(map(str, t)): matrix_to_json(B) for t, B in zip(parent.tuples(), parent.blocks)
     }
     return {
         "dim": parent.dim,

@@ -19,14 +19,18 @@ whenever n! > tau^{1-n}; a threshold n exists for every positive tau.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _check_n(n: int) -> int:
+    try:
+        n = operator.index(n)  # int or numpy integer; a float is refused, not truncated
+    except TypeError:
+        raise ValueError(f"the number of states must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("need at least two states")
-    return int(n)
+    return n
 
 
 def _check_tau(tau: float) -> float:
@@ -43,33 +47,24 @@ def p_d(n: int, r: float) -> float:
 
         S_t = n e^{-r^2} sum_{m >= 0, m = -t (mod n)} r^{2m} / m!,
 
-    which is exact and free of the catastrophic cancellation that hits the
-    direct alternating sum for small r (relative accuracy is lost there
-    below r ~ 1e-3 once n >= 4).  Values are clamped to [0, 1]; the raw
-    expression can exceed 1 for large r, outside its regime of validity.
+    all n of them from one pass over m, each r^{2m} / m! going to the class
+    of m mod n.  The series is exact and free of the catastrophic
+    cancellation that hits the direct alternating sum for small r (relative
+    accuracy is lost there below r ~ 1e-3 once n >= 4).  Values are clamped
+    to [0, 1]; the raw expression can exceed 1 for large r, outside its
+    regime of validity.
     """
     n = _check_n(n)
     if r < 0:
         raise ValueError("amplitude must be non-negative")
-    vals = [_p_d_series_term(n, r, t) for t in range(1, n + 1)]
-    return min(1.0, max(0.0, min(vals)))
-
-
-def _p_d_series_term(n: int, r: float, t: int) -> float:
-    r2 = r * r
-    m = (n - t) % n
-    total = 0.0
-    term = r2**m / math.factorial(m) if m else 1.0
-    while True:
-        total += term
-        new_m = m + n
-        # r^{2(m+n)} / (m+n)!  from  r^{2m} / m!
-        for i in range(m + 1, new_m + 1):
-            term *= r2 / i
-        m = new_m
-        if term < 1e-40 * max(total, 1e-300) or m > 4000:
-            break
-    return n * math.exp(-r2) * total
+    r2, sums = r * r, [0.0] * n
+    term, m = 1.0, 0  # r^{2m} / m!
+    # a term this small comes only past m = r^2, where the terms fall
+    while m <= 4000 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
+        sums[m % n] += term
+        m += 1
+        term *= r2 / m
+    return min(1.0, max(0.0, n * math.exp(-r2) * min(sums)))
 
 
 def p_d_approx(n: int, r: float) -> float:
@@ -107,17 +102,18 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
 
 
 def beats_no_loss_optimum(n: int, tau: float) -> bool:
-    """Exact test of n! > tau^{1-n}, i.e. n! tau^{n-1} > 1, in rational arithmetic."""
+    """Exact test of n! > tau^{1-n}, i.e. n! p^{n-1} > q^{n-1} for tau = p/q,
+    in integer arithmetic (a float is exactly such a ratio)."""
     n = _check_n(n)
-    t = Fraction(_check_tau(tau))  # floats convert exactly
-    return math.factorial(n) * t ** (n - 1) > 1
+    p, q = _check_tau(tau).as_integer_ratio()
+    return math.factorial(n) * p ** (n - 1) > q ** (n - 1)
 
 
 def result4_threshold(tau: float) -> int:
     """Smallest n >= 2 with n! > tau^{1-n}, by exact comparison.
 
     Exists for every tau in (0, 1] since n! grows faster than any geometric
-    sequence; comparisons use exact rationals so boundary cases like
+    sequence; comparisons are exact integer ones, so boundary cases like
     2! > 2 at tau = 1/2 are decided without floating-point error.  The
     first comparison rejects tau outside (0, 1].
     """

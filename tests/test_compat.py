@@ -98,25 +98,41 @@ class TestMarginalMap:
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_indicator_matches_axis_sums(self, outs):
-        # the parent's marginal rows, and the solver's indicator behind spread
-        # and the Schur matrix, against sums over the axes of the tuple grid
+        # the parent's marginal rows and their adjoint ``ParentPovm.spread``
+        # against sums and broadcasts over the axes of the tuple grid
         rng = np.random.default_rng(sum(outs))
-        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
-        G = random_blocks(sdp.T, 3, rng) / sdp.T
+        T = int(np.prod(outs))
+        G = random_blocks(T, 3, rng) / T
         want = oracles.marginals_reference(outs, G)
         assert np.abs(meas.ParentPovm(outs, G).marginals() - want).max() <= 1e-14
-        by_indicator = (sdp.A.T @ G.reshape(sdp.T, -1)).reshape(want.shape)
-        assert np.abs(by_indicator - want).max() <= 1e-14
+        Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
+        want = oracles.spread_reference(outs, Y)
+        assert np.abs(meas.ParentPovm.spread(outs, Y) - want).max() <= 1e-14
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_spread_is_adjoint(self, outs):
         rng = np.random.default_rng(10 + sum(outs))
-        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
-        G = random_blocks(sdp.T, 3, rng) / sdp.T
+        T = int(np.prod(outs))
+        G = random_blocks(T, 3, rng) / T
         Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
         lhs = compat._inner(meas.ParentPovm(outs, G).marginals(), Y)
-        rhs = compat._inner(G, sdp.spread(Y))
+        rhs = compat._inner(G, meas.ParentPovm.spread(outs, Y))
         assert abs(lhs - rhs) <= 1e-12
+
+    def test_spread_is_adjoint_on_witness_rows(self):
+        # a witness's rows are complex Hermitian and no POVM: the rows of a
+        # measurement do not sum to the identity
+        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(3, 0.3, 0.6, 3)))
+        assert res.incompatible
+        outs, W = res.parent.outcome_counts, np.concatenate(res.witness)
+        assert np.abs(W.imag).max() > 0.0 and np.abs(W - W.conj().transpose(0, 2, 1)).max() == 0.0
+        assert np.abs(res.witness[0].sum(axis=0) - np.eye(3)).max() > 0.1
+        want = oracles.spread_reference(outs, W)
+        Z = meas.ParentPovm.spread(outs, W)
+        assert np.abs(Z - want).max() <= 1e-14 * np.abs(want).max()
+        G = res.parent.blocks
+        lhs = compat._inner(res.parent.marginals(), W)
+        assert abs(lhs - compat._inner(G, Z)) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_schur_matches_per_pair_assembly(self, outs):

@@ -33,6 +33,8 @@ def test_import_loads_numpy_only():
     ]
     assert third_party == ["numpy"]
     assert not {"scipy", "mpmath", "hypothesis", "pytest"} & set(probe["loaded"])
+    # the exact threshold test compares integers: no rational or decimal arithmetic
+    assert not {"fractions", "decimal"} & set(probe["loaded"])
     assert probe["missing"] == []
     assert probe["count"] == len(set(lossjm.__all__)) == 33
 

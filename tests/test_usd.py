@@ -195,6 +195,39 @@ class TestThreshold:
         assert lossy > usd.p_d_approx(n, r)
 
 
+class TestCount:
+    CALLS = [
+        (usd.p_d, 0.1),
+        (usd.p_d_approx, 0.1),
+        (usd.p_lon, 0.1),
+        (usd.p_lon_approx, 0.1),
+        (usd.lossy_usd_success, 0.1, 0.5),
+        (usd.beats_no_loss_optimum, 0.5),
+    ]
+    IDS = [call[0].__name__ for call in CALLS]
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_non_integer_count_rejected(self, call, n):
+        # p_d(2.5, r) once returned p_d(2, r)
+        f, *args = call
+        with pytest.raises(ValueError, match="must be an integer"):
+            f(n, *args)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_numpy_integer_count_accepted(self, call):
+        f, *args = call
+        assert f(np.int64(3), *args) == f(3, *args)
+
+
+class TestExactThreshold:
+    @given(st.integers(2, 40), st.floats(1e-6, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_comparison(self, n, tau):
+        want = math.factorial(n) * Fraction(tau) ** (n - 1) > 1
+        assert usd.beats_no_loss_optimum(n, tau) is want
+
+
 class TestReport:
     def test_report_fields(self):
         rep = usd.usd_report(3, 0.01, 0.5)
