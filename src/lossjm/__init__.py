@@ -11,7 +11,7 @@ criterion, and unambiguous state-discrimination witnesses.
 __version__ = "0.1.0"
 
 from .compat import (
-    JmResult,
+    Verdict,
     certify,
     decide_table_row,
     depolarize,
@@ -55,12 +55,12 @@ __all__ = [
     "BlochParams",
     "DegenerateMeasurementError",
     "FamilyParams",
-    "JmResult",
     "MeasurementSet",
     "PairTestReport",
     "ParentPovm",
     "Povm",
     "UsdReport",
+    "Verdict",
     "apply_dual",
     "beats_no_loss_optimum",
     "bloch_params",

@@ -5,9 +5,10 @@ reproduce the benchmark verdict table, verify parent-measurement marginals,
 evaluate the qubit pair criterion, and report discrimination probabilities.
 
 Every run emits a manifest echoing the resolved parameters and version
-stamps.  JSON is the canonical format; the table command also writes CSV.
-Exit codes: 0 success, 1 error, 2 when the decided verdict is INCOMPATIBLE
-(for scripting pipelines).
+stamps.  JSON is the canonical format, strict (no NaN or Infinity); the table
+command also writes CSV.  Exit codes: 0 success, 1 error, 2 when the verdict
+is INCOMPATIBLE, 3 when it is UNDECIDED (for scripting pipelines; in a table,
+an UNDECIDED row outranks an INCOMPATIBLE one).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .measurements import FamilyParams, random_measurement_set, symmetric_family
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCOMPATIBLE = 2
+EXIT_UNDECIDED = 3
 
 # Benchmark operating points of the symmetric family: for a label n the
 # family has n+1 measurements at tau = 1/n + eps and stays incompatible.
@@ -76,7 +78,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_json(args, payload: dict, t0: float) -> None:
@@ -93,28 +95,31 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(verdicts) -> int:
+    """UNDECIDED outranks INCOMPATIBLE, which outranks COMPATIBLE."""
+    verdicts = {v.verdict for v in verdicts}
+    if "UNDECIDED" in verdicts:
+        return EXIT_UNDECIDED
+    return EXIT_INCOMPATIBLE if "INCOMPATIBLE" in verdicts else EXIT_OK
+
+
 def cmd_compat(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
     t0 = time.perf_counter()
-    row = compat.decide_table_row(
-        params, d_sub=args.d_sub, tol=args.tol, max_iter=args.max_iter
-    )
-    _emit_json(args, dataclasses.asdict(row), t0)
-    return EXIT_INCOMPATIBLE if row.verdict == "INCOMPATIBLE" else EXIT_OK
+    row = compat.decide_table_row(params, tol=args.tol, max_iter=args.max_iter)
+    record = {k: v for k, v in vars(row).items() if k not in ("parent", "witness")}
+    _emit_json(args, record, t0)
+    return _exit_code([row])
 
 
-def _run_row(n: int, d: int, d_sub: int | None, tol: float, max_iter: int):
+def _run_row(n: int, d: int, tol: float, max_iter: int):
+    """The row's family at tau = 1/n + eps, then at the breaking point 1/count
+    of a count-measurement set, where it is compatible by construction
+    (Result 2); (params, verdict) for each."""
     r, eps = TABLE_POINTS[n]
     count = n + 1
-    at_tau_min = compat.decide_table_row(
-        FamilyParams(count, r, 1.0 / n + eps, d), d_sub=d_sub, tol=tol, max_iter=max_iter
-    )
-    # Result-2 side: the same family is compatible by construction at the
-    # breaking point 1/count of a count-measurement set.
-    at_break = compat.decide_table_row(
-        FamilyParams(count, r, 1.0 / count, d), d_sub=d_sub, tol=tol, max_iter=max_iter
-    )
-    return [at_tau_min, at_break]
+    points = [FamilyParams(count, r, 1.0 / n + eps, d), FamilyParams(count, r, 1.0 / count, d)]
+    return [(p, compat.decide_table_row(p, tol=tol, max_iter=max_iter)) for p in points]
 
 
 def cmd_table1(args) -> int:
@@ -123,22 +128,18 @@ def cmd_table1(args) -> int:
     if unknown:
         raise ValueError(f"no bundled operating point for rows {unknown}")
     t0 = time.perf_counter()
-    results = {n: _run_row(n, args.d, args.d_sub, args.tol, args.max_iter) for n in rows}
+    results = {n: _run_row(n, args.d, args.tol, args.max_iter) for n in rows}
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "r", "tau", "d", "eta_star", "verdict", "seconds"])
-    any_incompatible = False
     for n in rows:
-        for rec in results[n]:
-            any_incompatible |= rec.verdict == "INCOMPATIBLE"
-            writer.writerow(
-                [n, rec.r, rec.tau, rec.d_sub, rec.eta_star, rec.verdict, f"{rec.seconds:.3f}"]
-            )
+        for p, rec in results[n]:
+            writer.writerow([n, p.r, p.tau, p.d, rec.eta_star, rec.verdict, f"{rec.seconds:.3f}"])
     _write(buf.getvalue(), args.out)
     if args.out not in (None, "-"):
         _write(_json(_manifest(args, t0)), args.out + ".manifest.json")
-    return EXIT_INCOMPATIBLE if any_incompatible else EXIT_OK
+    return _exit_code(rec for row in results.values() for _, rec in row)
 
 
 def cmd_parent_verify(args) -> int:
@@ -200,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--tau", type=float, required=True)
     family.add_argument("--d", type=int, required=True)
     decide = argparse.ArgumentParser(add_help=False)  # decide_table_row's knobs
-    decide.add_argument("--d-sub", type=int, default=None)
     decide.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
     decide.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
 

@@ -28,9 +28,9 @@ because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP
 only: ``certify`` takes every parent ``lon_parent`` builds.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
-depolarized to eta_star, up to the tolerance of ``certify``.  When neither
-certificate holds the result is undecided, and ``decide_table_row`` raises
-RuntimeError.
+depolarized to eta_star, up to the tolerance of ``certify``.  ``certify``,
+``robustness`` and ``decide_table_row`` all return one record, ``Verdict``;
+when no certificate holds its verdict is UNDECIDED, never a guess.
 
 The solve runs in the subspace fixed by the group that permutes the set.  For
 the symmetric family that is the dihedral group generated by the phase
@@ -74,13 +74,21 @@ _EPS = np.finfo(float).eps
 
 
 @dataclass
-class JmResult:
-    """Outcome of a certificate check or a robustness computation.
+class Verdict:
+    """A verdict and the certificate it rests on.
 
-    ``feasible``: the parent certifies the set (for ``robustness``, the
-    noiseless set).  For ``robustness``, ``status`` is "sdp-parent",
-    "sdp-witness" or "undecided", ``parent`` certifies the set depolarized to
-    ``eta_star``, ``witness[j][a]`` = Y^j_a proves ``eta_hi`` (inf if nothing).
+    ``verdict`` is COMPATIBLE, INCOMPATIBLE or UNDECIDED.  ``method`` names
+    the certificate: "lon-parent" (the network parent of
+    ``decide_table_row``), "sdp-parent" or "sdp-witness" (``robustness``),
+    "parent" (``certify``), or "none" for UNDECIDED.  For the displaced
+    family truncated at d levels, INCOMPATIBLE carries over to the
+    untruncated family, and so does "lon-parent", whose network is the same
+    at every d; "sdp-parent" speaks only for the truncated set.
+
+    ``parent`` certifies the set depolarized to ``eta_star`` (the set itself
+    for ``certify``); ``marginal_residual`` and ``psd_residual`` are its
+    residuals.  ``witness[j][a]`` = Y^j_a proves ``eta_hi``; both are None
+    when no witness proves a bound.  ``iterations`` counts Newton steps.
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
     exact: the witness is valid in exact arithmetic on the stored floats, so
@@ -90,21 +98,16 @@ class JmResult:
     to 4e-10); eta_star <= eta_hi + tol.
     """
 
-    feasible: bool
-    status: str
+    verdict: str
+    method: str
+    eta_star: float | None
+    eta_hi: float | None
     marginal_residual: float
     psd_residual: float
     iterations: int
-    eta_star: float | None = None
-    eta_hi: float | None = None
-    parent: ParentPovm | None = None
+    seconds: float
+    parent: ParentPovm | None = field(default=None, repr=False)
     witness: tuple | None = field(default=None, repr=False)
-
-    @property
-    def incompatible(self) -> bool:
-        if self.eta_hi is None:
-            raise ValueError("verdict is only defined for robustness results")
-        return self.eta_hi < 1.0
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -469,19 +472,25 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     return MeasurementSet(tuple(povms))
 
 
-def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) -> JmResult:
+def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) -> Verdict:
     """Check a candidate parent against a measurement set, no solver involved:
-    its marginals must match the set and its blocks be PSD, each within tol."""
+    its marginals must match the set and its blocks be PSD, each within tol.
+    COMPATIBLE (method "parent", eta_star = 1) if they do, else UNDECIDED."""
+    t0 = time.perf_counter()
     if parent.outcome_counts != tuple(p.outcomes for p in mset) or parent.dim != mset.dim:
         raise ValueError("parent shape does not match the measurement set")
     marg = parent.marginal_residual(mset)
     psd = parent.psd_residual()
-    return JmResult(
-        feasible=(marg <= tol and psd <= tol),
-        status="certificate",
+    holds = marg <= tol and psd <= tol
+    return Verdict(
+        verdict="COMPATIBLE" if holds else "UNDECIDED",
+        method="parent" if holds else "none",
+        eta_star=1.0 if holds else None,
+        eta_hi=None,
         marginal_residual=marg,
         psd_residual=psd,
         iterations=0,
+        seconds=time.perf_counter() - t0,
         parent=parent,
     )
 
@@ -490,19 +499,21 @@ def robustness(
     mset: MeasurementSet,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> JmResult:
+) -> Verdict:
     """Incompatibility robustness, with a certificate for each end, from one
     solve of at most ``max_iter`` Newton steps (``iterations``).
 
-    The repaired dual iterate is the witness behind ``eta_hi``.  Unless it
-    proves eta_hi < 1, the primal iterate at eta_p is carried to eta = 1 and
-    checked by ``certify`` at ``tol``: it passing gives COMPATIBLE with
-    eta_star = 1.  Otherwise the primal, projected onto the marginals at
-    eta_p and mixed with the eta = 0 product parent until certify passes,
-    gives eta_star < eta_p.
+    The repaired dual iterate is the witness behind ``eta_hi``.  If it proves
+    eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise the
+    primal iterate at eta_p is carried to eta = 1 and checked by ``certify``
+    at ``tol``: it passing gives COMPATIBLE ("sdp-parent") with eta_star = 1,
+    and it failing UNDECIDED.  Short of COMPATIBLE the primal, projected onto
+    the marginals at eta_p and mixed with the eta = 0 product parent until
+    certify passes, gives eta_star < eta_p.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
+    t0 = time.perf_counter()
     sdp = _RobustnessSdp(mset)
     weights = np.ix_(*[r[:, 0, 0].real for r in sdp.rows(sdp.C)])  # tr(M^j_a)/d
     G0 = math.prod(weights).reshape(-1, 1, 1) * sdp.identity  # the eta = 0 product parent
@@ -516,8 +527,8 @@ def robustness(
         lam = min(1.0, 1.0 / eta_p)
         G = sdp.project_affine(lam * P + (1.0 - lam) * G0)
         check = certify(mset, ParentPovm(sdp.outs, G), tol)
-    if eta_hi >= 1.0 and check.feasible:
-        status, eta_star = "sdp-parent", 1.0
+    if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
+        verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
         # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
         # stop once what is left is within tol, as certify demands
@@ -527,100 +538,45 @@ def robustness(
         eta_star = lam * eta_p
         G = lam * P + (1.0 - lam) * G0
         check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G), tol)
-        status = "sdp-witness" if eta_hi < 1.0 else "undecided"
-    return JmResult(
-        feasible=status == "sdp-parent",
-        status=status,
+        verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")
+    proven = eta_hi < np.inf
+    return Verdict(
+        verdict=verdict,
+        method=method,
+        eta_star=eta_star,
+        eta_hi=eta_hi if proven else None,
         marginal_residual=check.marginal_residual,
         psd_residual=check.psd_residual,
         iterations=steps,
-        eta_star=eta_star,
-        eta_hi=eta_hi,
+        seconds=time.perf_counter() - t0,
         parent=check.parent,
-        witness=tuple(sdp.rows(W)) if eta_hi < np.inf else None,
+        witness=tuple(sdp.rows(W)) if proven else None,
     )
-
-
-@dataclass
-class TableRow:
-    """Verdict record for one operating point of the displaced family.
-
-    An INCOMPATIBLE verdict at the truncated dimension implies the full set
-    is incompatible (scope "full-set"); a COMPATIBLE verdict only speaks for
-    the truncated set (scope "subspace") unless it came from an explicit
-    parent certificate of the untruncated construction.  ``method`` names the
-    certificate: "lon-parent", "sdp-parent" or "sdp-witness".
-    """
-
-    count: int
-    r: float
-    tau: float
-    d: int
-    d_sub: int
-    eta_star: float
-    verdict: str
-    scope: str
-    method: str
-    marginal_residual: float
-    psd_residual: float
-    iterations: int
-    seconds: float
 
 
 def decide_table_row(
     params: FamilyParams,
-    d_sub: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> TableRow:
-    """Build the symmetric family at ``d_sub`` in [2, params.d] levels, the
-    leading blocks of the family at ``params.d``, and decide compatibility.
+) -> Verdict:
+    """Decide compatibility of the symmetric family at ``params``.
 
     When count * tau <= 1 the set is jointly measurable by construction: a
     balanced linear-optical network dilutes the signal into count arms of
     transmissivity tau each, and measuring every arm realizes an explicit
-    parent.  That certificate is checked by its residuals and returned with
-    eta* = 1 and zero solver iterations.  Otherwise ``robustness`` decides at
-    ``d_sub``.  A certificate that does not hold raises RuntimeError.
+    parent.  ``certify`` checks that parent by its residuals: passing gives
+    COMPATIBLE ("lon-parent") with eta_star = 1 and zero Newton steps, failing
+    UNDECIDED.  Otherwise ``robustness`` decides.  ``seconds`` covers the
+    whole row, building the family included.
     """
-    d_sub = params.d if d_sub is None else d_sub
-    if not 2 <= d_sub <= params.d:
-        raise ValueError(f"d_sub must lie in [2, d] = [2, {params.d}], got {d_sub}")
     t0 = time.perf_counter()
-    built = dataclasses.replace(params, d=d_sub)
-    lossy = symmetric_family(built)
-
+    lossy = symmetric_family(params)
     if params.count * params.tau <= 1.0 + SLACK:
-        noiseless = symmetric_family(dataclasses.replace(built, tau=1.0))
-        parent = lon_parent(noiseless, [params.tau] * params.count)
-        res = certify(lossy, parent, tol)
-        if not res.feasible:
-            raise RuntimeError(
-                "parent certificate residuals exceed tolerance: "
-                f"marginal {res.marginal_residual:.3e}, psd {res.psd_residual:.3e}"
-            )
-        eta_star, verdict, scope, method = 1.0, "COMPATIBLE", "full-set", "lon-parent"
+        noiseless = symmetric_family(dataclasses.replace(params, tau=1.0))
+        res = certify(lossy, lon_parent(noiseless, [params.tau] * params.count), tol)
+        if res.verdict == "COMPATIBLE":
+            res.method = "lon-parent"
     else:
         res = robustness(lossy, tol=tol, max_iter=max_iter)
-        if res.status == "undecided":
-            raise RuntimeError(f"no certificate: witness bound {res.eta_hi:.9g} is not below 1"
-                               f" and the parent certifies only eta = {res.eta_star:.9g}")
-        eta_star, method = res.eta_star, res.status
-        verdict = "INCOMPATIBLE" if res.incompatible else "COMPATIBLE"
-        scope = "full-set" if verdict == "INCOMPATIBLE" else "subspace"
-
-    return TableRow(
-        count=params.count,
-        r=params.r,
-        tau=params.tau,
-        d=params.d,
-        d_sub=d_sub,
-        eta_star=eta_star,
-        verdict=verdict,
-        scope=scope,
-        method=method,
-        marginal_residual=res.marginal_residual,
-        psd_residual=res.psd_residual,
-        iterations=res.iterations,
-        seconds=time.perf_counter() - t0,
-    )
+    res.seconds = time.perf_counter() - t0
+    return res

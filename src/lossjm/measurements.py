@@ -99,10 +99,6 @@ class ParentPovm:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
-    def element(self, outcome_tuple) -> np.ndarray:
-        flat = int(np.ravel_multi_index(tuple(outcome_tuple), self.outcome_counts))
-        return self.blocks[flat]
-
     def tuples(self):
         return itertools.product(*[range(o) for o in self.outcome_counts])
 
@@ -157,6 +153,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r!r}")
         if self.r < 0:
             raise ValueError("r must be >= 0")
         if not 0.0 <= self.tau <= 1.0:

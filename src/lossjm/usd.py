@@ -22,6 +22,11 @@ import math
 import operator
 from dataclasses import dataclass
 
+# p_d rescales its series by e^-690 (~3e-300): an integer exponent keeps the
+# scale exact when it is carried back, to one rounding of the factor per rescale
+_SHRINK_EXP = 690
+_SHRINK = math.exp(-_SHRINK_EXP)
+
 
 def _check_n(n: int) -> int:
     try:
@@ -31,6 +36,12 @@ def _check_n(n: int) -> int:
     if n < 2:
         raise ValueError("need at least two states")
     return n
+
+
+def _check_r(r: float) -> float:
+    if not 0.0 <= r < math.inf:  # refuses NaN too
+        raise ValueError(f"amplitude must be finite and non-negative, got {r!r}")
+    return r
 
 
 def _check_tau(tau: float) -> float:
@@ -50,26 +61,29 @@ def p_d(n: int, r: float) -> float:
     all n of them from one pass over m, each r^{2m} / m! going to the class
     of m mod n.  The series is exact and free of the catastrophic
     cancellation that hits the direct alternating sum for small r (relative
-    accuracy is lost there below r ~ 1e-3 once n >= 4).  Values are clamped
+    accuracy is lost there below r ~ 1e-3 once n >= 4).  Past r^2 ~ 690 the
+    terms would overflow and e^{-r^2} underflow, so the term and the sums are
+    rescaled by e^-690 whenever the term passes 1e300, and the scale is
+    carried into the exponent; the pass takes ~r^2 steps.  Values are clamped
     to [0, 1]; the raw expression can exceed 1 for large r, outside its
     regime of validity.
     """
-    n = _check_n(n)
-    if r < 0:
-        raise ValueError("amplitude must be non-negative")
+    n, r = _check_n(n), _check_r(r)
     r2, sums = r * r, [0.0] * n
-    term, m = 1.0, 0  # r^{2m} / m!
+    term, m, scaled = 1.0, 0, 0  # r^{2m} / m!, like the sums, times _SHRINK^scaled
     # a term this small comes only past m = r^2, where the terms fall
-    while m <= 4000 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
+    while m <= 4000 + 2 * r2 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
         sums[m % n] += term
         m += 1
         term *= r2 / m
-    return min(1.0, max(0.0, n * math.exp(-r2) * min(sums)))
+        if term > 1e300:
+            term, sums, scaled = term * _SHRINK, [x * _SHRINK for x in sums], scaled + 1
+    return min(1.0, max(0.0, n * math.exp(scaled * _SHRINK_EXP - r2) * min(sums)))
 
 
 def p_d_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n! of the optimal probability."""
-    n = _check_n(n)
+    n, r = _check_n(n), _check_r(r)
     return n * n * r ** (2 * (n - 1)) / math.factorial(n)
 
 
@@ -83,7 +97,7 @@ def p_lon(n: int, r: float) -> float:
 
 def p_lon_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n^{n-1} of the split-and-detect probability."""
-    n = _check_n(n)
+    n, r = _check_n(n), _check_r(r)
     return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
 
 
@@ -93,7 +107,7 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
     this approaches n^2 r^{2(n-1)} tau_b^{n-1}.
     """
-    n = _check_n(n)
+    n, r = _check_n(n), _check_r(r)
     _check_tau(tau_b)
     out = 1.0
     for k in range(1, n):

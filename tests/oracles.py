@@ -19,9 +19,10 @@ in the package:
   (positive elements summing to the identity), and the qubit effect
   rebuilt from its Bloch parameters;
 * random Hermitian operators and density matrices as test inputs;
-* the marginal map, its adjoint and the Schur matrix of the robustness solve
-  by sums over the axes of the outcome-tuple grid, and the average of parent
-  blocks over the dihedral group of a rotation-covariant set.
+* the block of a parent POVM at one outcome tuple, the marginal map, its
+  adjoint and the Schur matrix of the robustness solve by sums over the axes
+  of the outcome-tuple grid, and the average of parent blocks over the
+  dihedral group of a rotation-covariant set.
 
 Operators follow the conventions of ``lossjm.fock``: dense complex matrices
 in the number basis, multimode states indexed row-major by photon-number
@@ -38,7 +39,15 @@ import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
 from lossjm.loss import _check_tau
-from lossjm.measurements import PAULI, BlochParams, FamilyParams, Povm, displaced_onoff, lossy_povm
+from lossjm.measurements import (
+    PAULI,
+    BlochParams,
+    FamilyParams,
+    ParentPovm,
+    Povm,
+    displaced_onoff,
+    lossy_povm,
+)
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
@@ -459,6 +468,11 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # -- robustness solve -------------------------------------------------------------
+
+
+def element(parent: ParentPovm, outcome_tuple) -> np.ndarray:
+    """The block of ``parent`` at one outcome tuple (a_1, ..., a_n)."""
+    return parent.blocks[np.ravel_multi_index(tuple(outcome_tuple), parent.outcome_counts)]
 
 
 def _other_axes(n: int, *kept: int) -> tuple:

@@ -13,6 +13,8 @@ import pytest
 from lossjm import compat, measurements as meas
 from lossjm.cli import TABLE_POINTS
 
+import oracles
+
 
 def exact(M):
     return mpmath.matrix([[mpmath.mpc(complex(z).real, complex(z).imag) for z in row] for row in M])
@@ -38,7 +40,7 @@ def test_row_witness_is_exact(digits50):
     r, eps = TABLE_POINTS[2]
     mset = meas.symmetric_family(meas.FamilyParams(3, r, 0.5 + eps, 3))
     res = compat.robustness(mset)
-    assert res.incompatible
+    assert res.verdict == "INCOMPATIBLE"
 
     d = mset.dim
     M = [[exact(E) for E in p.elements] for p in mset]
@@ -59,10 +61,10 @@ def test_compatible_parent_is_exact(digits50):
     """The eta = 1 parent of a compatible pair has PSD blocks and the set's marginals."""
     mset = meas.symmetric_family(meas.FamilyParams(2, 0.1, 0.4, 3))
     res = compat.robustness(mset)
-    assert res.status == "sdp-parent" and res.eta_star == 1.0
+    assert res.method == "sdp-parent" and res.eta_star == 1.0
 
     par = res.parent
-    blocks = {t: exact(par.element(t)) for t in par.tuples()}
+    blocks = {t: exact(oracles.element(par, t)) for t in par.tuples()}
     for G in blocks.values():
         assert smallest_eigenvalue(G) >= 0
     worst = mpmath.mpf(0)

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from lossjm import cli, qubit, serialize
+from lossjm import cli, parent, qubit, serialize
 from lossjm.measurements import FamilyParams, symmetric_family
 
 
@@ -89,9 +90,7 @@ class TestCompatCommand:
 
     def test_incompatible_exit_two(self, capsys):
         code, out = run(
-            ["compat", "--count", "2", "--r", "0.1", "--tau", "0.75", "--d", "3",
-             "--d-sub", "2"],
-            capsys,
+            ["compat", "--count", "2", "--r", "0.1", "--tau", "0.75", "--d", "2"], capsys
         )
         assert code == 2
         payload = json.loads(out)
@@ -107,14 +106,29 @@ class TestCompatCommand:
         payload = json.loads(out)
         assert (payload["verdict"], payload["method"]) == ("COMPATIBLE", "lon-parent")
 
-    @pytest.mark.parametrize("d_sub", ["0", "1", "4"])
-    def test_d_sub_outside_range_exit_one(self, capsys, d_sub):
-        code = cli.main(
-            ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3",
-             "--d-sub", d_sub]
+    def test_no_certificate_exit_three(self, capsys):
+        # no Newton step: neither certificate holds, and the verdict says so
+        code, out = run(
+            ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3",
+             "--max-iter", "0"],
+            capsys,
         )
-        assert code == 1
-        assert "d_sub must lie in [2, d]" in capsys.readouterr().err
+        assert code == 3
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
+        assert payload["eta_hi"] is None and '"eta_hi": null' in out
+
+    def test_record_keys(self, capsys):
+        # the verdict record without its certificates, and the manifest
+        _, out = run(
+            ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"], capsys
+        )
+        payload = json.loads(out)
+        assert set(payload) == {
+            "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
+            "iterations", "seconds", "manifest",
+        }
+        assert payload["eta_star"] <= payload["eta_hi"] < 1
 
 
 class TestQubitPairCommand:
@@ -261,11 +275,64 @@ class TestTable1Command:
         code = cli.main(["table1", "--row-min", "11", "--row-max", "11"])
         assert code == 1
 
-    def test_d_sub_zero_exit_one(self, capsys):
-        # 0 is an explicit subspace dimension, not "unset"
-        code = cli.main(["table1", "--row-min", "2", "--row-max", "2", "--d-sub", "0"])
-        assert code == 1
-        assert "d_sub must lie in [2, d]" in capsys.readouterr().err
+    def test_undecided_row_outranks_incompatible(self, capsys):
+        # five Newton steps refute row 2 but leave row 3 without a certificate
+        code, out = run(
+            ["table1", "--row-min", "2", "--row-max", "3", "--max-iter", "5"], capsys
+        )
+        assert code == 3
+        verdicts = [r["verdict"] for r in csv.DictReader(out.splitlines())]
+        assert verdicts == ["INCOMPATIBLE", "COMPATIBLE", "UNDECIDED", "COMPATIBLE"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+COMMANDS = {
+    "family": ["family", "--count", "2", "--r", "0.1", "--tau", "0.7", "--d", "3"],
+    "compat-compatible": ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3"],
+    "compat-incompatible": ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"],
+    "compat-undecided": ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3",
+                         "--max-iter", "0"],
+    "parent-verify": ["parent-verify", "--n", "2", "--d", "3"],
+    "qubit-pair": ["qubit-pair", "--r", "0.01", "--tau", "0.6"],
+    "usd-large-r": ["usd", "--n", "4", "--r", "28", "--tau", "0.5"],
+}
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_output_is_standard_json(self, capsys, argv):
+        _, out = run(argv, capsys)
+        json.loads(out, parse_constant=_refuse_constant)
+
+    def test_table_manifest_is_standard_json(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        cli.main(["table1", "--row-min", "2", "--row-max", "2", "--out", str(path)])
+        text = (tmp_path / "table.csv.manifest.json").read_text()
+        json.loads(text, parse_constant=_refuse_constant)
+
+    def test_non_finite_value_refused(self, capsys, monkeypatch):
+        # a NaN that reaches the writer is an error, not a non-standard token
+        monkeypatch.setattr(parent, "verify_marginal_identity", lambda mset, taus: math.nan)
+        code = cli.main(["parent-verify", "--n", "2", "--d", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "JSON" in captured.err
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    @pytest.mark.parametrize("argv, message", [
+        (["family", "--count", "2", "--tau", "0.5", "--d", "3"], "r must be finite"),
+        (["compat", "--count", "2", "--tau", "0.5", "--d", "3"], "r must be finite"),
+        (["qubit-pair", "--tau", "0.5"], "r must be finite"),
+        (["usd", "--n", "3", "--tau", "0.5"], "amplitude must be finite"),
+    ], ids=["family", "compat", "qubit-pair", "usd"])
+    def test_non_finite_amplitude_exit_one(self, capsys, argv, message, r):
+        code = cli.main(argv + ["--r", r])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err
 
 
 class TestManifest:

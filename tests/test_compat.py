@@ -19,17 +19,17 @@ class TestJmFeasibility:
     def test_single_povm_is_its_own_parent(self):
         p = projective_z()
         res = compat.robustness(meas.MeasurementSet((p,)))
-        assert res.feasible
+        assert res.verdict == "COMPATIBLE"
         assert res.marginal_residual < 1e-12
         assert res.psd_residual < 1e-12
         for a in range(2):
-            assert np.abs(res.parent.element((a,)) - p.elements[a]).max() < 1e-8
+            assert np.abs(oracles.element(res.parent, (a,)) - p.elements[a]).max() < 1e-8
 
     def test_identical_projective_pair(self):
         p = projective_z()
         res = compat.robustness(meas.MeasurementSet((p, p)))
-        assert res.feasible
-        assert compat.certify(meas.MeasurementSet((p, p)), res.parent).feasible
+        assert res.verdict == "COMPATIBLE"
+        assert compat.certify(meas.MeasurementSet((p, p)), res.parent).verdict == "COMPATIBLE"
         # the canonical parent puts all weight on matching outcomes
         expected = compat.ParentPovm(
             (2, 2),
@@ -38,7 +38,7 @@ class TestJmFeasibility:
             ),
         )
         check = compat.certify(meas.MeasurementSet((p, p)), expected)
-        assert check.feasible
+        assert check.verdict == "COMPATIBLE"
 
     def test_desk_scale_guards(self):
         p = meas.Povm((np.eye(9) / 2, np.eye(9) / 2))
@@ -123,7 +123,7 @@ class TestMarginalMap:
         # a witness's rows are complex Hermitian and no POVM: the rows of a
         # measurement do not sum to the identity
         res = compat.robustness(meas.symmetric_family(meas.FamilyParams(3, 0.3, 0.6, 3)))
-        assert res.incompatible
+        assert res.verdict == "INCOMPATIBLE"
         outs, W = res.parent.outcome_counts, np.concatenate(res.witness)
         assert np.abs(W.imag).max() > 0.0 and np.abs(W - W.conj().transpose(0, 2, 1)).max() == 0.0
         assert np.abs(res.witness[0].sum(axis=0) - np.eye(3)).max() > 0.1
@@ -222,13 +222,13 @@ class TestRobustness:
     def test_single_measurement(self):
         res = compat.robustness(meas.MeasurementSet((projective_z(),)))
         assert res.eta_star == 1.0
-        assert not res.incompatible
+        assert res.verdict != "INCOMPATIBLE"
 
     def test_identical_pair_compatible(self):
         a = meas.lossy_povm(meas.displaced_onoff(0.1, 2), 1.0)
         res = compat.robustness(meas.MeasurementSet((a, a)))
         assert res.eta_star == 1.0
-        assert not res.incompatible
+        assert res.verdict != "INCOMPATIBLE"
 
     def test_noiseless_displaced_pair_incompatible(self):
         # distinct displacements are incompatible without loss
@@ -236,14 +236,14 @@ class TestRobustness:
         b = meas.displaced_onoff(-0.1, 2)
         res = compat.robustness(meas.MeasurementSet((a, b)))
         assert res.eta_star < 1.0
-        assert res.incompatible
+        assert res.verdict == "INCOMPATIBLE"
 
     def test_pair_verdict_matches_criterion_at_moderate_loss(self):
         a, b = qubit.lossy_displaced_pair(0.015, 0.55)
         report = qubit.pair_test(a, b)
         assert report.incompatible  # Test > 0 above half transmissivity
         res = compat.robustness(meas.MeasurementSet((a, b)))
-        assert res.incompatible
+        assert res.verdict == "INCOMPATIBLE"
 
     def test_monotone_in_noise(self):
         # feasibility proven at eta implies feasibility proven below it
@@ -255,7 +255,7 @@ class TestRobustness:
             if eta2 <= 0.0:
                 continue
             probe = compat.robustness(compat.depolarize(mset, 0.9 * eta2))
-            assert probe.feasible
+            assert probe.verdict == "COMPATIBLE"
             assert probe.eta_star == 1.0
 
     def test_near_boundary_pair_incompatible(self):
@@ -267,8 +267,8 @@ class TestRobustness:
         report = qubit.pair_test(mset.povms[0], mset.povms[1])
         assert 7e-6 < report.test_value < 9e-6
         res = compat.robustness(mset)
-        assert res.incompatible
-        assert res.status == "sdp-witness"
+        assert res.verdict == "INCOMPATIBLE"
+        assert res.method == "sdp-witness"
         assert res.eta_star <= res.eta_hi < 1.0 - 1e-6
 
     def test_negative_step_cap_rejected(self):
@@ -285,7 +285,7 @@ class TestRobustness:
             if res.eta_star > 0:
                 noisy = compat.depolarize(mset, res.eta_star if res.eta_star < 1 else 1.0)
                 check = compat.certify(noisy, res.parent)
-                assert check.feasible
+                assert check.verdict == "COMPATIBLE"
 
 
 class TestNewtonStep:
@@ -320,7 +320,7 @@ class TestNewtonStep:
                 for E, F in zip(p.elements, q.elements)]
         assert 0.0 < max(gaps) <= 1e-16
         a, b = compat.robustness(built), compat.robustness(averaged)
-        assert (a.status, a.incompatible) == (b.status, b.incompatible) == ("sdp-witness", True)
+        assert (a.verdict, a.method) == (b.verdict, b.method) == ("INCOMPATIBLE", "sdp-witness")
         assert abs(a.eta_star - b.eta_star) <= 1e-8
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
@@ -361,16 +361,17 @@ class TestReduction:
     def test_certificates_are_covariant(self, params):
         mset = meas.symmetric_family(params)
         res = compat.robustness(mset)
-        assert res.status == ("sdp-witness" if res.incompatible else "sdp-parent")
+        assert res.method == ("sdp-witness" if res.verdict == "INCOMPATIBLE" else "sdp-parent")
         n, d = params.count, params.d
         R = oracles.phase_rotation(2 * np.pi / n, d)
         G = res.parent
         for t in G.tuples():
             shifted = tuple(t[(j - 1) % n] for j in range(n))
             reversed_ = tuple(t[-j % n] for j in range(n))
-            assert np.abs(G.element(shifted) - R @ G.element(t) @ R.conj().T).max() <= 1e-15
-            assert np.abs(G.element(reversed_) - G.element(t).conj()).max() <= 1e-15
-        if res.incompatible:
+            G_t = oracles.element(G, t)
+            assert np.abs(oracles.element(G, shifted) - R @ G_t @ R.conj().T).max() <= 1e-15
+            assert np.abs(oracles.element(G, reversed_) - G_t.conj()).max() <= 1e-15
+        if res.verdict == "INCOMPATIBLE":
             Y = res.witness
             for j in range(n):
                 for a in range(2):
@@ -385,7 +386,7 @@ class TestReduction:
         assert len(compat._RobustnessSdp(family).rep) < 2 ** (n + 1)
         assert len(compat._RobustnessSdp(broken).rep) == 2 ** (n + 1)
         a, b = compat.robustness(family), compat.robustness(broken)
-        assert (a.status, a.incompatible) == (b.status, b.incompatible) == ("sdp-witness", True)
+        assert (a.verdict, a.method) == (b.verdict, b.method) == ("INCOMPATIBLE", "sdp-witness")
         assert abs(a.eta_star - b.eta_star) <= 1e-8
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
@@ -419,7 +420,7 @@ class TestResult2Completeness:
                 tuple(meas.lossy_povm(p, 1.0 / n) for p in mset)
             )
             res = compat.certify(lossy, par)
-            assert res.feasible
+            assert res.verdict == "COMPATIBLE"
             assert res.iterations == 0
             assert res.marginal_residual <= 1e-10
             assert res.psd_residual <= 1e-10
@@ -442,24 +443,11 @@ class TestDecideTableRow:
         with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
             compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
 
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_built_at_d_sub_equals_row_at_d_sub(self, n):
-        # the family and parent are built at d_sub, so the row cannot depend
-        # on the cutoff d it was asked at
-        r, eps = TABLE_POINTS[n]
-        for tau in (1.0 / n + eps, 1.0 / (n + 1)):
-            a = dataclasses.asdict(
-                compat.decide_table_row(meas.FamilyParams(n + 1, r, tau, 5), d_sub=3)
-            )
-            b = dataclasses.asdict(compat.decide_table_row(meas.FamilyParams(n + 1, r, tau, 3)))
-            for rec in (a, b):
-                del rec["d"], rec["seconds"]
-            assert a == b
-
     def test_breaking_point_above_sdp_dimension_limit_certified(self):
         # no SDP runs on the lon-parent path, so MAX_DIM does not apply
-        row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.5, 10))
-        assert row.d_sub == 10 > compat.MAX_DIM
+        params = meas.FamilyParams(2, 0.1, 0.5, 10)
+        row = compat.decide_table_row(params)
+        assert params.d == 10 > compat.MAX_DIM
         assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
         assert max(row.marginal_residual, row.psd_residual) <= 1e-10
 
@@ -468,15 +456,6 @@ class TestDecideTableRow:
         row = compat.decide_table_row(meas.FamilyParams(17, 0.01, 1.0 / 17, 2))
         assert 2**17 > compat.MAX_TUPLES
         assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
-        assert max(row.marginal_residual, row.psd_residual) <= 1e-10
-
-    def test_breaking_point_at_high_cutoff_certified_at_d_sub(self):
-        # at d = 8 the arms grid 8^6 is above MAX_GRID; built at d_sub = 3 it is 3^6
-        r, _ = TABLE_POINTS[5]
-        row = compat.decide_table_row(meas.FamilyParams(6, r, 1.0 / 6, 8), d_sub=3)
-        assert (row.d, row.d_sub) == (8, 3)
-        assert row.verdict == "COMPATIBLE"
-        assert row.method == "lon-parent"
         assert max(row.marginal_residual, row.psd_residual) <= 1e-10
 
     def test_breaking_point_compatible_by_certificate(self):
@@ -493,17 +472,22 @@ class TestDecideTableRow:
             meas.FamilyParams(3, 0.005, 0.5 + 0.00005, 3)
         )
         assert row.verdict == "INCOMPATIBLE"
-        assert row.scope == "full-set"
         assert row.method == "sdp-witness"
         assert row.eta_star < 1.0
 
-    def test_no_certificate_raises(self):
+    def test_no_certificate_is_undecided(self):
         # no Newton step: the witness proves nothing and the starting parent
-        # fails certify, so the row is refused rather than guessed
-        with pytest.raises(RuntimeError, match="no certificate"):
-            compat.decide_table_row(
-                meas.FamilyParams(3, 0.005, 0.5 + 0.00005, 3), max_iter=0
-            )
+        # fails certify, so the row is UNDECIDED rather than guessed
+        row = compat.decide_table_row(meas.FamilyParams(3, 0.005, 0.50005, 3), max_iter=0)
+        assert (row.verdict, row.method) == ("UNDECIDED", "none")
+        assert row.eta_hi is None and row.witness is None
+        assert row.iterations == 0
+
+    def test_failed_network_parent_is_undecided(self):
+        # a network parent whose rounding-sized residual exceeds tol proves nothing
+        row = compat.decide_table_row(meas.FamilyParams(3, 0.005, 1.0 / 3.0, 3), tol=1e-20)
+        assert row.marginal_residual > 1e-20
+        assert (row.verdict, row.method, row.eta_star) == ("UNDECIDED", "none", None)
 
     def test_triple_stays_incompatible_below_half(self):
         # three measurements are only guaranteed compatible at tau <= 1/3;
@@ -513,16 +497,14 @@ class TestDecideTableRow:
         assert row.verdict == "INCOMPATIBLE"
 
     def test_pair_point_above_half(self):
-        row = compat.decide_table_row(
-            meas.FamilyParams(2, 0.015, 0.51, 3), d_sub=2
-        )
+        row = compat.decide_table_row(meas.FamilyParams(2, 0.015, 0.51, 2))
         assert row.verdict == "INCOMPATIBLE"
         # oracle: closed-form criterion agrees
         a, b = qubit.lossy_displaced_pair(0.015, 0.51)
         assert qubit.pair_test(a, b).incompatible
 
     def test_pair_at_exactly_half_compatible(self):
-        row = compat.decide_table_row(meas.FamilyParams(2, 0.015, 0.5, 3), d_sub=2)
+        row = compat.decide_table_row(meas.FamilyParams(2, 0.015, 0.5, 2))
         assert row.verdict == "COMPATIBLE"
         assert row.method == "lon-parent"
 
@@ -533,18 +515,17 @@ class TestDecideTableRow:
 
     def test_record_fields(self):
         row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.4, 3))
-        rec = dataclasses.asdict(row)
-        assert set(rec) == {
-            "count", "r", "tau", "d", "d_sub", "eta_star", "verdict", "scope",
-            "method", "marginal_residual", "psd_residual", "iterations", "seconds",
+        assert {f.name for f in dataclasses.fields(row)} == {
+            "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
+            "iterations", "seconds", "parent", "witness",
         }
 
 
 class TestDeterminism:
     def test_identical_runs_bitwise_equal(self):
-        params = meas.FamilyParams(2, 0.1, 0.75, 3)
-        a = compat.decide_table_row(params, d_sub=2)
-        b = compat.decide_table_row(params, d_sub=2)
+        params = meas.FamilyParams(2, 0.1, 0.75, 2)
+        a = compat.decide_table_row(params)
+        b = compat.decide_table_row(params)
         assert a.eta_star == b.eta_star
         assert a.iterations == b.iterations
         assert a.verdict == b.verdict
@@ -561,4 +542,4 @@ class TestOracleAgreementSample:
             if abs(report.test_value) <= 1e-6:
                 continue
             res = compat.robustness(mset)
-            assert res.incompatible == report.incompatible
+            assert (res.verdict == "INCOMPATIBLE") == report.incompatible

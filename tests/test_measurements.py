@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lossjm import compat, loss, measurements as meas, parent
+from lossjm import loss, measurements as meas, parent
 
 import oracles
 
@@ -52,6 +52,12 @@ class TestSymmetricFamily:
         for p in mset:
             assert p.outcomes == 2
             oracles.validate(p)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, r):
+        # r < 0 lets NaN through; r = inf reached the Fock construction
+        with pytest.raises(ValueError, match="r must be finite"):
+            meas.FamilyParams(2, r, 0.5, 3)
 
     def test_distinct_displacements_give_distinct_povms(self):
         mset = meas.symmetric_family(meas.FamilyParams(2, 0.1, 1.0, 2))
@@ -130,39 +136,27 @@ class TestSymmetricFamily:
 
 class TestProjection:
     """Loss and the network only split or lower the photon number, so what is
-    built at d_sub levels is, bit for bit, the leading block of what is built
-    at d levels: decide_table_row builds at d_sub instead of cutting down."""
-
-    def test_identity_projection(self):
-        params = meas.FamilyParams(3, 0.2, 0.8, 3)
-        a = dataclasses.asdict(compat.decide_table_row(params, d_sub=3))
-        b = dataclasses.asdict(compat.decide_table_row(params))
-        del a["seconds"], b["seconds"]
-        assert a == b
+    built at k levels is, bit for bit, the leading block of what is built at
+    d > k levels."""
 
     def test_blocks_are_subblocks(self):
         for tau in (0.0, 0.25, 0.6, 1.0):
             params = meas.FamilyParams(3, 0.3, tau, 8)
             full = meas.symmetric_family(params)
-            for d_sub in (2, 3, 5):
-                sub = meas.symmetric_family(dataclasses.replace(params, d=d_sub))
+            for k in (2, 3, 5):
+                sub = meas.symmetric_family(dataclasses.replace(params, d=k))
                 for p, q in zip(full, sub):
                     for E, F in zip(p.elements, q.elements):
-                        assert np.array_equal(E[:d_sub, :d_sub], F)
+                        assert np.array_equal(E[:k, :k], F)
 
     @pytest.mark.parametrize("taus", [[0.25] * 3, [0.2, 0.3, 0.1]])
     def test_parent_blocks_are_subblocks(self, taus):
         params = meas.FamilyParams(3, 0.3, 1.0, 8)
         full = parent.lon_parent(meas.symmetric_family(params), taus)
-        for d_sub in (2, 3, 5):
-            noiseless = meas.symmetric_family(dataclasses.replace(params, d=d_sub))
+        for k in (2, 3, 5):
+            noiseless = meas.symmetric_family(dataclasses.replace(params, d=k))
             sub = parent.lon_parent(noiseless, taus)
-            assert np.array_equal(full.blocks[:, :d_sub, :d_sub], sub.blocks)
-
-    def test_rejects_oversized_subspace(self):
-        for d_sub in (4, 1, 0):
-            with pytest.raises(ValueError, match="d_sub"):
-                compat.decide_table_row(meas.FamilyParams(2, 0.2, 0.8, 3), d_sub=d_sub)
+            assert np.array_equal(full.blocks[:, :k, :k], sub.blocks)
 
 
 class TestBlochParams:

@@ -19,9 +19,9 @@ class TestLonParent:
         d = 3
         trivial = meas.Povm((np.eye(d, dtype=complex), np.zeros((d, d))))
         par = parent.lon_parent(meas.MeasurementSet((trivial, trivial)), [0.5, 0.5])
-        assert np.abs(par.element((0, 0)) - np.eye(d)).max() < 1e-12
+        assert np.abs(oracles.element(par, (0, 0)) - np.eye(d)).max() < 1e-12
         for t in [(0, 1), (1, 0), (1, 1)]:
-            assert np.abs(par.element(t)).max() < 1e-12
+            assert np.abs(oracles.element(par, t)).max() < 1e-12
 
     def test_balanced_vacuum_onoff_validity(self):
         d = 4
@@ -180,4 +180,4 @@ class TestEndToEnd:
         )
         par = parent.lon_parent(mset, [1.0 / n] * n)
         res = compat.certify(lossy, par, tol=1e-10)
-        assert res.feasible
+        assert res.verdict == "COMPATIBLE"

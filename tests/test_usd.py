@@ -79,6 +79,51 @@ class TestPd:
         assert 0.0 <= usd.p_d(n, r) <= 1.0
 
 
+def p_d_series_reference(n, r, dps=50):
+    """The positive series n e^{-r^2} sum_{m = -t (mod n)} r^{2m} / m!, min over
+    t, in 50-digit arithmetic, summed up to m = r^2 + 50 r (+ 50)."""
+    with mpmath.workdps(dps):
+        r2 = mpmath.mpf(r) ** 2
+        sums, term = [mpmath.mpf(0)] * n, mpmath.mpf(1)
+        for m in range(int(r2 + 50 * r) + 50):
+            sums[m % n] += term
+            term *= r2 / (m + 1)
+        return float(n * mpmath.exp(-r2) * min(sums))
+
+
+class TestLargeAmplitude:
+    @pytest.mark.parametrize("n", [2, 4, 7, 40])
+    @pytest.mark.parametrize("r", [27.3, 28.0, 40.0, 60.0])
+    def test_matches_reference_past_exp_underflow(self, n, r):
+        # e^{-r^2} underflows past r^2 ~ 745 and r^{2m}/m! overflows past
+        # r ~ 26.75; p_d(4, 27.3) once returned 0.0
+        ref = p_d_series_reference(n, r)
+        assert usd.p_d(n, r) == pytest.approx(min(1.0, ref), rel=1e-13)
+
+    def test_report_at_large_amplitude(self):
+        # the report once failed its own p_lon <= p_d check here
+        rep = usd.usd_report(4, 28.0, 0.5)
+        assert rep.p_lon <= rep.p_d + 1e-12
+
+
+class TestAmplitude:
+    CALLS = [
+        (usd.p_d, 3),
+        (usd.p_d_approx, 3),
+        (usd.p_lon, 3),
+        (usd.p_lon_approx, 3),
+        (lambda n, r: usd.lossy_usd_success(n, r, 0.5), 3),
+    ]
+    IDS = ["p_d", "p_d_approx", "p_lon", "p_lon_approx", "lossy_usd_success"]
+
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_rejected(self, call, r):
+        f, n = call
+        with pytest.raises(ValueError, match="amplitude must be finite and non-negative"):
+            f(n, r)
+
+
 class TestApproximations:
     def test_p_d_approx_values(self):
         assert usd.p_d_approx(2, 0.01) == pytest.approx(2e-4, rel=1e-12)
