@@ -81,6 +81,13 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _csv(rows) -> str:
+    """Rows as CSV with "\\n" line ends; None is an empty cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_json(args, payload: dict, t0: float) -> None:
     """Add the run's manifest to ``payload`` and write it to ``args.out``."""
     payload["manifest"] = _manifest(args, t0)
@@ -103,12 +110,19 @@ def _exit_code(verdicts) -> int:
     return EXIT_INCOMPATIBLE if "INCOMPATIBLE" in verdicts else EXIT_OK
 
 
+# the verdict record: the Verdict fields but its certificates (declared repr=False)
+RECORD = tuple(f.name for f in dataclasses.fields(compat.Verdict) if f.repr)
+
+
+def _record(verdict: compat.Verdict) -> dict:
+    return {k: getattr(verdict, k) for k in RECORD}
+
+
 def cmd_compat(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
     t0 = time.perf_counter()
     row = compat.decide_table_row(params, tol=args.tol, max_iter=args.max_iter)
-    record = {k: v for k, v in vars(row).items() if k not in ("parent", "witness")}
-    _emit_json(args, record, t0)
+    _emit_json(args, _record(row), t0)
     return _exit_code([row])
 
 
@@ -130,13 +144,10 @@ def cmd_table1(args) -> int:
     t0 = time.perf_counter()
     results = {n: _run_row(n, args.d, args.tol, args.max_iter) for n in rows}
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "r", "tau", "d", "eta_star", "verdict", "seconds"])
+    lines = [("n", "r", "tau", "d") + RECORD]
     for n in rows:
-        for p, rec in results[n]:
-            writer.writerow([n, p.r, p.tau, p.d, rec.eta_star, rec.verdict, f"{rec.seconds:.3f}"])
-    _write(buf.getvalue(), args.out)
+        lines += [(n, p.r, p.tau, p.d, *_record(rec).values()) for p, rec in results[n]]
+    _write(_csv(lines), args.out)
     if args.out not in (None, "-"):
         _write(_json(_manifest(args, t0)), args.out + ".manifest.json")
     return _exit_code(rec for row in results.values() for _, rec in row)
@@ -146,15 +157,12 @@ def cmd_parent_verify(args) -> int:
     rng = np.random.default_rng(args.random_seed)
     mset = random_measurement_set(args.d, args.n, rng)
     taus = [args.tau if args.tau is not None else 1.0 / args.n] * args.n
-    if not 0.0 < args.eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
     t0 = time.perf_counter()
-    residual = parent.verify_marginal_identity(mset, [args.eta * t for t in taus])
+    residual = parent.verify_marginal_identity(mset, taus)
     payload = {
         "n": args.n,
         "d": args.d,
         "taus": taus,
-        "eta": args.eta,
         "random_seed": args.random_seed,
         "marginal_identity_residual": residual,
     }
@@ -179,13 +187,10 @@ def cmd_usd(args) -> int:
     report = usd.usd_report(args.n, args.r, args.tau)
     payload = dataclasses.asdict(report)
     if args.sweep:
-        rows = ["r,p_d,p_lon,lossy_success"]
-        for r in np.linspace(args.sweep_min, args.sweep_max, args.sweep_steps):
-            rows.append(
-                f"{r},{usd.p_d(args.n, r)},{usd.p_lon(args.n, r)},"
-                f"{usd.lossy_usd_success(args.n, r, args.tau)}"
-            )
-        _write("\n".join(rows) + "\n", args.sweep)
+        n, tau = args.n, args.tau
+        rs = np.linspace(args.sweep_min, args.sweep_max, args.sweep_steps)
+        rows = [(r, usd.p_d(n, r), usd.p_lon(n, r), usd.lossy_usd_success(n, r, tau)) for r in rs]
+        _write(_csv([("r", "p_d", "p_lon", "lossy_success"), *rows]), args.sweep)
         payload["sweep_file"] = args.sweep
     _emit_json(args, payload, t0)
     return EXIT_OK
@@ -203,42 +208,33 @@ def build_parser() -> argparse.ArgumentParser:
     decide = argparse.ArgumentParser(add_help=False)  # decide_table_row's knobs
     decide.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
     decide.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
+    output = argparse.ArgumentParser(add_help=False)  # every command's destination
+    output.add_argument("--out", default=None)
 
-    fam = sub.add_parser("family", parents=[family], help="construct a displaced on-off family")
-    fam.add_argument("--out", default=None)
-    fam.set_defaults(func=cmd_family)
+    def command(name, func, *parents, help):
+        cmd = sub.add_parser(name, parents=[*parents, output], help=help)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    cmp_ = sub.add_parser(
-        "compat", parents=[family, decide], help="decide joint measurability of a family"
-    )
-    cmp_.add_argument("--out", default=None)
-    cmp_.set_defaults(func=cmd_compat)
+    command("family", cmd_family, family, help="construct a displaced on-off family")
+    command("compat", cmd_compat, family, decide, help="decide joint measurability of a family")
 
-    tab = sub.add_parser(
-        "table1", parents=[decide], help="verdicts over the bundled operating points"
-    )
+    tab = command("table1", cmd_table1, decide, help="verdicts over the bundled operating points")
     tab.add_argument("--row-min", type=int, default=2)
     tab.add_argument("--row-max", type=int, default=5)
     tab.add_argument("--d", type=int, default=3)
-    tab.add_argument("--out", default=None)
-    tab.set_defaults(func=cmd_table1)
 
-    pv = sub.add_parser("parent-verify", help="check the network-parent marginals")
+    pv = command("parent-verify", cmd_parent_verify, help="check the network-parent marginals")
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--d", type=int, required=True)
     pv.add_argument("--tau", type=float, default=None, help="per-arm transmissivity (default 1/n)")
-    pv.add_argument("--eta", type=float, default=1.0, help="scales every arm transmissivity")
     pv.add_argument("--random-seed", type=int, default=0)
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_parent_verify)
 
-    qp = sub.add_parser("qubit-pair", help="closed-form pair criterion after loss")
+    qp = command("qubit-pair", cmd_qubit_pair, help="closed-form pair criterion after loss")
     qp.add_argument("--r", type=float, required=True)
     qp.add_argument("--tau", type=float, required=True)
-    qp.add_argument("--out", default=None)
-    qp.set_defaults(func=cmd_qubit_pair)
 
-    us = sub.add_parser("usd", help="unambiguous-discrimination report")
+    us = command("usd", cmd_usd, help="unambiguous-discrimination report")
     us.add_argument("--n", type=int, required=True)
     us.add_argument("--r", type=float, required=True)
     us.add_argument("--tau", type=float, required=True)
@@ -246,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     us.add_argument("--sweep-min", type=float, default=0.001)
     us.add_argument("--sweep-max", type=float, default=0.5)
     us.add_argument("--sweep-steps", type=int, default=50)
-    us.add_argument("--out", default=None)
-    us.set_defaults(func=cmd_usd)
     return p
 
 

@@ -5,8 +5,8 @@ qubits.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +99,6 @@ class ParentPovm:
     def dim(self) -> int:
         return self.blocks.shape[1]
 
-    def tuples(self):
-        return itertools.product(*[range(o) for o in self.outcome_counts])
-
     def marginals(self) -> np.ndarray:
         """The marginal rows (sum(outcome_counts), d, d), measurement by
         measurement: row sum(outcome_counts[:j]) + a sums the blocks of every
@@ -151,6 +148,11 @@ class FamilyParams:
     d: int
 
     def __post_init__(self):
+        for name, value in (("count", self.count), ("d", self.d)):
+            try:
+                operator.index(value)  # int or numpy integer; a float is refused
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not math.isfinite(self.r):

@@ -46,9 +46,8 @@ def measurement_set_from_json(obj: dict) -> MeasurementSet:
 
 
 def parent_to_json(parent: ParentPovm) -> dict:
-    elements = {
-        ",".join(map(str, t)): matrix_to_json(B) for t, B in zip(parent.tuples(), parent.blocks)
-    }
+    tuples = np.ndindex(*parent.outcome_counts)
+    elements = {",".join(map(str, t)): matrix_to_json(B) for t, B in zip(tuples, parent.blocks)}
     return {
         "dim": parent.dim,
         "outcome_counts": list(parent.outcome_counts),

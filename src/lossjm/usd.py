@@ -64,12 +64,16 @@ def p_d(n: int, r: float) -> float:
     accuracy is lost there below r ~ 1e-3 once n >= 4).  Past r^2 ~ 690 the
     terms would overflow and e^{-r^2} underflow, so the term and the sums are
     rescaled by e^-690 whenever the term passes 1e300, and the scale is
-    carried into the exponent; the pass takes ~r^2 steps.  Values are clamped
-    to [0, 1]; the raw expression can exceed 1 for large r, outside its
-    regime of validity.
+    carried into the exponent.  The pass takes ~r^2 steps, so it is skipped
+    once |P_D - 1| <= (n - 1) exp(-2 r^2 sin^2(pi/n)) (from the roots-of-unity
+    form S_t = sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below
+    2^-54: P_D then rounds to 1.0.  Values are clamped to [0, 1]; the raw
+    expression can exceed 1 for large r, outside its regime of validity.
     """
     n, r = _check_n(n), _check_r(r)
     r2, sums = r * r, [0.0] * n
+    if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
+        return 1.0
     term, m, scaled = 1.0, 0, 0  # r^{2m} / m!, like the sums, times _SHRINK^scaled
     # a term this small comes only past m = r^2, where the terms fall
     while m <= 4000 + 2 * r2 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):

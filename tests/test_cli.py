@@ -17,6 +17,12 @@ def run(argv, capsys):
     return code, out
 
 
+RECORD = [
+    "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
+    "iterations", "seconds",
+]
+
+
 def strip_timing(payload):
     if isinstance(payload, dict):
         return {
@@ -124,10 +130,7 @@ class TestCompatCommand:
             ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"], capsys
         )
         payload = json.loads(out)
-        assert set(payload) == {
-            "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
-            "iterations", "seconds", "manifest",
-        }
+        assert set(payload) == {*RECORD, "manifest"}
         assert payload["eta_star"] <= payload["eta_hi"] < 1
 
 
@@ -191,26 +194,13 @@ class TestParentVerifyCommand:
         r2 = json.loads(out2)["marginal_identity_residual"]
         assert r1 <= 1e-10 and r2 <= 1e-10
 
-    @pytest.mark.parametrize(
-        "n, d, eta, tau",
-        [("10", "3", "0.9", "0.09"), ("4", "3", "0.5", "0.125")],
-        ids=["above-grid-limit", "inside-grid-limit"],
-    )
-    def test_eta_is_a_scaled_tau(self, capsys, n, d, eta, tau):
-        # a loss channel at eta in front of arms at 1/n is the network with
-        # arms at eta / n: same exit code, same residual
-        results = []
-        for spelling in (["--eta", eta], ["--tau", tau]):
-            code, out = run(["parent-verify", "--n", n, "--d", d, *spelling], capsys)
-            results.append((code, json.loads(out)["marginal_identity_residual"] if out else None))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("eta", ["0", "1.5"])
-    def test_eta_outside_unit_interval_exit_one(self, capsys, eta):
-        code = cli.main(["parent-verify", "--n", "2", "--d", "3", "--eta", eta])
+    def test_eta_is_not_an_option(self, capsys):
+        # --tau is the one spelling of the arm transmissivity
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["parent-verify", "--n", "10", "--d", "3", "--eta", "0.9"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert "eta must lie in (0, 1]" in captured.err
+        assert exit_.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage:") and "--eta" in captured.err
 
 
 class TestUsdCommand:
@@ -220,6 +210,12 @@ class TestUsdCommand:
         payload = json.loads(out)
         assert payload["threshold_n"] == 3
         assert payload["beats_optimum"] is True
+
+    def test_huge_amplitude_answers(self, capsys):
+        # p_d once ran ~r^2 = 1e10 series steps here
+        code, out = run(["usd", "--n", "4", "--r", "1e5", "--tau", "0.5"], capsys)
+        assert code == 0
+        assert json.loads(out)["p_d"] == 1.0
 
     def test_sweep_csv(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -258,7 +254,7 @@ class TestTable1Command:
         assert len(rows) == 2
         assert [r["verdict"] for r in rows] == ["INCOMPATIBLE", "COMPATIBLE"]
         assert {r["n"] for r in rows} == {"2"}
-        assert set(rows[0]) == {"n", "r", "tau", "d", "eta_star", "verdict", "seconds"}
+        assert list(rows[0]) == ["n", "r", "tau", "d", *RECORD]
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["command"] == "table1"
         assert "lossjm" in manifest["versions"]
@@ -281,8 +277,35 @@ class TestTable1Command:
             ["table1", "--row-min", "2", "--row-max", "3", "--max-iter", "5"], capsys
         )
         assert code == 3
-        verdicts = [r["verdict"] for r in csv.DictReader(out.splitlines())]
+        rows = list(csv.DictReader(out.splitlines()))
+        verdicts = [r["verdict"] for r in rows]
         assert verdicts == ["INCOMPATIBLE", "COMPATIBLE", "UNDECIDED", "COMPATIBLE"]
+        # the undecided row still reports the bound its unproven witness gives
+        assert rows[2]["method"] == "none" and rows[2]["eta_hi"] != ""
+
+    def test_header_is_the_compat_record(self, capsys):
+        _, out = run(["table1", "--row-min", "2", "--row-max", "2"], capsys)
+        _, record = run(
+            ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"], capsys
+        )
+        header = out.splitlines()[0].split(",")
+        assert header[:4] == ["n", "r", "tau", "d"]
+        assert set(header[4:]) == set(json.loads(record)) - {"manifest"}
+        assert out.endswith("\n") and "\r" not in out
+
+    @pytest.mark.parametrize("knobs", [[], ["--max-iter", "5"]], ids=["default", "max-iter-5"])
+    def test_rows_match_compat(self, capsys, knobs):
+        # each row's record is what compat prints at the same point
+        _, out = run(["table1", "--row-min", "2", "--row-max", "3", *knobs], capsys)
+        for row in csv.DictReader(out.splitlines()):
+            _, text = run(
+                ["compat", "--count", str(int(row["n"]) + 1), "--r", row["r"],
+                 "--tau", row["tau"], "--d", row["d"], *knobs],
+                capsys,
+            )
+            record = json.loads(text)
+            want = {k: "" if record[k] is None else str(record[k]) for k in RECORD}
+            assert strip_timing({k: row[k] for k in RECORD}) == strip_timing(want)
 
 
 def _refuse_constant(name):

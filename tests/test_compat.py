@@ -365,7 +365,7 @@ class TestReduction:
         n, d = params.count, params.d
         R = oracles.phase_rotation(2 * np.pi / n, d)
         G = res.parent
-        for t in G.tuples():
+        for t in np.ndindex(*G.outcome_counts):
             shifted = tuple(t[(j - 1) % n] for j in range(n))
             reversed_ = tuple(t[-j % n] for j in range(n))
             G_t = oracles.element(G, t)

@@ -59,6 +59,18 @@ class TestSymmetricFamily:
         with pytest.raises(ValueError, match="r must be finite"):
             meas.FamilyParams(2, r, 0.5, 3)
 
+    @pytest.mark.parametrize("value", [3.0, 3.5, "3"])
+    @pytest.mark.parametrize("field", ["count", "d"])
+    def test_non_integer_count_and_cutoff_rejected(self, field, value):
+        # FamilyParams(3.0, ...) once passed and failed inside symmetric_family
+        fields = {"count": 3, "r": 0.1, "tau": 0.5, "d": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            meas.FamilyParams(**fields)
+
+    def test_numpy_integer_count_and_cutoff_accepted(self):
+        params = meas.FamilyParams(np.int64(3), 0.1, 0.5, np.int64(3))
+        assert len(meas.symmetric_family(params)) == 3
+
     def test_distinct_displacements_give_distinct_povms(self):
         mset = meas.symmetric_family(meas.FamilyParams(2, 0.1, 1.0, 2))
         a, b = mset.povms

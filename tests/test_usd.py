@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -99,6 +100,17 @@ class TestLargeAmplitude:
         # r ~ 26.75; p_d(4, 27.3) once returned 0.0
         ref = p_d_series_reference(n, r)
         assert usd.p_d(n, r) == pytest.approx(min(1.0, ref), rel=1e-13)
+
+    @pytest.mark.parametrize("n, r", [(4, 300.0), (2, 28.0), (3, 28.0)])
+    def test_exactly_one_past_the_bound(self, n, r):
+        # (n - 1) exp(-2 r^2 sin^2(pi/n)) < 2^-54: P_D rounds to 1.0
+        assert usd.p_d(n, r) == min(1.0, p_d_reference(n, r)) == 1.0
+
+    def test_huge_amplitude_in_bounded_time(self):
+        # the series would take ~r^2 = 1e10 steps
+        t0 = time.perf_counter()
+        assert usd.p_d(4, 1e5) == 1.0
+        assert time.perf_counter() - t0 < 0.5
 
     def test_report_at_large_amplitude(self):
         # the report once failed its own p_lon <= p_d check here
