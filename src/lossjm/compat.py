@@ -44,7 +44,6 @@ the repair and ``certify``, which check the full problem.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -115,7 +114,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
     Re tr(AB), row-major vectorised; it gives each one d^2 real coordinates.
     The d diagonal columns come first, then the real symmetric and the
     imaginary antisymmetric one of each pair i < j."""
-    i, j = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2).T
+    i, j = np.triu_indices(d, 1)
     E, s = np.eye(d * d).reshape(d, d, d, d), np.sqrt(0.5)
     sym, anti = s * (E[i, j] + E[j, i]), 1j * s * (E[i, j] - E[j, i])
     return np.concatenate([E[range(d), range(d)], sym, anti]).reshape(d * d, d * d).T
@@ -126,21 +125,14 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-def _inverse_factors(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """R = L^-1 for the Cholesky factor L L^H of each block of X, then of Z,
-    stacked, so that R X R^H = I and X^-1 = R^H R; LinAlgError if a block is
-    not positive definite."""
-    return np.linalg.inv(np.concatenate([np.linalg.cholesky(X), np.linalg.cholesky(Z)]))
-
-
-def _max_steps(R: np.ndarray, RH: np.ndarray, x, z, dX, dx, dZ, dz) -> list[float]:
+def _max_steps(R: np.ndarray, RH: np.ndarray, xz, dW: np.ndarray, dxz) -> list[float]:
     """Largest alphas keeping X + alpha dX, x + alpha dx and Z + alpha dZ,
-    z + alpha dz positive (inf if any), from one eigvalsh over both blocks:
-    R stacks the inverse factors of X and Z, RH = R^H, and X + alpha dX >= 0
-    iff I + alpha R dX R^H >= 0."""
-    lam = np.linalg.eigvalsh(R @ np.concatenate([dX, dZ]) @ RH)[:, 0]
+    z + alpha dz positive (inf if any), for the stacked iterate W = [X, Z] and
+    step dW = [dX, dZ], from one eigvalsh: R = L^-1 for the Cholesky factors
+    L L^H of W, RH = R^H, and X + alpha dX >= 0 iff I + alpha R dX R^H >= 0."""
+    lam = np.linalg.eigvalsh(R @ dW @ RH)[..., 0].min(axis=1)
     alphas = []
-    for l, a, da in zip(lam.reshape(2, -1).min(axis=1), (x, z), (dx, dz)):
+    for l, a, da in zip(lam.tolist(), xz, dxz):
         alpha = -1.0 / l if l < 0 else np.inf
         alphas.append(min(alpha, -a / da) if da < 0 else alpha)
     return alphas
@@ -216,7 +208,7 @@ def _coordinate_mask(d: int, m: int, classes: int, real: bool) -> np.ndarray:
     the real symmetric ones if conjugation fixes measurement 0 (``real``),
     and for the last class only entries a = b mod m; the others are a gauge
     that changes no dual block."""
-    i, j = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2).T
+    i, j = np.triu_indices(d, 1)
     resonant = np.concatenate([np.ones(d, dtype=bool), (j - i) % m == 0, (j - i) % m == 0])
     symmetric = np.arange(d * d) < d * (d + 1) // 2 if real else np.ones(d * d, dtype=bool)
     return symmetric & ((np.arange(classes) < classes - 1)[:, None] | resonant)
@@ -379,8 +371,9 @@ class _RobustnessSdp:
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
         the best primal (G, eta) and dual rows Y, expanded to the full
-        problem, and the step count.  Each step factorises X and Z once:
-        Z^-1 and both step-length searches reuse the factors.  A singular
+        problem, and the step count.  The iterate is one stack W = [X, Z] and
+        each direction one stack dW = [dX, dZ]; each step factorises W once,
+        and its inverse factors give Z^-1 and both step lengths.  A singular
         Schur matrix, as near the optimum of degenerate sets, ends it early.
 
         The orbit weights make <X, Z>, mu and the dual residual those of the
@@ -388,14 +381,15 @@ class _RobustnessSdp:
         solve's own coordinates.  The stop rule only ends the iteration: the
         certificates checked after it decide.
         """
-        X = np.broadcast_to(self.identity / self.T, (len(self.rep), self.d, self.d)).copy()
-        Z = np.broadcast_to(self.identity, X.shape).copy()
+        X = np.broadcast_to(self.identity / self.T, (len(self.rep), self.d, self.d))
+        W = np.array([X, np.broadcast_to(self.identity, X.shape)])  # C order, unlike np.stack
         x = z = 1.0
         c = np.zeros(len(self.dv))
         N = self.T * self.d + 1
         bnorm = 1.0 + np.linalg.norm(self.cv)
         best = (np.inf, 0)
         for steps in range(max_iter + 1):
+            X, Z = W  # views; each step builds a new W, so best keeps its X
             rp = self.cv - self.marginal_coords(X) + x * self.dv
             Rd, rd = -self.dual_blocks(c) - Z, -1.0 + self.dv @ c - z
             dobj = self.cv @ c
@@ -408,9 +402,9 @@ class _RobustnessSdp:
             if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
                 break
             try:
-                R = _inverse_factors(X, Z)
+                R = np.linalg.inv(np.linalg.cholesky(W))  # R W R^H = I, W^-1 = R^H R
                 RH = _ct(R)
-                Zinv = RH[len(X) :] @ R[len(X) :]
+                Zinv = RH[1] @ R[1]
                 M = self.schur(X, Zinv, x / z)
                 XRdZ = X @ Rd @ Zinv
 
@@ -419,23 +413,23 @@ class _RobustnessSdp:
                     dc = np.linalg.solve(M, rhs)
                     dZ, dz = Rd - self.dual_blocks(dc), rd + self.dv @ dc
                     dX = Rc - X @ dZ @ Zinv
-                    dX = 0.5 * (dX + _ct(dX))
-                    return dX, rc - x * dz / z, dc, dZ, dz
+                    return np.array([0.5 * (dX + _ct(dX)), dZ]), rc - x * dz / z, dc, dz
 
-                dX, dx, dc, dZ, dz = direction(-X, -x)
-                ap, ad = (min(1.0, a) for a in _max_steps(R, RH, x, z, dX, dx, dZ, dz))
+                dW, dx, dc, dz = direction(-X, -x)
+                ap, ad = (min(1.0, a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
+                dX, dZ = dW
                 mu = (self.inner(X, Z) + x * z) / N
                 mu_aff = (self.inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
                 smu = min(1.0, (mu_aff / mu) ** 3) * mu
-                dX, dx, dc, dZ, dz = direction(
+                dW, dx, dc, dz = direction(
                     smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
                 )
                 gamma = 0.9 + 0.09 * min(ap, ad)
-                ap, ad = (min(1.0, gamma * a) for a in _max_steps(R, RH, x, z, dX, dx, dZ, dz))
+                ap, ad = (min(1.0, gamma * a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
             except np.linalg.LinAlgError:
                 break
-            X, x = self.invariant(X + ap * dX), x + ap * dx
-            c, Z, z = c + ad * dc, Z + ad * dZ, z + ad * dz
+            W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
+            W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
         _, _, X, x, c = best
         return self.full_blocks(X), x, self.full_rows(c), steps
 

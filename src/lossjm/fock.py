@@ -17,12 +17,14 @@ def coherent_ket(mu: complex, d: int) -> np.ndarray:
     """Truncated coherent state |mu> with amplitudes e^{-|mu|^2/2} mu^m / sqrt(m!).
 
     The result is not renormalized, so its norm is <= 1 and approaches 1 as
-    d grows.
+    d grows; it is zero once e^{-|mu|^2/2} underflows.
     """
     if d < 1:
         raise ValueError("cutoff must be a positive integer")
     amps = np.empty(d, dtype=complex)
-    amps[0] = math.exp(-abs(mu) ** 2 / 2)
+    a = abs(mu)
+    # e^{-a^2/2} underflows to 0 past a = 38.61; a^2 overflows past 1.34e154
+    amps[0] = math.exp(-a**2 / 2) if a < 40.0 else 0.0
     for m in range(1, d):
         amps[m] = amps[m - 1] * mu / math.sqrt(m)
     return amps

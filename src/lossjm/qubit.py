@@ -87,5 +87,9 @@ def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:
 
 def leading_order_prediction(r: float, tau: float) -> float:
     """Small-r form 16 tau (2 tau - 1) r^2 of Test for the lossy displaced pair."""
-    return 16.0 * tau * (2.0 * tau - 1.0) * r**2
+    coef = 16.0 * tau * (2.0 * tau - 1.0)
+    try:
+        return coef * r**2
+    except OverflowError:  # r^2 past the float range: the product may still fit
+        return coef * r * r
 

@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 # p_d rescales its series by e^-690 (~3e-300): an integer exponent keeps the
 # scale exact when it is carried back, to one rounding of the factor per rescale
 _SHRINK_EXP = 690
 _SHRINK = math.exp(-_SHRINK_EXP)
+
+# math.lgamma(n + 1) was within 2.4 eps (relative) of log n! at each n tried
+# (n = 2..2,999 and 5,000 log-spaced n up to 1e300, against 50-digit mpmath);
+# log(tau), the products with n - 1 and the difference add at most 2.5 eps of
+# a + b, so _LOG_SLACK (a + b) bounds the error of a - b with room to spare
+_LOG_SLACK = 16 * sys.float_info.epsilon
+# an exact comparison of n! with tau^{1-n} takes ~0.1 s at n = 2^14
+_EXACT_MAX_N = 1 << 14
 
 
 def _check_n(n: int) -> int:
@@ -85,10 +94,26 @@ def p_d(n: int, r: float) -> float:
     return min(1.0, max(0.0, n * math.exp(scaled * _SHRINK_EXP - r2) * min(sums)))
 
 
+def _log_form(n: int, r: float, log_denominator: float) -> float:
+    """n^2 r^{2(n-1)} / e^log_denominator through logarithms, for the small-r
+    forms when one of their float factors is out of range.  The relative error
+    is a few eps times the largest logarithm (~1e-13 at n = 171, r = 10); the
+    result is inf or 0.0 only when the value is out of range."""
+    if r == 0.0:
+        return 0.0
+    try:
+        return math.exp(2.0 * math.log(n) + 2 * (n - 1) * math.log(r) - log_denominator)
+    except OverflowError:
+        return math.inf
+
+
 def p_d_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n! of the optimal probability."""
     n, r = _check_n(n), _check_r(r)
-    return n * n * r ** (2 * (n - 1)) / math.factorial(n)
+    try:
+        return n * n * r ** (2 * (n - 1)) / math.factorial(n)
+    except OverflowError:  # r^{2(n-1)} or n! (n > 170) past the float range
+        return _log_form(n, r, math.lgamma(n + 1))
 
 
 def p_lon(n: int, r: float) -> float:
@@ -102,7 +127,10 @@ def p_lon(n: int, r: float) -> float:
 def p_lon_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n^{n-1} of the split-and-detect probability."""
     n, r = _check_n(n), _check_r(r)
-    return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
+    try:
+        return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
+    except OverflowError:  # r^{2(n-1)} or n^{n-1} (n > 143) past the float range
+        return _log_form(n, r, (n - 1) * math.log(n))
 
 
 def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
@@ -119,26 +147,52 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     return out
 
 
-def beats_no_loss_optimum(n: int, tau: float) -> bool:
-    """Exact test of n! > tau^{1-n}, i.e. n! p^{n-1} > q^{n-1} for tau = p/q,
-    in integer arithmetic (a float is exactly such a ratio)."""
-    n = _check_n(n)
-    p, q = _check_tau(tau).as_integer_ratio()
+def _beats(n: int, tau: float) -> bool:
+    """n! > tau^{1-n}: in floats when log n! and (n - 1) log(1/tau) differ by
+    more than _LOG_SLACK times their sum, else exactly in integers, as
+    n! p^{n-1} > q^{n-1} for tau = p/q (a float is exactly such a ratio)."""
+    try:
+        a, b = math.lgamma(n + 1), (n - 1) * -math.log(tau)
+        if abs(a - b) > _LOG_SLACK * (a + b):
+            return a > b
+    except OverflowError:  # n past the float range
+        pass
+    if n > _EXACT_MAX_N:
+        raise ValueError(
+            f"n! and tau^(1-n) agree to within rounding at tau = {tau!r}, past the "
+            f"n = {_EXACT_MAX_N} limit of the exact comparison"
+        )
+    p, q = tau.as_integer_ratio()
     return math.factorial(n) * p ** (n - 1) > q ** (n - 1)
 
 
-def result4_threshold(tau: float) -> int:
-    """Smallest n >= 2 with n! > tau^{1-n}, by exact comparison.
+def beats_no_loss_optimum(n: int, tau: float) -> bool:
+    """Whether n! > tau^{1-n}, decided as ``result4_threshold`` decides it."""
+    return _beats(_check_n(n), _check_tau(tau))
 
-    Exists for every tau in (0, 1] since n! grows faster than any geometric
-    sequence; comparisons are exact integer ones, so boundary cases like
-    2! > 2 at tau = 1/2 are decided without floating-point error.  The
-    first comparison rejects tau outside (0, 1].
+
+def result4_threshold(tau: float) -> int:
+    """Smallest n >= 2 with n! > tau^{1-n}.
+
+    n! tau^{n-1} is the product of k tau over k = 2..n.  Its factors are at
+    most 1 up to k = floor(1/tau) and exceed 1 past it, so the product falls
+    and then rises for good: the threshold lies above floor(1/tau), and at
+    most at 3/tau because n! > (n/e)^n.  Bisection between the two finds it,
+    each comparison as in ``_beats``; ties such as 2! = 2 at tau = 1/2 are
+    decided exactly.  Rejects tau outside (0, 1].  Raises ValueError when a
+    comparison past _EXACT_MAX_N is too close to call: the float band grows
+    like n log n, so that happens for 1 tau in 2,000 between 1e-9 and 1e-8,
+    1 in 27 between 1e-11 and 1e-10, and every tau below 1e-12.
     """
-    n = 2
-    while not beats_no_loss_optimum(n, tau):
-        n += 1
-    return n
+    p, q = _check_tau(tau).as_integer_ratio()
+    lo, hi = max(1, q // p), 3 * (q // p + 1)  # n = lo does not beat, n = hi does
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _beats(mid, tau):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,18 @@ def root_distance_product(n: int) -> float:
     )
 
 
+def threshold_loop(tau: float) -> int:
+    """Smallest n >= 2 with n! > tau^{1-n}, by the exact integer test
+    n! p^{n-1} > q^{n-1} (tau = p/q) at n = 2, 3, ... in turn, each side
+    carried from one n to the next rather than rebuilt."""
+    p, q = tau.as_integer_ratio()
+    n, lhs, rhs = 2, 2 * p, q
+    while not lhs > rhs:
+        n += 1
+        lhs, rhs = lhs * n * p, rhs * q
+    return n
+
+
 # -- displaced families and the qubit pair criterion ------------------------------
 
 

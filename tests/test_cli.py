@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestUsdCommand:
         assert code == 0
         assert json.loads(out)["p_d"] == 1.0
 
+    def test_small_tau_answers(self, capsys):
+        # the threshold search once compared n! with tau^(1-n) at each n up to ~2.7e6
+        t0 = time.perf_counter()
+        code, out = run(["usd", "--n", "4", "--r", "0.1", "--tau", "1e-6"], capsys)
+        assert code == 0 and time.perf_counter() - t0 < 2.0
+        assert json.loads(out)["threshold_n"] == 2718260
+
     def test_sweep_csv(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.csv"
         code, out = run(
@@ -356,6 +364,25 @@ class TestStrictJson:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert message in captured.err
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["family", "--count", "3", "--r", "1e200", "--tau", "0.5", "--d", "3"],
+        ["compat", "--count", "3", "--r", "1e200", "--tau", "0.5", "--d", "3"],
+        ["qubit-pair", "--r", "1e200", "--tau", "0.75"],
+        ["qubit-pair", "--r", "1e200", "--tau", "0.5"],
+        ["usd", "--n", "4", "--r", "1e60", "--tau", "0.5"],
+        ["usd", "--n", "171", "--r", "0.5", "--tau", "0.9"],
+        ["usd", "--n", "171", "--r", "10", "--tau", "0.9"],
+        ["usd", "--n", "4", "--r", "0.1", "--tau", "1e-13"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_finite_input_answers_or_errors(self, capsys, argv):
+        # each of these once raised OverflowError out of main, or ran for hours
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 or (code == 1 and captured.out == "")
+        assert code == 0 or captured.err.startswith("error: ")
 
 
 class TestManifest:

@@ -121,6 +121,14 @@ class TestLeadingOrder:
         assert predicted == pytest.approx(1.92e-4, rel=1e-12)
         assert test == pytest.approx(predicted, rel=0.05)
 
+    def test_huge_amplitude(self):
+        # r^2 overflows past r = 1.34e154; the prediction is then +-inf, 0 or,
+        # when the coefficient is small enough, finite
+        assert qubit.leading_order_prediction(1e200, 0.75) == math.inf
+        assert qubit.leading_order_prediction(1e200, 0.25) == -math.inf
+        assert qubit.leading_order_prediction(1e200, 0.5) == 0.0
+        assert qubit.leading_order_prediction(1e155, 1e-300) == pytest.approx(-1.6e11)
+
     def test_negative_below_half(self):
         test, predicted = oracles.leading_order_check(0.01, 0.4)
         assert predicted == pytest.approx(-1.28e-4, rel=1e-12)

@@ -152,6 +152,21 @@ class TestApproximations:
             ratio = usd.p_lon(n, 1e-3) / usd.p_lon_approx(n, 1e-3)
             assert abs(ratio - 1) < 0.01
 
+    @pytest.mark.parametrize("n, r", [(171, 10.0), (200, 3.0), (150, 7.0)])
+    def test_forms_past_float_range(self, n, r):
+        # n! (n > 170), n^(n-1) (n > 143) or r^(2(n-1)) leave the float range
+        with mpmath.workdps(40):
+            top = n * n * mpmath.mpf(r) ** (2 * (n - 1))
+            p_d = float(top / mpmath.factorial(n))
+            p_lon = float(top / mpmath.mpf(n) ** (n - 1))
+        assert usd.p_d_approx(n, r) == pytest.approx(p_d, rel=1e-12, abs=0.0)
+        assert usd.p_lon_approx(n, r) == pytest.approx(p_lon, rel=1e-12, abs=0.0)
+
+    def test_forms_out_of_range(self):
+        assert usd.p_d_approx(4, 1e60) == usd.p_lon_approx(4, 1e60) == math.inf
+        assert usd.p_d_approx(171, 0.5) == usd.p_lon_approx(171, 0.5) == 0.0
+        assert usd.p_d_approx(171, 0.0) == usd.p_lon_approx(171, 0.0) == 0.0
+
     def test_n2_forms_coincide(self):
         # 2! = 2^1, so both small-r forms agree for two states
         assert usd.p_d_approx(2, 0.01) == usd.p_lon_approx(2, 0.01)
@@ -250,6 +265,42 @@ class TestThreshold:
         r = 1e-3
         lossy = usd.lossy_usd_success(n, r, tau)
         assert lossy > usd.p_d_approx(n, r)
+
+
+class TestThresholdSearch:
+    GRID = sorted(
+        {*np.geomspace(2e-3, 1.0, 80).tolist(), 1 / 2, 1 / 3, 1 / 4}
+        | {float(np.nextafter(t, s)) for t in (1 / 2, 1 / 3, 1 / 4) for s in (0.0, 1.0)}
+    )
+
+    def test_matches_loop_in_bounded_time(self):
+        # the search over n = 2, 3, ... took ~1 s per tau near 2e-3
+        seconds = 0.0
+        for tau in self.GRID:
+            t0 = time.perf_counter()
+            n = usd.result4_threshold(tau)
+            seconds += time.perf_counter() - t0
+            assert n == oracles.threshold_loop(tau), tau
+            assert usd.beats_no_loss_optimum(n, tau)
+            assert n == 2 or not usd.beats_no_loss_optimum(n - 1, tau)
+        assert seconds < 0.5
+
+    def test_tiny_tau_in_bounded_time(self):
+        # a search over n = 2, 3, ... would compare n! with tau^(1-n) ~2.7e9 times
+        t0 = time.perf_counter()
+        n = usd.result4_threshold(1e-9)
+        assert time.perf_counter() - t0 < 0.1
+        with mpmath.workdps(60):
+            def log_ratio(m):  # log(m! tau^(m-1))
+                return mpmath.loggamma(m + 1) - (m - 1) * mpmath.log(1 / mpmath.mpf(1e-9))
+
+            assert log_ratio(n) > 0 > log_ratio(n - 1)
+        assert n == 2718281796
+
+    def test_too_close_to_call_refused(self):
+        # below tau ~ 1e-12 the rounding band of the float test spans several n
+        with pytest.raises(ValueError, match="agree to within rounding"):
+            usd.result4_threshold(1e-13)
 
 
 class TestCount:
