@@ -121,19 +121,19 @@ def _record(verdict: compat.Verdict) -> dict:
 def cmd_compat(args) -> int:
     params = FamilyParams(args.count, args.r, args.tau, args.d)
     t0 = time.perf_counter()
-    row = compat.decide_table_row(params, tol=args.tol, max_iter=args.max_iter)
+    row = compat.decide_table_row(params, max_iter=args.max_iter)
     _emit_json(args, _record(row), t0)
     return _exit_code([row])
 
 
-def _run_row(n: int, d: int, tol: float, max_iter: int):
+def _run_row(n: int, d: int, max_iter: int):
     """The row's family at tau = 1/n + eps, then at the breaking point 1/count
     of a count-measurement set, where it is compatible by construction
     (Result 2); (params, verdict) for each."""
     r, eps = TABLE_POINTS[n]
     count = n + 1
     points = [FamilyParams(count, r, 1.0 / n + eps, d), FamilyParams(count, r, 1.0 / count, d)]
-    return [(p, compat.decide_table_row(p, tol=tol, max_iter=max_iter)) for p in points]
+    return [(p, compat.decide_table_row(p, max_iter=max_iter)) for p in points]
 
 
 def cmd_table1(args) -> int:
@@ -142,7 +142,7 @@ def cmd_table1(args) -> int:
     if unknown:
         raise ValueError(f"no bundled operating point for rows {unknown}")
     t0 = time.perf_counter()
-    results = {n: _run_row(n, args.d, args.tol, args.max_iter) for n in rows}
+    results = {n: _run_row(n, args.d, args.max_iter) for n in rows}
 
     lines = [("n", "r", "tau", "d") + RECORD]
     for n in rows:
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--r", type=float, required=True)
     family.add_argument("--tau", type=float, required=True)
     family.add_argument("--d", type=int, required=True)
-    decide = argparse.ArgumentParser(add_help=False)  # decide_table_row's knobs
-    decide.add_argument("--tol", type=float, default=compat.DEFAULT_TOL)
+    decide = argparse.ArgumentParser(add_help=False)  # decide_table_row's step cap
     decide.add_argument("--max-iter", type=int, default=compat.DEFAULT_MAX_ITER)
     output = argparse.ArgumentParser(add_help=False)  # every command's destination
     output.add_argument("--out", default=None)

@@ -21,16 +21,16 @@ and each verdict rests on a certificate checked after the solve:
 
 ``certify`` runs no solver.  It checks that the parent has the set's outcome
 counts and dimension, then asks the parent for two numbers, each to be at most
-tol: ``ParentPovm.marginal_residual``, the max-norm gap between its marginal
-rows and the set's elements, and ``ParentPovm.psd_residual``, minus its least
-block eigenvalue.  The blocks then sum to the identity up to the same gap,
+``TOL`` = 1e-8: ``ParentPovm.marginal_residual``, the max-norm gap between
+its marginal rows and the set's elements, and ``ParentPovm.psd_residual``,
+minus its least block eigenvalue.  The blocks then sum to the identity up to the same gap,
 because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP
 only: ``certify`` takes every parent ``lon_parent`` builds.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
-depolarized to eta_star, up to the tolerance of ``certify``.  ``certify``,
-``robustness`` and ``decide_table_row`` all return one record, ``Verdict``;
-when no certificate holds its verdict is UNDECIDED, never a guess.
+depolarized to eta_star, up to ``TOL``.  ``certify``, ``robustness`` and
+``decide_table_row`` all return one record, ``Verdict``; when no certificate
+holds its verdict is UNDECIDED, never a guess.
 
 The solve runs in the subspace fixed by the group that permutes the set.  For
 the symmetric family that is the dihedral group generated by the phase
@@ -62,7 +62,11 @@ from .measurements import (
 )
 from .parent import SLACK, lon_parent
 
-DEFAULT_TOL = 1e-8
+# The one certificate threshold, read by the three parent checks: the network
+# parent and the SDP parent through ``certify``, and the eta_star parent, mixed
+# until its least eigenvalue is within TOL/2.  It is not a setting: a looser
+# value certifies parents that are not PSD.
+TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 MAX_TUPLES = 1 << 16
 MAX_DIM = 8
@@ -91,10 +95,10 @@ class Verdict:
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
     exact: the witness is valid in exact arithmetic on the stored floats, so
-    no parent exists above it.  ``eta_star`` holds up to ``tol``: its parent
-    passes ``certify``, i.e. has marginal and PSD residuals at most tol, not
-    zero.  So eta_star can exceed eta_hi by a rounding-sized margin (seen up
-    to 4e-10); eta_star <= eta_hi + tol.
+    no parent exists above it.  ``eta_star`` holds up to ``TOL``: its parent
+    passes ``certify``, i.e. has marginal and PSD residuals at most TOL =
+    1e-8, not zero.  So eta_star can exceed eta_hi by a rounding-sized margin
+    (seen up to 4e-10); eta_star <= eta_hi + TOL.
     """
 
     verdict: str
@@ -466,16 +470,16 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     return MeasurementSet(tuple(povms))
 
 
-def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) -> Verdict:
+def certify(mset: MeasurementSet, parent: ParentPovm) -> Verdict:
     """Check a candidate parent against a measurement set, no solver involved:
-    its marginals must match the set and its blocks be PSD, each within tol.
+    its marginals must match the set and its blocks be PSD, each within TOL.
     COMPATIBLE (method "parent", eta_star = 1) if they do, else UNDECIDED."""
     t0 = time.perf_counter()
     if parent.outcome_counts != tuple(p.outcomes for p in mset) or parent.dim != mset.dim:
         raise ValueError("parent shape does not match the measurement set")
     marg = parent.marginal_residual(mset)
     psd = parent.psd_residual()
-    holds = marg <= tol and psd <= tol
+    holds = marg <= TOL and psd <= TOL
     return Verdict(
         verdict="COMPATIBLE" if holds else "UNDECIDED",
         method="parent" if holds else "none",
@@ -489,21 +493,17 @@ def certify(mset: MeasurementSet, parent: ParentPovm, tol: float = DEFAULT_TOL) 
     )
 
 
-def robustness(
-    mset: MeasurementSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Verdict:
+def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdict:
     """Incompatibility robustness, with a certificate for each end, from one
     solve of at most ``max_iter`` Newton steps (``iterations``).
 
     The repaired dual iterate is the witness behind ``eta_hi``.  If it proves
     eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise the
-    primal iterate at eta_p is carried to eta = 1 and checked by ``certify``
-    at ``tol``: it passing gives COMPATIBLE ("sdp-parent") with eta_star = 1,
-    and it failing UNDECIDED.  Short of COMPATIBLE the primal, projected onto
+    primal iterate at eta_p is carried to eta = 1 and checked by ``certify``:
+    it passing gives COMPATIBLE ("sdp-parent") with eta_star = 1, and it
+    failing UNDECIDED.  Short of COMPATIBLE the primal, projected onto
     the marginals at eta_p and mixed with the eta = 0 product parent until
-    certify passes, gives eta_star < eta_p.
+    its least eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -520,18 +520,18 @@ def robustness(
     if eta_hi >= 1.0:
         lam = min(1.0, 1.0 / eta_p)
         G = sdp.project_affine(lam * P + (1.0 - lam) * G0)
-        check = certify(mset, ParentPovm(sdp.outs, G), tol)
+        check = certify(mset, ParentPovm(sdp.outs, G))
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
         # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
-        # stop once what is left is within tol, as certify demands
+        # stop once what is left is within TOL/2, inside what certify demands
         neg = ParentPovm(sdp.outs, P).psd_residual()
         g0 = float(G0[:, 0, 0].real.min())
-        lam = min(1.0, (g0 + 0.5 * tol) / (g0 + neg))
+        lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + neg))
         eta_star = lam * eta_p
         G = lam * P + (1.0 - lam) * G0
-        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G), tol)
+        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G))
         verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")
     proven = eta_hi < np.inf
     return Verdict(
@@ -548,11 +548,7 @@ def robustness(
     )
 
 
-def decide_table_row(
-    params: FamilyParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Verdict:
+def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> Verdict:
     """Decide compatibility of the symmetric family at ``params``.
 
     When count * tau <= 1 the set is jointly measurable by construction: a
@@ -561,16 +557,19 @@ def decide_table_row(
     parent.  ``certify`` checks that parent by its residuals: passing gives
     COMPATIBLE ("lon-parent") with eta_star = 1 and zero Newton steps, failing
     UNDECIDED.  Otherwise ``robustness`` decides.  ``seconds`` covers the
-    whole row, building the family included.
+    whole row, building the family included.  A negative ``max_iter`` is
+    refused on either path.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     t0 = time.perf_counter()
     lossy = symmetric_family(params)
     if params.count * params.tau <= 1.0 + SLACK:
         noiseless = symmetric_family(dataclasses.replace(params, tau=1.0))
-        res = certify(lossy, lon_parent(noiseless, [params.tau] * params.count), tol)
+        res = certify(lossy, lon_parent(noiseless, [params.tau] * params.count))
         if res.verdict == "COMPATIBLE":
             res.method = "lon-parent"
     else:
-        res = robustness(lossy, tol=tol, max_iter=max_iter)
+        res = robustness(lossy, max_iter=max_iter)
     res.seconds = time.perf_counter() - t0
     return res

@@ -31,7 +31,9 @@ class Povm:
         els = tuple(np.asarray(E, dtype=complex) for E in self.elements)
         if not els:
             raise ValueError("a POVM needs at least one element")
-        d = els[0].shape[0]
+        d = els[0].shape[0] if els[0].ndim == 2 else 0
+        if d == 0:
+            raise ValueError("POVM elements must be square matrices of size at least 1")
         for E in els:
             if E.shape != (d, d):
                 raise ValueError("POVM elements must share one square shape")

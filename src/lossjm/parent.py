@@ -33,6 +33,8 @@ network.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fock import _hermitian_lower
@@ -56,15 +58,16 @@ def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
     A loss channel of transmissivity eta in front of the network is the same
     network at ``[eta * t for t in taus]``.
 
-    Raises ValueError when sum(taus) exceeds 1: no quantum channel has all
-    the required loss channels as its single-arm marginals.
+    Raises ValueError when a transmissivity is negative, infinite or NaN, or
+    when sum(taus) exceeds 1: no quantum channel has all the required loss
+    channels as its single-arm marginals.
     """
     taus = [float(t) for t in taus]
     n = len(mset)
     if len(taus) != n:
         raise ValueError("need exactly one transmissivity per measurement")
-    if any(t < 0 for t in taus):
-        raise ValueError("transmissivities must be non-negative")
+    if any(not 0.0 <= t < math.inf for t in taus):  # refuses NaN too
+        raise ValueError("transmissivities must be finite and non-negative")
     total = sum(taus)
     if total > 1.0 + SLACK:
         raise ValueError(

@@ -76,16 +76,23 @@ def p_d(n: int, r: float) -> float:
     carried into the exponent.  The pass takes ~r^2 steps, so it is skipped
     once |P_D - 1| <= (n - 1) exp(-2 r^2 sin^2(pi/n)) (from the roots-of-unity
     form S_t = sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below
-    2^-54: P_D then rounds to 1.0.  Values are clamped to [0, 1]; the raw
-    expression can exceed 1 for large r, outside its regime of validity.
+    2^-54: P_D then rounds to 1.0.  The pass stops at m = 4000 + 2 r^2, so
+    for n - 1 past that some class gets no term and the result is 0.0,
+    returned before the n class sums are allocated.  Values are clamped to
+    [0, 1]; the raw expression can exceed 1 for large r, outside its regime
+    of validity.
     """
     n, r = _check_n(n), _check_r(r)
-    r2, sums = r * r, [0.0] * n
+    r2 = r * r
+    cap = 4000 + 2 * r2  # the pass ends by m = cap
+    if n - 1 > cap:
+        return 0.0
     if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
         return 1.0
+    sums = [0.0] * n
     term, m, scaled = 1.0, 0, 0  # r^{2m} / m!, like the sums, times _SHRINK^scaled
     # a term this small comes only past m = r^2, where the terms fall
-    while m <= 4000 + 2 * r2 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
+    while m <= cap and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
         sums[m % n] += term
         m += 1
         term *= r2 / m
@@ -110,10 +117,12 @@ def _log_form(n: int, r: float, log_denominator: float) -> float:
 def p_d_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n! of the optimal probability."""
     n, r = _check_n(n), _check_r(r)
-    try:
-        return n * n * r ** (2 * (n - 1)) / math.factorial(n)
-    except OverflowError:  # r^{2(n-1)} or n! (n > 170) past the float range
-        return _log_form(n, r, math.lgamma(n + 1))
+    if n <= 170:  # n! is a float
+        try:
+            return n * n * r ** (2 * (n - 1)) / math.factorial(n)
+        except OverflowError:  # r^{2(n-1)} past the float range
+            pass
+    return _log_form(n, r, math.lgamma(n + 1))
 
 
 def p_lon(n: int, r: float) -> float:
@@ -127,23 +136,28 @@ def p_lon(n: int, r: float) -> float:
 def p_lon_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n^{n-1} of the split-and-detect probability."""
     n, r = _check_n(n), _check_r(r)
-    try:
-        return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
-    except OverflowError:  # r^{2(n-1)} or n^{n-1} (n > 143) past the float range
-        return _log_form(n, r, (n - 1) * math.log(n))
+    if n <= 143:  # n^{n-1} is a float
+        try:
+            return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
+        except OverflowError:  # r^{2(n-1)} past the float range
+            pass
+    return _log_form(n, r, (n - 1) * math.log(n))
 
 
 def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     """Split-and-detect success after a loss channel of transmissivity tau_b.
 
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
-    this approaches n^2 r^{2(n-1)} tau_b^{n-1}.
+    this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  Every factor lies in [0, 1],
+    so the product stops once it is 0.0.
     """
     n, r = _check_n(n), _check_r(r)
     _check_tau(tau_b)
     out = 1.0
     for k in range(1, n):
         out *= -math.expm1(-tau_b * r * r * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
+        if out == 0.0:
+            break
     return out
 
 

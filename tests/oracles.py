@@ -48,6 +48,7 @@ from lossjm.measurements import (
     displaced_onoff,
     lossy_povm,
 )
+from lossjm import usd
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
@@ -401,6 +402,21 @@ def threshold_loop(tau: float) -> int:
         n += 1
         lhs, rhs = lhs * n * p, rhs * q
     return n
+
+
+def p_d_loop(n: int, r: float) -> float:
+    """``lossjm.usd.p_d``'s series pass with no early return: all n class
+    sums are allocated and filled up to its step cap m = 4000 + 2 r^2, also
+    when n is past the cap and some class gets no term."""
+    r2, sums = r * r, [0.0] * n
+    term, m, scaled = 1.0, 0, 0
+    while m <= 4000 + 2 * r2 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
+        sums[m % n] += term
+        m += 1
+        term *= r2 / m
+        if term > 1e300:
+            term, sums, scaled = term * usd._SHRINK, [x * usd._SHRINK for x in sums], scaled + 1
+    return min(1.0, max(0.0, n * math.exp(scaled * usd._SHRINK_EXP - r2) * min(sums)))
 
 
 # -- displaced families and the qubit pair criterion ------------------------------

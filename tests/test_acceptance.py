@@ -53,7 +53,7 @@ def test_criterion_2_constructive_breaking(criterion_report):
             lossy = meas.MeasurementSet(
                 tuple(meas.lossy_povm(p, eta / n) for p in mset)
             )
-            res = compat.certify(lossy, par, tol=1e-10)
+            res = compat.certify(lossy, par)
             worst_marg = max(worst_marg, res.marginal_residual)
             worst_psd = max(worst_psd, res.psd_residual)
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, schemas, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -125,6 +126,27 @@ class TestCompatCommand:
         assert (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
         assert payload["eta_hi"] is None and '"eta_hi": null' in out
 
+    def test_few_steps_undecided(self, capsys):
+        # three steps prove neither end; a looser parent check once made this COMPATIBLE
+        code, out = run(
+            ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3",
+             "--max-iter", "3"],
+            capsys,
+        )
+        payload = json.loads(out)
+        assert code == 3 and (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
+
+    @pytest.mark.parametrize("tau", ["0.3", "0.50005"], ids=["lon-parent", "sdp"])
+    def test_negative_max_iter_exit_one(self, capsys, tau):
+        # refused on the network-parent path as on the SDP path
+        code = cli.main(
+            ["compat", "--count", "3", "--r", "0.005", "--tau", tau, "--d", "3",
+             "--max-iter", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: max_iter must be non-negative\n"
+
     def test_record_keys(self, capsys):
         # the verdict record without its certificates, and the manifest
         _, out = run(
@@ -195,6 +217,12 @@ class TestParentVerifyCommand:
         r2 = json.loads(out2)["marginal_identity_residual"]
         assert r1 <= 1e-10 and r2 <= 1e-10
 
+    def test_zero_dimension_exit_one(self, capsys):
+        code = cli.main(["parent-verify", "--n", "2", "--d", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: POVM elements must be square matrices of size at least 1\n"
+
     def test_eta_is_not_an_option(self, capsys):
         # --tau is the one spelling of the arm transmissivity
         with pytest.raises(SystemExit) as exit_:
@@ -217,6 +245,13 @@ class TestUsdCommand:
         code, out = run(["usd", "--n", "4", "--r", "1e5", "--tau", "0.5"], capsys)
         assert code == 0
         assert json.loads(out)["p_d"] == 1.0
+
+    def test_huge_count_answers(self, capsys):
+        # n = 2^70 class sums once raised OverflowError out of main
+        code, out = run(["usd", "--n", str(2**70), "--r", "0.1", "--tau", "0.5"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p_d"] == payload["p_lon"] == 0.0
 
     def test_small_tau_answers(self, capsys):
         # the threshold search once compared n! with tau^(1-n) at each n up to ~2.7e6
@@ -383,6 +418,54 @@ class TestExtremeInputs:
         captured = capsys.readouterr()
         assert code == 0 or (code == 1 and captured.out == "")
         assert code == 0 or captured.err.startswith("error: ")
+
+
+class TestNoTolerance:
+    """The certificate threshold is compat.TOL; no option sets it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"],
+        ["table1", "--row-min", "2", "--row-max", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_tol_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--tol", "1e-3"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage:") and "--tol" in captured.err
+
+    def test_manifests_have_no_tol(self, capsys, tmp_path):
+        _, out = run(["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3"], capsys)
+        path = tmp_path / "table.csv"
+        cli.main(["table1", "--row-min", "2", "--row-max", "2", "--out", str(path)])
+        table = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+        assert set(json.loads(out)["manifest"]["params"]) == {
+            "count", "r", "tau", "d", "max_iter", "out",
+        }
+        assert set(table["params"]) == {"row_min", "row_max", "d", "max_iter", "out"}
+
+
+OPTIONS = {
+    "family": ["--count", "--d", "--out", "--r", "--tau"],
+    "compat": ["--count", "--d", "--max-iter", "--out", "--r", "--tau"],
+    "table1": ["--d", "--max-iter", "--out", "--row-max", "--row-min"],
+    "parent-verify": ["--d", "--n", "--out", "--random-seed", "--tau"],
+    "qubit-pair": ["--out", "--r", "--tau"],
+    "usd": ["--n", "--out", "--r", "--sweep", "--sweep-max", "--sweep-min", "--sweep-steps",
+            "--tau"],
+}
+
+
+def test_option_inventory():
+    # every settable option of every subcommand; a new knob is a deliberate diff here
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 32
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 """Joint-measurability solver: feasibility, robustness, and verdicts."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ class TestRobustness:
         with pytest.raises(ValueError):
             compat.robustness(meas.MeasurementSet((projective_z(),)), max_iter=-1)
 
+    def test_multiples_of_identity_compatible_without_a_solve(self):
+        # every element a multiple of I: the product parent serves every eta
+        half = np.eye(2) / 2
+        mset = meas.MeasurementSet((
+            meas.Povm((half, half)),
+            meas.Povm((np.eye(2) / 3, 2 * np.eye(2) / 3)),
+        ))
+        res = compat.robustness(mset)
+        assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
+        assert res.iterations == 0
+
     def test_soundness_recheck(self):
         # every feasible verdict ships a certificate that passes independent
         # validation
@@ -394,9 +406,9 @@ class TestReduction:
     @pytest.mark.parametrize("d,n", TIER1_ROWS)
     def test_eta_star_within_tol_of_eta_hi(self, d, n):
         # eta_hi is an exact bound; the eta_star parent passes certify only
-        # up to tol, so eta_star may exceed eta_hi, by no more than tol
+        # up to TOL, so eta_star may exceed eta_hi, by no more than TOL
         res = compat.robustness(table_family(d, n))
-        assert res.eta_star <= res.eta_hi + compat.DEFAULT_TOL
+        assert res.eta_star <= res.eta_hi + compat.TOL
 
     @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
     def test_benchmark_rows_keep_step_counts(self, n, steps):
@@ -484,9 +496,10 @@ class TestDecideTableRow:
         assert row.eta_hi is None and row.witness is None
         assert row.iterations == 0
 
-    def test_failed_network_parent_is_undecided(self):
-        # a network parent whose rounding-sized residual exceeds tol proves nothing
-        row = compat.decide_table_row(meas.FamilyParams(3, 0.005, 1.0 / 3.0, 3), tol=1e-20)
+    def test_failed_network_parent_is_undecided(self, monkeypatch):
+        # a network parent whose rounding-sized residual exceeds TOL proves nothing
+        monkeypatch.setattr(compat, "TOL", 1e-20)
+        row = compat.decide_table_row(meas.FamilyParams(3, 0.005, 1.0 / 3.0, 3))
         assert row.marginal_residual > 1e-20
         assert (row.verdict, row.method, row.eta_star) == ("UNDECIDED", "none", None)
 
@@ -520,6 +533,38 @@ class TestDecideTableRow:
             "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
             "iterations", "seconds", "parent", "witness",
         }
+
+
+class TestOneThreshold:
+    """compat.TOL is the one certificate threshold; no call can loosen it."""
+
+    @pytest.mark.parametrize("func", [compat.certify, compat.robustness, compat.decide_table_row])
+    def test_no_tol_parameter(self, func):
+        assert "tol" not in inspect.signature(func).parameters
+
+    def test_tol_is_a_constant(self):
+        assert compat.TOL == 1e-8 and not hasattr(compat, "DEFAULT_TOL")
+
+    @pytest.mark.parametrize("tau", [1.0 / 3.0, 0.50005], ids=["lon-parent", "sdp"])
+    def test_negative_step_cap_refused_on_every_path(self, tau):
+        with pytest.raises(ValueError, match="max_iter must be non-negative"):
+            compat.decide_table_row(meas.FamilyParams(3, 0.005, tau, 3), max_iter=-1)
+
+
+def _family(count):
+    return meas.symmetric_family(meas.FamilyParams(count, 0.1, 0.9, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compat.robustness(_family(17)), "131072 outcome tuples exceed the 65536 limit"),
+    (lambda: compat.certify(_family(3), meas.ParentPovm((2, 2), np.zeros((4, 2, 2)))),
+     "parent shape does not match"),
+    (lambda: compat.certify(_family(2), meas.ParentPovm((2, 2), np.zeros((4, 3, 3)))),
+     "parent shape does not match"),
+], ids=["tuples", "outcome-counts", "dimension"])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestDeterminism:

@@ -24,6 +24,11 @@ class TestCoherentKet:
     def test_vacuum(self):
         assert np.allclose(fock.coherent_ket(0.0, 4), [1, 0, 0, 0])
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_refusal_messages(self, d):
+        with pytest.raises(ValueError, match="cutoff must be a positive integer"):
+            fock.coherent_ket(0.5, d)
+
     def test_ground_amplitude(self):
         ket = fock.coherent_ket(1.0, 8)
         assert ket[0] == pytest.approx(math.exp(-0.5), abs=1e-15)

@@ -257,3 +257,24 @@ class TestRandomSets:
         rng = np.random.default_rng(7)
         for _ in range(20):
             oracles.validate(meas.random_two_outcome_povm(dim, rng))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: meas.Povm(()), "a POVM needs at least one element"),
+    (lambda: meas.Povm((np.zeros((0, 0)),)), "square matrices of size at least 1"),
+    (lambda: meas.Povm((1.0,)), "square matrices of size at least 1"),
+    (lambda: meas.Povm((np.eye(2), np.eye(3))), "POVM elements must share one square shape"),
+    (lambda: meas.MeasurementSet(()), "a measurement set needs at least one POVM"),
+    (lambda: meas.MeasurementSet((meas.displaced_onoff(0.1, 2), meas.displaced_onoff(0.1, 3))),
+     "all POVMs must share one dimension"),
+    (lambda: meas.ParentPovm((2, 2), np.zeros((3, 2, 2))),
+     r"blocks must have shape \(prod\(outcome_counts\), d, d\)"),
+    (lambda: meas.FamilyParams(2, 0.1, 1.5, 3), r"tau must lie in \[0, 1\]"),
+    (lambda: meas.FamilyParams(2, 0.1, math.nan, 3), r"tau must lie in \[0, 1\]"),
+    (lambda: meas.FamilyParams(2, 0.1, 0.5, 1), "d must be >= 2"),
+    (lambda: meas.displaced_onoff(0.1, 1), "d must be >= 2"),
+], ids=["no-element", "empty-element", "scalar-element", "shapes", "no-povm", "dimensions",
+        "parent-blocks", "tau", "tau-nan", "family-d", "onoff-d"])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

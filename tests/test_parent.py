@@ -1,6 +1,7 @@
 """Network parent construction and the marginal identity."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestLonParent:
         mset = meas.MeasurementSet((vacuum_onoff(3), vacuum_onoff(3)))
         with pytest.raises(ValueError):
             parent.lon_parent(mset, [0.6, 0.6])
+
+    @pytest.mark.parametrize("taus, message", [
+        ([0.5], "need exactly one transmissivity per measurement"),
+        ([0.5, 0.2, 0.2], "need exactly one transmissivity per measurement"),
+        ([-0.1, 0.5], "transmissivities must be finite and non-negative"),
+        ([math.inf, 0.5], "transmissivities must be finite and non-negative"),
+        ([math.nan, 0.5], "transmissivities must be finite and non-negative"),
+        ([0.5, math.nan], "transmissivities must be finite and non-negative"),
+        ([math.nan, math.nan], "transmissivities must be finite and non-negative"),
+        ([0.6, 0.6], "exceeds 1"),
+    ], ids=["short", "long", "negative", "inf", "nan-first", "nan-last", "nan-both", "sum"])
+    def test_refusal_messages(self, taus, message):
+        # a NaN once passed both checks and took every photon into one arm
+        mset = meas.MeasurementSet((vacuum_onoff(3), vacuum_onoff(3)))
+        with pytest.raises(ValueError, match=message):
+            parent.lon_parent(mset, taus)
 
     def test_validity_for_random_sets(self):
         rng = np.random.default_rng(43)
@@ -179,5 +196,6 @@ class TestEndToEnd:
             tuple(meas.lossy_povm(p, 1.0 / n) for p in mset)
         )
         par = parent.lon_parent(mset, [1.0 / n] * n)
-        res = compat.certify(lossy, par, tol=1e-10)
+        res = compat.certify(lossy, par)
         assert res.verdict == "COMPATIBLE"
+        assert res.marginal_residual <= 1e-10 and res.psd_residual <= 1e-10

@@ -17,6 +17,15 @@ def noisy_direction(axis, visibility):
 
 
 class TestPairTest:
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["first", "second"])
+    def test_refusal_messages(self, bad_first):
+        # A = diag(1.5, -0.5) sums with I - A to the identity but is not PSD
+        A = np.diag([1.5, -0.5]).astype(complex)
+        bad, good = meas.Povm((A, np.eye(2) - A)), noisy_direction(2, 0.9)
+        pair = (bad, good) if bad_first else (good, bad)
+        with pytest.raises(ValueError, match="Bloch parameters violate POVM positivity"):
+            qubit.pair_test(*pair)
+
     def test_identical_noisy_z_compatible(self):
         p = noisy_direction(2, 0.99)
         report = qubit.pair_test(p, p)

@@ -172,6 +172,45 @@ class TestApproximations:
         assert usd.p_d_approx(2, 0.01) == usd.p_lon_approx(2, 0.01)
 
 
+class TestHugeCount:
+    """A count past the series' step cap or the float range of n! and
+    n^(n-1) needs no n-sized work, and each value equals the old one."""
+
+    def test_small_r_forms_in_bounded_time(self):
+        # n! and n^(n-1) at n = 1e6 took seconds to build, only to overflow
+        t0 = time.perf_counter()
+        assert usd.p_d_approx(10**6, 0.5) == usd.p_lon_approx(10**6, 0.5) == 0.0
+        assert usd.lossy_usd_success(10**7, 0.1, 0.5) == 0.0
+        assert time.perf_counter() - t0 < 0.25
+
+    @staticmethod
+    def _old_forms(n, r):
+        """The small-r forms as written before the early branch to logarithms."""
+        try:
+            p_d = n * n * r ** (2 * (n - 1)) / math.factorial(n)
+        except OverflowError:
+            p_d = usd._log_form(n, r, math.lgamma(n + 1))
+        try:
+            p_lon = n * n * r ** (2 * (n - 1)) / n ** (n - 1)
+        except OverflowError:
+            p_lon = usd._log_form(n, r, (n - 1) * math.log(n))
+        return p_d, p_lon
+
+    @pytest.mark.parametrize("n", [143, 144, 170, 171])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 10.0])
+    def test_small_r_forms_at_the_float_range(self, n, r):
+        assert (usd.p_d_approx(n, r), usd.p_lon_approx(n, r)) == self._old_forms(n, r)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_p_d_at_the_step_cap(self, r, step):
+        # past n = 4001 + 2 r^2 the pass leaves a class empty: P_D is 0.0
+        n = int(4001 + 2 * r * r) + step
+        assert usd.p_d(n, r) == oracles.p_d_loop(n, r)
+        if step > 0:
+            assert usd.p_d(n, r) == 0.0
+
+
 class TestPLon:
     def test_two_states_optimal(self):
         for r in (0.01, 0.1, 0.5, 1.0):
@@ -320,6 +359,13 @@ class TestCount:
         # p_d(2.5, r) once returned p_d(2, r)
         f, *args = call
         with pytest.raises(ValueError, match="must be an integer"):
+            f(n, *args)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_too_few_states_rejected(self, call, n):
+        f, *args = call
+        with pytest.raises(ValueError, match="need at least two states"):
             f(n, *args)
 
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
