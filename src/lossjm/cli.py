@@ -138,6 +138,10 @@ def _run_row(n: int, d: int, max_iter: int):
 
 def cmd_table1(args) -> int:
     rows = list(range(args.row_min, args.row_max + 1))
+    if not rows:
+        raise ValueError(
+            f"empty row range: --row-min {args.row_min} exceeds --row-max {args.row_max}"
+        )
     unknown = [n for n in rows if n not in TABLE_POINTS]
     if unknown:
         raise ValueError(f"no bundled operating point for rows {unknown}")

@@ -37,8 +37,9 @@ the symmetric family that is the dihedral group generated by the phase
 rotation R = exp(2 pi i N / n) and complex conjugation: averaging a parent or
 a witness over it keeps it valid, so one block per orbit of outcome tuples
 and the rows of measurement 0 suffice (Gatermann & Parrilo, J. Pure Appl.
-Algebra 192, 2004).  The solution is expanded to all tuples and rows before
-the repair and ``certify``, which check the full problem.
+Algebra 192, 2004).  The parent is projected on the representatives and
+expanded to all tuples once, for ``certify``; the witness repair and
+``certify`` check the full problem.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .measurements import (
     MeasurementSet,
     ParentPovm,
     Povm,
+    _psd_residual,
     _rotated,
     _rotation_phases,
     symmetric_family,
@@ -222,9 +224,10 @@ class _RobustnessSdp:
     """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C,
     solved in the subspace fixed by the group that permutes the set.
 
-    Parents are stacks of T blocks in the tuple order of ``ParentPovm``;
-    constraint rows are stacked measurement by measurement, ``offsets[j]``
-    being the first row of measurement j.
+    Parents are stacks of the representatives' blocks, ``full_blocks`` giving
+    all T in the tuple order of ``ParentPovm``; constraint rows are stacked
+    measurement by measurement, ``offsets[j]`` being the first row of
+    measurement j.
 
     The group is found from the set alone (``_covariance_phases``): the
     dihedral group of order 2n for the rotated copies of ``symmetric_family``,
@@ -292,31 +295,18 @@ class _RobustnessSdp:
         self.V = np.kron(np.eye(classes), masked)[:, mask.ravel()]
         self.VH = self.V.conj().T
 
-        rep_digits = np.unravel_index(self.rep, self.outs)  # each one's outcome per measurement
-        g = self.gen[self.offsets[:-1, None] + rep_digits].sum(axis=0)  # (reps, classes*K), real
+        self.digits = np.unravel_index(self.rep, self.outs)  # each one's outcome per measurement
+        g = self.gen[self.offsets[:-1, None] + self.digits].sum(axis=0)  # (reps, classes*K), real
         gw = self.weight[:, None] * g
         self.pairs = (g[:, :, None] * gw[:, None, :]).reshape(len(g), -1)
         self.g, self.gwT = g.astype(complex), gw.T.astype(complex, order="C")
         self.cv, self.dv = self.row_coords(self.C), self.row_coords(self.D)
         self.dd = np.outer(self.dv, self.dv)
+        eye = np.broadcast_to(self.identity, (len(self.rep), d, d))
+        self.gram = self.schur(eye, eye, 0.0)  # of the constraint map, for ``project``
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
-
-    def project_affine(self, G: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        """Orthogonal projection onto the parents G with marginal rows
-        ``targets`` (default: the set's).
-
-        The normal equations of the constraint map couple only through the
-        per-measurement deficit sums, which all equal the total-sum deficit
-        for consistent targets; that collapses the correction to closed form.
-        """
-        delta = G.sum(axis=0) - self.identity
-        shift = ((self.n - 1) / (self.n * self.T)) * delta
-        weight = np.repeat(self.outs, self.outs)[:, None, None] / self.T
-        targets = self.targets if targets is None else targets
-        gap = ParentPovm(self.outs, G).marginals() - targets
-        return G - ParentPovm.spread(self.outs, weight * gap - shift)
 
     def row_coords(self, Y: np.ndarray) -> np.ndarray:
         """Coordinates <full_rows(e_i), Y> of a full row stack Y."""
@@ -350,6 +340,14 @@ class _RobustnessSdp:
         """``ParentPovm.spread`` of ``full_rows(c)`` at the representatives."""
         return (self.g @ (self.V @ c).reshape(self.g.shape[1], -1)).reshape(-1, self.d, self.d)
 
+    def project(self, G: np.ndarray, eta: float) -> np.ndarray:
+        """Orthogonal projection, under ``inner``, of invariant blocks G onto the
+        parents of the set depolarized to eta: G + dual_blocks(a), with gram a
+        = cv + eta dv - marginal_coords(G).  The group average of a parent is a
+        parent, so this is the projection over all T tuples."""
+        a = np.linalg.solve(self.gram, self.cv + eta * self.dv - self.marginal_coords(G))
+        return G + self.dual_blocks(a)
+
     def inner(self, A: np.ndarray, B: np.ndarray) -> float:
         """``_inner`` of the full stacks of two invariant Hermitian stacks of
         representatives: Re tr(A_t B_t) weighted by the orbit sizes."""
@@ -374,9 +372,9 @@ class _RobustnessSdp:
 
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
-        the best primal (G, eta) and dual rows Y, expanded to the full
-        problem, and the step count.  The iterate is one stack W = [X, Z] and
-        each direction one stack dW = [dX, dZ]; each step factorises W once,
+        the best primal (G, eta), G at the representatives, the dual rows Y,
+        and the step count.  The iterate is one stack W = [X, Z] and each
+        direction one stack dW = [dX, dZ]; each step factorises W once,
         and its inverse factors give Z^-1 and both step lengths.  A singular
         Schur matrix, as near the optimum of degenerate sets, ends it early.
 
@@ -435,7 +433,7 @@ class _RobustnessSdp:
             W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
             W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
         _, _, X, x, c = best
-        return self.full_blocks(X), x, self.full_rows(c), steps
+        return X, x, self.full_rows(c), steps
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Make W an exact witness; return it with the bound eta_hi it proves.
@@ -509,29 +507,30 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         raise ValueError("max_iter must be non-negative")
     t0 = time.perf_counter()
     sdp = _RobustnessSdp(mset)
-    weights = np.ix_(*[r[:, 0, 0].real for r in sdp.rows(sdp.C)])  # tr(M^j_a)/d
-    G0 = math.prod(weights).reshape(-1, 1, 1) * sdp.identity  # the eta = 0 product parent
+    weights = [r[:, 0, 0].real for r in sdp.rows(sdp.C)]  # tr(M^j_a)/d
+    # the eta = 0 product parent, at the representatives
+    G0 = math.prod(w[t] for w, t in zip(weights, sdp.digits)).reshape(-1, 1, 1) * sdp.identity
     if np.any(sdp.D):
         X, eta_p, y, steps = sdp.solve(max_iter)
     else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
         X, eta_p, y, steps = G0, 1.0, np.zeros_like(sdp.C), 0
     W, eta_hi = sdp.repair_witness(-y)
-    P = sdp.project_affine(X, sdp.C + eta_p * sdp.D)  # the marginals of the set at eta_p
+    P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
         lam = min(1.0, 1.0 / eta_p)
-        G = sdp.project_affine(lam * P + (1.0 - lam) * G0)
-        check = certify(mset, ParentPovm(sdp.outs, G))
+        G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
+        check = certify(mset, ParentPovm(sdp.outs, sdp.full_blocks(G)))
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
         # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
         # stop once what is left is within TOL/2, inside what certify demands
-        neg = ParentPovm(sdp.outs, P).psd_residual()
+        neg = _psd_residual(P)
         g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + neg))
         eta_star = lam * eta_p
         G = lam * P + (1.0 - lam) * G0
-        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, G))
+        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, sdp.full_blocks(G)))
         verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")
     proven = eta_hi < np.inf
     return Verdict(

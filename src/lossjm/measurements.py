@@ -74,6 +74,11 @@ class MeasurementSet:
         return iter(self.povms)
 
 
+def _psd_residual(blocks: np.ndarray) -> float:
+    """``ParentPovm.psd_residual`` of a stack of Hermitian blocks."""
+    return max(0.0, float(-np.linalg.eigvalsh(blocks).min()))
+
+
 @dataclass(frozen=True)
 class ParentPovm:
     """POVM indexed by outcome tuples; the certificate of joint measurability.
@@ -132,7 +137,7 @@ class ParentPovm:
 
     def psd_residual(self) -> float:
         """max(0, -lambda_min) over the blocks; zero means every block is PSD."""
-        return max(0.0, float(-np.linalg.eigvalsh(self.blocks).min()))
+        return _psd_residual(self.blocks)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ the pair is incompatible if and only if
     Test = (1 - F_1^2 - F_2^2) (1 - (gamma_1/F_1)^2 - (gamma_2/F_2)^2)
            - (m_1 . m_2 - gamma_1 gamma_2)^2  >  0,
 
-where F_i = [sqrt((1 + gamma_i)^2 - |m_i|^2) + sqrt((1 - gamma_i)^2 - |m_i|^2)] / 2.
+where F_i = [sqrt((1 + gamma_i)^2 - |m_i|^2) + sqrt((1 - gamma_i)^2 - |m_i|^2)] / 2
+= sqrt(det A_i,+) + sqrt(det A_i,-).
 This is the standard criterion for biased pairs and serves as the independent
 oracle for the joint-measurability solver on qubits.
 """
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .measurements import BlochParams, FamilyParams, Povm, bloch_params, symmetric_family
+import numpy as np
+
+from .measurements import FamilyParams, Povm, bloch_params, symmetric_family
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -41,19 +44,22 @@ class PairTestReport:
     incompatible: bool
 
 
-def _fuzziness(b: BlochParams) -> float:
-    mm = float(b.m @ b.m)
-    lo = (1.0 - b.gamma) ** 2 - mm
-    hi = (1.0 + b.gamma) ** 2 - mm
-    if min(lo, hi) < -1e-10:
+def _fuzziness(A: np.ndarray) -> float:
+    """F = sqrt(det A) + sqrt(det(I - A)) from the 2x2 entries of the first
+    element A: 4 det A = (1 + gamma)^2 - |m|^2 without forming that difference
+    of O(1) numbers, which lost 3-4 digits on near-rank-1 elements."""
+    a, b, d = A[0, 0].real, A[0, 1], A[1, 1].real
+    off = b.real**2 + b.imag**2
+    dets = (a * d - off, (1.0 - a) * (1.0 - d) - off)
+    if 4.0 * min(dets) < -1e-10:
         raise ValueError("Bloch parameters violate POVM positivity")
-    return 0.5 * (math.sqrt(max(hi, 0.0)) + math.sqrt(max(lo, 0.0)))
+    return sum(math.sqrt(max(x, 0.0)) for x in dets)
 
 
 def pair_test(a: Povm, b: Povm) -> PairTestReport:
     """Evaluate the pair criterion; incompatible iff test_value > 0."""
     pa, pb = bloch_params(a), bloch_params(b)
-    F1, F2 = _fuzziness(pa), _fuzziness(pb)
+    F1, F2 = _fuzziness(a.elements[0]), _fuzziness(b.elements[0])
     if F1 < DEGENERATE_F_TOL or F2 < DEGENERATE_F_TOL:
         raise DegenerateMeasurementError(
             "measurement with vanishing fuzziness: criterion undefined"

@@ -44,6 +44,12 @@ def _check_n(n: int) -> int:
         raise ValueError(f"the number of states must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("need at least two states")
+    try:
+        math.lgamma(n + 1)
+    except OverflowError:  # n itself, or log n!, past the float range
+        raise ValueError(
+            "the number of states is too large: log n! is past the float range"
+        ) from None
     return n
 
 
@@ -162,15 +168,13 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
 
 
 def _beats(n: int, tau: float) -> bool:
-    """n! > tau^{1-n}: in floats when log n! and (n - 1) log(1/tau) differ by
-    more than _LOG_SLACK times their sum, else exactly in integers, as
-    n! p^{n-1} > q^{n-1} for tau = p/q (a float is exactly such a ratio)."""
-    try:
-        a, b = math.lgamma(n + 1), (n - 1) * -math.log(tau)
-        if abs(a - b) > _LOG_SLACK * (a + b):
-            return a > b
-    except OverflowError:  # n past the float range
-        pass
+    """n! > tau^{1-n}, for an n that ``_check_n`` accepts: in floats when
+    log n! and (n - 1) log(1/tau) differ by more than _LOG_SLACK times their
+    sum, else exactly in integers, as n! p^{n-1} > q^{n-1} for tau = p/q (a
+    float is exactly such a ratio)."""
+    a, b = math.lgamma(n + 1), (n - 1) * -math.log(tau)
+    if abs(a - b) > _LOG_SLACK * (a + b):
+        return a > b
     if n > _EXACT_MAX_N:
         raise ValueError(
             f"n! and tau^(1-n) agree to within rounding at tau = {tau!r}, past the "
@@ -196,10 +200,19 @@ def result4_threshold(tau: float) -> int:
     decided exactly.  Rejects tau outside (0, 1].  Raises ValueError when a
     comparison past _EXACT_MAX_N is too close to call: the float band grows
     like n log n, so that happens for 1 tau in 2,000 between 1e-9 and 1e-8,
-    1 in 27 between 1e-11 and 1e-10, and every tau below 1e-12.
+    1 in 27 between 1e-11 and 1e-10, and every tau below 1e-12.  A tau
+    below ~1e-305, whose search would reach counts with no float log n!, is
+    refused before any comparison.
     """
     p, q = _check_tau(tau).as_integer_ratio()
     lo, hi = max(1, q // p), 3 * (q // p + 1)  # n = lo does not beat, n = hi does
+    try:
+        _check_n(hi)  # every n the bisection compares then has a float log n!
+    except ValueError:
+        raise ValueError(
+            f"tau = {tau!r} is too small: the threshold search reaches counts whose "
+            "log n! is past the float range"
+        ) from None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _beats(mid, tau):

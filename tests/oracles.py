@@ -20,8 +20,9 @@ in the package:
   rebuilt from its Bloch parameters;
 * random Hermitian operators and density matrices as test inputs;
 * the block of a parent POVM at one outcome tuple, the marginal map, its
-  adjoint and the Schur matrix of the robustness solve by sums over the axes
-  of the outcome-tuple grid, and the average of parent blocks over the
+  adjoint, the Schur matrix of the robustness solve and the closed-form
+  projection onto the parents of given marginals by sums over the axes of
+  the outcome-tuple grid, and the average of parent blocks over the
   dihedral group of a rotation-covariant set.
 
 Operators follow the conventions of ``lossjm.fock``: dense complex matrices
@@ -534,6 +535,22 @@ def schur_reference(outs: tuple, X: np.ndarray, Zinv: np.ndarray, directions) ->
     S = np.stack([spread_reference(outs, Y) for Y in directions])
     P = X[None] @ S @ Zinv[None]
     return np.einsum("itab,ktba->ik", S, P).real
+
+
+def project_reference(outs: tuple, G: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of parent blocks G (T, d, d) onto the parents
+    with marginal rows ``targets``, in closed form over the full tuple grid.
+
+    The normal equations of the marginal map couple only through the
+    per-measurement deficit sums, which all equal the total-sum deficit for
+    targets whose rows sum to the identity per measurement; that collapses
+    the correction to closed form.
+    """
+    n, T, d = len(outs), math.prod(outs), G.shape[-1]
+    shift = ((n - 1) / (n * T)) * (G.sum(axis=0) - np.eye(d))
+    weight = np.repeat(outs, outs)[:, None, None] / T
+    gap = marginals_reference(outs, G) - targets
+    return G - spread_reference(outs, weight * gap - shift)
 
 
 def dihedral_average(outs: tuple, X: np.ndarray) -> np.ndarray:

@@ -253,6 +253,15 @@ class TestUsdCommand:
         payload = json.loads(out)
         assert payload["p_d"] == payload["p_lon"] == 0.0
 
+    @pytest.mark.parametrize("n", [10**306, 2**1100], ids=["lgamma-overflows", "past-float-range"])
+    def test_count_without_float_log_factorial_errors(self, capsys, n):
+        # these once died with an OverflowError traceback
+        code = cli.main(["usd", "--n", str(n), "--r", "0.1", "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "log n! is past the float range" in captured.err
+
     def test_small_tau_answers(self, capsys):
         # the threshold search once compared n! with tau^(1-n) at each n up to ~2.7e6
         t0 = time.perf_counter()
@@ -313,6 +322,15 @@ class TestTable1Command:
     def test_unknown_row_errors(self, capsys):
         code = cli.main(["table1", "--row-min", "11", "--row-max", "11"])
         assert code == 1
+
+    def test_empty_row_range_errors(self, capsys, tmp_path):
+        # this once exited 0 with a header-only CSV
+        path = tmp_path / "table.csv"
+        code = cli.main(["table1", "--row-min", "5", "--row-max", "2", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not path.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--row-min 5" in captured.err and "--row-max 2" in captured.err
 
     def test_undecided_row_outranks_incompatible(self, capsys):
         # five Newton steps refute row 2 but leave row 3 without a certificate

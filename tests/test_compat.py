@@ -192,6 +192,56 @@ class TestMarginalMap:
         assert np.linalg.matrix_rank(got) == len(got)  # no gauge left in the coordinates
 
 
+TRIVIAL = meas.MeasurementSet(
+    tuple(random_povm(o, 3, np.random.default_rng(40 + o)) for o in (2, 3, 2))
+)
+
+
+class TestProjection:
+    """``_RobustnessSdp.project`` works on the representatives, in the solve's
+    own coordinates, and equals the closed-form projection over all T tuples."""
+
+    @pytest.mark.parametrize(
+        "mset,covariant",
+        [(m, True) for m in COVARIANT] + [(TRIVIAL, False)],
+        ids=COVARIANT_IDS + ["trivial-group"],
+    )
+    def test_matches_full_grid_projection(self, mset, covariant):
+        rng = np.random.default_rng(34)
+        sdp = compat._RobustnessSdp(mset)
+        if covariant:
+            full, reps = invariant_blocks(sdp, rng)
+        else:
+            assert len(sdp.rep) == sdp.T
+            full = reps = random_blocks(sdp.T, sdp.d, rng)
+        eta = 0.7
+        got = sdp.project(reps, eta)
+        want = oracles.project_reference(sdp.outs, full, sdp.C + eta * sdp.D)
+        assert np.abs(sdp.full_blocks(got) - want).max() <= 1e-13 * np.abs(want).max()
+        target = sdp.cv + eta * sdp.dv
+        assert np.abs(sdp.marginal_coords(got) - target).max() <= 1e-13 * np.abs(target).max()
+
+    def test_full_grid_maps_run_only_for_the_certificates(self, monkeypatch):
+        # the projection stays on the representatives: the T-sized marginal map
+        # runs once, in certify, and its adjoint once, in the witness repair
+        calls = {"marginals": 0, "spread": 0}
+        marginals, spread = meas.ParentPovm.marginals, meas.ParentPovm.spread
+
+        def counted_marginals(self):
+            calls["marginals"] += 1
+            return marginals(self)
+
+        def counted_spread(outs, rows):
+            calls["spread"] += 1
+            return spread(outs, rows)
+
+        monkeypatch.setattr(meas.ParentPovm, "marginals", counted_marginals)
+        monkeypatch.setattr(meas.ParentPovm, "spread", staticmethod(counted_spread))
+        res = compat.robustness(table_family(3, 3))
+        assert res.verdict == "INCOMPATIBLE"
+        assert calls == {"marginals": 1, "spread": 1}
+
+
 class TestMarginal:
     def test_marginals_recover_projective_pair(self):
         p = projective_z()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,26 @@ class TestPairTest:
         z = meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
         with pytest.raises(qubit.DegenerateMeasurementError):
             qubit.pair_test(z, z)
+
+
+def exact_fuzziness(A):
+    """sqrt(det A) + sqrt(det(I - A)) of the stored 2x2 entries, in 60 digits."""
+    with mpmath.workdps(60):
+        a, d = mpmath.mpf(A[0, 0].real), mpmath.mpf(A[1, 1].real)
+        off = mpmath.mpf(A[0, 1].real) ** 2 + mpmath.mpf(A[0, 1].imag) ** 2
+        return mpmath.sqrt(a * d - off) + mpmath.sqrt((1 - a) * (1 - d) - off)
+
+
+class TestFuzzinessPrecision:
+    @pytest.mark.parametrize("tau", [0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("r", [1e-3, 1e-2, 0.05, 0.2])
+    def test_matches_exact_determinants(self, r, tau):
+        # F from (1 +/- gamma)^2 - |m|^2 was off by up to 4.3e-11 on this grid
+        # (r = 1e-3, tau = 0.9): a near-zero difference of O(1) numbers
+        a, b = qubit.lossy_displaced_pair(r, tau)
+        report = qubit.pair_test(a, b)
+        for F, p in ((report.F1, a), (report.F2, b)):
+            assert abs(F - exact_fuzziness(p.elements[0])) <= 1e-15
 
 
 class TestKrausRoute:

@@ -368,6 +368,27 @@ class TestCount:
         with pytest.raises(ValueError, match="need at least two states"):
             f(n, *args)
 
+    @pytest.mark.parametrize("n", [10**306, 2**1100], ids=["lgamma-overflows", "past-float-range"])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_count_without_float_log_factorial_refused(self, call, n):
+        # these once raised OverflowError, or beats_no_loss_optimum refused
+        # with the false "agree to within rounding"
+        f, *args = call
+        with pytest.raises(ValueError, match=r"log n! is past the float range"):
+            f(n, *args)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_largest_counts_answer(self, call):
+        f, *args = call
+        assert 0.0 <= f(10**305, *args) <= 1.0
+
+    def test_tau_past_the_float_threshold_refused(self):
+        # the threshold search once reached counts whose log n! overflowed and
+        # refused with the false "agree to within rounding"
+        for tau in (1e-306, 5e-324):
+            with pytest.raises(ValueError, match="is too small"):
+                usd.result4_threshold(tau)
+
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_numpy_integer_count_accepted(self, call):
         f, *args = call
