@@ -20,12 +20,10 @@ from .compat import (
 from .fock import coherent_ket
 from .loss import apply_dual
 from .measurements import (
-    BlochParams,
     FamilyParams,
     MeasurementSet,
     ParentPovm,
     Povm,
-    bloch_params,
     displaced_onoff,
     lossy_povm,
     random_measurement_set,
@@ -52,7 +50,6 @@ from .usd import (
 )
 
 __all__ = [
-    "BlochParams",
     "DegenerateMeasurementError",
     "FamilyParams",
     "MeasurementSet",
@@ -63,7 +60,6 @@ __all__ = [
     "Verdict",
     "apply_dual",
     "beats_no_loss_optimum",
-    "bloch_params",
     "certify",
     "coherent_ket",
     "decide_table_row",

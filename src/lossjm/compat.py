@@ -23,9 +23,10 @@ and each verdict rests on a certificate checked after the solve:
 counts and dimension, then asks the parent for two numbers, each to be at most
 ``TOL`` = 1e-8: ``ParentPovm.marginal_residual``, the max-norm gap between
 its marginal rows and the set's elements, and ``ParentPovm.psd_residual``,
-minus its least block eigenvalue.  The blocks then sum to the identity up to the same gap,
-because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP
-only: ``certify`` takes every parent ``lon_parent`` builds.
+the larger of minus its least block eigenvalue and its blocks' max-norm gap
+to their conjugate transpose.  The blocks then sum to the identity up to the
+same gap, because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound
+the SDP only: ``certify`` takes every parent ``lon_parent`` builds.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
 depolarized to eta_star, up to ``TOL``.  ``certify``, ``robustness`` and

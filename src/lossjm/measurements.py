@@ -1,6 +1,5 @@
 """POVMs, measurement sets and parent POVMs: displaced on-off
-photodetection, symmetric families under loss, and the Bloch picture for
-qubits.
+photodetection and symmetric families under loss.
 """
 
 from __future__ import annotations
@@ -11,15 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import _hermitian_lower, coherent_ket
+from .fock import _ct, _hermitian_lower, coherent_ket
 from .loss import apply_dual
-
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -75,8 +67,9 @@ class MeasurementSet:
 
 
 def _psd_residual(blocks: np.ndarray) -> float:
-    """``ParentPovm.psd_residual`` of a stack of Hermitian blocks."""
-    return max(0.0, float(-np.linalg.eigvalsh(blocks).min()))
+    """``ParentPovm.psd_residual`` of a stack of blocks."""
+    gap = float(np.abs(blocks - _ct(blocks)).max())  # NaN if an entry is NaN
+    return max(gap, float(-np.linalg.eigvalsh(blocks).min()))
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,10 @@ class ParentPovm:
         return float(np.abs(self.marginals() - targets).max())
 
     def psd_residual(self) -> float:
-        """max(0, -lambda_min) over the blocks; zero means every block is PSD."""
+        """The larger of -lambda_min over the blocks and their max-norm gap to
+        their conjugate transpose: eigvalsh reads only the lower triangle, the
+        gap sees the upper one.  Zero means every block is Hermitian and PSD;
+        a NaN entry gives NaN."""
         return _psd_residual(self.blocks)
 
 
@@ -236,27 +232,6 @@ def symmetric_family(params: FamilyParams) -> MeasurementSet:
     first = lossy_povm(displaced_onoff(params.r, params.d), params.tau)
     copies = _rotated(np.stack(first.elements), _rotation_phases(params.count, params.d))
     return MeasurementSet(tuple(Povm(tuple(els)) for els in copies))
-
-
-@dataclass(frozen=True)
-class BlochParams:
-    """Bias gamma and Bloch vector m of a two-outcome qubit measurement,
-    referring to the first element A = [(1 + gamma) I + m . sigma] / 2."""
-
-    gamma: float
-    m: np.ndarray = field(repr=False)
-
-
-def bloch_params(povm: Povm) -> BlochParams:
-    """Extract (gamma, m) from a two-outcome qubit POVM, Pauli order (x, y, z)."""
-    if povm.dim != 2:
-        raise ValueError("Bloch extraction requires dimension 2")
-    if povm.outcomes != 2:
-        raise ValueError("Bloch extraction requires exactly two outcomes")
-    A = povm.elements[0]
-    gamma = float(np.trace(A).real) - 1.0
-    m = np.array([np.trace(A @ s).real for s in PAULI])
-    return BlochParams(gamma, m)
 
 
 def random_two_outcome_povm(dim: int, rng: np.random.Generator) -> Povm:

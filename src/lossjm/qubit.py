@@ -7,9 +7,9 @@ the pair is incompatible if and only if
            - (m_1 . m_2 - gamma_1 gamma_2)^2  >  0,
 
 where F_i = [sqrt((1 + gamma_i)^2 - |m_i|^2) + sqrt((1 - gamma_i)^2 - |m_i|^2)] / 2
-= sqrt(det A_i,+) + sqrt(det A_i,-).
-This is the standard criterion for biased pairs and serves as the independent
-oracle for the joint-measurability solver on qubits.
+= sqrt(det A_i,+) + sqrt(det A_i,-).  gamma_i, m_i and F_i are read off the
+entries of A_i,+ alone.  This is the standard criterion for biased pairs and
+serves as the independent oracle for the joint-measurability solver on qubits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import FamilyParams, Povm, bloch_params, symmetric_family
+from .measurements import FamilyParams, Povm, symmetric_family
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -44,40 +44,37 @@ class PairTestReport:
     incompatible: bool
 
 
-def _fuzziness(A: np.ndarray) -> float:
-    """F = sqrt(det A) + sqrt(det(I - A)) from the 2x2 entries of the first
-    element A: 4 det A = (1 + gamma)^2 - |m|^2 without forming that difference
-    of O(1) numbers, which lost 3-4 digits on near-rank-1 elements."""
+def _reading(povm: Povm) -> tuple[float, tuple[float, float, float], float]:
+    """(gamma, m, F) of a two-outcome qubit POVM, read off the entries
+    a, b, d = A00, A01, A11 of its first element A: gamma = a + d - 1,
+    m = (2 Re b, -2 Im b, a - d) and F = sqrt(det A) + sqrt(det(I - A)), with
+    4 det A = (1 + gamma)^2 - |m|^2 formed from the entries, not as that
+    difference of O(1) numbers, which lost 3-4 digits on near-rank-1 elements."""
+    if povm.dim != 2:
+        raise ValueError("the pair criterion requires dimension 2")
+    if povm.outcomes != 2:
+        raise ValueError("the pair criterion requires exactly two outcomes")
+    A = povm.elements[0]
     a, b, d = A[0, 0].real, A[0, 1], A[1, 1].real
     off = b.real**2 + b.imag**2
     dets = (a * d - off, (1.0 - a) * (1.0 - d) - off)
     if 4.0 * min(dets) < -1e-10:
         raise ValueError("Bloch parameters violate POVM positivity")
-    return sum(math.sqrt(max(x, 0.0)) for x in dets)
+    F = sum(math.sqrt(max(x, 0.0)) for x in dets)
+    m = (2.0 * b.real, -2.0 * b.imag, a - d)
+    return float(a + d) - 1.0, tuple(float(x) + 0.0 for x in m), F  # + 0.0 turns -0.0 to 0.0
 
 
 def pair_test(a: Povm, b: Povm) -> PairTestReport:
     """Evaluate the pair criterion; incompatible iff test_value > 0."""
-    pa, pb = bloch_params(a), bloch_params(b)
-    F1, F2 = _fuzziness(a.elements[0]), _fuzziness(b.elements[0])
+    (gamma1, m1, F1), (gamma2, m2, F2) = _reading(a), _reading(b)
     if F1 < DEGENERATE_F_TOL or F2 < DEGENERATE_F_TOL:
         raise DegenerateMeasurementError(
             "measurement with vanishing fuzziness: criterion undefined"
         )
-    cross = float(pa.m @ pb.m) - pa.gamma * pb.gamma
-    test = (1.0 - F1**2 - F2**2) * (
-        1.0 - (pa.gamma / F1) ** 2 - (pb.gamma / F2) ** 2
-    ) - cross**2
-    return PairTestReport(
-        gamma1=pa.gamma,
-        gamma2=pb.gamma,
-        m1=tuple(pa.m.tolist()),
-        m2=tuple(pb.m.tolist()),
-        F1=F1,
-        F2=F2,
-        test_value=test,
-        incompatible=test > 0,
-    )
+    cross = float(np.dot(m1, m2)) - gamma1 * gamma2
+    test = (1.0 - F1**2 - F2**2) * (1.0 - (gamma1 / F1) ** 2 - (gamma2 / F2) ** 2) - cross**2
+    return PairTestReport(gamma1, gamma2, m1, m2, F1, F2, test, test > 0)
 
 
 def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:

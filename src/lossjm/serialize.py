@@ -34,7 +34,11 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Povm:
-    return Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
+    d = int(obj["dim"])
+    p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
+    if p.dim != d:
+        raise ValueError(f"POVM elements must be {d} x {d} matrices")
+    return p
 
 
 def measurement_set_to_json(mset: MeasurementSet) -> dict:
@@ -42,7 +46,11 @@ def measurement_set_to_json(mset: MeasurementSet) -> dict:
 
 
 def measurement_set_from_json(obj: dict) -> MeasurementSet:
-    return MeasurementSet(tuple(povm_from_json(p) for p in obj["povms"]))
+    d = int(obj["dim"])
+    mset = MeasurementSet(tuple(povm_from_json(p) for p in obj["povms"]))
+    if mset.dim != d:
+        raise ValueError(f"set POVMs must have dimension {d}")
+    return mset
 
 
 def parent_to_json(parent: ParentPovm) -> dict:

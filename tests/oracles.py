@@ -16,8 +16,9 @@ in the package:
   the +r / -r displaced on-off pair after loss built one displacement at a
   time, and the small-displacement check of the qubit pair criterion;
 * the positivity residual of an operator, the validity check of a POVM
-  (positive elements summing to the identity), and the qubit effect
-  rebuilt from its Bloch parameters;
+  (positive elements summing to the identity), and the Pauli matrices with
+  the Bloch parameters of a qubit effect as their traces and the effect
+  rebuilt from them;
 * random Hermitian operators and density matrices as test inputs;
 * the block of a parent POVM at one outcome tuple, the marginal map, its
   adjoint, the Schur matrix of the robustness solve and the closed-form
@@ -41,8 +42,6 @@ import numpy as np
 from lossjm.fock import coherent_ket, require_hermitian
 from lossjm.loss import _check_tau
 from lossjm.measurements import (
-    PAULI,
-    BlochParams,
     FamilyParams,
     ParentPovm,
     Povm,
@@ -55,6 +54,12 @@ from lossjm.usd import _check_n
 
 IMAG_RESIDUE_TOL = 1e-9
 PSD_TOL = 1e-10
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 # -- Fock-space unitaries ---------------------------------------------------
@@ -474,10 +479,16 @@ def validate(povm: Povm) -> Povm:
     return povm
 
 
-def bloch_reconstruct(b: BlochParams) -> np.ndarray:
-    """The first element A = [(1 + gamma) I + m . sigma] / 2 of the Bloch parameters."""
-    A = (1.0 + b.gamma) * np.eye(2, dtype=complex)
-    for mi, s in zip(b.m, PAULI):
+def bloch_params(A: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """(gamma, m) of a qubit effect A = [(1 + gamma) I + m . sigma] / 2 from its
+    Pauli traces, gamma = tr A - 1 and m_i = tr(A sigma_i), Pauli order (x, y, z)."""
+    return float(np.trace(A).real) - 1.0, tuple(float(np.trace(A @ s).real) for s in PAULI)
+
+
+def bloch_reconstruct(gamma: float, m) -> np.ndarray:
+    """The effect A = [(1 + gamma) I + m . sigma] / 2 of the Bloch parameters."""
+    A = (1.0 + gamma) * np.eye(2, dtype=complex)
+    for mi, s in zip(m, PAULI):
         A = A + mi * s
     return A / 2.0
 

@@ -269,6 +269,49 @@ class TestMarginal:
             oracles.validate(meas.Povm(tuple(rows)))
 
 
+class TestCertify:
+    @staticmethod
+    def network_row():
+        """The d = 2, count-2 set at tau = 1/2 and its network parent."""
+        params = meas.FamilyParams(2, 0.3, 0.5, 2)
+        noiseless = meas.symmetric_family(dataclasses.replace(params, tau=1.0))
+        return meas.symmetric_family(params), parent.lon_parent(noiseless, [0.5, 0.5])
+
+    def test_non_hermitian_parent_undecided(self):
+        # K in the upper triangle with signs +, -, -, + cancels in every
+        # marginal; eigvalsh reads only the lower triangle, so the blocks'
+        # gap to Hermitian is what shows it
+        mset, par = self.network_row()
+        assert compat.certify(mset, par).verdict == "COMPATIBLE"
+        K = np.zeros((2, 2), dtype=complex)
+        K[0, 1] = 5.0
+        blocks = par.blocks + np.array([1, -1, -1, 1])[:, None, None] * K
+        bad = meas.ParentPovm(par.outcome_counts, blocks)
+        hermitian_part = (blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2
+        assert np.linalg.eigvalsh(hermitian_part).min() < -2.4
+        res = compat.certify(mset, bad)
+        assert res.marginal_residual <= 1e-15
+        assert (res.verdict, res.method, res.psd_residual) == ("UNDECIDED", "none", 5.0)
+
+    def test_nan_block_reports_nan(self):
+        mset, par = self.network_row()
+        blocks = par.blocks.copy()
+        blocks[1, 0, 0] = np.nan
+        res = compat.certify(mset, meas.ParentPovm(par.outcome_counts, blocks))
+        assert res.verdict == "UNDECIDED"
+        assert np.isnan(res.psd_residual) and np.isnan(res.marginal_residual)
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 5), (3, 4), (4, 3)])
+    def test_built_parents_exactly_hermitian(self, d, n):
+        # the gap adds nothing to the residual of a parent lossjm builds:
+        # the network parent at tau = 1/count and the SDP's at 1/n + eps
+        r, _ = TABLE_POINTS[n]
+        row = compat.decide_table_row(meas.FamilyParams(n + 1, r, 1.0 / (n + 1), d))
+        assert row.method == "lon-parent"
+        for par in (row.parent, compat.robustness(table_family(d, n)).parent):
+            assert np.array_equal(par.blocks, np.conj(np.swapaxes(par.blocks, 1, 2)))
+
+
 class TestRobustness:
     def test_single_measurement(self):
         res = compat.robustness(meas.MeasurementSet((projective_z(),)))

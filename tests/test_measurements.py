@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lossjm import loss, measurements as meas, parent
+from lossjm import loss, measurements as meas, parent, qubit
 
 import oracles
 
@@ -172,41 +172,64 @@ class TestProjection:
 
 
 class TestBlochParams:
+    """The gamma1, m1 (and gamma2, m2) that ``qubit.pair_test`` reads off the
+    first elements, against their Pauli traces in ``oracles.bloch_params``."""
+
     def test_projective_z(self):
+        # F = 0, so pair_test refuses the pair; the reading behind it holds
         p = meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
-        b = meas.bloch_params(p)
-        assert b.gamma == pytest.approx(0.0, abs=1e-15)
-        assert np.allclose(b.m, [0, 0, 1])
+        with pytest.raises(qubit.DegenerateMeasurementError):
+            qubit.pair_test(p, p)
+        gamma, m, F = qubit._reading(p)
+        assert (gamma, m, F) == (0.0, (0.0, 0.0, 1.0), 0.0)
+        assert (gamma, m) == oracles.bloch_params(p.elements[0])
 
     def test_trivial_measurement(self):
         p = meas.Povm((np.eye(2) / 2, np.eye(2) / 2))
-        b = meas.bloch_params(p)
-        assert b.gamma == pytest.approx(0.0, abs=1e-15)
-        assert np.allclose(b.m, [0, 0, 0])
+        report = qubit.pair_test(p, p)
+        assert report.gamma1 == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(report.m1, [0, 0, 0])
 
     def test_lossy_displaced_element_is_biased(self):
         # oracle: traces of the Kraus-route matrix
         tau, mu = 0.6, 0.015
         A = loss.apply_dual(tau, meas.coherent_projector(mu, 2))
         p = meas.Povm((A, np.eye(2) - A))
-        b = meas.bloch_params(p)
-        assert b.gamma == pytest.approx(np.trace(A).real - 1.0, abs=1e-15)
-        assert abs(b.gamma) > 0.3  # distinctly biased
-        expect_m = [np.trace(A @ s).real for s in meas.PAULI]
-        assert np.allclose(b.m, expect_m, atol=1e-15)
+        report = qubit.pair_test(p, p)
+        gamma, m = oracles.bloch_params(A)
+        assert report.gamma1 == pytest.approx(gamma, abs=1e-15)
+        assert abs(report.gamma1) > 0.3  # distinctly biased
+        assert np.allclose(report.m1, m, atol=1e-15)
+
+    def test_lossy_displaced_pair_exact(self):
+        # the entries and the Pauli traces agree exactly on the pair the
+        # qubit-pair command decides, and no zero component is written -0.0
+        for r in np.geomspace(1e-6, 30, 13):
+            for tau in np.linspace(0.01, 0.99, 9):
+                a, b = qubit.lossy_displaced_pair(r, tau)
+                report = qubit.pair_test(a, b)
+                assert (report.gamma1, report.m1) == oracles.bloch_params(a.elements[0])
+                assert (report.gamma2, report.m2) == oracles.bloch_params(b.elements[0])
+                assert all(math.copysign(1.0, x) > 0 for x in report.m1 + report.m2 if x == 0)
 
     def test_reconstruction_roundtrip(self):
         rng = np.random.default_rng(31)
-        for _ in range(20):
-            p = meas.random_two_outcome_povm(2, rng)
-            b = meas.bloch_params(p)
-            assert np.abs(oracles.bloch_reconstruct(b) - p.elements[0]).max() < 1e-12
+        for _ in range(10):
+            a = meas.random_two_outcome_povm(2, rng)
+            b = meas.random_two_outcome_povm(2, rng)
+            report = qubit.pair_test(a, b)
+            for gamma, m, p in ((report.gamma1, report.m1, a), (report.gamma2, report.m2, b)):
+                assert np.abs(oracles.bloch_reconstruct(gamma, m) - p.elements[0]).max() < 1e-12
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            meas.bloch_params(meas.Povm((np.eye(3) / 3,) * 3))
-        with pytest.raises(ValueError):
-            meas.bloch_params(meas.Povm((np.eye(2) / 3,) * 3))
+        good = meas.Povm((np.eye(2) / 2,) * 2)
+        for bad, msg in (
+            (meas.Povm((np.eye(3) / 3,) * 3), "dimension 2"),
+            (meas.Povm((np.eye(2) / 3,) * 3), "exactly two outcomes"),
+        ):
+            for pair in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match=msg):
+                    qubit.pair_test(*pair)
 
 
 class TestRotationalCovariance:

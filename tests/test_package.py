@@ -1,5 +1,5 @@
-"""The installed surface: numpy-only imports, a resolvable public API, and
-module layers without cycles."""
+"""The installed surface: numpy-only imports, a resolvable public API,
+module layers without cycles, and source lines of at most 100 characters."""
 
 import ast
 import json
@@ -36,7 +36,7 @@ def test_import_loads_numpy_only():
     # the exact threshold test compares integers: no rational or decimal arithmetic
     assert not {"fractions", "decimal"} & set(probe["loaded"])
     assert probe["missing"] == []
-    assert probe["count"] == len(set(lossjm.__all__)) == 33
+    assert probe["count"] == len(set(lossjm.__all__)) == 31
 
 
 def _relative_imports(path: Path) -> tuple[set[str], list[int]]:
@@ -85,3 +85,14 @@ def test_module_layers():
 
     for module in graph:
         visit(module)
+
+
+def test_source_lines_at_most_100_characters():
+    package = Path(lossjm.__file__).resolve().parent
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

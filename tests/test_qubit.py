@@ -13,7 +13,7 @@ import oracles
 
 def noisy_direction(axis, visibility):
     """Unbiased measurement [I +/- v sigma_axis] / 2."""
-    A = (np.eye(2, dtype=complex) + visibility * meas.PAULI[axis]) / 2
+    A = (np.eye(2, dtype=complex) + visibility * oracles.PAULI[axis]) / 2
     return meas.Povm((A, np.eye(2) - A))
 
 

@@ -40,6 +40,26 @@ def test_measurement_set_roundtrip():
             assert np.array_equal(E, F)
 
 
+def test_povm_payload_must_match_its_dim():
+    obj = serialize.povm_to_json(meas.displaced_onoff(0.3, 2))
+    obj["dim"] = 7
+    with pytest.raises(ValueError, match="POVM elements must be 7 x 7 matrices"):
+        serialize.povm_from_json(obj)
+
+
+def test_set_payload_must_match_its_dim():
+    # a set declaring dim 5, holding a POVM declaring dim 7, loaded as d = 2
+    obj = serialize.measurement_set_to_json(
+        meas.random_measurement_set(2, 2, np.random.default_rng(4))
+    )
+    obj["dim"] = 5
+    with pytest.raises(ValueError, match="set POVMs must have dimension 5"):
+        serialize.measurement_set_from_json(obj)
+    obj["povms"][1]["dim"] = 7
+    with pytest.raises(ValueError, match="POVM elements must be 7 x 7 matrices"):
+        serialize.measurement_set_from_json(obj)
+
+
 def test_parent_roundtrip():
     rng = np.random.default_rng(4)
     mset = meas.random_measurement_set(3, 2, rng)
