@@ -529,7 +529,7 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         neg = _psd_residual(P)
         g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + neg))
-        eta_star = lam * eta_p
+        eta_star = float(lam * eta_p)
         G = lam * P + (1.0 - lam) * G0
         check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, sdp.full_blocks(G)))
         verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurements import MeasurementSet, ParentPovm, Povm
+from .compat import TOL
+from .measurements import MeasurementSet, ParentPovm, Povm, _psd_residual
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -34,10 +35,17 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Povm:
+    """The POVM of a payload whose elements are Hermitian and PSD and sum to
+    the identity, each to within ``compat.TOL``; else ValueError."""
     d = int(obj["dim"])
     p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
     if p.dim != d:
         raise ValueError(f"POVM elements must be {d} x {d} matrices")
+    E = np.stack(p.elements)
+    if not _psd_residual(E) <= TOL:  # the gap to Hermitian counts; NaN fails too
+        raise ValueError("POVM elements must be Hermitian and positive semidefinite")
+    if not np.abs(E.sum(axis=0) - np.eye(d)).max() <= TOL:
+        raise ValueError("POVM elements must sum to the identity")
     return p
 
 

@@ -18,15 +18,11 @@ whenever n! > tau^{1-n}; a threshold n exists for every positive tau.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
-
-# p_d rescales its series by e^-690 (~3e-300): an integer exponent keeps the
-# scale exact when it is carried back, to one rounding of the factor per rescale
-_SHRINK_EXP = 690
-_SHRINK = math.exp(-_SHRINK_EXP)
 
 # math.lgamma(n + 1) was within 2.4 eps (relative) of log n! at each n tried
 # (n = 2..2,999 and 5,000 log-spaced n up to 1e300, against 50-digit mpmath);
@@ -76,59 +72,60 @@ def p_d(n: int, r: float) -> float:
     all n of them from one pass over m, each r^{2m} / m! going to the class
     of m mod n.  The series is exact and free of the catastrophic
     cancellation that hits the direct alternating sum for small r (relative
-    accuracy is lost there below r ~ 1e-3 once n >= 4).  Past r^2 ~ 690 the
-    terms would overflow and e^{-r^2} underflow, so the term and the sums are
-    rescaled by e^-690 whenever the term passes 1e300, and the scale is
-    carried into the exponent.  The pass takes ~r^2 steps, so it is skipped
-    once |P_D - 1| <= (n - 1) exp(-2 r^2 sin^2(pi/n)) (from the roots-of-unity
-    form S_t = sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below
-    2^-54: P_D then rounds to 1.0.  The pass stops at m = 4000 + 2 r^2, so
-    for n - 1 past that some class gets no term and the result is 0.0,
-    returned before the n class sums are allocated.  Values are clamped to
-    [0, 1]; the raw expression can exceed 1 for large r, outside its regime
-    of validity.
+    accuracy is lost there below r ~ 1e-3 once n >= 4).  The pass starts at
+    the largest term, m = floor(r^2), taken as 1, walks up, then down, and
+    stops at a term that is 0.0 or, once every class has one, subnormal or
+    at most 1e-40 of the least sum.  The class masses sum to 1, so
+    P_D = n min(sums) / sum(sums): nothing overflows, no e^{-r^2} is formed,
+    and the pass takes O(n + r) steps.  It is skipped once |P_D - 1| <=
+    (n - 1) exp(-2 r^2 sin^2(pi/n)) (from the roots-of-unity form S_t =
+    sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below 2^-54: P_D
+    then rounds to 1.0.  Past m = 2 r^2 each term at most halves, so from
+    about m = 2 r^2 + 1075 the terms are 0.0; for n - 1 past 4000 + 2 r^2
+    some class gets only those, and 0.0 is returned before the n sums are
+    allocated.  Values are clamped to 1, which rounding can pass.
     """
     n, r = _check_n(n), _check_r(r)
     r2 = r * r
-    cap = 4000 + 2 * r2  # the pass ends by m = cap
-    if n - 1 > cap:
+    if n - 1 > 4000 + 2 * r2:
         return 0.0
     if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
         return 1.0
-    sums = [0.0] * n
-    term, m, scaled = 1.0, 0, 0  # r^{2m} / m!, like the sums, times _SHRINK^scaled
-    # a term this small comes only past m = r^2, where the terms fall
-    while m <= cap and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
-        sums[m % n] += term
-        m += 1
-        term *= r2 / m
-        if term > 1e300:
-            term, sums, scaled = term * _SHRINK, [x * _SHRINK for x in sums], scaled + 1
-    return min(1.0, max(0.0, n * math.exp(scaled * _SHRINK_EXP - r2) * min(sums)))
+    top = math.floor(r2)
+    sums, floor, terms = [0.0] * n, 0.0, 0
+    # r^{2m} / m! over that at m = top: up from m = top, then down from top - 1
+    for m, term, step in ((top, 1.0, 1), (top - 1, top / r2 if top else 0.0, -1)):
+        while m >= 0 and term > floor:
+            sums[m % n] += term
+            terms += 1
+            if terms == n:  # the sums only grow; a subnormal term can stick
+                floor = max(1e-40 * min(sums), sys.float_info.min)
+            term *= r2 / (m + 1) if step > 0 else m / r2
+            m += step
+    return min(1.0, n * min(sums) / math.fsum(sums))
 
 
-def _log_form(n: int, r: float, log_denominator: float) -> float:
-    """n^2 r^{2(n-1)} / e^log_denominator through logarithms, for the small-r
-    forms when one of their float factors is out of range.  The relative error
-    is a few eps times the largest logarithm (~1e-13 at n = 171, r = 10); the
-    result is inf or 0.0 only when the value is out of range."""
+def _small_r_form(n: int, r: float, max_n: int, denominator, log_denominator) -> float:
+    """n^2 r^{2(n-1)} / D(n): in floats while D(n) (n <= max_n) and r^{2(n-1)}
+    are, else from log D(n), with a relative error of a few eps times the
+    largest logarithm (~1e-13 at n = 171, r = 10), inf or 0.0 only out of range."""
+    n, r = _check_n(n), _check_r(r)
+    if n <= max_n:
+        try:
+            return n * n * r ** (2 * (n - 1)) / denominator(n)
+        except OverflowError:  # r^{2(n-1)} past the float range
+            pass
     if r == 0.0:
         return 0.0
     try:
-        return math.exp(2.0 * math.log(n) + 2 * (n - 1) * math.log(r) - log_denominator)
+        return math.exp(2.0 * math.log(n) + 2 * (n - 1) * math.log(r) - log_denominator(n))
     except OverflowError:
         return math.inf
 
 
 def p_d_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n! of the optimal probability."""
-    n, r = _check_n(n), _check_r(r)
-    if n <= 170:  # n! is a float
-        try:
-            return n * n * r ** (2 * (n - 1)) / math.factorial(n)
-        except OverflowError:  # r^{2(n-1)} past the float range
-            pass
-    return _log_form(n, r, math.lgamma(n + 1))
+    return _small_r_form(n, r, 170, math.factorial, lambda n: math.lgamma(n + 1))
 
 
 def p_lon(n: int, r: float) -> float:
@@ -141,13 +138,7 @@ def p_lon(n: int, r: float) -> float:
 
 def p_lon_approx(n: int, r: float) -> float:
     """Small-r form n^2 r^{2(n-1)} / n^{n-1} of the split-and-detect probability."""
-    n, r = _check_n(n), _check_r(r)
-    if n <= 143:  # n^{n-1} is a float
-        try:
-            return n * n * r ** (2 * (n - 1)) / n ** (n - 1)
-        except OverflowError:  # r^{2(n-1)} past the float range
-            pass
-    return _log_form(n, r, (n - 1) * math.log(n))
+    return _small_r_form(n, r, 143, lambda n: n ** (n - 1), lambda n: (n - 1) * math.log(n))
 
 
 def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
@@ -155,13 +146,18 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
 
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
     this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  Every factor lies in [0, 1],
-    so the product stops once it is 0.0.
+    so the product stops once it is 0.0.  Factors with exponent
+    4 tau_b r^2 sin^2(pi k/n) >= 40 are exactly 1.0 (e^-40 < 2^-54): only
+    k <= K and k >= n - K, K = floor((n/pi) asin(sqrt(10 / (tau_b r^2)))) + 1,
+    are multiplied, with 1e-16 under the root for the cosine's rounding.
     """
     n, r = _check_n(n), _check_r(r)
-    _check_tau(tau_b)
+    x, K = _check_tau(tau_b) * r * r, n - 1
+    if x > 10.0:
+        K = min(K, math.floor(n / math.pi * math.asin(math.sqrt(10.0 / x + 1e-16))) + 1)
     out = 1.0
-    for k in range(1, n):
-        out *= -math.expm1(-tau_b * r * r * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
+    for k in itertools.chain(range(1, K + 1), range(max(K + 1, n - K), n)):
+        out *= -math.expm1(-x * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
         if out == 0.0:
             break
     return out

@@ -11,7 +11,10 @@ in the package:
   channel, the Husimi function, and the closed-form Gaussian route to the
   dual-loss image of a coherent projector;
 * the direct alternating sum for the optimal unambiguous-discrimination
-  probability, and the root-distance product prod |e^{2 pi i k/n} - 1|^2;
+  probability, the root-distance product prod |e^{2 pi i k/n} - 1|^2, and
+  the earlier loops of the discrimination formulas: the series pass from
+  m = 0 rescaled by e^-690, the logarithm form of the small-r
+  probabilities, and the split-and-detect product over every k;
 * the displacements mu_k = r exp(2 pi i k / count) of the symmetric family,
   the +r / -r displaced on-off pair after loss built one displacement at a
   time, and the small-displacement check of the qubit pair criterion;
@@ -48,7 +51,6 @@ from lossjm.measurements import (
     displaced_onoff,
     lossy_povm,
 )
-from lossjm import usd
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
@@ -410,10 +412,18 @@ def threshold_loop(tau: float) -> int:
     return n
 
 
+# p_d_loop rescales its series by e^-690 (~3e-300): an integer exponent keeps
+# the scale exact when it is carried back, to one rounding of the factor per rescale
+_SHRINK_EXP = 690
+_SHRINK = math.exp(-_SHRINK_EXP)
+
+
 def p_d_loop(n: int, r: float) -> float:
-    """``lossjm.usd.p_d``'s series pass with no early return: all n class
-    sums are allocated and filled up to its step cap m = 4000 + 2 r^2, also
-    when n is past the cap and some class gets no term."""
+    """The series pass of ``lossjm.usd.p_d`` as it was before it started at
+    the largest term: from m = 0, rescaled by e^-690 whenever the term passes
+    1e300, with the stop floor recomputed each step, and no early return: all
+    n class sums are allocated and filled up to the step cap m = 4000 + 2 r^2,
+    also when n is past the cap and some class gets no term."""
     r2, sums = r * r, [0.0] * n
     term, m, scaled = 1.0, 0, 0
     while m <= 4000 + 2 * r2 and (m < n or term >= 1e-40 * max(min(sums), 1e-300)):
@@ -421,8 +431,31 @@ def p_d_loop(n: int, r: float) -> float:
         m += 1
         term *= r2 / m
         if term > 1e300:
-            term, sums, scaled = term * usd._SHRINK, [x * usd._SHRINK for x in sums], scaled + 1
-    return min(1.0, max(0.0, n * math.exp(scaled * usd._SHRINK_EXP - r2) * min(sums)))
+            term, sums, scaled = term * _SHRINK, [x * _SHRINK for x in sums], scaled + 1
+    return min(1.0, max(0.0, n * math.exp(scaled * _SHRINK_EXP - r2) * min(sums)))
+
+
+def small_r_log_form(n: int, r: float, log_denominator: float) -> float:
+    """n^2 r^{2(n-1)} / e^log_denominator through logarithms, as the small-r
+    forms of ``lossjm.usd`` take it when a float factor is out of range: 0.0
+    at r = 0, inf past the float range."""
+    if r == 0.0:
+        return 0.0
+    try:
+        return math.exp(2.0 * math.log(n) + 2 * (n - 1) * math.log(r) - log_denominator)
+    except OverflowError:
+        return math.inf
+
+
+def lossy_usd_success_loop(n: int, r: float, tau_b: float) -> float:
+    """prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)), each
+    factor in turn, stopping once the product is 0.0."""
+    out = 1.0
+    for k in range(1, n):
+        out *= -math.expm1(-tau_b * r * r * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
+        if out == 0.0:
+            break
+    return out
 
 
 # -- displaced families and the qubit pair criterion ------------------------------

@@ -589,6 +589,25 @@ class TestDecideTableRow:
         assert row.eta_hi is None and row.witness is None
         assert row.iterations == 0
 
+    @pytest.mark.parametrize("method, decide", [
+        ("lon-parent", lambda: compat.decide_table_row(meas.FamilyParams(3, 0.005, 1 / 3, 3))),
+        ("sdp-witness", lambda: compat.decide_table_row(meas.FamilyParams(3, 0.005, 0.50005, 2))),
+        ("sdp-parent", lambda: compat.robustness(
+            meas.symmetric_family(meas.FamilyParams(3, 0.1, 0.3, 3))
+        )),
+        ("none", lambda: compat.decide_table_row(
+            meas.FamilyParams(3, 0.005, 0.50005, 3), max_iter=0
+        )),
+    ], ids=["lon-parent", "sdp-witness", "sdp-parent", "undecided"])
+    def test_float_fields_are_floats(self, method, decide):
+        # robustness once returned eta_star as np.float64 on the witness path
+        row = decide()
+        assert row.method == method
+        for name in ("eta_star", "eta_hi", "marginal_residual", "psd_residual", "seconds"):
+            value = getattr(row, name)
+            assert value is None or type(value) is float, (name, type(value))
+        assert type(row.iterations) is int
+
     def test_failed_network_parent_is_undecided(self, monkeypatch):
         # a network parent whose rounding-sized residual exceeds TOL proves nothing
         monkeypatch.setattr(compat, "TOL", 1e-20)

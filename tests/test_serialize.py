@@ -88,3 +88,55 @@ def test_parent_payload_must_hold_every_block(edit):
     change(obj["elements"])
     with pytest.raises(ValueError, match=message):
         serialize.parent_from_json(obj)
+
+
+def _two_outcome_payload(A, B):
+    return serialize.povm_to_json(meas.Povm((np.asarray(A), np.asarray(B))))
+
+
+def test_non_povm_payload_refused():
+    # two copies of this pair once loaded, and robustness called them
+    # INCOMPATIBLE with eta_hi 0.5
+    obj = _two_outcome_payload([[0.5, 2], [0, 0.5]], 0.3 * np.eye(2))
+    with pytest.raises(ValueError, match="POVM elements must be Hermitian"):
+        serialize.measurement_set_from_json({"dim": 2, "povms": [obj, obj]})
+
+
+@pytest.mark.parametrize(
+    "A, B, message",
+    [
+        ([[0.5, 0.1], [0, 0.5]], [[0.5, -0.1], [0, 0.5]], "Hermitian"),
+        (np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]), "positive semidefinite"),
+        (0.3 * np.eye(2), 0.3 * np.eye(2), "sum to the identity"),
+        (0.5 * np.eye(2), (0.5 + 2e-8) * np.eye(2), "sum to the identity"),
+        ([[np.nan, 0], [0, 0.5]], 0.5 * np.eye(2), "Hermitian"),
+    ],
+    ids=["non-hermitian", "not-psd", "sum-off", "sum-off-past-tol", "nan"],
+)
+def test_povm_payload_must_be_a_povm(A, B, message):
+    # each payload sums to I and has PSD Hermitian parts where it is not the defect
+    with pytest.raises(ValueError, match=message):
+        serialize.povm_from_json(_two_outcome_payload(A, B))
+
+
+def test_povm_within_tol_loads():
+    obj = _two_outcome_payload(0.5 * np.eye(2), (0.5 + 5e-9) * np.eye(2))
+    assert serialize.povm_from_json(obj).outcomes == 2
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_family_payloads_load(count, d):
+    # the output of `lossjm family` over amplitudes and losses
+    for r in (0.0, 0.005, 0.3, 1.0, 2.5):
+        for tau in (0.1, 0.50005, 1.0):
+            mset = meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
+            obj = json.loads(json.dumps(serialize.measurement_set_to_json(mset)))
+            assert len(serialize.measurement_set_from_json(obj)) == count
+
+
+def test_random_sets_load():
+    rng = np.random.default_rng(18)
+    for d in (2, 3, 5):
+        mset = meas.random_measurement_set(d, 3, rng)
+        assert serialize.measurement_set_from_json(serialize.measurement_set_to_json(mset)).dim == d

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -118,6 +119,69 @@ class TestLargeAmplitude:
         assert rep.p_lon <= rep.p_d + 1e-12
 
 
+def p_d_class_sums_reference(ns, r, dps=40):
+    """{n: P_D(n, r)} from the positive series in dps-digit arithmetic, each
+    term e^{-r^2} r^{2m} / m! built once for every n, over m from
+    max(0, r^2 - 40 r - 50) to r^2 + 40 r + 50 + max(ns): the terms left out
+    are below e^-800 of the largest."""
+    with mpmath.workdps(dps):
+        r2 = mpmath.mpf(r) ** 2
+        lo = max(0, int(r2 - 40 * r - 50))
+        term = mpmath.exp(-r2)
+        if lo:
+            term = mpmath.exp(lo * mpmath.log(r2) - mpmath.loggamma(lo + 1) - r2)
+        terms = []
+        for m in range(lo, int(r2 + 40 * r + 50) + max(ns)):
+            terms.append((m, term))
+            term *= r2 / (m + 1)
+        out = {}
+        for n in ns:
+            sums = [mpmath.mpf(0)] * n
+            for m, t in terms:
+                sums[m % n] += t
+            out[n] = float(min(1, n * min(sums)))
+        return out
+
+
+class TestOnePass:
+    """The pass from the largest term, normalised by the total of its sums."""
+
+    NS = [2, 3, 4, 5, 7, 10, 16, 40, 100]
+
+    @pytest.mark.parametrize("r", np.geomspace(1e-3, 60.0, 25).tolist())
+    def test_matches_extended_precision_series(self, r):
+        # below the normal float range only the absolute error can be small
+        ref = p_d_class_sums_reference(self.NS, r)
+        for n in self.NS:
+            assert usd.p_d(n, r) == pytest.approx(ref[n], rel=1e-13, abs=sys.float_info.min), n
+
+    @pytest.mark.parametrize(
+        "n, r", [(1000, 300.0), (100, 100.0), (1000, 50.0), (500, 200.0), (40000, 1000.0)]
+    )
+    def test_large_amplitude_and_count(self, n, r):
+        ref = p_d_class_sums_reference([n], r)[n]
+        assert usd.p_d(n, r) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("n, r, seconds", [(1000, 300.0, 0.1), (40000, 1000.0, 0.2)])
+    def test_large_amplitude_in_bounded_time(self, n, r, seconds):
+        # the pass from m = 0 took ~r^2 steps, ~2 s at (1000, 300) on a
+        # 2-vCPU host; at (40000, 1000) the up walk fills every class with
+        # terms that are subnormal and stick there, so a floor below them
+        # walks on to m = 2 r^2 (~0.4 s)
+        t0 = time.perf_counter()
+        usd.p_d(n, r)
+        assert time.perf_counter() - t0 < seconds
+
+    def test_huge_amplitude_below_the_bound(self):
+        # r^2 = 1e8 but (n - 1) exp(-2 r^2 sin^2(pi/n)) ~ 8e4: no early
+        # return, and the pass from m = 0 would take ~1e8 steps; the literal
+        # is the 30-digit series over m = r^2 -+ 20 r
+        t0 = time.perf_counter()
+        value = usd.p_d(10**5, 1e4)
+        assert time.perf_counter() - t0 < 1.0
+        assert value == pytest.approx(2.9734387659888728e-05, rel=1e-12)
+
+
 class TestAmplitude:
     CALLS = [
         (usd.p_d, 3),
@@ -189,11 +253,11 @@ class TestHugeCount:
         try:
             p_d = n * n * r ** (2 * (n - 1)) / math.factorial(n)
         except OverflowError:
-            p_d = usd._log_form(n, r, math.lgamma(n + 1))
+            p_d = oracles.small_r_log_form(n, r, math.lgamma(n + 1))
         try:
             p_lon = n * n * r ** (2 * (n - 1)) / n ** (n - 1)
         except OverflowError:
-            p_lon = usd._log_form(n, r, (n - 1) * math.log(n))
+            p_lon = oracles.small_r_log_form(n, r, (n - 1) * math.log(n))
         return p_d, p_lon
 
     @pytest.mark.parametrize("n", [143, 144, 170, 171])
@@ -261,6 +325,34 @@ class TestLossySuccess:
         n, r, tau = 3, 1e-3, 0.5
         expect = n * n * r ** (2 * (n - 1)) * tau ** (n - 1)
         assert usd.lossy_usd_success(n, r, tau) == pytest.approx(expect, rel=0.01)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 50, 200, 1000])
+    @pytest.mark.parametrize("tau", [0.01, 0.3, 0.5, 1.0])
+    def test_equals_the_full_product(self, n, tau):
+        # only factors that are exactly 1.0 are skipped
+        for r in [0.0, 0.1, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e5]:
+            assert usd.lossy_usd_success(n, r, tau) == oracles.lossy_usd_success_loop(n, r, tau)
+
+    def test_equals_the_full_product_at_random_points(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            n = int(rng.integers(2, 3000))
+            r, tau = float(10 ** rng.uniform(-2, 3)), float(rng.uniform(1e-3, 1.0))
+            assert usd.lossy_usd_success(n, r, tau) == oracles.lossy_usd_success_loop(n, r, tau)
+
+    def test_large_count_and_amplitude_in_bounded_time(self):
+        # the product over every k took ~3 s on a 2-vCPU host: only k = 1,
+        # 2, n - 2, n - 1 have an exponent below 40
+        n, r, tau = 10**7, 1e7, 0.5
+        t0 = time.perf_counter()
+        value = usd.lossy_usd_success(n, r, tau)
+        assert time.perf_counter() - t0 < 0.01
+        # 2 - 2 cos(2 pi/n) keeps ~4 digits of its ~4e-13 here, so the value
+        # is ~3e-12 (relative) off the sine form
+        factor = -math.expm1(-4 * tau * r * r * math.sin(math.pi / n) ** 2)
+        assert value == pytest.approx(factor**2, rel=1e-10)
+        n, r = 10**5, 1e5  # the same regime at a count the full product takes quickly
+        assert usd.lossy_usd_success(n, r, tau) == oracles.lossy_usd_success_loop(n, r, tau)
 
 
 class TestThreshold:
