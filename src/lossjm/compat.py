@@ -21,12 +21,13 @@ and each verdict rests on a certificate checked after the solve:
 
 ``certify`` runs no solver.  It checks that the parent has the set's outcome
 counts and dimension, then asks the parent for two numbers, each to be at most
-``TOL`` = 1e-8: ``ParentPovm.marginal_residual``, the max-norm gap between
-its marginal rows and the set's elements, and ``ParentPovm.psd_residual``,
-the larger of minus its least block eigenvalue and its blocks' max-norm gap
-to their conjugate transpose.  The blocks then sum to the identity up to the
-same gap, because the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound
-the SDP only: ``certify`` takes every parent ``lon_parent`` builds.
+``TOL`` = 1e-8 (``measurements.TOL``, beside ``ParentPovm``):
+``ParentPovm.marginal_residual``, the max-norm gap between its marginal rows
+and the set's elements, and ``ParentPovm.psd_residual``, the larger of minus
+its least block eigenvalue and its blocks' max-norm gap to their conjugate
+transpose.  The blocks then sum to the identity up to the same gap, because
+the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP only:
+``certify`` takes every parent ``lon_parent`` builds.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
 depolarized to eta_star, up to ``TOL``.  ``certify``, ``robustness`` and
@@ -54,6 +55,7 @@ import numpy as np
 
 from .fock import _ct
 from .measurements import (
+    TOL,
     FamilyParams,
     MeasurementSet,
     ParentPovm,
@@ -65,11 +67,6 @@ from .measurements import (
 )
 from .parent import SLACK, lon_parent
 
-# The one certificate threshold, read by the three parent checks: the network
-# parent and the SDP parent through ``certify``, and the eta_star parent, mixed
-# until its least eigenvalue is within TOL/2.  It is not a setting: a looser
-# value certifies parents that are not PSD.
-TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 MAX_TUPLES = 1 << 16
 MAX_DIM = 8
@@ -259,6 +256,8 @@ class _RobustnessSdp:
         if self.d > MAX_DIM:
             raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
         self.targets = np.concatenate([np.stack(p.elements) for p in mset])
+        if not np.isfinite(self.targets).all():
+            raise ValueError("measurement elements must be finite (no NaN or infinity)")
         self.identity = np.eye(self.d, dtype=complex)
         self.offsets = np.cumsum((0,) + self.outs)
         n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
@@ -534,16 +533,14 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, sdp.full_blocks(G)))
         verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")
     proven = eta_hi < np.inf
-    return Verdict(
+    return dataclasses.replace(
+        check,
         verdict=verdict,
         method=method,
         eta_star=eta_star,
         eta_hi=eta_hi if proven else None,
-        marginal_residual=check.marginal_residual,
-        psd_residual=check.psd_residual,
         iterations=steps,
         seconds=time.perf_counter() - t0,
-        parent=check.parent,
         witness=tuple(sdp.rows(W)) if proven else None,
     )
 

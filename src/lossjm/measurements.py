@@ -13,6 +13,13 @@ import numpy as np
 from .fock import _ct, _hermitian_lower, coherent_ket
 from .loss import apply_dual
 
+# The one certificate threshold, read by the three parent checks: the network
+# parent and the SDP parent through ``compat.certify``, and the eta_star
+# parent, mixed until its least eigenvalue is within TOL/2.  It is not a
+# setting: a looser value certifies parents that are not PSD.
+TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class Povm:
     """An ordered list of Hermitian PSD operators summing to the identity."""
@@ -89,7 +96,9 @@ class ParentPovm:
     def __post_init__(self):
         counts = tuple(int(o) for o in self.outcome_counts)
         blocks = np.asarray(self.blocks, dtype=complex)
-        T = int(np.prod(counts))
+        if not counts or min(counts) < 1:
+            raise ValueError("outcome_counts must hold at least one count, each >= 1")
+        T = math.prod(counts)  # exact: np.prod wraps past 2^63
         if blocks.ndim != 3 or blocks.shape[0] != T or blocks.shape[1] != blocks.shape[2]:
             raise ValueError("blocks must have shape (prod(outcome_counts), d, d)")
         object.__setattr__(self, "outcome_counts", counts)

@@ -102,6 +102,7 @@ def verify_marginal_identity(mset: MeasurementSet, taus) -> float:
     || marginal_j(parent)_a - E*_{tau_j}(M^j_a) ||_max, which is zero up to
     rounding because both sides are exact under truncation.
     """
+    taus = list(taus)  # read once: lon_parent and the images both need it
     parent = lon_parent(mset, taus)
     images = tuple(lossy_povm(p, float(t)) for p, t in zip(mset, taus))
     return parent.marginal_residual(MeasurementSet(images))

@@ -9,25 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compat import TOL
-from .measurements import MeasurementSet, ParentPovm, Povm, _psd_residual
+from .measurements import TOL, MeasurementSet, ParentPovm, Povm, _psd_residual
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=complex)
+    M = np.ascontiguousarray(M, dtype=complex)
     rows, cols = M.shape
-    data = np.empty(2 * rows * cols)
-    data[0::2] = M.real.ravel()
-    data[1::2] = M.imag.ravel()
-    return {"rows": rows, "cols": cols, "data": data.tolist()}
+    return {"rows": rows, "cols": cols, "data": M.view(float).ravel().tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = np.asarray(obj["data"], dtype=float)
-    if data.size != 2 * rows * cols:
+    if data.shape != (2 * rows * cols,):
         raise ValueError("matrix payload length does not match its shape")
-    return (data[0::2] + 1j * data[1::2]).reshape(rows, cols)
+    return data.view(complex).reshape(rows, cols)  # keeps the sign of a zero imaginary part
 
 
 def povm_to_json(p: Povm) -> dict:
@@ -36,7 +32,7 @@ def povm_to_json(p: Povm) -> dict:
 
 def povm_from_json(obj: dict) -> Povm:
     """The POVM of a payload whose elements are Hermitian and PSD and sum to
-    the identity, each to within ``compat.TOL``; else ValueError."""
+    the identity, each to within ``TOL``; else ValueError."""
     d = int(obj["dim"])
     p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
     if p.dim != d:
@@ -62,22 +58,17 @@ def measurement_set_from_json(obj: dict) -> MeasurementSet:
 
 
 def parent_to_json(parent: ParentPovm) -> dict:
-    tuples = np.ndindex(*parent.outcome_counts)
-    elements = {",".join(map(str, t)): matrix_to_json(B) for t, B in zip(tuples, parent.blocks)}
+    """The blocks in ``ParentPovm`` tuple order: first measurement most significant."""
     return {
         "dim": parent.dim,
         "outcome_counts": list(parent.outcome_counts),
-        "elements": elements,
+        "blocks": [matrix_to_json(B) for B in parent.blocks],
     }
 
 
 def parent_from_json(obj: dict) -> ParentPovm:
-    counts = tuple(int(o) for o in obj["outcome_counts"])
     d = int(obj["dim"])
-    keys = [",".join(map(str, t)) for t in np.ndindex(*counts)]
-    if obj["elements"].keys() != set(keys):
-        raise ValueError("parent elements must be keyed by exactly the outcome tuples")
-    blocks = [matrix_from_json(obj["elements"][key]) for key in keys]
+    blocks = [matrix_from_json(B) for B in obj["blocks"]]
     if any(B.shape != (d, d) for B in blocks):
-        raise ValueError(f"parent elements must be {d} x {d} matrices")
-    return ParentPovm(counts, np.array(blocks))
+        raise ValueError(f"parent blocks must be {d} x {d} matrices")
+    return ParentPovm(tuple(obj["outcome_counts"]), np.array(blocks))

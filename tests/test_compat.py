@@ -46,6 +46,15 @@ class TestJmFeasibility:
         with pytest.raises(ValueError):
             compat.robustness(meas.MeasurementSet((p,)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_elements_refused(self, value):
+        # once every error was NaN, no iterate was kept, and the solve died
+        # unpacking its sentinel
+        A = np.array([[0.5, 0.1], [0.1, value]])
+        p = meas.Povm((A, np.eye(2) - A))
+        with pytest.raises(ValueError, match="elements must be finite"):
+            compat.robustness(meas.MeasurementSet((p, p)))
+
 
 def random_povm(outcomes, d, rng):
     A = rng.normal(size=(outcomes, d, d)) + 1j * rng.normal(size=(outcomes, d, d))

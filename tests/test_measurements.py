@@ -292,12 +292,20 @@ class TestRandomSets:
      "all POVMs must share one dimension"),
     (lambda: meas.ParentPovm((2, 2), np.zeros((3, 2, 2))),
      r"blocks must have shape \(prod\(outcome_counts\), d, d\)"),
+    # np.prod wraps these counts to 0 and to a negative number
+    (lambda: meas.ParentPovm((2,) * 64, np.zeros((0, 2, 2))), r"blocks must have shape"),
+    (lambda: meas.ParentPovm((3,) * 41, np.zeros((0, 2, 2))), r"blocks must have shape"),
+    (lambda: meas.ParentPovm((), np.zeros((1, 2, 2))), "at least one count, each >= 1"),
+    (lambda: meas.ParentPovm((0, 2), np.zeros((0, 2, 2))), "at least one count, each >= 1"),
+    (lambda: meas.ParentPovm((-2, -1), np.zeros((2, 2, 2))), "at least one count, each >= 1"),
     (lambda: meas.FamilyParams(2, 0.1, 1.5, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, math.nan, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, 0.5, 1), "d must be >= 2"),
     (lambda: meas.displaced_onoff(0.1, 1), "d must be >= 2"),
 ], ids=["no-element", "empty-element", "scalar-element", "shapes", "no-povm", "dimensions",
-        "parent-blocks", "tau", "tau-nan", "family-d", "onoff-d"])
+        "parent-blocks", "parent-count-wraps-to-0", "parent-count-wraps-negative",
+        "parent-no-count", "parent-zero-count", "parent-negative-counts", "tau", "tau-nan",
+        "family-d", "onoff-d"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()

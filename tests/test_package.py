@@ -71,6 +71,8 @@ def test_module_layers():
     assert graph["loss"] == {"fock"}
     assert graph["qubit"] == {"measurements"}
     assert graph["parent"] == {"fock", "loss", "measurements"}
+    # the codec reads the certificate threshold beside ParentPovm, not from the solver
+    assert graph["serialize"] == {"measurements"}
     done, active = set(), []
 
     def visit(module):  # depth-first search for a back edge

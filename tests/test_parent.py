@@ -186,6 +186,14 @@ class TestMarginalIdentity:
         mset = meas.random_measurement_set(4, 2, rng)
         assert parent.verify_marginal_identity(mset, [0.2, 0.3]) <= 1e-11
 
+    def test_taus_read_once(self):
+        # lon_parent once used up a generator, leaving no images to compare
+        mset = meas.random_measurement_set(3, 2, np.random.default_rng(1))
+        expect = parent.verify_marginal_identity(mset, [0.5, 0.5])
+        assert expect <= 1e-15
+        assert parent.verify_marginal_identity(mset, (0.5 for _ in range(2))) == expect
+        assert parent.verify_marginal_identity(mset, np.array([0.5, 0.5])) == expect
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("n", [2, 3])

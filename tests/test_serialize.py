@@ -1,19 +1,23 @@
 """Bit-exact JSON round trips for operators and measurement objects."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from lossjm import measurements as meas, parent, serialize
 
+import oracles
+
 
 def test_matrix_roundtrip_bit_exact():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    M[0, :2] = complex(-0.0, -0.0), complex(1.0, -0.0)  # signed zeros keep their sign
     text = json.dumps(serialize.matrix_to_json(M))
     back = serialize.matrix_from_json(json.loads(text))
-    assert np.array_equal(M, back)
+    assert back.tobytes() == M.tobytes()
 
 
 def test_matrix_payload_shape_check():
@@ -67,27 +71,47 @@ def test_parent_roundtrip():
     text = json.dumps(serialize.parent_to_json(par))
     back = serialize.parent_from_json(json.loads(text))
     assert back.outcome_counts == par.outcome_counts
-    assert np.array_equal(back.blocks, par.blocks)
+    assert back.blocks.tobytes() == par.blocks.tobytes()
+
+
+def test_parent_payload_is_its_blocks_in_tuple_order():
+    mset = meas.random_measurement_set(3, 3, np.random.default_rng(5))
+    par = parent.lon_parent(mset, [0.3, 0.3, 0.3])
+    obj = serialize.parent_to_json(par)
+    assert obj.keys() == {"dim", "outcome_counts", "blocks"}
+    for t, B in zip(np.ndindex(*par.outcome_counts), obj["blocks"]):
+        # first measurement most significant
+        assert np.array_equal(serialize.matrix_from_json(B), oracles.element(par, t))
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        (lambda els: els.pop("1,1"), "outcome tuples"),
-        (lambda els: els.update({"2,0": els["0,0"]}), "outcome tuples"),
-        (lambda els: els.update({"1,1": {"rows": 1, "cols": 1, "data": [0.25, 0.0]}}), "3 x 3"),
+        (lambda blocks: blocks.pop(3), "blocks must have shape"),
+        (lambda blocks: blocks.append(blocks[0]), "blocks must have shape"),
+        (lambda blocks: blocks.__setitem__(3, {"rows": 1, "cols": 1, "data": [0.25, 0.0]}),
+         "3 x 3"),
     ],
-    ids=["missing-tuple", "out-of-range-tuple", "wrong-shape-block"],
+    ids=["missing-tuple", "extra-block", "wrong-shape-block"],
 )
 def test_parent_payload_must_hold_every_block(edit):
-    # a missing key loaded as a zero block, and a 1 x 1 block broadcast
-    # over a whole d x d block
+    # one block per outcome tuple, each d x d: a 1 x 1 block must not
+    # broadcast over a whole block
     change, message = edit
     mset = meas.random_measurement_set(3, 2, np.random.default_rng(4))
     obj = serialize.parent_to_json(parent.lon_parent(mset, [0.5, 0.5]))
-    change(obj["elements"])
+    change(obj["blocks"])
     with pytest.raises(ValueError, match=message):
         serialize.parent_from_json(obj)
+
+
+def test_parent_payload_with_a_huge_count_refused_at_once():
+    # a 2^20 count once took seconds to refuse, building one key per tuple
+    obj = {"dim": 2, "outcome_counts": [2] * 64, "blocks": []}
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="blocks must have shape"):
+        serialize.parent_from_json(obj)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def _two_outcome_payload(A, B):
