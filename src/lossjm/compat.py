@@ -26,8 +26,8 @@ counts and dimension, then asks the parent for two numbers, each to be at most
 and the set's elements, and ``ParentPovm.psd_residual``, the larger of minus
 its least block eigenvalue and its blocks' max-norm gap to their conjugate
 transpose.  The blocks then sum to the identity up to the same gap, because
-the set's POVMs do.  ``MAX_TUPLES`` and ``MAX_DIM`` bound the SDP only:
-``certify`` takes every parent ``lon_parent`` builds.
+the set's POVMs do: ``MeasurementSet`` refuses any other.  ``MAX_TUPLES`` and
+``MAX_DIM`` bound the SDP only: ``certify`` takes every parent ``lon_parent`` builds.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
 depolarized to eta_star, up to ``TOL``.  ``certify``, ``robustness`` and
@@ -255,9 +255,7 @@ class _RobustnessSdp:
             raise ValueError(f"{self.T} outcome tuples exceed the {MAX_TUPLES} limit")
         if self.d > MAX_DIM:
             raise ValueError(f"dimension {self.d} exceeds the desk-scale limit {MAX_DIM}")
-        self.targets = np.concatenate([np.stack(p.elements) for p in mset])
-        if not np.isfinite(self.targets).all():
-            raise ValueError("measurement elements must be finite (no NaN or infinity)")
+        self.targets = mset.rows
         self.identity = np.eye(self.d, dtype=complex)
         self.offsets = np.cumsum((0,) + self.outs)
         n, o, d, d2 = self.n, self.outs[0], self.d, self.d**2
@@ -458,14 +456,11 @@ class _RobustnessSdp:
 
 def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     """Mix every element with the maximally mixed effect of matching weight."""
-    d = mset.dim
-    eye = np.eye(d)
-    povms = []
-    for p in mset:
-        E = np.stack(p.elements)
-        weights = np.trace(E, axis1=1, axis2=2).real / d
-        povms.append(Povm(tuple(eta * E + (1.0 - eta) * weights[:, None, None] * eye)))
-    return MeasurementSet(tuple(povms))
+    E, d = mset.rows, mset.dim
+    weights = np.trace(E, axis1=1, axis2=2).real / d
+    rows = eta * E + (1.0 - eta) * weights[:, None, None] * np.eye(d)
+    split = np.split(rows, np.cumsum([p.outcomes for p in mset])[:-1])
+    return MeasurementSet(tuple(Povm(tuple(els)) for els in split))
 
 
 def certify(mset: MeasurementSet, parent: ParentPovm) -> Verdict:

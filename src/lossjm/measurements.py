@@ -22,7 +22,7 @@ TOL = 1e-8
 
 @dataclass(frozen=True)
 class Povm:
-    """An ordered list of Hermitian PSD operators summing to the identity."""
+    """The d x d elements of a measurement, checked for shape only (see MeasurementSet)."""
 
     elements: tuple
 
@@ -47,11 +47,22 @@ class Povm:
         return len(self.elements)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: an int or numpy integer passes, a float is refused,
+    not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Measurements sharing one Hilbert-space dimension."""
+    """POVMs of one dimension, of finite Hermitian PSD elements summing to I within
+    ``TOL``; ``rows`` stacks every element once, in ``ParentPovm.marginals`` order."""
 
     povms: tuple
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         povms = tuple(self.povms)
@@ -60,7 +71,16 @@ class MeasurementSet:
         d = povms[0].dim
         if any(p.dim != d for p in povms):
             raise ValueError("all POVMs must share one dimension")
+        rows = np.array([E for p in povms for E in p.elements])
+        if not np.isfinite(rows).all():
+            raise ValueError("measurement elements must be finite (no NaN or infinity)")
+        if not _psd_residual(rows) <= TOL:  # the gap to Hermitian counts
+            raise ValueError("POVM elements must be Hermitian and positive semidefinite")
+        starts = np.cumsum([0] + [p.outcomes for p in povms[:-1]])
+        if not np.abs(np.add.reduceat(rows, starts) - np.eye(d)).max() <= TOL:
+            raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "povms", povms)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
@@ -94,7 +114,7 @@ class ParentPovm:
     blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        counts = tuple(int(o) for o in self.outcome_counts)
+        counts = tuple(_integer("each outcome count", o) for o in self.outcome_counts)
         blocks = np.asarray(self.blocks, dtype=complex)
         if not counts or min(counts) < 1:
             raise ValueError("outcome_counts must hold at least one count, each >= 1")
@@ -134,8 +154,7 @@ class ParentPovm:
     def marginal_residual(self, mset: MeasurementSet) -> float:
         """Max-norm gap between the marginal rows and the elements of a set of
         the parent's shape."""
-        targets = np.concatenate([np.stack(p.elements) for p in mset])
-        return float(np.abs(self.marginals() - targets).max())
+        return float(np.abs(self.marginals() - mset.rows).max())
 
     def psd_residual(self) -> float:
         """The larger of -lambda_min over the blocks and their max-norm gap to
@@ -160,11 +179,8 @@ class FamilyParams:
     d: int
 
     def __post_init__(self):
-        for name, value in (("count", self.count), ("d", self.d)):
-            try:
-                operator.index(value)  # int or numpy integer; a float is refused
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        _integer("count", self.count)
+        _integer("d", self.d)
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not math.isfinite(self.r):

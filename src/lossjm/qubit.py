@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import FamilyParams, Povm, symmetric_family
+from .measurements import FamilyParams, MeasurementSet, Povm, symmetric_family
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -58,8 +58,6 @@ def _reading(povm: Povm) -> tuple[float, tuple[float, float, float], float]:
     a, b, d = A[0, 0].real, A[0, 1], A[1, 1].real
     off = b.real**2 + b.imag**2
     dets = (a * d - off, (1.0 - a) * (1.0 - d) - off)
-    if 4.0 * min(dets) < -1e-10:
-        raise ValueError("Bloch parameters violate POVM positivity")
     F = sum(math.sqrt(max(x, 0.0)) for x in dets)
     m = (2.0 * b.real, -2.0 * b.imag, a - d)
     return float(a + d) - 1.0, tuple(float(x) + 0.0 for x in m), F  # + 0.0 turns -0.0 to 0.0
@@ -68,6 +66,7 @@ def _reading(povm: Povm) -> tuple[float, tuple[float, float, float], float]:
 def pair_test(a: Povm, b: Povm) -> PairTestReport:
     """Evaluate the pair criterion; incompatible iff test_value > 0."""
     (gamma1, m1, F1), (gamma2, m2, F2) = _reading(a), _reading(b)
+    MeasurementSet((a, b))  # refuses a pair that is not of POVMs
     if F1 < DEGENERATE_F_TOL or F2 < DEGENERATE_F_TOL:
         raise DegenerateMeasurementError(
             "measurement with vanishing fuzziness: criterion undefined"

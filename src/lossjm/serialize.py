@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurements import TOL, MeasurementSet, ParentPovm, Povm, _psd_residual
+from .measurements import MeasurementSet, ParentPovm, Povm, _integer
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -19,7 +19,7 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer("rows", obj["rows"]), _integer("cols", obj["cols"])
     data = np.asarray(obj["data"], dtype=float)
     if data.shape != (2 * rows * cols,):
         raise ValueError("matrix payload length does not match its shape")
@@ -31,18 +31,13 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(obj: dict) -> Povm:
-    """The POVM of a payload whose elements are Hermitian and PSD and sum to
-    the identity, each to within ``TOL``; else ValueError."""
-    d = int(obj["dim"])
+    """The POVM of a payload whose elements ``MeasurementSet`` accepts; else
+    ValueError."""
+    d = _integer("dim", obj["dim"])
     p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
     if p.dim != d:
         raise ValueError(f"POVM elements must be {d} x {d} matrices")
-    E = np.stack(p.elements)
-    if not _psd_residual(E) <= TOL:  # the gap to Hermitian counts; NaN fails too
-        raise ValueError("POVM elements must be Hermitian and positive semidefinite")
-    if not np.abs(E.sum(axis=0) - np.eye(d)).max() <= TOL:
-        raise ValueError("POVM elements must sum to the identity")
-    return p
+    return MeasurementSet((p,)).povms[0]
 
 
 def measurement_set_to_json(mset: MeasurementSet) -> dict:
@@ -50,7 +45,7 @@ def measurement_set_to_json(mset: MeasurementSet) -> dict:
 
 
 def measurement_set_from_json(obj: dict) -> MeasurementSet:
-    d = int(obj["dim"])
+    d = _integer("dim", obj["dim"])
     mset = MeasurementSet(tuple(povm_from_json(p) for p in obj["povms"]))
     if mset.dim != d:
         raise ValueError(f"set POVMs must have dimension {d}")
@@ -67,7 +62,7 @@ def parent_to_json(parent: ParentPovm) -> dict:
 
 
 def parent_from_json(obj: dict) -> ParentPovm:
-    d = int(obj["dim"])
+    d = _integer("dim", obj["dim"])
     blocks = [matrix_from_json(B) for B in obj["blocks"]]
     if any(B.shape != (d, d) for B in blocks):
         raise ValueError(f"parent blocks must be {d} x {d} matrices")

@@ -18,7 +18,6 @@ whenever n! > tau^{1-n}; a threshold n exists for every positive tau.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -145,19 +144,21 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     """Split-and-detect success after a loss channel of transmissivity tau_b.
 
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
-    this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  Every factor lies in [0, 1],
-    so the product stops once it is 0.0.  Factors with exponent
-    4 tau_b r^2 sin^2(pi k/n) >= 40 are exactly 1.0 (e^-40 < 2^-54): only
-    k <= K and k >= n - K, K = floor((n/pi) asin(sqrt(10 / (tau_b r^2)))) + 1,
-    are multiplied, with 1e-16 under the root for the cosine's rounding.
+    this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  The factors at k and n - k are
+    equal, so k runs up to n/2, every factor squared but the one at k = n/2.
+    Each exponent is formed as 4 tau_b r^2 sin^2(pi k/n), with no
+    cancellation, and grows with k: the product stops at the first exponent
+    >= 40 (that factor and the later ones are 1.0, e^-40 < 2^-54) or once it
+    is 0.0 (every factor lies in [0, 1]).
     """
     n, r = _check_n(n), _check_r(r)
-    x, K = _check_tau(tau_b) * r * r, n - 1
-    if x > 10.0:
-        K = min(K, math.floor(n / math.pi * math.asin(math.sqrt(10.0 / x + 1e-16))) + 1)
-    out = 1.0
-    for k in itertools.chain(range(1, K + 1), range(max(K + 1, n - K), n)):
-        out *= -math.expm1(-x * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
+    x, out = 4.0 * _check_tau(tau_b) * r * r, 1.0
+    for k in range(1, n // 2 + 1):
+        e = x * math.sin(math.pi * k / n) ** 2
+        if e >= 40.0:
+            break
+        f = -math.expm1(-e)
+        out *= f if 2 * k == n else f * f
         if out == 0.0:
             break
     return out

@@ -13,8 +13,8 @@ in the package:
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, the root-distance product prod |e^{2 pi i k/n} - 1|^2, and
   the earlier loops of the discrimination formulas: the series pass from
-  m = 0 rescaled by e^-690, the logarithm form of the small-r
-  probabilities, and the split-and-detect product over every k;
+  m = 0 rescaled by e^-690 and the logarithm form of the small-r
+  probabilities;
 * the displacements mu_k = r exp(2 pi i k / count) of the symmetric family,
   the +r / -r displaced on-off pair after loss built one displacement at a
   time, and the small-displacement check of the qubit pair criterion;
@@ -445,17 +445,6 @@ def small_r_log_form(n: int, r: float, log_denominator: float) -> float:
         return math.exp(2.0 * math.log(n) + 2 * (n - 1) * math.log(r) - log_denominator)
     except OverflowError:
         return math.inf
-
-
-def lossy_usd_success_loop(n: int, r: float, tau_b: float) -> float:
-    """prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)), each
-    factor in turn, stopping once the product is 0.0."""
-    out = 1.0
-    for k in range(1, n):
-        out *= -math.expm1(-tau_b * r * r * (2.0 - 2.0 * math.cos(2.0 * math.pi * k / n)))
-        if out == 0.0:
-            break
-    return out
 
 
 # -- displaced families and the qubit pair criterion ------------------------------

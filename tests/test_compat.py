@@ -49,7 +49,7 @@ class TestJmFeasibility:
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_elements_refused(self, value):
         # once every error was NaN, no iterate was kept, and the solve died
-        # unpacking its sentinel
+        # unpacking its sentinel; the set now refuses such elements
         A = np.array([[0.5, 0.1], [0.1, value]])
         p = meas.Povm((A, np.eye(2) - A))
         with pytest.raises(ValueError, match="elements must be finite"):

@@ -282,6 +282,28 @@ class TestRandomSets:
             oracles.validate(meas.random_two_outcome_povm(dim, rng))
 
 
+def _set_with(A, B=None):
+    """A set of a valid pair and the pair (A, I - A), or (A, B)."""
+    A = np.asarray(A, dtype=complex)
+    pair = meas.Povm((A, np.eye(2) - A if B is None else np.asarray(B, dtype=complex)))
+    return meas.MeasurementSet((meas.displaced_onoff(0.1, 2), pair))
+
+
+def test_set_with_sum_within_tol_loads():
+    assert _set_with(0.5 * np.eye(2), (0.5 + 5e-9) * np.eye(2)).rows.shape == (4, 2, 2)
+
+
+def test_rows_are_the_marginal_order():
+    # a product of diagonal POVMs is a parent whose marginals are exactly the
+    # elements; three measurements with 2, 3 and 2 outcomes
+    diag = [np.random.default_rng(5).dirichlet(np.ones(o), size=3).T for o in (2, 3, 2)]
+    mset = meas.MeasurementSet(tuple(meas.Povm(tuple(np.diag(w) for w in p)) for p in diag))
+    blocks = np.einsum("ai,bi,ci->abci", *diag).reshape(12, 3)  # each block's diagonal
+    parent_ = meas.ParentPovm((2, 3, 2), np.stack([np.diag(b) for b in blocks]))
+    assert np.array_equal(mset.rows, np.concatenate([np.stack(p.elements) for p in mset]))
+    assert np.abs(parent_.marginals() - mset.rows).max() <= 1e-15
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: meas.Povm(()), "a POVM needs at least one element"),
     (lambda: meas.Povm((np.zeros((0, 0)),)), "square matrices of size at least 1"),
@@ -290,6 +312,15 @@ class TestRandomSets:
     (lambda: meas.MeasurementSet(()), "a measurement set needs at least one POVM"),
     (lambda: meas.MeasurementSet((meas.displaced_onoff(0.1, 2), meas.displaced_onoff(0.1, 3))),
      "all POVMs must share one dimension"),
+    # each defective pair is Hermitian PSD and sums to I but for its one defect
+    (lambda: _set_with([[0.5, 0.1], [0.1, np.nan]]), r"finite \(no NaN or infinity\)"),
+    (lambda: _set_with([[0.5, 0.1], [0.1, np.inf]]), r"finite \(no NaN or infinity\)"),
+    (lambda: _set_with([[0.5, 0.1], [0, 0.5]]), "Hermitian and positive semidefinite"),
+    (lambda: _set_with(np.diag([1.5, -0.5])), "Hermitian and positive semidefinite"),
+    (lambda: _set_with(0.5 * np.eye(2), (0.5 + 2e-8) * np.eye(2)), "sum to the identity"),
+    # robustness once called two copies of this pair INCOMPATIBLE, eta_hi 0.5
+    (lambda: meas.MeasurementSet((meas.Povm(([[0.5, 2], [0, 0.5]], 0.3 * np.eye(2))),) * 2),
+     "Hermitian"),
     (lambda: meas.ParentPovm((2, 2), np.zeros((3, 2, 2))),
      r"blocks must have shape \(prod\(outcome_counts\), d, d\)"),
     # np.prod wraps these counts to 0 and to a negative number
@@ -298,13 +329,21 @@ class TestRandomSets:
     (lambda: meas.ParentPovm((), np.zeros((1, 2, 2))), "at least one count, each >= 1"),
     (lambda: meas.ParentPovm((0, 2), np.zeros((0, 2, 2))), "at least one count, each >= 1"),
     (lambda: meas.ParentPovm((-2, -1), np.zeros((2, 2, 2))), "at least one count, each >= 1"),
+    # a float count was truncated: (2.9, 2.2) loaded as (2, 2)
+    (lambda: meas.ParentPovm((2.9, 2.2), np.zeros((4, 2, 2))),
+     "each outcome count must be an integer, got 2.9"),
+    (lambda: meas.ParentPovm((2, 2.0), np.zeros((4, 2, 2))),
+     "each outcome count must be an integer, got 2.0"),
     (lambda: meas.FamilyParams(2, 0.1, 1.5, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, math.nan, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, 0.5, 1), "d must be >= 2"),
     (lambda: meas.displaced_onoff(0.1, 1), "d must be >= 2"),
 ], ids=["no-element", "empty-element", "scalar-element", "shapes", "no-povm", "dimensions",
+        "set-nan", "set-inf", "set-non-hermitian", "set-not-psd", "set-sum-off-past-tol",
+        "set-non-povm-pair",
         "parent-blocks", "parent-count-wraps-to-0", "parent-count-wraps-negative",
-        "parent-no-count", "parent-zero-count", "parent-negative-counts", "tau", "tau-nan",
+        "parent-no-count", "parent-zero-count", "parent-negative-counts",
+        "parent-float-counts", "parent-integral-float-count", "tau", "tau-nan",
         "family-d", "onoff-d"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError, match=message):

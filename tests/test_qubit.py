@@ -24,7 +24,7 @@ class TestPairTest:
         A = np.diag([1.5, -0.5]).astype(complex)
         bad, good = meas.Povm((A, np.eye(2) - A)), noisy_direction(2, 0.9)
         pair = (bad, good) if bad_first else (good, bad)
-        with pytest.raises(ValueError, match="Bloch parameters violate POVM positivity"):
+        with pytest.raises(ValueError, match="positive semidefinite"):
             qubit.pair_test(*pair)
 
     def test_identical_noisy_z_compatible(self):

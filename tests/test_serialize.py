@@ -114,6 +114,35 @@ def test_parent_payload_with_a_huge_count_refused_at_once():
     assert time.perf_counter() - t0 < 0.01
 
 
+def _parent_payload():
+    mset = meas.random_measurement_set(2, 2, np.random.default_rng(4))
+    return serialize.parent_to_json(parent.lon_parent(mset, [0.5, 0.5]))
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("matrix", lambda o: o.update(cols=2.7), "cols must be an integer, got 2.7"),
+    ("matrix", lambda o: o.update(rows=2.0), "rows must be an integer, got 2.0"),
+    ("povm", lambda o: o.update(dim=2.5), "dim must be an integer, got 2.5"),
+    ("set", lambda o: o.update(dim=2.5), "dim must be an integer, got 2.5"),
+    ("parent", lambda o: o.update(dim=2.7), "dim must be an integer, got 2.7"),
+    ("parent", lambda o: o.update(outcome_counts=[2.9, 2.2]), "must be an integer, got 2.9"),
+], ids=["matrix-cols", "matrix-rows", "povm-dim", "set-dim", "parent-dim", "parent-counts"])
+def test_non_integer_fields_refused_not_truncated(kind, edit, message):
+    # each of these once loaded with the field truncated to an int
+    p = meas.displaced_onoff(0.3, 2)
+    obj, load = {
+        "matrix": (serialize.matrix_to_json(np.eye(2) / 2), serialize.matrix_from_json),
+        "povm": (serialize.povm_to_json(p), serialize.povm_from_json),
+        "set": (serialize.measurement_set_to_json(meas.MeasurementSet((p,))),
+                serialize.measurement_set_from_json),
+        "parent": (_parent_payload(), serialize.parent_from_json),
+    }[kind]
+    load(obj)  # the unedited payload loads
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        load(obj)
+
+
 def _two_outcome_payload(A, B):
     return serialize.povm_to_json(meas.Povm((np.asarray(A), np.asarray(B))))
 
@@ -133,7 +162,7 @@ def test_non_povm_payload_refused():
         (np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]), "positive semidefinite"),
         (0.3 * np.eye(2), 0.3 * np.eye(2), "sum to the identity"),
         (0.5 * np.eye(2), (0.5 + 2e-8) * np.eye(2), "sum to the identity"),
-        ([[np.nan, 0], [0, 0.5]], 0.5 * np.eye(2), "Hermitian"),
+        ([[np.nan, 0], [0, 0.5]], 0.5 * np.eye(2), "finite"),
     ],
     ids=["non-hermitian", "not-psd", "sum-off", "sum-off-past-tol", "nan"],
 )
