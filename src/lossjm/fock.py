@@ -1,5 +1,5 @@
-"""Fock-space primitives: truncated coherent states and the Hermiticity check
-and rule.
+"""Fock-space primitives: truncated coherent states, the Hermiticity check
+and rule, and the threshold ``TOL`` of every Hermiticity and parent check.
 
 All operators are dense complex matrices in the number basis |0>, ..., |d-1>.
 """
@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
+# The threshold of "Hermitian" in the set check and the loss channel's input
+# check, and of the three parent checks (the network, SDP and eta_star
+# parents; see ``compat``).  It is not a setting: a looser value certifies
+# parents that are not PSD.
+TOL = 1e-8
 
 
 def coherent_ket(mu: complex, d: int) -> np.ndarray:
@@ -37,15 +41,13 @@ def _ct(M: np.ndarray) -> np.ndarray:
 
 def require_hermitian(M: np.ndarray) -> np.ndarray:
     """M as a complex array, checked to be a Hermitian matrix or a stack
-    (..., d, d) of them to within HERMITIAN_TOL in the max norm."""
+    (..., d, d) of them to within TOL in the max norm."""
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("expected a square matrix")
     res = float(np.abs(M - _ct(M)).max(initial=0.0))
-    if res > HERMITIAN_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian (residual {res:.3e} > {HERMITIAN_TOL:.1e})"
-        )
+    if res > TOL:
+        raise ValueError(f"matrix is not Hermitian (residual {res:.3e} > {TOL:.1e})")
     return M
 
 

@@ -10,14 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import _ct, _hermitian_lower, coherent_ket
+from .fock import TOL, _ct, _hermitian_lower, coherent_ket
 from .loss import apply_dual
-
-# The one certificate threshold, read by the three parent checks: the network
-# parent and the SDP parent through ``compat.certify``, and the eta_star
-# parent, mixed until its least eigenvalue is within TOL/2.  It is not a
-# setting: a looser value certifies parents that are not PSD.
-TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,18 @@ def povm_to_json(p: Povm) -> dict:
     return {"dim": p.dim, "elements": [matrix_to_json(E) for E in p.elements]}
 
 
-def povm_from_json(obj: dict) -> Povm:
-    """The POVM of a payload whose elements ``MeasurementSet`` accepts; else
-    ValueError."""
+def _povm(obj: dict) -> Povm:
+    """The POVM of a payload, checked for shape against its ``dim`` only."""
     d = _integer("dim", obj["dim"])
     p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
     if p.dim != d:
         raise ValueError(f"POVM elements must be {d} x {d} matrices")
-    return MeasurementSet((p,)).povms[0]
+    return p
+
+
+def povm_from_json(obj: dict) -> Povm:
+    """The POVM of a payload that ``MeasurementSet`` accepts; else ValueError."""
+    return MeasurementSet((_povm(obj),)).povms[0]
 
 
 def measurement_set_to_json(mset: MeasurementSet) -> dict:
@@ -46,7 +50,7 @@ def measurement_set_to_json(mset: MeasurementSet) -> dict:
 
 def measurement_set_from_json(obj: dict) -> MeasurementSet:
     d = _integer("dim", obj["dim"])
-    mset = MeasurementSet(tuple(povm_from_json(p) for p in obj["povms"]))
+    mset = MeasurementSet(tuple(_povm(p) for p in obj["povms"]))
     if mset.dim != d:
         raise ValueError(f"set POVMs must have dimension {d}")
     return mset

@@ -36,10 +36,17 @@ def digits50():
         yield
 
 
-def test_row_witness_is_exact(digits50):
-    """The repaired witness of the d=3 n=2 row proves eta* < 1 exactly."""
-    r, eps = TABLE_POINTS[2]
-    mset = meas.symmetric_family(meas.FamilyParams(3, r, 0.5 + eps, 3))
+R2, EPS2 = TABLE_POINTS[2]
+
+
+@pytest.mark.parametrize("params", [
+    meas.FamilyParams(3, R2, 0.5 + EPS2, 3),
+    meas.FamilyParams(3, 0.3, 0.51, 10),
+], ids=["d3-n2", "d10-count3"])
+def test_row_witness_is_exact(digits50, params):
+    """The repaired witness of an incompatible row proves eta* < 1 exactly:
+    the d=3 n=2 table row, and a count-3 row above eight levels."""
+    mset = meas.symmetric_family(params)
     res = compat.robustness(mset)
     assert res.verdict == "INCOMPATIBLE"
 

@@ -114,6 +114,14 @@ class TestCompatCommand:
         payload = json.loads(out)
         assert (payload["verdict"], payload["method"]) == ("COMPATIBLE", "lon-parent")
 
+    def test_sdp_row_above_eight_levels_exit_two(self, capsys):
+        code, out = run(
+            ["compat", "--count", "3", "--r", "0.3", "--tau", "0.51", "--d", "10"], capsys
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["method"]) == ("INCOMPATIBLE", "sdp-witness")
+
     def test_no_certificate_exit_three(self, capsys):
         # no Newton step: neither certificate holds, and the verdict says so
         code, out = run(
@@ -310,6 +318,15 @@ class TestTable1Command:
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["command"] == "table1"
         assert "lossjm" in manifest["versions"]
+
+    def test_ten_levels_keep_the_three_level_verdicts(self, capsys):
+        verdicts = {}
+        for d in ("3", "10"):
+            code, out = run(["table1", "--d", d, "--row-min", "2", "--row-max", "4"], capsys)
+            assert code == 2
+            verdicts[d] = [(r["verdict"], r["method"]) for r in csv.DictReader(out.splitlines())]
+        assert verdicts["10"] == verdicts["3"]
+        assert [m for _, m in verdicts["3"]] == ["sdp-witness", "lon-parent"] * 3
 
     def test_degenerate_r_zero_family(self, capsys):
         # r = 0: all measurements identical, compatible at any tau

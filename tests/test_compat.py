@@ -41,10 +41,11 @@ class TestJmFeasibility:
         check = compat.certify(meas.MeasurementSet((p, p)), expected)
         assert check.verdict == "COMPATIBLE"
 
-    def test_desk_scale_guards(self):
+    def test_nine_levels_solve(self):
+        # no cap on the dimension: a d = 9 set is decided like any other
         p = meas.Povm((np.eye(9) / 2, np.eye(9) / 2))
-        with pytest.raises(ValueError):
-            compat.robustness(meas.MeasurementSet((p,)))
+        res = compat.robustness(meas.MeasurementSet((p,)))
+        assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_elements_refused(self, value):
@@ -516,6 +517,13 @@ class TestReduction:
     def test_benchmark_rows_keep_step_counts(self, n, steps):
         assert compat.robustness(table_family(3, n)).iterations == steps
 
+    @pytest.mark.parametrize("d,eta_hi", [(10, 0.92403), (12, 0.92582)])
+    def test_rows_above_eight_levels_incompatible(self, d, eta_hi):
+        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(3, 0.3, 0.51, d)))
+        assert (res.verdict, res.method) == ("INCOMPATIBLE", "sdp-witness")
+        assert res.eta_hi == pytest.approx(eta_hi, abs=1e-5)
+        assert res.eta_star <= res.eta_hi + compat.TOL
+
     def test_count_13_row_incompatible(self):
         # 8192 outcome tuples, 380 orbits
         params = meas.FamilyParams(13, 0.005, 1.0 / 12 + 5e-5, 3)
@@ -559,15 +567,13 @@ class TestDecideTableRow:
             compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
 
     def test_breaking_point_above_sdp_dimension_limit_certified(self):
-        # no SDP runs on the lon-parent path, so MAX_DIM does not apply
-        params = meas.FamilyParams(2, 0.1, 0.5, 10)
-        row = compat.decide_table_row(params)
-        assert params.d == 10 > compat.MAX_DIM
+        # d = 10 on the lon-parent path: the network parent, no SDP
+        row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.5, 10))
         assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")
         assert max(row.marginal_residual, row.psd_residual) <= 1e-10
 
     def test_breaking_point_above_sdp_tuple_limit_certified(self):
-        # 2^17 outcome tuples: MAX_TUPLES binds the SDP only, as MAX_DIM does
+        # 2^17 outcome tuples: MAX_TUPLES binds the SDP only
         row = compat.decide_table_row(meas.FamilyParams(17, 0.01, 1.0 / 17, 2))
         assert 2**17 > compat.MAX_TUPLES
         assert (row.verdict, row.method) == ("COMPATIBLE", "lon-parent")

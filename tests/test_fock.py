@@ -225,7 +225,7 @@ class TestRequireHermitian:
     def test_stack_with_one_non_hermitian_element(self):
         stack = np.stack([np.eye(3, dtype=complex)] * 4).reshape(2, 2, 3, 3)
         assert np.array_equal(fock.require_hermitian(stack), stack)
-        stack[1, 0, 0, 2] = 1e-9
+        stack[1, 0, 0, 2] = 1e-7  # above TOL
         with pytest.raises(ValueError, match="not Hermitian"):
             fock.require_hermitian(stack)
 

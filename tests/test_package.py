@@ -1,9 +1,13 @@
 """The installed surface: numpy-only imports, a resolvable public API,
-module layers without cycles, and source lines of at most 100 characters."""
+module layers without cycles, source lines of at most 100 characters, and
+README constants that exist with the values it states."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,7 +75,7 @@ def test_module_layers():
     assert graph["loss"] == {"fock"}
     assert graph["qubit"] == {"measurements"}
     assert graph["parent"] == {"fock", "loss", "measurements"}
-    # the codec reads the certificate threshold beside ParentPovm, not from the solver
+    # the codec leaves every check to MeasurementSet and ParentPovm, none to the solver
     assert graph["serialize"] == {"measurements"}
     done, active = set(), []
 
@@ -98,3 +102,27 @@ def test_source_lines_at_most_100_characters():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+# a backticked `NAME`, `module.NAME` or `module.NAME = value`
+README_CONSTANT = re.compile(r"`(?:([a-z_]+)\.)?([A-Z][A-Z0-9_]+)(?: = ([^`]+))?`")
+VERDICTS = {"COMPATIBLE", "INCOMPATIBLE", "UNDECIDED"}
+
+
+def test_readme_constants_match_the_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    modules = {
+        m.name: importlib.import_module(f"lossjm.{m.name}")
+        for m in pkgutil.iter_modules(lossjm.__path__)
+    }
+    named = README_CONSTANT.findall(readme.read_text())
+    assert ("parent", "SLACK", "1e-12") in named
+    stale = []
+    for module, name, value in named:
+        if name in VERDICTS:
+            continue
+        owners = [modules.get(module)] if module else modules.values()
+        found = [getattr(m, name) for m in owners if hasattr(m, name)]
+        if not found or (value and any(v != ast.literal_eval(value) for v in found)):
+            stale.append(f"{module}.{name} = {value}" if module else name)
+    assert stale == []

@@ -181,6 +181,17 @@ class TestMarginalIdentity:
         assert parent.verify_marginal_identity(mset, taus) <= 1e-11
         assert calls == [0.1, 0.15, 0.2]
 
+    def test_set_accepted_within_tol_is_accepted_by_the_loss_channel(self):
+        # a Hermitian gap of 1e-10 passes MeasurementSet; the loss channel once
+        # refused it at its own threshold of 1e-12
+        A = np.array([[0.6, 0.1 + 1e-10], [0.1, 0.3]])
+        half = meas.Povm((np.eye(2) / 2, np.eye(2) / 2))
+        mset = meas.MeasurementSet((meas.Povm((A, np.eye(2) - A)), half))
+        assert parent.verify_marginal_identity(mset, [0.5, 0.5]) <= 1e-15
+        images = meas.MeasurementSet(tuple(meas.lossy_povm(p, 0.5) for p in mset))
+        assert compat.certify(images, parent.lon_parent(mset, [0.5, 0.5])).verdict == "COMPATIBLE"
+        assert compat.robustness(mset).verdict == "COMPATIBLE"
+
     def test_deficit_arm(self):
         rng = np.random.default_rng(53)
         mset = meas.random_measurement_set(4, 2, rng)

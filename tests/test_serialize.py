@@ -64,6 +64,22 @@ def test_set_payload_must_match_its_dim():
         serialize.measurement_set_from_json(obj)
 
 
+def test_set_payload_checked_once(monkeypatch):
+    # each POVM of the set was once checked alone and then again in the set
+    calls = []
+    check = meas.MeasurementSet.__post_init__
+
+    def counted(self):
+        calls.append(len(self.povms))
+        check(self)
+
+    mset = meas.symmetric_family(meas.FamilyParams(11, 0.005, 1.0 / 11, 3))
+    obj = serialize.measurement_set_to_json(mset)
+    monkeypatch.setattr(meas.MeasurementSet, "__post_init__", counted)
+    assert serialize.measurement_set_from_json(obj).rows.tobytes() == mset.rows.tobytes()
+    assert calls == [11]
+
+
 def test_parent_roundtrip():
     rng = np.random.default_rng(4)
     mset = meas.random_measurement_set(3, 2, rng)
