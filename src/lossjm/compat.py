@@ -361,8 +361,8 @@ class _RobustnessSdp:
         """
         d2 = self.d**2
         K = np.einsum("tab,tec->tacbe", X, Zinv).reshape(len(X), -1)
-        # pairs is real: one real product sums the interleaved re/im parts
-        S = (self.pairs.T @ K.view(float)).view(complex)
+        # pairs is real: one product sums the re/im parts, as K^T pairs (same bits at 1, 2 threads)
+        S = np.ascontiguousarray((K.view(float).T @ self.pairs).T).view(complex)
         q = self.g.shape[1]
         S = S.reshape(q, q, d2, d2).transpose(0, 2, 1, 3).reshape(q * d2, q * d2)
         return (self.VH @ S @ self.V).real + x_over_z * self.dd

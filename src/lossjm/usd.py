@@ -63,44 +63,48 @@ def _check_tau(tau: float) -> float:
 def p_d(n: int, r: float) -> float:
     """Optimal unambiguous-discrimination probability for n symmetric states.
 
-    Each term of the min over t is resummed into a series with positive
-    terms,
+    Each term of the min over t is resummed into a positive series,
+    S_t = n e^{-r^2} sum_{m = -t (mod n)} r^{2m} / m!: exact, and free of the
+    cancellation that costs the alternating sum its accuracy below r ~ 1e-3
+    once n >= 4.  One pass fills the n class sums, from the largest term,
+    m = floor(r^2), taken as 1, up, then down; each way stops at a term that
+    is 0.0 or a subnormal that rounds back to itself, or, once every class
+    has a term, one that is subnormal or at most 2^-54 of the least sum:
+    below half an ulp of every sum, it and the later ones change none.  The
+    masses sum to 1, so P_D = n min(sums) / sum(sums), clamped to 1.  It is
+    1.0 with no pass where |P_D - 1| <= (n - 1) exp(-2 r^2 sin^2(pi/n)) (from
+    S_t = sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below
+    2^-54, and 0.0 past n = 78 r + 3000, the pass's reach: a class gets none.
 
-        S_t = n e^{-r^2} sum_{m >= 0, m = -t (mod n)} r^{2m} / m!,
-
-    all n of them from one pass over m, each r^{2m} / m! going to the class
-    of m mod n.  The series is exact and free of the catastrophic
-    cancellation that hits the direct alternating sum for small r (relative
-    accuracy is lost there below r ~ 1e-3 once n >= 4).  The pass starts at
-    the largest term, m = floor(r^2), taken as 1, walks up, then down, and
-    stops at a term that is 0.0 or, once every class has one, subnormal or
-    at most 1e-40 of the least sum.  The class masses sum to 1, so
-    P_D = n min(sums) / sum(sums): nothing overflows, no e^{-r^2} is formed,
-    and the pass takes O(n + r) steps.  It is skipped once |P_D - 1| <=
-    (n - 1) exp(-2 r^2 sin^2(pi/n)) (from the roots-of-unity form S_t =
-    sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below 2^-54: P_D
-    then rounds to 1.0.  Past m = 2 r^2 each term at most halves, so from
-    about m = 2 r^2 + 1075 the terms are 0.0; for n - 1 past 4000 + 2 r^2
-    some class gets only those, and 0.0 is returned before the n sums are
-    allocated.  Values are clamped to 1, which rounding can pass.
+    The reach, from the float format: with x = r^2, step j from the peak
+    multiplies by at most 1/(1 + (j-1)/x), rounding twice, so normal terms
+    stay within (1 + 2^-52)^{2j} <= 2 (j < 2^50, r < 1e13) of exact ones
+    below exp(-j(j-1) / (2(x + j))), as ln(1 + t) >= t/(1 + t).  At j = K =
+    ceil(sqrt(2L) r + 2L + 1), L = 1023 ln 2, the term is subnormal: a < 2^52
+    ulps.  Past K each factor is at most 1 - g, g = (K-1)/(x + K-1) - 2^-53
+    >= 0.9998 / (1 + r/37.66), and a goes to at most (1-g) a + 1/2: a - 1/(2g)
+    shrinks by 1 - g a step, below 1/(2g) + 1 each unstuck step takes off an
+    ulp, and each way stops within K + (52 ln 2 + 1/2)/g + 5 <= 38.63 r + 1462.
     """
     n, r = _check_n(n), _check_r(r)
     r2 = r * r
-    if n - 1 > 4000 + 2 * r2:
+    if n > 78 * r + 3000:
         return 0.0
     if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
         return 1.0
     top = math.floor(r2)
-    sums, floor, terms = [0.0] * n, 0.0, 0
-    # r^{2m} / m! over that at m = top: up from m = top, then down from top - 1
+    sums, floor, fill = [0.0] * n, 0.0, top + n - 1  # fill: the m of the n-th term
     for m, term, step in ((top, 1.0, 1), (top - 1, top / r2 if top else 0.0, -1)):
         while m >= 0 and term > floor:
             sums[m % n] += term
-            terms += 1
-            if terms == n:  # the sums only grow; a subnormal term can stick
-                floor = max(1e-40 * min(sums), sys.float_info.min)
+            if m == fill:  # the sums only grow
+                floor = max(2.0**-54 * min(sums), sys.float_info.min)
+            last = term
             term *= r2 / (m + 1) if step > 0 else m / r2
             m += step
+            if term == last and term < sys.float_info.min:
+                break
+        fill = m - n  # the up walk added m - top terms; the down walk adds the rest
     return min(1.0, n * min(sums) / math.fsum(sums))
 
 
@@ -146,20 +150,16 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
     this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  The factors at k and n - k are
     equal, so k runs up to n/2, every factor squared but the one at k = n/2.
-    Each exponent is formed as 4 tau_b r^2 sin^2(pi k/n), with no
-    cancellation, and grows with k: the product stops at the first exponent
-    >= 40 (that factor and the later ones are 1.0, e^-40 < 2^-54) or once it
-    is 0.0 (every factor lies in [0, 1]).
+    Each exponent, formed as 4 tau_b r^2 sin^2(pi k/n) with no cancellation,
+    grows with k: the product stops at the first factor that is 1.0 (so are
+    the later ones) or once it is 0.0 (every factor lies in [0, 1]).
     """
     n, r = _check_n(n), _check_r(r)
     x, out = 4.0 * _check_tau(tau_b) * r * r, 1.0
     for k in range(1, n // 2 + 1):
-        e = x * math.sin(math.pi * k / n) ** 2
-        if e >= 40.0:
-            break
-        f = -math.expm1(-e)
+        f = -math.expm1(-x * math.sin(math.pi * k / n) ** 2)
         out *= f if 2 * k == n else f * f
-        if out == 0.0:
+        if f == 1.0 or out == 0.0:
             break
     return out
 

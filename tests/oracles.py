@@ -13,8 +13,8 @@ in the package:
 * the direct alternating sum for the optimal unambiguous-discrimination
   probability, the root-distance product prod |e^{2 pi i k/n} - 1|^2, and
   the earlier loops of the discrimination formulas: the series pass from
-  m = 0 rescaled by e^-690 and the logarithm form of the small-r
-  probabilities;
+  m = 0 rescaled by e^-690, the pass from the largest term with hand-set
+  cut-offs, and the logarithm form of the small-r probabilities;
 * the displacements mu_k = r exp(2 pi i k / count) of the symmetric family,
   the +r / -r displaced on-off pair after loss built one displacement at a
   time, and the small-displacement check of the qubit pair criterion;
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -433,6 +434,31 @@ def p_d_loop(n: int, r: float) -> float:
         if term > 1e300:
             term, sums, scaled = term * _SHRINK, [x * _SHRINK for x in sums], scaled + 1
     return min(1.0, max(0.0, n * math.exp(scaled * _SHRINK_EXP - r2) * min(sums)))
+
+
+def p_d_walk(n: int, r: float) -> float:
+    """The pass of ``lossjm.usd.p_d`` as it was before the float format set its
+    cut-offs: from the largest term, up, then down, but 0.0 only past n - 1 =
+    4000 + 2 r^2, a stop floor of max(1e-40 min(sums), DBL_MIN) once every
+    class has a term, and before that no stop short of a term that is 0.0: a
+    subnormal term that rounds back to itself is added again and again, up to
+    m ~ 2 r^2."""
+    r2 = r * r
+    if n - 1 > 4000 + 2 * r2:
+        return 0.0
+    if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
+        return 1.0
+    top = math.floor(r2)
+    sums, floor, terms = [0.0] * n, 0.0, 0
+    for m, term, step in ((top, 1.0, 1), (top - 1, top / r2 if top else 0.0, -1)):
+        while m >= 0 and term > floor:
+            sums[m % n] += term
+            terms += 1
+            if terms == n:
+                floor = max(1e-40 * min(sums), sys.float_info.min)
+            term *= r2 / (m + 1) if step > 0 else m / r2
+            m += step
+    return min(1.0, n * min(sums) / math.fsum(sums))
 
 
 def small_r_log_form(n: int, r: float, log_denominator: float) -> float:

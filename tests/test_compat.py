@@ -2,6 +2,11 @@
 
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,6 +708,41 @@ class TestDeterminism:
         assert a.iterations == b.iterations
         assert a.verdict == b.verdict
         assert a.marginal_residual == b.marginal_residual
+
+    ROWS = """
+import hashlib, json
+from lossjm import compat
+from lossjm.cli import TABLE_POINTS
+from lossjm.measurements import FamilyParams
+records = []
+for n in (9, 10):
+    r, eps = TABLE_POINTS[n]
+    v = compat.decide_table_row(FamilyParams(n + 1, r, 1.0 / n + eps, 3))
+    h = hashlib.sha256(v.parent.blocks.tobytes())
+    for rows in v.witness:
+        h.update(rows.tobytes())
+    fields = ("verdict", "method", "eta_star", "eta_hi", "marginal_residual",
+              "psd_residual", "iterations")
+    records.append([repr(getattr(v, f)) for f in fields] + [h.hexdigest()])
+print(json.dumps(records))
+"""
+
+    def test_table_rows_independent_of_the_blas_thread_count(self):
+        # the d=3 rows n = 9, 10 at tau = 1/n + eps, at one and at two OpenBLAS
+        # threads: the Schur product once summed in an order that moved with
+        # the count (row 9's eta_star: ...645826 at one, ...475862 at two)
+        src = str(Path(compat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        records = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", self.ROWS], env=env, capture_output=True, text=True,
+                check=True,
+            )
+            records.append(json.loads(proc.stdout))
+        assert records[0] == records[1]
+        assert [r[0] for r in records[0]] == ["'INCOMPATIBLE'"] * 2
 
 
 class TestOracleAgreementSample:

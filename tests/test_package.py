@@ -104,9 +104,19 @@ def test_source_lines_at_most_100_characters():
     assert long_lines == []
 
 
-# a backticked `NAME`, `module.NAME` or `module.NAME = value`
-README_CONSTANT = re.compile(r"`(?:([a-z_]+)\.)?([A-Z][A-Z0-9_]+)(?: = ([^`]+))?`")
+# a backticked `NAME`, `module.NAME` or `module.NAME = value`, or a backticked
+# `NAME` followed by ` = value` (a number, a power as 2^16)
+README_CONSTANT = re.compile(
+    r"`(?:([a-z_]+)\.)?([A-Z][A-Z0-9_]+)(?: = ([^`]+))?`"
+    r"(?: = (\d+(?:\.\d+)?(?:e-?\d+)?(?:\^\d+)?))?"
+)
 VERDICTS = {"COMPATIBLE", "INCOMPATIBLE", "UNDECIDED"}
+
+
+def _readme_value(text: str):
+    base, _, power = text.partition("^")
+    value = ast.literal_eval(base)
+    return value ** int(power) if power else value
 
 
 def test_readme_constants_match_the_code():
@@ -115,14 +125,18 @@ def test_readme_constants_match_the_code():
         m.name: importlib.import_module(f"lossjm.{m.name}")
         for m in pkgutil.iter_modules(lossjm.__path__)
     }
-    named = README_CONSTANT.findall(readme.read_text())
+    named = [
+        (module, name, inside or after)
+        for module, name, inside, after in README_CONSTANT.findall(readme.read_text())
+    ]
     assert ("parent", "SLACK", "1e-12") in named
+    assert ("", "TOL", "1e-8") in named and ("", "MAX_TUPLES", "2^16") in named
     stale = []
     for module, name, value in named:
         if name in VERDICTS:
             continue
         owners = [modules.get(module)] if module else modules.values()
         found = [getattr(m, name) for m in owners if hasattr(m, name)]
-        if not found or (value and any(v != ast.literal_eval(value) for v in found)):
+        if not found or (value and any(v != _readme_value(value) for v in found)):
             stale.append(f"{module}.{name} = {value}" if module else name)
     assert stale == []

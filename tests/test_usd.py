@@ -165,9 +165,8 @@ class TestOnePass:
     @pytest.mark.parametrize("n, r, seconds", [(1000, 300.0, 0.1), (40000, 1000.0, 0.2)])
     def test_large_amplitude_in_bounded_time(self, n, r, seconds):
         # the pass from m = 0 took ~r^2 steps, ~2 s at (1000, 300) on a
-        # 2-vCPU host; at (40000, 1000) the up walk fills every class with
-        # terms that are subnormal and stick there, so a floor below them
-        # walks on to m = 2 r^2 (~0.4 s)
+        # 2-vCPU host; at (40000, 1000) the up walk once went on through
+        # subnormal terms that rounded back to themselves, to m = 2 r^2 (~0.4 s)
         t0 = time.perf_counter()
         usd.p_d(n, r)
         assert time.perf_counter() - t0 < seconds
@@ -237,8 +236,8 @@ class TestApproximations:
 
 
 class TestHugeCount:
-    """A count past the series' step cap or the float range of n! and
-    n^(n-1) needs no n-sized work, and each value equals the old one."""
+    """A count past the pass's reach or the float range of n! and n^(n-1)
+    needs no n-sized work, and each value equals the old one."""
 
     def test_small_r_forms_in_bounded_time(self):
         # n! and n^(n-1) at n = 1e6 took seconds to build, only to overflow
@@ -268,11 +267,92 @@ class TestHugeCount:
     @pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_p_d_at_the_step_cap(self, r, step):
-        # past n = 4001 + 2 r^2 the pass leaves a class empty: P_D is 0.0
-        n = int(4001 + 2 * r * r) + step
-        assert usd.p_d(n, r) == oracles.p_d_loop(n, r)
-        if step > 0:
-            assert usd.p_d(n, r) == 0.0
+        # past n = 78 r + 3000, the pass's reach, a class gets no term: P_D is
+        # 0.0 with no pass, and the passes that do run find the same
+        n = math.floor(78 * r + 3000) + step
+        assert usd.p_d(n, r) == oracles.p_d_walk(n, r) == oracles.p_d_loop(n, r) == 0.0
+
+
+def pass_lengths(r):
+    """The terms that the pass of ``usd.p_d`` adds up and down from its peak
+    when no class sum stops it: its stop rules for an n that it cannot fill."""
+    r2, top, out = r * r, math.floor(r * r), []
+    for m, term, step in ((top, 1.0, 1), (top - 1, top / r2 if top else 0.0, -1)):
+        count = 0
+        while m >= 0 and term > 0.0:
+            count += 1
+            last = term
+            term *= r2 / (m + 1) if step > 0 else m / r2
+            m += step
+            if term == last and term < sys.float_info.min:
+                break
+        out.append(count)
+    return out
+
+
+def poisson_two_tails(x, a, dps=30):
+    """Chernoff's bound on P(|M - x| >= a) for M ~ Poisson(x) and 0 < a < x:
+    the sum of e^{-x} (e x / k)^k at k = x + a and k = x - a."""
+    with mpmath.workdps(dps):
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        return sum(mpmath.exp(k * (1 + mpmath.log(x / k)) - x) for k in (x + a, x - a))
+
+
+class TestFloatFormatCutoffs:
+    """The pass of ``usd.p_d`` stops where the float format says: at a
+    subnormal term that rounds back to itself, at 2^-54 of the least class
+    sum, and past its proven reach of 78 r + 3000 terms."""
+
+    # every (n, r) at which the tests above call p_d
+    GRID = sorted(
+        {(n, r) for n in range(2, 7) for r in (0.0, 1e-9, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.8, 1.0)}
+        | {(n, r) for n in range(2, 7) for r in (2.0, 5.0, *np.linspace(0.01, 1.0, 12).tolist())}
+        | {(n, r) for n in (2, 4, 7, 40) for r in (27.3, 28.0, 40.0, 60.0)}
+        | {(n, r) for n in TestOnePass.NS for r in np.geomspace(1e-3, 60.0, 25).tolist()}
+        | {(4, 300.0), (4, 1e5), (1000, 300.0), (100, 100.0), (1000, 50.0), (500, 200.0)}
+        | {(40000, 1000.0), (10**5, 1e4)}
+    )
+
+    def test_equals_the_walk_it_replaces(self):
+        for n, r in self.GRID:
+            assert usd.p_d(n, r) == oracles.p_d_walk(n, r), (n, r)
+
+    def test_equals_the_walk_at_random_points(self):
+        # where they differ, the old walk summed subnormal terms that stuck:
+        # a stuck-subnormal artifact that is now 0.0
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(np.exp(rng.uniform(math.log(2), math.log(3e4))))
+            r = float(10 ** rng.uniform(-3, 2.5))
+            new, old = usd.p_d(n, r), oracles.p_d_walk(n, r)
+            assert new == old or new == 0.0 < old < sys.float_info.min, (n, r, new, old)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 1.0, 3.0, 10.0, 40.0, 150.0, 1000.0])
+    def test_pass_within_its_reach(self, r):
+        up, down = pass_lengths(r)
+        assert max(up, down) <= 38.63 * r + 1462  # each way, as the docstring derives
+        assert up + down <= 78 * r + 3000
+        # and p_d stops where the replica does: up + down classes fill, one more does not
+        assert usd.p_d(up + down, r) > 0.0 == usd.p_d(up + down + 1, r)
+
+    def test_past_the_reach_in_bounded_time(self):
+        # the walk once went on through a subnormal term that rounded back to
+        # itself, up to m ~ 2 r^2: 0.80 s on a 2-vCPU host to return 0.0
+        t0 = time.perf_counter()
+        assert usd.p_d(2 * 10**6, 1e3) == 0.0
+        assert time.perf_counter() - t0 < 0.05
+
+    @pytest.mark.parametrize(
+        "n, r, old", [(10**4, 100.0, 2e-322), (10**5, 300.0, 6.57e-322), (10**5, 1000.0, None)]
+    )
+    def test_stuck_subnormals_sum_to_zero(self, n, r, old):
+        # the old walk added such a term to class after class and returned
+        # `old` (1.576e-321 at (10^5, 1000), where it takes ~1 s).  The class
+        # of m = floor(r^2) + n // 2 has no member within n // 2 - 1 of r^2,
+        # so P_D <= n P(|M - r^2| >= n // 2 - 1), below half the least subnormal
+        assert usd.p_d(n, r) == 0.0
+        assert n * poisson_two_tails(r * r, n // 2 - 1) < mpmath.mpf(2) ** -1075
+        assert old is None or oracles.p_d_walk(n, r) == old
 
 
 class TestPLon:
@@ -365,9 +445,22 @@ class TestLossySuccess:
             r, tau = float(10 ** rng.uniform(-2, 3)), float(rng.uniform(1e-3, 1.0))
             assert_near_product(usd.lossy_usd_success(n, r, tau), n, r, tau)
 
+    def test_a_factor_of_one_ends_the_product(self):
+        # the later factors have larger exponents and are 1.0 too: the
+        # product over every k <= n/2 is the same float
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(2, 3000))
+            r, tau = float(10 ** rng.uniform(-2, 3)), float(rng.uniform(1e-3, 1.0))
+            x, full = 4.0 * tau * r * r, 1.0
+            for k in range(1, n // 2 + 1):
+                f = -math.expm1(-x * math.sin(math.pi * k / n) ** 2)
+                full *= f if 2 * k == n else f * f
+            assert usd.lossy_usd_success(n, r, tau) == full, (n, r, tau)
+
     def test_large_count_and_amplitude_in_bounded_time(self):
         # the product over every k took ~3 s on a 2-vCPU host: only k = 1,
-        # 2, n - 2, n - 1 have an exponent below 40
+        # 2, n - 2, n - 1 have a factor below 1.0
         n, r, tau = 10**7, 1e7, 0.5
         t0 = time.perf_counter()
         value = usd.lossy_usd_success(n, r, tau)
