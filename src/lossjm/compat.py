@@ -67,7 +67,7 @@ from .measurements import (
     _rotation_phases,
     symmetric_family,
 )
-from .parent import SLACK, lon_parent
+from .parent import lon_parent
 
 DEFAULT_MAX_ITER = 100
 MAX_TUPLES = 1 << 16
@@ -98,8 +98,8 @@ class Verdict:
     exact: the witness is valid in exact arithmetic on the stored floats, so
     no parent exists above it.  ``eta_star`` holds up to ``TOL``: its parent
     passes ``certify``, i.e. has marginal and PSD residuals at most TOL =
-    1e-8, not zero.  So eta_star can exceed eta_hi by a rounding-sized margin
-    (seen up to 5.1e-10); eta_star <= eta_hi + TOL.
+    1e-8, not zero.  So eta_star can exceed eta_hi by a rounding-sized margin;
+    the bound guaranteed is eta_star <= eta_hi + TOL.
     """
 
     verdict: str
@@ -545,8 +545,9 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
     When count * tau <= 1 the set is jointly measurable by construction: a
     balanced linear-optical network dilutes the signal into count arms of
     transmissivity tau each, and measuring every arm realizes an explicit
-    parent.  ``certify`` checks that parent by its residuals: passing gives
-    COMPATIBLE ("lon-parent") with eta_star = 1 and zero Newton steps, failing
+    parent.  count * tau is the correctly rounded sum ``lon_parent`` tests.
+    ``certify`` checks that parent by its residuals: passing gives COMPATIBLE
+    ("lon-parent") with eta_star = 1 and zero Newton steps, failing
     UNDECIDED.  Otherwise ``robustness`` decides.  ``seconds`` covers the
     whole row, building the family included.  A negative ``max_iter`` is
     refused on either path.
@@ -555,7 +556,7 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
         raise ValueError("max_iter must be non-negative")
     t0 = time.perf_counter()
     lossy = symmetric_family(params)
-    if params.count * params.tau <= 1.0 + SLACK:
+    if params.count * params.tau <= 1.0:
         noiseless = symmetric_family(dataclasses.replace(params, tau=1.0))
         res = certify(lossy, lon_parent(noiseless, [params.tau] * params.count))
         if res.verdict == "COMPATIBLE":

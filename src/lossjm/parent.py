@@ -1,8 +1,8 @@
 """Constructive joint measurability through a linear-optical network.
 
 Splitting the signal over n output arms with transmissivities tau_k
-(sum <= 1; any deficit leaks into one extra arm) and measuring M^j on arm j
-realizes the parent POVM
+(correctly rounded sum at most 1; any deficit leaks into one extra arm) and
+measuring M^j on arm j realizes the parent POVM
 
     G_(a_1,...,a_n) = <vac| U^dag (M^1_{a_1} x ... x M^n_{a_n}) U |vac>,
 
@@ -24,11 +24,11 @@ already contracted, indexed by the photon numbers still to be split:
 
     R'[t, u, r, r'] = sum_{k, k'} B[r, k] B[r', k'] M_t[k, k'] R[u, r - k, r' - k'],
 
-starting from the identity (the leak arm measures nothing), with the
-Hermitian rule of ``loss.apply_dual``: a single arm with share tau is that
-dual loss channel, bit for bit.  With T outcome tuples this costs O(T d^4)
-time and O(T d^2) memory, against the d^m Fock grid of the whole m-arm
-network.
+starting from the identity (the leak arm measures nothing, so it is never
+contracted), with the Hermitian rule of ``loss.apply_dual``: a single arm
+with share tau is that dual loss channel, bit for bit.  With T outcome
+tuples this costs O(T d^4) time and O(T d^2) memory, against the d^n Fock
+grid of the n measured arms.
 """
 
 from __future__ import annotations
@@ -41,26 +41,23 @@ from .fock import _hermitian_lower
 from .loss import _chain_step, _split_amplitudes
 from .measurements import MeasurementSet, ParentPovm, lossy_povm
 
-# Kept limit on the arm count: d ** arms above this is refused, although the
-# chain never forms that grid (arms count the leak arm).
+# Kept limit on the measured arms: d ** n above this is refused, although the
+# chain never forms that grid (the leak arm, never contracted, is not counted).
 MAX_GRID = 1 << 17
-
-# Rounding slack on transmissivities: a sum up to 1 + SLACK is accepted, and
-# a leak weight of at most SLACK is dropped with its arm.
-SLACK = 1e-12
 
 
 def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
     """Parent POVM for the dual-loss images {E*_{tau_j}(M^j)}.
 
     ``taus`` lists one arm transmissivity per measurement with sum at most
-    1; a deficit 1 - sum(taus) above ``SLACK`` leaks into one unmeasured arm.
+    1, the sum taken as ``math.fsum`` rounds it: [1/11] * 11 sums to exactly
+    1.0.  Any positive deficit 1 - sum(taus) leaks into one unmeasured arm.
     A loss channel of transmissivity eta in front of the network is the same
     network at ``[eta * t for t in taus]``.
 
-    Raises ValueError when a transmissivity is negative, infinite or NaN, or
-    when sum(taus) exceeds 1: no quantum channel has all the required loss
-    channels as its single-arm marginals.
+    Raises ValueError when a transmissivity is negative, infinite or NaN,
+    when the sum exceeds 1 (no quantum channel has all the required loss
+    channels as its single-arm marginals), or when d ** n exceeds MAX_GRID.
     """
     taus = [float(t) for t in taus]
     n = len(mset)
@@ -68,24 +65,22 @@ def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
         raise ValueError("need exactly one transmissivity per measurement")
     if any(not 0.0 <= t < math.inf for t in taus):  # refuses NaN too
         raise ValueError("transmissivities must be finite and non-negative")
-    total = sum(taus)
-    if total > 1.0 + SLACK:
+    total = math.fsum(taus)
+    if total > 1.0:
         raise ValueError(
-            f"sum of transmissivities {total:.6f} exceeds 1; "
+            f"sum of transmissivities {total!r} exceeds 1; "
             "no channel has these loss channels as marginals"
         )
 
     d = mset.dim
-    # The leak arm is last in the chain and measures nothing, so contracting
-    # it leaves the identity.
-    leak = 1.0 - total if 1.0 - total > SLACK else 0.0
-    m = n + (leak > 0.0)
-    if d**m > MAX_GRID:
+    if d**n > MAX_GRID:
         raise ValueError(
-            f"multimode grid {d}^{m} exceeds the desk-scale limit {MAX_GRID}"
+            f"multimode grid {d}^{n} exceeds the desk-scale limit {MAX_GRID}"
         )
 
-    suffix = leak
+    # The leak arm is last in the chain and measures nothing, so contracting
+    # it leaves the identity.
+    suffix = 1.0 - total
     R = np.eye(d, dtype=complex)[None]
     for j in reversed(range(n)):
         suffix += taus[j]  # weight of arm j and of every arm after it

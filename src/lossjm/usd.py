@@ -87,11 +87,12 @@ def p_d(n: int, r: float) -> float:
     ulp, and each way stops within K + (52 ln 2 + 1/2)/g + 5 <= 38.63 r + 1462.
     """
     n, r = _check_n(n), _check_r(r)
-    r2 = r * r
     if n > 78 * r + 3000:
         return 0.0
-    if (n - 1) * math.exp(-2.0 * r2 * math.sin(math.pi / n) ** 2) < 2.0**-54:
+    s = math.sin(math.pi / n) * r  # r^2 alone overflows past r ~ 1.3e154
+    if (n - 1) * math.exp(-2.0 * s * s) < 2.0**-54:
         return 1.0
+    r2 = r * r
     top = math.floor(r2)
     sums, floor, fill = [0.0] * n, 0.0, top + n - 1  # fill: the m of the n-th term
     for m, term, step in ((top, 1.0, 1), (top - 1, top / r2 if top else 0.0, -1)):
@@ -150,14 +151,14 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     prod_{k=1}^{n-1} (1 - exp(-tau_b r^2 |e^{2 pi i k/n} - 1|^2)); for small r
     this approaches n^2 r^{2(n-1)} tau_b^{n-1}.  The factors at k and n - k are
     equal, so k runs up to n/2, every factor squared but the one at k = n/2.
-    Each exponent, formed as 4 tau_b r^2 sin^2(pi k/n) with no cancellation,
-    grows with k: the product stops at the first factor that is 1.0 (so are
-    the later ones) or once it is 0.0 (every factor lies in [0, 1]).
+    Each exponent, tau_b s^2 with s = 2 sin(pi k/n) r, has no cancellation
+    and no inf r^2 times a 0.0 sin^2; it grows with k: the product stops at
+    the first factor that is 1.0 (so are the later ones) or once it is 0.0.
     """
-    n, r = _check_n(n), _check_r(r)
-    x, out = 4.0 * _check_tau(tau_b) * r * r, 1.0
+    n, r, tau_b, out = _check_n(n), _check_r(r), _check_tau(tau_b), 1.0
     for k in range(1, n // 2 + 1):
-        f = -math.expm1(-x * math.sin(math.pi * k / n) ** 2)
+        s = 2.0 * math.sin(math.pi * k / n) * r
+        f = -math.expm1(-tau_b * s * s)
         out *= f if 2 * k == n else f * f
         if f == 1.0 or out == 0.0:
             break

@@ -114,6 +114,15 @@ class TestCompatCommand:
         payload = json.loads(out)
         assert (payload["verdict"], payload["method"]) == ("COMPATIBLE", "lon-parent")
 
+    def test_leak_arm_not_counted_by_the_grid_limit(self, capsys):
+        # 3^10 measured arms; a leak arm of weight 0.1 once made it 3^11
+        code, out = run(
+            ["compat", "--count", "10", "--r", "0.01", "--tau", "0.09", "--d", "3"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["method"]) == ("COMPATIBLE", "lon-parent")
+
     def test_sdp_row_above_eight_levels_exit_two(self, capsys):
         code, out = run(
             ["compat", "--count", "3", "--r", "0.3", "--tau", "0.51", "--d", "10"], capsys
@@ -224,6 +233,12 @@ class TestParentVerifyCommand:
         r1 = json.loads(out1)["marginal_identity_residual"]
         r2 = json.loads(out2)["marginal_identity_residual"]
         assert r1 <= 1e-10 and r2 <= 1e-10
+
+    def test_leak_arm_not_counted_by_the_grid_limit(self, capsys):
+        # 4^8 measured arms and a leak of 0.2; counting the leak gave 4^9 > 2^17
+        code, out = run(["parent-verify", "--n", "8", "--d", "4", "--tau", "0.1"], capsys)
+        assert code == 0
+        assert json.loads(out)["marginal_identity_residual"] <= 1e-15
 
     def test_zero_dimension_exit_one(self, capsys):
         code = cli.main(["parent-verify", "--n", "2", "--d", "0"])
@@ -453,6 +468,14 @@ class TestExtremeInputs:
         captured = capsys.readouterr()
         assert code == 0 or (code == 1 and captured.out == "")
         assert code == 0 or captured.err.startswith("error: ")
+
+    def test_usd_past_the_float_range_of_its_small_r_form(self, capsys):
+        # p_d once raised OverflowError out of main here; now the report is
+        # whole and p_d_approx = inf stops the strict JSON writer
+        code = cli.main(["usd", "--n", str(10**170), "--r", "1e200", "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: inf\n"
 
 
 class TestNoTolerance:

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -570,6 +571,34 @@ class TestDecideTableRow:
         r, _ = TABLE_POINTS[10]
         with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
             compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
+
+    def test_rounding_over_the_budget_is_not_lon_parent(self):
+        # count * tau = 1.0000000000001: no network has these arms, although a
+        # slack of 1e-12 once sent the row to the network parent
+        row = compat.decide_table_row(meas.FamilyParams(10, 0.01, 0.1 + 1e-14, 3))
+        assert row.method != "lon-parent"
+
+    def test_budget_is_the_correctly_rounded_sum(self):
+        # count * tau rounds the exact product once, as math.fsum rounds the
+        # exact sum that lon_parent tests: the two never disagree
+        for count in range(1, 2001):
+            tau = 1.0 / count
+            assert count * tau <= 1.0, count
+            for t in (tau, math.nextafter(tau, 1.0)):
+                assert (count * t <= 1.0) == (math.fsum([t] * count) <= 1.0), (count, t)
+
+    def test_lon_parent_refuses_what_the_budget_refuses(self):
+        # at 1.0 / count and one float above it: a slack of 1e-12 once let
+        # lon_parent accept sums one ulp over 1
+        one = meas.Povm((np.eye(1, dtype=complex),))
+        for count in range(1, 101):
+            mset = meas.MeasurementSet((one,) * count)
+            for t in (1.0 / count, math.nextafter(1.0 / count, 1.0)):
+                if count * t <= 1.0:
+                    parent.lon_parent(mset, [t] * count)
+                else:
+                    with pytest.raises(ValueError, match="exceeds 1"):
+                        parent.lon_parent(mset, [t] * count)
 
     def test_breaking_point_above_sdp_dimension_limit_certified(self):
         # d = 10 on the lon-parent path: the network parent, no SDP

@@ -1,6 +1,7 @@
 """The installed surface: numpy-only imports, a resolvable public API,
 module layers without cycles, source lines of at most 100 characters, and
-README constants that exist with the values it states."""
+README constants that exist with the values it states, and a listed set
+of module-level constants."""
 
 import ast
 import importlib
@@ -129,7 +130,7 @@ def test_readme_constants_match_the_code():
         (module, name, inside or after)
         for module, name, inside, after in README_CONSTANT.findall(readme.read_text())
     ]
-    assert ("parent", "SLACK", "1e-12") in named
+    assert ("fock", "TOL", "1e-8") in named
     assert ("", "TOL", "1e-8") in named and ("", "MAX_TUPLES", "2^16") in named
     stale = []
     for module, name, value in named:
@@ -140,3 +141,30 @@ def test_readme_constants_match_the_code():
         if not found or (value and any(v != _readme_value(value) for v in found)):
             stale.append(f"{module}.{name} = {value}" if module else name)
     assert stale == []
+
+
+# Every module-level UPPER_CASE name of the package, private ones included.
+# A new hand-set constant fails the test below until it is listed here.
+CONSTANTS = {
+    ("cli", "EXIT_ERROR"), ("cli", "EXIT_INCOMPATIBLE"), ("cli", "EXIT_OK"),
+    ("cli", "EXIT_UNDECIDED"), ("cli", "RECORD"), ("cli", "TABLE_POINTS"),
+    ("compat", "DEFAULT_MAX_ITER"), ("compat", "MAX_TUPLES"), ("compat", "_EPS"),
+    ("compat", "_IPM_TOL"), ("fock", "TOL"), ("parent", "MAX_GRID"),
+    ("qubit", "DEGENERATE_F_TOL"), ("usd", "_EXACT_MAX_N"), ("usd", "_LOG_SLACK"),
+}
+
+
+def test_module_constants_are_listed():
+    package = Path(lossjm.__file__).resolve().parent
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {
+                    (path.stem, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id.lstrip("_").isupper()
+                }
+    assert found == CONSTANTS

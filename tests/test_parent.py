@@ -56,9 +56,13 @@ class TestLonParent:
         ([0.5, math.nan], "transmissivities must be finite and non-negative"),
         ([math.nan, math.nan], "transmissivities must be finite and non-negative"),
         ([0.6, 0.6], "exceeds 1"),
-    ], ids=["short", "long", "negative", "inf", "nan-first", "nan-last", "nan-both", "sum"])
+        ([0.5, 0.5 + 1e-13], r"sum of transmissivities 1\.0000000000001 exceeds 1"),
+        ([0.5, 0.5 + 2**-52], r"sum of transmissivities 1\.0000000000000002 exceeds 1"),
+    ], ids=["short", "long", "negative", "inf", "nan-first", "nan-last", "nan-both", "sum",
+            "sum-1e-13", "sum-one-ulp"])
     def test_refusal_messages(self, taus, message):
-        # a NaN once passed both checks and took every photon into one arm
+        # a NaN once passed both checks and took every photon into one arm;
+        # a sum up to 1 + 1e-12 was once accepted, and printed as 1.000000
         mset = meas.MeasurementSet((vacuum_onoff(3), vacuum_onoff(3)))
         with pytest.raises(ValueError, match=message):
             parent.lon_parent(mset, taus)
@@ -72,11 +76,12 @@ class TestLonParent:
             assert np.abs(par.marginals()[:2].sum(axis=0) - np.eye(4)).max() <= 1e-10
 
     def test_grid_size_guard(self):
-        mset = meas.MeasurementSet(tuple(vacuum_onoff(8) for _ in range(3)))
-        # deficit adds a fourth arm: 8**4 = 4096 is fine, 24**4 is not
+        # only the measured arms count, not the leak arm of the deficit:
+        # 24**3 = 13,824 is fine, 51**3 = 132,651 is not
+        mset = meas.MeasurementSet(tuple(vacuum_onoff(24) for _ in range(3)))
         parent.lon_parent(mset, [0.2, 0.2, 0.2])
-        big = meas.MeasurementSet(tuple(vacuum_onoff(24) for _ in range(3)))
-        with pytest.raises(ValueError, match="desk-scale limit"):
+        big = meas.MeasurementSet(tuple(vacuum_onoff(51) for _ in range(3)))
+        with pytest.raises(ValueError, match=r"multimode grid 51\^3 exceeds the desk-scale limit"):
             parent.lon_parent(big, [0.2, 0.2, 0.2])
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -196,6 +201,12 @@ class TestMarginalIdentity:
         rng = np.random.default_rng(53)
         mset = meas.random_measurement_set(4, 2, rng)
         assert parent.verify_marginal_identity(mset, [0.2, 0.3]) <= 1e-11
+
+    def test_tiny_deficit_is_realised(self):
+        # a leak of 1e-13 was once dropped and the arms rescaled to sum to 1,
+        # 2.1e-14 off the images
+        mset = meas.random_measurement_set(3, 2, np.random.default_rng(1))
+        assert parent.verify_marginal_identity(mset, [0.5, 0.5 - 1e-13]) <= 1e-15
 
     def test_taus_read_once(self):
         # lon_parent once used up a generator, leaving no images to compare

@@ -272,6 +272,14 @@ class TestHugeCount:
         n = math.floor(78 * r + 3000) + step
         assert usd.p_d(n, r) == oracles.p_d_walk(n, r) == oracles.p_d_loop(n, r) == 0.0
 
+    def test_overflowing_square_in_bounded_time(self):
+        # r^2 overflowed to inf and sin^2(pi/n) underflowed to 0.0: each
+        # exponent was nan, so p_d raised OverflowError from floor(inf) and
+        # the product, stopped by neither test, ran k up to n/2
+        t0 = time.perf_counter()
+        assert usd.p_d(10**170, 1e200) == usd.lossy_usd_success(10**170, 1e200, 0.5) == 1.0
+        assert time.perf_counter() - t0 < 0.05
+
 
 def pass_lengths(r):
     """The terms that the pass of ``usd.p_d`` adds up and down from its peak
@@ -452,9 +460,10 @@ class TestLossySuccess:
         for _ in range(300):
             n = int(rng.integers(2, 3000))
             r, tau = float(10 ** rng.uniform(-2, 3)), float(rng.uniform(1e-3, 1.0))
-            x, full = 4.0 * tau * r * r, 1.0
+            full = 1.0
             for k in range(1, n // 2 + 1):
-                f = -math.expm1(-x * math.sin(math.pi * k / n) ** 2)
+                s = 2.0 * math.sin(math.pi * k / n) * r
+                f = -math.expm1(-tau * s * s)
                 full *= f if 2 * k == n else f * f
             assert usd.lossy_usd_success(n, r, tau) == full, (n, r, tau)
 
