@@ -459,7 +459,7 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     weights = np.trace(E, axis1=1, axis2=2).real / d
     rows = eta * E + (1.0 - eta) * weights[:, None, None] * np.eye(d)
     split = np.split(rows, np.cumsum([p.outcomes for p in mset])[:-1])
-    return MeasurementSet(tuple(Povm(tuple(els)) for els in split))
+    return MeasurementSet(tuple(Povm(els) for els in split))
 
 
 def certify(mset: MeasurementSet, parent: ParentPovm) -> Verdict:

@@ -16,25 +16,25 @@ from .loss import apply_dual
 
 @dataclass(frozen=True)
 class Povm:
-    """The d x d elements of a measurement, checked for shape only (see MeasurementSet)."""
+    """The elements of a measurement, held as one complex stack (outcomes, d, d)
+    and checked for shape only (see MeasurementSet)."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        els = tuple(np.asarray(E, dtype=complex) for E in self.elements)
+        els = [np.asarray(E, dtype=complex) for E in self.elements]
         if not els:
             raise ValueError("a POVM needs at least one element")
         d = els[0].shape[0] if els[0].ndim == 2 else 0
         if d == 0:
             raise ValueError("POVM elements must be square matrices of size at least 1")
-        for E in els:
-            if E.shape != (d, d):
-                raise ValueError("POVM elements must share one square shape")
-        object.__setattr__(self, "elements", els)
+        if any(E.shape != (d, d) for E in els):
+            raise ValueError("POVM elements must share one square shape")
+        object.__setattr__(self, "elements", np.array(els))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def outcomes(self) -> int:
@@ -65,7 +65,7 @@ class MeasurementSet:
         d = povms[0].dim
         if any(p.dim != d for p in povms):
             raise ValueError("all POVMs must share one dimension")
-        rows = np.array([E for p in povms for E in p.elements])
+        rows = np.concatenate([p.elements for p in povms])
         if not np.isfinite(rows).all():
             raise ValueError("measurement elements must be finite (no NaN or infinity)")
         if not _psd_residual(rows) <= TOL:  # the gap to Hermitian counts
@@ -207,12 +207,11 @@ def displaced_onoff(mu: complex, d: int) -> Povm:
 def lossy_povm(povm: Povm, tau: float) -> Povm:
     """Image of a POVM under the dual loss channel (exact under truncation).
 
-    All elements go through one stacked :func:`apply_dual`.  At tau = 1 the
-    channel is the identity map and ``povm`` is returned.
+    The stack goes through one :func:`apply_dual` at every tau, tau = 1 (the
+    identity map) included: an element that is not Hermitian within ``TOL``
+    is refused, and the image is exactly Hermitian.
     """
-    if tau == 1.0:
-        return povm
-    return Povm(tuple(apply_dual(tau, np.stack(povm.elements))))
+    return Povm(apply_dual(tau, povm.elements))
 
 
 def _rotation_phases(count: int, d: int) -> np.ndarray:
@@ -249,8 +248,8 @@ def symmetric_family(params: FamilyParams) -> MeasurementSet:
     the noiseless family; the dual channel is then the identity map exactly.
     """
     first = lossy_povm(displaced_onoff(params.r, params.d), params.tau)
-    copies = _rotated(np.stack(first.elements), _rotation_phases(params.count, params.d))
-    return MeasurementSet(tuple(Povm(tuple(els)) for els in copies))
+    copies = _rotated(first.elements, _rotation_phases(params.count, params.d))
+    return MeasurementSet(tuple(Povm(els) for els in copies))
 
 
 def random_two_outcome_povm(dim: int, rng: np.random.Generator) -> Povm:

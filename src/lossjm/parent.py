@@ -85,8 +85,7 @@ def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
     for j in reversed(range(n)):
         suffix += taus[j]  # weight of arm j and of every arm after it
         s = taus[j] / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
-        elements = np.stack(mset.povms[j].elements)
-        R = _chain_step(elements, _split_amplitudes(s, d), R)
+        R = _chain_step(mset.povms[j].elements, _split_amplitudes(s, d), R)
     return ParentPovm(tuple(p.outcomes for p in mset), _hermitian_lower(R))
 
 

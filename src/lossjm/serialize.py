@@ -33,7 +33,7 @@ def povm_to_json(p: Povm) -> dict:
 def _povm(obj: dict) -> Povm:
     """The POVM of a payload, checked for shape against its ``dim`` only."""
     d = _integer("dim", obj["dim"])
-    p = Povm(tuple(matrix_from_json(e) for e in obj["elements"]))
+    p = Povm([matrix_from_json(e) for e in obj["elements"]])
     if p.dim != d:
         raise ValueError(f"POVM elements must be {d} x {d} matrices")
     return p

@@ -408,7 +408,8 @@ def _refuse_constant(name):
 COMMANDS = {
     "family": ["family", "--count", "2", "--r", "0.1", "--tau", "0.7", "--d", "3"],
     "compat-compatible": ["compat", "--count", "2", "--r", "0.1", "--tau", "0.4", "--d", "3"],
-    "compat-incompatible": ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"],
+    "compat-incompatible": ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005",
+                            "--d", "3"],
     "compat-undecided": ["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3",
                          "--max-iter", "0"],
     "parent-verify": ["parent-verify", "--n", "2", "--d", "3"],
@@ -461,6 +462,7 @@ class TestExtremeInputs:
         ["usd", "--n", "171", "--r", "0.5", "--tau", "0.9"],
         ["usd", "--n", "171", "--r", "10", "--tau", "0.9"],
         ["usd", "--n", "4", "--r", "0.1", "--tau", "1e-13"],
+        ["usd", "--n", str(10**156), "--r", "1e155", "--tau", "0.5"],
     ], ids=lambda argv: " ".join(argv))
     def test_finite_input_answers_or_errors(self, capsys, argv):
         # each of these once raised OverflowError out of main, or ran for hours

@@ -154,7 +154,8 @@ class TestMarginalMap:
     @pytest.mark.parametrize("outs", SHAPES)
     def test_schur_matches_per_pair_assembly(self, outs):
         rng = np.random.default_rng(20 + sum(outs))
-        sdp = compat._RobustnessSdp(meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs)))
+        mset = meas.MeasurementSet(tuple(random_povm(o, 3, rng) for o in outs))
+        sdp = compat._RobustnessSdp(mset)
         assert len(sdp.rep) == sdp.T  # no symmetry: one block per tuple
         X = random_blocks(sdp.T, 3, rng, 0.1) / sdp.T
         Zinv = random_blocks(sdp.T, 3, rng, 0.1)
@@ -192,7 +193,8 @@ class TestMarginalMap:
         full = oracles.spread_reference(sdp.outs, Y)
         assert np.abs(sdp.dual_blocks(c) - full[sdp.rep]).max() <= 1e-14 * np.abs(full).max()
         # the dual blocks are invariant too
-        assert np.abs(oracles.dihedral_average(sdp.outs, full) - full).max() <= 1e-14 * np.abs(full).max()
+        assert (np.abs(oracles.dihedral_average(sdp.outs, full) - full).max()
+                <= 1e-14 * np.abs(full).max())
 
     @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
     def test_covariant_schur_matches_full_assembly(self, mset):
@@ -447,7 +449,9 @@ class TestNewtonStep:
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
 
-TIER1_ROWS = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 7)]
+TIER1_ROWS = (
+    [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 9)] + [(4, n) for n in range(2, 7)]
+)
 
 
 def table_family(d, n):
@@ -461,7 +465,7 @@ def broken_copy(mset):
     povms = list(mset)
     E = povms[1].elements[0].copy()
     E[0, 0] = np.nextafter(E[0, 0].real, 2.0)
-    povms[1] = meas.Povm((E,) + povms[1].elements[1:])
+    povms[1] = meas.Povm((E, *povms[1].elements[1:]))
     return meas.MeasurementSet(tuple(povms))
 
 
@@ -498,7 +502,8 @@ class TestReduction:
             for j in range(n):
                 for a in range(2):
                     scale = np.abs(Y[j][a]).max()
-                    assert np.abs(Y[(j + 1) % n][a] - R @ Y[j][a] @ R.conj().T).max() <= 1e-15 * scale
+                    assert (np.abs(Y[(j + 1) % n][a] - R @ Y[j][a] @ R.conj().T).max()
+                            <= 1e-15 * scale)
                     assert np.abs(Y[-j % n][a] - Y[j][a].conj()).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("d,n", TIER1_ROWS)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lossjm import loss, measurements as meas, parent, qubit
+from lossjm import fock, loss, measurements as meas, parent, qubit
 
 import oracles
 
@@ -99,7 +99,27 @@ class TestSymmetricFamily:
                 assert np.array_equal(image, image.conj().T)
                 assert np.abs(image - alone).max() <= 1e-15 * np.abs(alone).max()
         assert calls == [(2, 4, 4), (2, 5, 5)]
-        assert meas.lossy_povm(povms[0], 1.0) is povms[0]
+
+    def test_lossless_image_is_the_hermitian_povm(self):
+        # tau = 1 takes the one route through apply_dual, whose split is then
+        # the identity: each element comes back as its lower triangle mirrored
+        # with a real diagonal, so an exactly Hermitian one comes back bitwise
+        rng = np.random.default_rng(29)
+        povms = [meas.displaced_onoff(mu, d) for mu in (0.3 - 0.1j, 1.7) for d in (2, 5, 9)]
+        povms += [meas.random_two_outcome_povm(d, rng) for d in (2, 3, 6) for _ in range(4)]
+        for p in povms:
+            image = meas.lossy_povm(p, 1.0).elements
+            assert np.array_equal(image, fock._hermitian_lower(p.elements))
+            assert np.abs(image - p.elements).max() <= 1e-16
+        for d in (2, 5, 9):
+            p = meas.displaced_onoff(1.7, d)
+            assert np.array_equal(meas.lossy_povm(p, 1.0).elements, p.elements)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.999])
+    def test_lossy_povm_refuses_a_non_hermitian_element(self, tau):
+        A = np.array([[0.5, 10 * meas.TOL], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            meas.lossy_povm(meas.Povm((A, np.eye(2) - A)), tau)
 
     @pytest.mark.parametrize("tau", [1.0, 0.50005, 0.0913])
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -287,6 +307,13 @@ def _set_with(A, B=None):
     A = np.asarray(A, dtype=complex)
     pair = meas.Povm((A, np.eye(2) - A if B is None else np.asarray(B, dtype=complex)))
     return meas.MeasurementSet((meas.displaced_onoff(0.1, 2), pair))
+
+
+def test_povm_holds_one_complex_stack():
+    p = meas.Povm(([[1, 0], [0, 0]], np.diag([0.0, 1.0]), np.zeros((2, 2), dtype=np.float32)))
+    assert isinstance(p.elements, np.ndarray)
+    assert p.elements.dtype == complex and p.elements.shape == (3, 2, 2)
+    assert (p.outcomes, p.dim) == (3, 2)
 
 
 def test_set_with_sum_within_tol_loads():

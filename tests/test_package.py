@@ -1,7 +1,7 @@
 """The installed surface: numpy-only imports, a resolvable public API,
-module layers without cycles, source lines of at most 100 characters, and
-README constants that exist with the values it states, and a listed set
-of module-level constants."""
+module layers without cycles, source and test lines of at most 100
+characters, the names the benchmark reads, README constants that exist
+with the values it states, and a listed set of module-level constants."""
 
 import ast
 import importlib
@@ -96,13 +96,35 @@ def test_module_layers():
 
 def test_source_lines_at_most_100_characters():
     package = Path(lossjm.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
     long_lines = [
-        f"{path.name}:{number}"
-        for path in sorted(package.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{number}"
+        for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+def test_names_the_benchmark_reads_exist():
+    # perfbench/workloads.py reaches the package as lj.<module>.<name>; a
+    # deleted or renamed name fails here rather than in a benchmark run
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    chains = {
+        (node.value.attr, node.attr)
+        for node in ast.walk(ast.parse(workloads.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "lj"
+    }
+    assert {("parent", "MAX_GRID"), ("cli", "TABLE_POINTS")} <= chains
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(chains)
+        if not hasattr(importlib.import_module(f"lossjm.{module}"), name)
+    ]
+    assert missing == []
 
 
 # a backticked `NAME`, `module.NAME` or `module.NAME = value`, or a backticked
