@@ -19,14 +19,13 @@ and each verdict rests on a certificate checked after the solve:
   the verdict is INCOMPATIBLE iff eta_hi < 1.
 * COMPATIBLE: a parent POVM of the noiseless set that passes ``certify``.
 
-``certify`` runs no solver.  It checks that the parent has the set's outcome
-counts and dimension, then asks the parent for two numbers, each to be at most
-``TOL`` = 1e-8 (``fock.TOL``, re-exported beside ``ParentPovm``):
-``ParentPovm.marginal_residual``, the max-norm gap between its marginal rows
-and the set's elements, and ``ParentPovm.psd_residual``, the larger of minus
-its least block eigenvalue and its blocks' max-norm gap to their conjugate
-transpose.  The blocks then sum to the identity up to the same gap, because
-the set's POVMs do: ``MeasurementSet`` refuses any other.  ``MAX_TUPLES``
+``certify`` runs no solver.  It checks the parent's outcome counts and
+dimension against the set, then that ``ParentPovm.marginal_residual`` (the
+max-norm gap of its marginal rows to the set's elements) and
+``ParentPovm.psd_residual`` (minus its least block eigenvalue, or its blocks'
+max-norm gap to Hermitian) are each at most ``TOL`` = 1e-8 (``fock.TOL``).
+The blocks then sum to the identity up to that gap, as the set's POVMs do
+(``MeasurementSet`` refuses any other).  ``MAX_TUPLES``
 bounds the SDP only: ``certify`` takes every parent ``lon_parent`` builds.
 The dimension d is not capped, but each Newton step's Schur products hold
 representatives x d^4 complex numbers: about 2.4 GB for count 16 at d = 16.
@@ -41,9 +40,8 @@ the symmetric family that is the dihedral group generated by the phase
 rotation R = exp(2 pi i N / n) and complex conjugation: averaging a parent or
 a witness over it keeps it valid, so one block per orbit of outcome tuples
 and the rows of measurement 0 suffice (Gatermann & Parrilo, J. Pure Appl.
-Algebra 192, 2004).  The parent is projected on the representatives and
-expanded to all tuples once, for ``certify``; the witness repair and
-``certify`` check the full problem.
+Algebra 192, 2004).  Parents are projected and witnesses checked on the
+representatives; a parent is expanded to all tuples once, for ``certify``.
 """
 
 from __future__ import annotations
@@ -86,8 +84,9 @@ class Verdict:
     ``decide_table_row``), "sdp-parent" or "sdp-witness" (``robustness``),
     "parent" (``certify``), or "none" for UNDECIDED.  For the displaced
     family truncated at d levels, INCOMPATIBLE carries over to the
-    untruncated family, and so does "lon-parent", whose network is the same
-    at every d; "sdp-parent" speaks only for the truncated set.
+    untruncated family (for the stored elements: their construction's
+    rounding is not bounded), and so does "lon-parent", whose network is the
+    same at every d; "sdp-parent" speaks only for the truncated set.
 
     ``parent`` certifies the set depolarized to ``eta_star`` (the set itself
     for ``certify``); ``marginal_residual`` and ``psd_residual`` are its
@@ -95,10 +94,8 @@ class Verdict:
     when no witness proves a bound.  ``iterations`` counts Newton steps.
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
-    exact: the witness is valid in exact arithmetic on the stored floats, so
-    no parent exists above it.  ``eta_star`` holds up to ``TOL``: its parent
-    passes ``certify``, i.e. has marginal and PSD residuals at most TOL =
-    1e-8, not zero.  So eta_star can exceed eta_hi by a rounding-sized margin;
+    exact: the witness is valid in exact arithmetic on the stored floats.
+    The ``eta_star`` parent passes ``certify`` only up to ``TOL`` = 1e-8, so
     the bound guaranteed is eta_star <= eta_hi + TOL.
     """
 
@@ -334,7 +331,7 @@ class _RobustnessSdp:
         return (self.VH @ (self.gwT @ G.reshape(len(G), -1)).ravel()).real
 
     def dual_blocks(self, c: np.ndarray) -> np.ndarray:
-        """``ParentPovm.spread`` of ``full_rows(c)`` at the representatives."""
+        """Z_t = sum_j Y^j_{t_j} of Y = ``full_rows(c)``, at the representatives."""
         return (self.g @ (self.V @ c).reshape(self.g.shape[1], -1)).reshape(-1, self.d, self.d)
 
     def project(self, G: np.ndarray, eta: float) -> np.ndarray:
@@ -440,10 +437,24 @@ class _RobustnessSdp:
         covariant W covariant; D is traceless, so <D, W> stays and the bound
         grows by c d.  Scaling then gives <D, W> <= -1.  Each step is padded
         by an a priori bound on its rounding error, so both hold exactly.
+
+        Z_t is read at the representatives only (all T for the trivial group).
+        For the dihedral group, each block of Q^j = Re(W^0) * w^j, w^j exact,
+        is a unitary or conjugate image of its representative's.  In norm,
+        |W^j - Q^j| <= e = d (|W^j - W^0 * Omega^j| + 6 eps |W^0| + |Im W^0|):
+        the stored Omega = ``phases`` is within 4 eps of w, and the product
+        rounds by 2 eps.  So each block is within n e of Q's, and Q's within
+        n e of the representative's: the guard adds 2 n e (1 + 8 eps).
         """
         rows = self.rows(W)
         guard = 4 * (self.n + self.d) * self.d**2 * _EPS * sum(np.abs(r).max() for r in rows)
-        lam = float(np.linalg.eigvalsh(ParentPovm.spread(self.outs, W)).min())
+        if len(self.phases) > 1:
+            W0 = rows[0]
+            gap = np.abs(W.reshape(self.n, *W0.shape) - W0 * self.phases[:, None]).max()
+            e = self.d * (gap + 6 * _EPS * np.abs(W0).max() + np.abs(W0.imag).max())
+            guard += 2 * self.n * e * (1 + 8 * _EPS)
+        Z = sum(W[o + t] for o, t in zip(self.offsets, self.digits))
+        lam = float(np.linalg.eigvalsh(Z).min())
         W = W + (max(0.0, guard - lam) / self.n) * self.identity
         err = 4 * W.size * _EPS * np.abs(W)  # times |D| or |C|: error of a sum of products
         s = -_inner(self.D, W) - float(np.sum(err * np.abs(self.D)))

@@ -113,8 +113,8 @@ class ParentPovm:
         if not counts or min(counts) < 1:
             raise ValueError("outcome_counts must hold at least one count, each >= 1")
         T = math.prod(counts)  # exact: np.prod wraps past 2^63
-        if blocks.ndim != 3 or blocks.shape[0] != T or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must have shape (prod(outcome_counts), d, d)")
+        if blocks.ndim != 3 or blocks.shape[0] != T or not 1 <= blocks.shape[1] == blocks.shape[2]:
+            raise ValueError("blocks must have shape (prod(outcome_counts), d, d), d >= 1")
         object.__setattr__(self, "outcome_counts", counts)
         object.__setattr__(self, "blocks", blocks)
 
@@ -132,18 +132,6 @@ class ParentPovm:
             inner //= o  # tuples per step of this measurement's outcome
             rows.append(self.blocks.reshape(T // (o * inner), o, inner, d, d).sum(axis=(0, 2)))
         return np.concatenate(rows)
-
-    @staticmethod
-    def spread(outcome_counts: tuple, rows: np.ndarray) -> np.ndarray:
-        """Adjoint of ``marginals``: the block of tuple t is sum_j of row
-        sum(outcome_counts[:j]) + t_j, each measurement's rows broadcast over
-        the tuple grid."""
-        T, d = math.prod(outcome_counts), rows.shape[-1]
-        blocks, inner = np.zeros((T, d, d), dtype=rows.dtype), T
-        for o, part in zip(outcome_counts, np.split(rows, np.cumsum(outcome_counts)[:-1])):
-            inner //= o
-            blocks.reshape(T // (o * inner), o, inner, d, d)[...] += part[:, None]
-        return blocks
 
     def marginal_residual(self, mset: MeasurementSet) -> float:
         """Max-norm gap between the marginal rows and the elements of a set of

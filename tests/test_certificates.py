@@ -36,16 +36,19 @@ def digits50():
         yield
 
 
-R2, EPS2 = TABLE_POINTS[2]
+def table_row(n, d=3):
+    r, eps = TABLE_POINTS[n]
+    return meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
 
 
 @pytest.mark.parametrize("params", [
-    meas.FamilyParams(3, R2, 0.5 + EPS2, 3),
-    meas.FamilyParams(3, 0.3, 0.51, 10),
-], ids=["d3-n2", "d10-count3"])
+    table_row(2), table_row(6), table_row(8), meas.FamilyParams(3, 0.3, 0.51, 10),
+], ids=["d3-n2", "d3-n6", "d3-n8", "d10-count3"])
 def test_row_witness_is_exact(digits50, params):
-    """The repaired witness of an incompatible row proves eta* < 1 exactly:
-    the d=3 n=2 table row, and a count-3 row above eight levels."""
+    """The repaired witness of an incompatible row proves eta* < 1 exactly,
+    at every outcome tuple: the d=3 n=2, 6 and 8 table rows (whose repair
+    reads only 18 of 128 and 46 of 512 tuples), and a count-3 row above
+    eight levels."""
     mset = meas.symmetric_family(params)
     res = compat.robustness(mset)
     assert res.verdict == "INCOMPATIBLE"

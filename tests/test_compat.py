@@ -115,16 +115,12 @@ class TestMarginalMap:
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_indicator_matches_axis_sums(self, outs):
-        # the parent's marginal rows and their adjoint ``ParentPovm.spread``
-        # against sums and broadcasts over the axes of the tuple grid
+        # the parent's marginal rows against sums over the axes of the tuple grid
         rng = np.random.default_rng(sum(outs))
         T = int(np.prod(outs))
         G = random_blocks(T, 3, rng) / T
         want = oracles.marginals_reference(outs, G)
         assert np.abs(meas.ParentPovm(outs, G).marginals() - want).max() <= 1e-14
-        Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
-        want = oracles.spread_reference(outs, Y)
-        assert np.abs(meas.ParentPovm.spread(outs, Y) - want).max() <= 1e-14
 
     @pytest.mark.parametrize("outs", SHAPES)
     def test_spread_is_adjoint(self, outs):
@@ -133,7 +129,7 @@ class TestMarginalMap:
         G = random_blocks(T, 3, rng) / T
         Y = random_blocks(sum(outs), 3, rng) - np.eye(3)
         lhs = compat._inner(meas.ParentPovm(outs, G).marginals(), Y)
-        rhs = compat._inner(G, meas.ParentPovm.spread(outs, Y))
+        rhs = compat._inner(G, oracles.spread_reference(outs, Y))
         assert abs(lhs - rhs) <= 1e-12
 
     def test_spread_is_adjoint_on_witness_rows(self):
@@ -144,9 +140,7 @@ class TestMarginalMap:
         outs, W = res.parent.outcome_counts, np.concatenate(res.witness)
         assert np.abs(W.imag).max() > 0.0 and np.abs(W - W.conj().transpose(0, 2, 1)).max() == 0.0
         assert np.abs(res.witness[0].sum(axis=0) - np.eye(3)).max() > 0.1
-        want = oracles.spread_reference(outs, W)
-        Z = meas.ParentPovm.spread(outs, W)
-        assert np.abs(Z - want).max() <= 1e-14 * np.abs(want).max()
+        Z = oracles.spread_reference(outs, W)
         G = res.parent.blocks
         lhs = compat._inner(res.parent.marginals(), W)
         assert abs(lhs - compat._inner(G, Z)) <= 1e-12 * max(1.0, abs(lhs))
@@ -241,23 +235,37 @@ class TestProjection:
 
     def test_full_grid_maps_run_only_for_the_certificates(self, monkeypatch):
         # the projection stays on the representatives: the T-sized marginal map
-        # runs once, in certify, and its adjoint once, in the witness repair
-        calls = {"marginals": 0, "spread": 0}
-        marginals, spread = meas.ParentPovm.marginals, meas.ParentPovm.spread
+        # runs once, in certify; the witness repair reads the representatives
+        calls = []
+        marginals = meas.ParentPovm.marginals
 
         def counted_marginals(self):
-            calls["marginals"] += 1
+            calls.append(len(self.blocks))
             return marginals(self)
 
-        def counted_spread(outs, rows):
-            calls["spread"] += 1
-            return spread(outs, rows)
-
         monkeypatch.setattr(meas.ParentPovm, "marginals", counted_marginals)
-        monkeypatch.setattr(meas.ParentPovm, "spread", staticmethod(counted_spread))
         res = compat.robustness(table_family(3, 3))
         assert res.verdict == "INCOMPATIBLE"
-        assert calls == {"marginals": 1, "spread": 1}
+        assert calls == [16]
+
+    @pytest.mark.parametrize("covariant,blocks", [(True, 126), (False, 12)],
+                             ids=["d3-count11", "trivial-group"])
+    def test_witness_repair_reads_the_representatives(self, monkeypatch, covariant, blocks):
+        # one eigvalsh over the representatives' blocks Z_t = sum_j Y^j_{t_j}:
+        # 126 of the 2048 tuples of count 11, every tuple for the trivial group
+        sdp = compat._RobustnessSdp(table_family(3, 10) if covariant else TRIVIAL)
+        W = -sdp.full_rows(np.random.default_rng(35).normal(size=len(sdp.dv)))
+        read = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(Z):
+            read.append(Z)
+            return eigvalsh(Z)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        sdp.repair_witness(W)
+        assert len(read) == 1 and len(read[0]) == len(sdp.rep) == blocks
+        assert np.array_equal(read[0], oracles.spread_reference(sdp.outs, W)[sdp.rep])
 
 
 class TestMarginal:

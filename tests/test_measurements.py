@@ -148,6 +148,19 @@ class TestSymmetricFamily:
                     assert np.array_equal(E.conj(), mirror.elements[a])
                     assert np.array_equal(E, rotated[k, a])
 
+    def test_rotation_phases_within_the_stated_bound(self):
+        # the witness repair checks only orbit representatives, assuming
+        # |Omega - w| <= 4 eps per entry against the exact roots of unity w
+        worst = 0.0
+        with mpmath.workdps(40):
+            for count in [*range(1, 130), 257, 1000, 4096]:
+                omega = meas._rotation_phases(count, 2)  # w^k off the diagonal, w^-k above it
+                for k in range(count):
+                    exact = mpmath.expjpi(mpmath.mpf(2 * k) / count)
+                    for z, w in [(omega[k, 1, 0], exact), (omega[k, 0, 1], mpmath.conj(exact))]:
+                        worst = max(worst, float(abs(mpmath.mpc(z.real, z.imag) - w)))
+        assert 0.0 < worst <= 4 * np.finfo(float).eps
+
     def test_one_dual_call_per_family(self, monkeypatch):
         calls = []
 
@@ -350,6 +363,8 @@ def test_rows_are_the_marginal_order():
      "Hermitian"),
     (lambda: meas.ParentPovm((2, 2), np.zeros((3, 2, 2))),
      r"blocks must have shape \(prod\(outcome_counts\), d, d\)"),
+    # psd_residual once raised numpy's "zero-size array" error on it
+    (lambda: meas.ParentPovm((1,), np.zeros((1, 0, 0))), r"d, d\), d >= 1"),
     # np.prod wraps these counts to 0 and to a negative number
     (lambda: meas.ParentPovm((2,) * 64, np.zeros((0, 2, 2))), r"blocks must have shape"),
     (lambda: meas.ParentPovm((3,) * 41, np.zeros((0, 2, 2))), r"blocks must have shape"),
@@ -368,10 +383,10 @@ def test_rows_are_the_marginal_order():
 ], ids=["no-element", "empty-element", "scalar-element", "shapes", "no-povm", "dimensions",
         "set-nan", "set-inf", "set-non-hermitian", "set-not-psd", "set-sum-off-past-tol",
         "set-non-povm-pair",
-        "parent-blocks", "parent-count-wraps-to-0", "parent-count-wraps-negative",
-        "parent-no-count", "parent-zero-count", "parent-negative-counts",
-        "parent-float-counts", "parent-integral-float-count", "tau", "tau-nan",
-        "family-d", "onoff-d"])
+        "parent-blocks", "parent-zero-dim", "parent-count-wraps-to-0",
+        "parent-count-wraps-negative", "parent-no-count", "parent-zero-count",
+        "parent-negative-counts", "parent-float-counts", "parent-integral-float-count",
+        "tau", "tau-nan", "family-d", "onoff-d"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,9 +1,11 @@
 """The installed surface: numpy-only imports, a resolvable public API,
 module layers without cycles, source and test lines of at most 100
 characters, the names the benchmark reads, README constants that exist
-with the values it states, and a listed set of module-level constants."""
+with the values it states, README dotted names that resolve, and a listed
+set of module-level constants."""
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -163,6 +165,36 @@ def test_readme_constants_match_the_code():
         if not found or (value and any(v != _readme_value(value) for v in found)):
             stale.append(f"{module}.{name} = {value}" if module else name)
     assert stale == []
+
+
+def test_readme_dotted_names_resolve():
+    # a backticked `a.b.c` whose first part is lossjm, one of its modules or a
+    # public lossjm name must resolve; others (`math.fsum`, `pyproject.toml`) are skipped
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    modules = {m.name for m in pkgutil.iter_modules(lossjm.__path__)}
+    names = {
+        m.group()
+        for span in re.findall(r"`([^`\n]+)`", readme.read_text())
+        if (m := re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span))
+    }
+    checked, missing = [], []
+    for name in sorted(names):
+        first, *rest = name.split(".")
+        if first == "lossjm":
+            owner = lossjm
+        elif first in modules:
+            owner = importlib.import_module(f"lossjm.{first}")
+        elif first in lossjm.__all__:
+            owner = getattr(lossjm, first)
+        else:
+            continue
+        checked.append(name)
+        try:
+            functools.reduce(getattr, rest, owner)
+        except AttributeError:
+            missing.append(name)
+    assert {"lossjm.compat", "fock.TOL"} <= set(checked)
+    assert missing == []
 
 
 # Every module-level UPPER_CASE name of the package, private ones included.

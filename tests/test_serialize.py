@@ -130,6 +130,13 @@ def test_parent_payload_with_a_huge_count_refused_at_once():
     assert time.perf_counter() - t0 < 0.01
 
 
+def test_parent_payload_of_dimension_zero_refused():
+    # it loaded, and psd_residual then raised numpy's "zero-size array" error
+    obj = {"dim": 0, "outcome_counts": [1], "blocks": [{"rows": 0, "cols": 0, "data": []}]}
+    with pytest.raises(ValueError, match=r"d >= 1"):
+        serialize.parent_from_json(obj)
+
+
 def _parent_payload():
     mset = meas.random_measurement_set(2, 2, np.random.default_rng(4))
     return serialize.parent_to_json(parent.lon_parent(mset, [0.5, 0.5]))
