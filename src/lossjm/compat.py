@@ -318,7 +318,9 @@ class _RobustnessSdp:
     def invariant(self, X: np.ndarray) -> np.ndarray:
         """Each representative's block averaged over the elements that fix the
         representative: the projection onto invariant parents, which keeps
-        rounding from building up outside them over the Newton steps."""
+        rounding from building up outside them over the Newton steps.  Without
+        it the d = 3 table rows' iterate strays from invariance by 4.6e4 eps
+        (count 6) and 8.9e4 eps (count 11) of max|X|, against 0.5 eps with it."""
         i, _, f = self.fixed
         images = np.where(f[:, None, None], X[i].conj(), X[i]) * self.fixed_phases
         X = X.copy()
@@ -566,13 +568,13 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     t0 = time.perf_counter()
-    lossy = symmetric_family(params)
     if params.count * params.tau <= 1.0:
         noiseless = symmetric_family(dataclasses.replace(params, tau=1.0))
-        res = certify(lossy, lon_parent(noiseless, [params.tau] * params.count))
+        network = lon_parent(noiseless, [params.tau] * params.count)
+        res = certify(symmetric_family(params), network)
         if res.verdict == "COMPATIBLE":
             res.method = "lon-parent"
     else:
-        res = robustness(lossy, max_iter=max_iter)
+        res = robustness(symmetric_family(params), max_iter=max_iter)
     res.seconds = time.perf_counter() - t0
     return res

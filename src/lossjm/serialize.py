@@ -26,10 +26,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return data.view(complex).reshape(rows, cols)  # keeps the sign of a zero imaginary part
 
 
-def povm_to_json(p: Povm) -> dict:
-    return {"dim": p.dim, "elements": [matrix_to_json(E) for E in p.elements]}
-
-
 def _povm(obj: dict) -> Povm:
     """The POVM of a payload, checked for shape against its ``dim`` only."""
     d = _integer("dim", obj["dim"])
@@ -39,13 +35,9 @@ def _povm(obj: dict) -> Povm:
     return p
 
 
-def povm_from_json(obj: dict) -> Povm:
-    """The POVM of a payload that ``MeasurementSet`` accepts; else ValueError."""
-    return MeasurementSet((_povm(obj),)).povms[0]
-
-
 def measurement_set_to_json(mset: MeasurementSet) -> dict:
-    return {"dim": mset.dim, "povms": [povm_to_json(p) for p in mset]}
+    povms = [{"dim": p.dim, "elements": [matrix_to_json(E) for E in p.elements]} for p in mset]
+    return {"dim": mset.dim, "povms": povms}
 
 
 def measurement_set_from_json(obj: dict) -> MeasurementSet:

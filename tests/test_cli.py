@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lossjm import cli, parent, qubit, serialize
+from lossjm import cli, parent, qubit, serialize, usd
 from lossjm.measurements import FamilyParams, symmetric_family
 
 
@@ -284,6 +284,15 @@ class TestUsdCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "log n! is past the float range" in captured.err
+
+    def test_failed_self_check_is_one_error_line(self, capsys, monkeypatch):
+        # the check once raised AssertionError, which main let out as a traceback
+        monkeypatch.setattr(usd, "p_d", lambda n, r: 0.5 * usd.p_lon(n, r))
+        code = cli.main(["usd", "--n", "3", "--r", "0.01", "--tau", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: split-and-detect success ")
+        assert captured.err.count("\n") == 1
 
     def test_small_tau_answers(self, capsys):
         # the threshold search once compared n! with tau^(1-n) at each n up to ~2.7e6

@@ -525,6 +525,14 @@ class TestReduction:
         assert abs(a.eta_star - b.eta_star) <= 1e-8
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
+    @pytest.mark.parametrize("n", [5, 10], ids=["count6", "count11"])
+    def test_iterate_stays_invariant(self, n):
+        # without the per-step group average the part outside the invariant
+        # blocks reached 4.6e4 eps (count 6) and 8.9e4 eps (count 11) of max|X|
+        sdp = compat._RobustnessSdp(table_family(3, n))
+        X = sdp.solve(compat.DEFAULT_MAX_ITER)[0]
+        assert np.abs(X - sdp.invariant(X)).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
+
     @pytest.mark.parametrize("d,n", TIER1_ROWS)
     def test_eta_star_within_tol_of_eta_hi(self, d, n):
         # eta_hi is an exact bound; the eta_star parent passes certify only
@@ -584,6 +592,19 @@ class TestDecideTableRow:
         r, _ = TABLE_POINTS[10]
         with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
             compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
+
+    def test_refused_network_row_builds_one_family(self, monkeypatch):
+        # the lossy family was once built before lon_parent refused the network
+        calls = []
+
+        def counted(params):
+            calls.append(params.tau)
+            return meas.symmetric_family(params)
+
+        monkeypatch.setattr(compat, "symmetric_family", counted)
+        with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
+            compat.decide_table_row(meas.FamilyParams(11, 0.005, 1.0 / 11, 3))
+        assert calls == [1.0]
 
     def test_rounding_over_the_budget_is_not_lon_parent(self):
         # count * tau = 1.0000000000001: no network has these arms, although a

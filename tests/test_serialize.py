@@ -26,10 +26,16 @@ def test_matrix_payload_shape_check():
         serialize.matrix_from_json(bad)
 
 
+def _one_povm_set(payload, d=2):
+    """Load a POVM payload as the one POVM of a set payload of dimension d."""
+    return serialize.measurement_set_from_json({"dim": d, "povms": [payload]})
+
+
 def test_povm_roundtrip():
     p = meas.displaced_onoff(0.3 + 0.1j, 4)
-    text = json.dumps(serialize.povm_to_json(p))
-    back = serialize.povm_from_json(json.loads(text))
+    (payload,) = serialize.measurement_set_to_json(meas.MeasurementSet((p,)))["povms"]
+    assert payload.keys() == {"dim", "elements"}
+    (back,) = _one_povm_set(json.loads(json.dumps(payload)), d=4)
     for E, F in zip(p.elements, back.elements):
         assert np.array_equal(E, F)
 
@@ -45,10 +51,11 @@ def test_measurement_set_roundtrip():
 
 
 def test_povm_payload_must_match_its_dim():
-    obj = serialize.povm_to_json(meas.displaced_onoff(0.3, 2))
+    mset = meas.MeasurementSet((meas.displaced_onoff(0.3, 2),))
+    (obj,) = serialize.measurement_set_to_json(mset)["povms"]
     obj["dim"] = 7
     with pytest.raises(ValueError, match="POVM elements must be 7 x 7 matrices"):
-        serialize.povm_from_json(obj)
+        _one_povm_set(obj)
 
 
 def test_set_payload_must_match_its_dim():
@@ -152,12 +159,11 @@ def _parent_payload():
 ], ids=["matrix-cols", "matrix-rows", "povm-dim", "set-dim", "parent-dim", "parent-counts"])
 def test_non_integer_fields_refused_not_truncated(kind, edit, message):
     # each of these once loaded with the field truncated to an int
-    p = meas.displaced_onoff(0.3, 2)
+    mset = meas.MeasurementSet((meas.displaced_onoff(0.3, 2),))
     obj, load = {
         "matrix": (serialize.matrix_to_json(np.eye(2) / 2), serialize.matrix_from_json),
-        "povm": (serialize.povm_to_json(p), serialize.povm_from_json),
-        "set": (serialize.measurement_set_to_json(meas.MeasurementSet((p,))),
-                serialize.measurement_set_from_json),
+        "povm": (serialize.measurement_set_to_json(mset)["povms"][0], _one_povm_set),
+        "set": (serialize.measurement_set_to_json(mset), serialize.measurement_set_from_json),
         "parent": (_parent_payload(), serialize.parent_from_json),
     }[kind]
     load(obj)  # the unedited payload loads
@@ -167,7 +173,8 @@ def test_non_integer_fields_refused_not_truncated(kind, edit, message):
 
 
 def _two_outcome_payload(A, B):
-    return serialize.povm_to_json(meas.Povm((np.asarray(A), np.asarray(B))))
+    # the POVM payload measurement_set_to_json writes, of a pair no set accepts
+    return {"dim": 2, "elements": [serialize.matrix_to_json(np.asarray(E)) for E in (A, B)]}
 
 
 def test_non_povm_payload_refused():
@@ -192,12 +199,12 @@ def test_non_povm_payload_refused():
 def test_povm_payload_must_be_a_povm(A, B, message):
     # each payload sums to I and has PSD Hermitian parts where it is not the defect
     with pytest.raises(ValueError, match=message):
-        serialize.povm_from_json(_two_outcome_payload(A, B))
+        _one_povm_set(_two_outcome_payload(A, B))
 
 
 def test_povm_within_tol_loads():
     obj = _two_outcome_payload(0.5 * np.eye(2), (0.5 + 5e-9) * np.eye(2))
-    assert serialize.povm_from_json(obj).outcomes == 2
+    assert _one_povm_set(obj).povms[0].outcomes == 2
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
