@@ -4,21 +4,26 @@
 
 Each workload runs in a fresh Python process with one BLAS thread: its
 measurement set is built, ``robustness`` is called once to warm up and then
-REPEATS times, each call timed from outside.  The phases are timed by
-wrapping, in that process only, the methods of ``compat._RobustnessSdp``:
+REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
+``phases_s`` the median of each of their ``phases``, as ``robustness``
+records them:
 
 * ``build``: ``_RobustnessSdp(mset)`` (the group, its orbits, the coordinates);
-* ``solve``: the Newton iteration;
+* ``solve``: the Newton iteration, with its parts ``solve.schur`` (the Schur
+  matrix), ``solve.linear_solve`` (its two solves a step) and
+  ``solve.step_length`` (the two ``_max_steps`` calls a step);
 * ``repair``: ``repair_witness``;
-* ``rest``: the remainder of ``robustness`` (projecting the primal, expanding
-  it to all tuples, ``certify``).
+* ``parent``: projecting the primal, mixing it with the product parent and
+  expanding it to all tuples;
+* ``certify``: ``certify``, with ``depolarize``.
 
-Each time is the median over the repeats.  The record also holds the peak
-resident set of the process, the Newton steps, verdict and method, and the
-size of the solve: outcome tuples, orbit representatives (blocks) and dual
-coordinates.  The environment comes first: Python, numpy, BLAS, nproc, the
-thread variables and the git commit (``git_dirty`` when the tracked files
-differ from it).
+The record also holds the peak resident set of the process, the Newton
+steps, verdict and method, and the size of the solve: outcome tuples, orbit
+representatives (blocks) and dual coordinates.  The environment comes first:
+Python, numpy, BLAS, nproc, the thread variables and the git commit
+(``git_dirty`` when the tracked files differ from it).  ``tier1`` is one run
+of the tier-1 suite (ROADMAP.md) at one BLAS thread: its seconds and its
+passed and failed counts.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -78,50 +84,21 @@ def measurement_set(name: str):
 
 
 def measure(name: str) -> dict:
-    """One warm-up and REPEATS timed ``robustness`` calls, in this process."""
+    """One warm-up and REPEATS ``robustness`` calls, in this process."""
     from lossjm import compat
 
     mset, params = measurement_set(name)
-    sdp_class = compat._RobustnessSdp
-    methods = {"build": "__init__", "solve": "solve", "repair": "repair_witness"}
-    originals = {phase: getattr(sdp_class, attr) for phase, attr in methods.items()}
-    call = {}
-
-    def timed(phase, func):
-        def wrapper(self, *args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return func(self, *args, **kwargs)
-            finally:
-                call[phase] = call.get(phase, 0.0) + time.perf_counter() - t0
-
-        return wrapper
-
-    samples = []
-    try:
-        for phase, attr in methods.items():
-            setattr(sdp_class, attr, timed(phase, originals[phase]))
-        for _ in range(REPEATS + 1):
-            call.clear()
-            t0 = time.perf_counter()
-            res = compat.robustness(mset)
-            wall = time.perf_counter() - t0
-            seconds = {phase: call.get(phase, 0.0) for phase in methods}
-            seconds["rest"] = wall - sum(seconds.values())
-            samples.append({"wall": wall, **seconds})
-    finally:
-        for phase, attr in methods.items():
-            setattr(sdp_class, attr, originals[phase])
-    timed_runs = samples[1:]  # the first call warms up
-    sdp = sdp_class(mset)
+    runs = []
+    for _ in range(REPEATS + 1):
+        res = compat.robustness(mset)
+        runs.append({"wall": res.seconds, **res.phases})
+    runs = runs[1:]  # the first call warms up
+    sdp = compat._RobustnessSdp(mset)
     return {
         "params": {"count": params.count, "r": params.r, "tau": params.tau, "d": params.d},
         "repeats": REPEATS,
-        "wall_s": statistics.median(s["wall"] for s in timed_runs),
-        "phases_s": {
-            phase: statistics.median(s[phase] for s in timed_runs)
-            for phase in (*methods, "rest")
-        },
+        "wall_s": statistics.median(run["wall"] for run in runs),
+        "phases_s": {phase: statistics.median(run[phase] for run in runs) for phase in res.phases},
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "newton_steps": res.iterations,
         "verdict": res.verdict,
@@ -167,6 +144,23 @@ def manifest() -> dict:
     }
 
 
+def tier1(env: dict) -> dict:
+    """One run of the tier-1 suite: its seconds and its passed and failed counts."""
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [*argv, "-p", "no:cacheprovider"], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    seconds = time.perf_counter() - t0
+    # pytest's count line, as "1 failed, 944 passed in 17.90s"
+    lines = [ln for ln in proc.stdout.splitlines() if re.match(r"=* ?(\d+ \w+, )*\d+ \w+ in ", ln)]
+    if not lines:
+        raise RuntimeError(f"no pytest count line in:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    counts = dict.fromkeys(("passed", "failed"), 0)
+    counts.update((k, int(n)) for n, k in re.findall(r"(\d+) (passed|failed)", lines[-1]))
+    return {"seconds": seconds, **counts}
+
+
 def main() -> int:
     # one BLAS thread, set before numpy loads here and inherited by each child
     os.environ.update({v: "1" for v in THREAD_VARS})
@@ -185,7 +179,11 @@ def main() -> int:
             f"{rec['verdict']}, {rec['peak_rss_mib']:.0f} MiB",
             file=sys.stderr,
         )
-    OUT.write_text(json.dumps({"manifest": manifest(), "workloads": results}, indent=2) + "\n")
+    suite = tier1(env)
+    print(f"tier-1: {suite['passed']} passed, {suite['failed']} failed, "
+          f"{suite['seconds']:.1f} s", file=sys.stderr)
+    record = {"manifest": manifest(), "workloads": results, "tier1": suite}
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

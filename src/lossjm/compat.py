@@ -46,10 +46,9 @@ representatives; a parent is expanded to all tuples once, for ``certify``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,7 +90,8 @@ class Verdict:
     ``parent`` certifies the set depolarized to ``eta_star`` (the set itself
     for ``certify``); ``marginal_residual`` and ``psd_residual`` are its
     residuals.  ``witness[j][a]`` = Y^j_a proves ``eta_hi``; both are None
-    when no witness proves a bound.  ``iterations`` counts Newton steps.
+    when no witness proves a bound.  ``iterations`` counts Newton steps and
+    ``phases`` (see ``robustness``; None for ``certify``) the seconds per phase.
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
     exact: the witness is valid in exact arithmetic on the stored floats.
@@ -109,6 +109,7 @@ class Verdict:
     seconds: float
     parent: ParentPovm | None = field(default=None, repr=False)
     witness: tuple | None = field(default=None, repr=False)
+    phases: dict | None = field(default=None, repr=False)
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -125,6 +126,13 @@ def _hermitian_basis(d: int) -> np.ndarray:
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
     """Re tr(A B) summed over stacks of Hermitian matrices."""
     return float(np.vdot(A, B).real)
+
+
+def _lap(phases: dict, t0: float, name: str, value=None):
+    """Add to ``phases[name]`` the seconds since ``t0`` that no phase holds yet, and
+    return ``value``: the phases are laps from ``t0``, each ending where its result is bound."""
+    phases[name] = phases.get(name, 0.0) + time.perf_counter() - t0 - sum(phases.values())
+    return value
 
 
 def _max_steps(R: np.ndarray, RH: np.ndarray, xz, dW: np.ndarray, dxz) -> list[float]:
@@ -369,7 +377,8 @@ class _RobustnessSdp:
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
         the best primal (G, eta), G at the representatives, the dual rows Y,
-        and the step count.  The iterate is one stack W = [X, Z] and each
+        the step count, and the seconds spent in ``schur``, the linear solves
+        and ``_max_steps``.  The iterate is one stack W = [X, Z] and each
         direction one stack dW = [dX, dZ]; each step factorises W once,
         and its inverse factors give Z^-1 and both step lengths.  A singular
         Schur matrix, as near the optimum of degenerate sets, ends it early.
@@ -386,6 +395,7 @@ class _RobustnessSdp:
         N = self.T * self.d + 1
         bnorm = 1.0 + np.linalg.norm(self.cv)
         best = (np.inf, 0)
+        parts = dict.fromkeys(("solve.schur", "solve.linear_solve", "solve.step_length"), 0.0)
         for steps in range(max_iter + 1):
             X, Z = W  # views; each step builds a new W, so best keeps its X
             rp = self.cv - self.marginal_coords(X) + x * self.dv
@@ -403,18 +413,24 @@ class _RobustnessSdp:
                 R = np.linalg.inv(np.linalg.cholesky(W))  # R W R^H = I, W^-1 = R^H R
                 RH = _ct(R)
                 Zinv = RH[1] @ R[1]
+                t = time.perf_counter()
                 M = self.schur(X, Zinv, x / z)
+                parts["solve.schur"] += time.perf_counter() - t
                 XRdZ = X @ Rd @ Zinv
 
                 def direction(Rc, rc):
                     rhs = rp + self.marginal_coords(XRdZ - Rc) + (rc - x * rd / z) * self.dv
+                    t = time.perf_counter()
                     dc = np.linalg.solve(M, rhs)
+                    parts["solve.linear_solve"] += time.perf_counter() - t
                     dZ, dz = Rd - self.dual_blocks(dc), rd + self.dv @ dc
                     dX = Rc - X @ dZ @ Zinv
                     return np.array([0.5 * (dX + _ct(dX)), dZ]), rc - x * dz / z, dc, dz
 
                 dW, dx, dc, dz = direction(-X, -x)
+                t = time.perf_counter()
                 ap, ad = (min(1.0, a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
+                parts["solve.step_length"] += time.perf_counter() - t
                 dX, dZ = dW
                 mu = (self.inner(X, Z) + x * z) / N
                 mu_aff = (self.inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
@@ -423,13 +439,15 @@ class _RobustnessSdp:
                     smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
                 )
                 gamma = 0.9 + 0.09 * min(ap, ad)
+                t = time.perf_counter()
                 ap, ad = (min(1.0, gamma * a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
+                parts["solve.step_length"] += time.perf_counter() - t
             except np.linalg.LinAlgError:
                 break
             W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
             W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
         _, _, X, x, c = best
-        return X, x, self.full_rows(c), steps
+        return X, x, self.full_rows(c), steps, parts
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Make W an exact witness; return it with the bound eta_hi it proves.
@@ -509,24 +527,30 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     failing UNDECIDED.  Short of COMPATIBLE the primal, projected onto
     the marginals at eta_p and mixed with the eta = 0 product parent until
     its least eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
+
+    ``phases`` holds the seconds of build, solve (and its parts "solve.schur",
+    "solve.linear_solve", "solve.step_length"), repair, parent (projecting,
+    mixing and expanding to all tuples) and certify (``depolarize`` included).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    t0 = time.perf_counter()
+    t0, phases = time.perf_counter(), {}
     sdp = _RobustnessSdp(mset)
     weights = [r[:, 0, 0].real for r in sdp.rows(sdp.C)]  # tr(M^j_a)/d
     # the eta = 0 product parent, at the representatives
     G0 = math.prod(w[t] for w, t in zip(weights, sdp.digits)).reshape(-1, 1, 1) * sdp.identity
+    _lap(phases, t0, "build")
     if np.any(sdp.D):
-        X, eta_p, y, steps = sdp.solve(max_iter)
+        X, eta_p, y, steps, parts = _lap(phases, t0, "solve", sdp.solve(max_iter))
     else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
-        X, eta_p, y, steps = G0, 1.0, np.zeros_like(sdp.C), 0
-    W, eta_hi = sdp.repair_witness(-y)
+        X, eta_p, y, steps, parts = G0, 1.0, np.zeros_like(sdp.C), 0, {}
+    W, eta_hi = _lap(phases, t0, "repair", sdp.repair_witness(-y))
     P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
         lam = min(1.0, 1.0 / eta_p)
         G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
-        check = certify(mset, ParentPovm(sdp.outs, sdp.full_blocks(G)))
+        parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
+        check = _lap(phases, t0, "certify", certify(mset, parent))
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
@@ -537,10 +561,11 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + neg))
         eta_star = float(lam * eta_p)
         G = lam * P + (1.0 - lam) * G0
-        check = certify(depolarize(mset, eta_star), ParentPovm(sdp.outs, sdp.full_blocks(G)))
+        parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
+        check = _lap(phases, t0, "certify", certify(depolarize(mset, eta_star), parent))
         verdict, method = ("INCOMPATIBLE", "sdp-witness") if eta_hi < 1.0 else ("UNDECIDED", "none")
     proven = eta_hi < np.inf
-    return dataclasses.replace(
+    return replace(
         check,
         verdict=verdict,
         method=method,
@@ -549,6 +574,7 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         iterations=steps,
         seconds=time.perf_counter() - t0,
         witness=tuple(sdp.rows(W)) if proven else None,
+        phases={**phases, **parts},
     )
 
 
@@ -562,19 +588,23 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
     ``certify`` checks that parent by its residuals: passing gives COMPATIBLE
     ("lon-parent") with eta_star = 1 and zero Newton steps, failing
     UNDECIDED.  Otherwise ``robustness`` decides.  ``seconds`` covers the
-    whole row, building the family included.  A negative ``max_iter`` is
-    refused on either path.
+    whole row, and ``phases`` adds "family", building the families; the
+    network path records family, parent and certify.  A negative
+    ``max_iter`` is refused on either path.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    t0 = time.perf_counter()
+    t0, phases = time.perf_counter(), {}
     if params.count * params.tau <= 1.0:
-        noiseless = symmetric_family(dataclasses.replace(params, tau=1.0))
-        network = lon_parent(noiseless, [params.tau] * params.count)
-        res = certify(symmetric_family(params), network)
+        noiseless = _lap(phases, t0, "family", symmetric_family(replace(params, tau=1.0)))
+        network = _lap(phases, t0, "parent", lon_parent(noiseless, [params.tau] * params.count))
+        lossy = _lap(phases, t0, "family", symmetric_family(params))
+        res = _lap(phases, t0, "certify", certify(lossy, network))
         if res.verdict == "COMPATIBLE":
             res.method = "lon-parent"
     else:
-        res = robustness(symmetric_family(params), max_iter=max_iter)
-    res.seconds = time.perf_counter() - t0
+        lossy = _lap(phases, t0, "family", symmetric_family(params))
+        res = robustness(lossy, max_iter=max_iter)
+        phases.update(res.phases)
+    res.seconds, res.phases = time.perf_counter() - t0, phases
     return res

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lossjm import cli, parent, qubit, serialize, usd
+from lossjm import cli, compat, parent, qubit, serialize, usd
 from lossjm.measurements import FamilyParams, symmetric_family
 
 
@@ -152,6 +152,19 @@ class TestCompatCommand:
         )
         payload = json.loads(out)
         assert code == 3 and (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # count 16 at d = 25 once died with a traceback from the Schur assembly
+        message = "Unable to allocate 13.1 GiB for an array with shape (2250, 25, 25, 25, 25)"
+
+        def refuse(mset, max_iter):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(compat, "robustness", refuse)
+        code = cli.main(["compat", "--count", "3", "--r", "0.005", "--tau", "0.50005", "--d", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("tau", ["0.3", "0.50005"], ids=["lon-parent", "sdp"])
     def test_negative_max_iter_exit_one(self, capsys, tau):

@@ -726,8 +726,41 @@ class TestDecideTableRow:
         row = compat.decide_table_row(meas.FamilyParams(2, 0.1, 0.4, 3))
         assert {f.name for f in dataclasses.fields(row)} == {
             "verdict", "method", "eta_star", "eta_hi", "marginal_residual", "psd_residual",
-            "iterations", "seconds", "parent", "witness",
+            "iterations", "seconds", "parent", "witness", "phases",
         }
+
+
+class TestPhases:
+    """``Verdict.phases`` accounts for the record's seconds."""
+
+    TOP = {"build", "solve", "repair", "parent", "certify"}
+    PARTS = {"solve.schur", "solve.linear_solve", "solve.step_length"}
+
+    @pytest.mark.parametrize(
+        "solve, row",
+        [
+            (lambda: compat.decide_table_row(meas.FamilyParams(3, 0.005, 0.5 + 5e-5, 3)), True),
+            (lambda: compat.decide_table_row(meas.FamilyParams(4, 0.01, 1 / 3 + 0.00018, 3)), True),
+            (lambda: compat.robustness(TRIVIAL), False),
+        ],
+        ids=["table-d3-n2", "table-d3-n3", "trivial-group"],
+    )
+    def test_phases_sum_to_the_seconds(self, solve, row):
+        # a table row adds "family" to the phases of robustness
+        res = solve()
+        phases = res.phases
+        assert phases.keys() == self.TOP | self.PARTS | ({"family"} if row else set())
+        assert all(t >= 0 for t in phases.values())
+        outer = sum(t for k, t in phases.items() if k not in self.PARTS)
+        assert 0.8 * res.seconds <= outer <= res.seconds
+        assert sum(phases[k] for k in self.PARTS) <= phases["solve"]
+
+    def test_network_row_and_certify(self):
+        row = compat.decide_table_row(meas.FamilyParams(3, 0.005, 1 / 3, 3))
+        assert row.method == "lon-parent" and row.phases.keys() == {"family", "parent", "certify"}
+        assert sum(row.phases.values()) <= row.seconds
+        mset = meas.symmetric_family(meas.FamilyParams(3, 0.005, 1 / 3, 3))
+        assert compat.certify(mset, row.parent).phases is None
 
 
 class TestOneThreshold:
