@@ -129,8 +129,7 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def _lap(phases: dict, t0: float, name: str, value=None):
-    """Add to ``phases[name]`` the seconds since ``t0`` that no phase holds yet, and
-    return ``value``: the phases are laps from ``t0``, each ending where its result is bound."""
+    """Add the seconds since ``t0`` not yet in ``phases`` to ``phases[name]``; return ``value``."""
     phases[name] = phases.get(name, 0.0) + time.perf_counter() - t0 - sum(phases.values())
     return value
 
@@ -603,8 +602,7 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
         if res.verdict == "COMPATIBLE":
             res.method = "lon-parent"
     else:
-        lossy = _lap(phases, t0, "family", symmetric_family(params))
-        res = robustness(lossy, max_iter=max_iter)
+        res = robustness(_lap(phases, t0, "family", symmetric_family(params)), max_iter=max_iter)
         phases.update(res.phases)
     res.seconds, res.phases = time.perf_counter() - t0, phases
     return res
