@@ -9,9 +9,14 @@ REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
 records them:
 
 * ``build``: ``_RobustnessSdp(mset)`` (the group, its orbits, the coordinates);
-* ``solve``: the Newton iteration, with its parts ``solve.schur`` (the Schur
-  matrix), ``solve.linear_solve`` (its two solves a step) and
-  ``solve.step_length`` (the two ``_max_steps`` calls a step);
+* ``solve``: the Newton iteration, and the six laps that partition it, each
+  summed over the steps: ``solve.residual`` (the residuals and the stop
+  test), ``solve.factor`` (the Cholesky factor, its inverse and Z^-1),
+  ``solve.schur`` (the Schur matrix), ``solve.direction`` (both directions
+  with their linear solves, and mu), ``solve.step_length`` (the two
+  ``_max_steps`` calls) and ``solve.update`` (the step and the group
+  average).  A median of the parts can exceed its share of the median
+  ``solve``, so the part medians sum to about ``solve``, not to at most it;
 * ``repair``: ``repair_witness``;
 * ``parent``: projecting the primal, mixing it with the product parent and
   expanding it to all tuples;

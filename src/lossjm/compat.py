@@ -376,10 +376,12 @@ class _RobustnessSdp:
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
         the best primal (G, eta), G at the representatives, the dual rows Y,
-        the step count, and the seconds spent in ``schur``, the linear solves
-        and ``_max_steps``.  The iterate is one stack W = [X, Z] and each
-        direction one stack dW = [dX, dZ]; each step factorises W once,
-        and its inverse factors give Z^-1 and both step lengths.  A singular
+        the step count, and laps that partition its seconds: "solve.residual"
+        (and the stop test), "solve.factor" (W's Cholesky factor, whose inverse
+        gives Z^-1 and both step lengths), "solve.schur", "solve.direction"
+        (both directions, mu), "solve.step_length" (``_max_steps``) and
+        "solve.update" (the step, ``invariant``).  The iterate is one stack
+        W = [X, Z] and each direction one stack dW = [dX, dZ].  A singular
         Schur matrix, as near the optimum of degenerate sets, ends it early.
 
         The orbit weights make <X, Z>, mu and the dual residual those of the
@@ -387,6 +389,9 @@ class _RobustnessSdp:
         solve's own coordinates.  The stop rule only ends the iteration: the
         certificates checked after it decide.
         """
+        t0, parts = time.perf_counter(), dict.fromkeys(
+            ("solve.residual", "solve.factor", "solve.schur", "solve.direction",
+             "solve.step_length", "solve.update"), 0.0)
         X = np.broadcast_to(self.identity / self.T, (len(self.rep), self.d, self.d))
         W = np.array([X, np.broadcast_to(self.identity, X.shape)])  # C order, unlike np.stack
         x = z = 1.0
@@ -394,7 +399,6 @@ class _RobustnessSdp:
         N = self.T * self.d + 1
         bnorm = 1.0 + np.linalg.norm(self.cv)
         best = (np.inf, 0)
-        parts = dict.fromkeys(("solve.schur", "solve.linear_solve", "solve.step_length"), 0.0)
         for steps in range(max_iter + 1):
             X, Z = W  # views; each step builds a new W, so best keeps its X
             rp = self.cv - self.marginal_coords(X) + x * self.dv
@@ -408,45 +412,40 @@ class _RobustnessSdp:
             # rounding stalls ill-conditioned solves short of the tolerance
             if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
                 break
+            _lap(parts, t0, "solve.residual")
             try:
                 R = np.linalg.inv(np.linalg.cholesky(W))  # R W R^H = I, W^-1 = R^H R
                 RH = _ct(R)
-                Zinv = RH[1] @ R[1]
-                t = time.perf_counter()
-                M = self.schur(X, Zinv, x / z)
-                parts["solve.schur"] += time.perf_counter() - t
+                Zinv = _lap(parts, t0, "solve.factor", RH[1] @ R[1])
+                M = _lap(parts, t0, "solve.schur", self.schur(X, Zinv, x / z))
                 XRdZ = X @ Rd @ Zinv
 
                 def direction(Rc, rc):
                     rhs = rp + self.marginal_coords(XRdZ - Rc) + (rc - x * rd / z) * self.dv
-                    t = time.perf_counter()
                     dc = np.linalg.solve(M, rhs)
-                    parts["solve.linear_solve"] += time.perf_counter() - t
                     dZ, dz = Rd - self.dual_blocks(dc), rd + self.dv @ dc
                     dX = Rc - X @ dZ @ Zinv
                     return np.array([0.5 * (dX + _ct(dX)), dZ]), rc - x * dz / z, dc, dz
 
-                dW, dx, dc, dz = direction(-X, -x)
-                t = time.perf_counter()
+                dW, dx, dc, dz = _lap(parts, t0, "solve.direction", direction(-X, -x))
                 ap, ad = (min(1.0, a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
-                parts["solve.step_length"] += time.perf_counter() - t
+                _lap(parts, t0, "solve.step_length")
                 dX, dZ = dW
                 mu = (self.inner(X, Z) + x * z) / N
                 mu_aff = (self.inner(X + ap * dX, Z + ad * dZ) + (x + ap * dx) * (z + ad * dz)) / N
                 smu = min(1.0, (mu_aff / mu) ** 3) * mu
-                dW, dx, dc, dz = direction(
-                    smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z
-                )
+                dW, dx, dc, dz = _lap(parts, t0, "solve.direction", direction(
+                    smu * Zinv - X - dX @ dZ @ Zinv, smu / z - x - dx * dz / z))
                 gamma = 0.9 + 0.09 * min(ap, ad)
-                t = time.perf_counter()
                 ap, ad = (min(1.0, gamma * a) for a in _max_steps(R, RH, (x, z), dW, (dx, dz)))
-                parts["solve.step_length"] += time.perf_counter() - t
+                _lap(parts, t0, "solve.step_length")
             except np.linalg.LinAlgError:
                 break
             W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
             W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
+            _lap(parts, t0, "solve.update")
         _, _, X, x, c = best
-        return X, x, self.full_rows(c), steps, parts
+        return X, x, self.full_rows(c), steps, _lap(parts, t0, "solve.residual", parts)
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Make W an exact witness; return it with the bound eta_hi it proves.
@@ -527,9 +526,9 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     the marginals at eta_p and mixed with the eta = 0 product parent until
     its least eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
 
-    ``phases`` holds the seconds of build, solve (and its parts "solve.schur",
-    "solve.linear_solve", "solve.step_length"), repair, parent (projecting,
-    mixing and expanding to all tuples) and certify (``depolarize`` included).
+    ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
+    of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
+    expanding to all tuples) and certify (``depolarize`` included).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")

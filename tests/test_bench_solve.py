@@ -46,10 +46,16 @@ def test_smallest_workload_in_process(monkeypatch):
     assert (rec["tuples"], rec["blocks"], rec["coordinates"]) == (8, 4, 9)
     assert rec["params"] == {"count": 3, "r": 0.005, "tau": 0.5 + 5e-5, "d": 3}
     phases = rec["phases_s"]
-    parts = {"solve.schur", "solve.linear_solve", "solve.step_length"}
+    parts = {
+        "solve.residual", "solve.factor", "solve.schur", "solve.direction", "solve.step_length",
+        "solve.update",
+    }
     assert phases.keys() == {"build", "solve", "repair", "parent", "certify"} | parts
     assert all(t > 0 for t in phases.values()) and rec["peak_rss_mib"] > 0
-    assert sum(phases[k] for k in parts) <= phases["solve"] <= rec["wall_s"]
+    # medians of a partition need not sum below the median of the whole, only near it
+    assert all(phases[k] <= phases["solve"] for k in parts)
+    assert abs(sum(phases[k] for k in parts) - phases["solve"]) <= 0.1 * phases["solve"]
+    assert phases["solve"] <= rec["wall_s"]
     json.dumps(rec, allow_nan=False)
 
 

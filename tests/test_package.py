@@ -1,8 +1,8 @@
 """The installed surface: numpy-only imports, a resolvable public API,
 module layers without cycles, source and test lines of at most 100
 characters, the names the benchmark reads, README constants that exist
-with the values it states, README dotted names that resolve, and a listed
-set of module-level constants."""
+with the values it states, README dotted names that resolve, README phase
+names, and a listed set of module-level constants."""
 
 import ast
 import functools
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import lossjm
+from lossjm import compat
+from lossjm.measurements import FamilyParams
 
 PROBE = """
 import json, sys
@@ -195,6 +197,17 @@ def test_readme_dotted_names_resolve():
             missing.append(name)
     assert {"lossjm.compat", "fock.TOL"} <= set(checked)
     assert missing == []
+
+
+def test_readme_names_every_phase():
+    # a d=3 table row's phases on either path, so a renamed phase fails here, not in README
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    spans = set(re.findall(r"`([^`\n]+)`", readme.read_text()))
+    rows = [
+        compat.decide_table_row(FamilyParams(3, 0.005, tau, 3)) for tau in (0.5 + 5e-5, 1 / 3)
+    ]
+    assert [row.method for row in rows] == ["sdp-witness", "lon-parent"]
+    assert sorted({k for row in rows for k in row.phases} - spans) == []
 
 
 # Every module-level UPPER_CASE name of the package, private ones included.
