@@ -15,8 +15,8 @@ records them:
   ``solve.schur`` (the Schur matrix), ``solve.direction`` (both directions
   with their linear solves, and mu), ``solve.step_length`` (the two
   ``_max_steps`` calls) and ``solve.update`` (the step and the group
-  average).  A median of the parts can exceed its share of the median
-  ``solve``, so the part medians sum to about ``solve``, not to at most it;
+  average).  Medians do not add, so the part medians sum to about the
+  median ``solve``, not to at most it;
 * ``repair``: ``repair_witness``;
 * ``parent``: projecting the primal, mixing it with the product parent and
   expanding it to all tuples;
