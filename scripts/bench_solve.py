@@ -81,9 +81,8 @@ def measurement_set(name: str):
     mset = meas.symmetric_family(params)
     if kind == "broken":
         povms = list(mset)
-        E = povms[1].elements.copy()
+        povms[1] = E = povms[1].copy()
         E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
-        povms[1] = meas.Povm(E)
         mset = meas.MeasurementSet(tuple(povms))
     return mset, params
 

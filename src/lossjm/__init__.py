@@ -23,9 +23,7 @@ from .measurements import (
     FamilyParams,
     MeasurementSet,
     ParentPovm,
-    Povm,
     displaced_onoff,
-    lossy_povm,
     random_measurement_set,
     random_two_outcome_povm,
     symmetric_family,
@@ -55,7 +53,6 @@ __all__ = [
     "MeasurementSet",
     "PairTestReport",
     "ParentPovm",
-    "Povm",
     "UsdReport",
     "Verdict",
     "apply_dual",
@@ -67,7 +64,6 @@ __all__ = [
     "displaced_onoff",
     "lon_parent",
     "lossy_displaced_pair",
-    "lossy_povm",
     "lossy_usd_success",
     "p_d",
     "p_d_approx",

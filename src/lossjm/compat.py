@@ -58,7 +58,7 @@ from .measurements import (
     FamilyParams,
     MeasurementSet,
     ParentPovm,
-    Povm,
+    _integer,
     _psd_residual,
     _rotated,
     _rotation_phases,
@@ -253,7 +253,7 @@ class _RobustnessSdp:
     """
 
     def __init__(self, mset: MeasurementSet):
-        self.outs = tuple(p.outcomes for p in mset)
+        self.outs = tuple(len(p) for p in mset)
         self.n, self.d = len(self.outs), mset.dim
         self.T = math.prod(self.outs)
         if self.T > MAX_TUPLES:
@@ -487,8 +487,7 @@ def depolarize(mset: MeasurementSet, eta: float) -> MeasurementSet:
     E, d = mset.rows, mset.dim
     weights = np.trace(E, axis1=1, axis2=2).real / d
     rows = eta * E + (1.0 - eta) * weights[:, None, None] * np.eye(d)
-    split = np.split(rows, np.cumsum([p.outcomes for p in mset])[:-1])
-    return MeasurementSet(tuple(Povm(els) for els in split))
+    return MeasurementSet(np.split(rows, np.cumsum([len(p) for p in mset])[:-1]))
 
 
 def certify(mset: MeasurementSet, parent: ParentPovm) -> Verdict:
@@ -496,7 +495,7 @@ def certify(mset: MeasurementSet, parent: ParentPovm) -> Verdict:
     its marginals must match the set and its blocks be PSD, each within TOL.
     COMPATIBLE (method "parent", eta_star = 1) if they do, else UNDECIDED."""
     t0 = time.perf_counter()
-    if parent.outcome_counts != tuple(p.outcomes for p in mset) or parent.dim != mset.dim:
+    if parent.outcome_counts != tuple(len(p) for p in mset) or parent.dim != mset.dim:
         raise ValueError("parent shape does not match the measurement set")
     marg = parent.marginal_residual(mset)
     psd = parent.psd_residual()
@@ -530,7 +529,7 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
     expanding to all tuples) and certify (``depolarize`` included).
     """
-    if max_iter < 0:
+    if _integer("max_iter", max_iter) < 0:
         raise ValueError("max_iter must be non-negative")
     t0, phases = time.perf_counter(), {}
     sdp = _RobustnessSdp(mset)
@@ -587,10 +586,10 @@ def decide_table_row(params: FamilyParams, max_iter: int = DEFAULT_MAX_ITER) -> 
     ("lon-parent") with eta_star = 1 and zero Newton steps, failing
     UNDECIDED.  Otherwise ``robustness`` decides.  ``seconds`` covers the
     whole row, and ``phases`` adds "family", building the families; the
-    network path records family, parent and certify.  A negative
-    ``max_iter`` is refused on either path.
+    network path records family, parent and certify.  A negative or
+    non-integer ``max_iter`` is refused on either path.
     """
-    if max_iter < 0:
+    if _integer("max_iter", max_iter) < 0:
         raise ValueError("max_iter must be non-negative")
     t0, phases = time.perf_counter(), {}
     if params.count * params.tau <= 1.0:

@@ -14,71 +14,61 @@ from .fock import TOL, _ct, _hermitian_lower, coherent_ket
 from .loss import apply_dual
 
 
-@dataclass(frozen=True)
-class Povm:
-    """The elements of a measurement, held as one complex stack (outcomes, d, d)
-    and checked for shape only (see MeasurementSet)."""
-
-    elements: np.ndarray
-
-    def __post_init__(self):
-        els = [np.asarray(E, dtype=complex) for E in self.elements]
-        if not els:
-            raise ValueError("a POVM needs at least one element")
-        d = els[0].shape[0] if els[0].ndim == 2 else 0
-        if d == 0:
-            raise ValueError("POVM elements must be square matrices of size at least 1")
-        if any(E.shape != (d, d) for E in els):
-            raise ValueError("POVM elements must share one square shape")
-        object.__setattr__(self, "elements", np.array(els))
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[1]
-
-    @property
-    def outcomes(self) -> int:
-        return len(self.elements)
+def _stack(elements) -> np.ndarray:
+    """The elements of one POVM as a complex stack (outcomes, d, d), checked
+    for shape only (see MeasurementSet)."""
+    els = [np.asarray(E, dtype=complex) for E in elements]
+    if not els:
+        raise ValueError("a POVM needs at least one element")
+    d = els[0].shape[0] if els[0].ndim == 2 else 0
+    if d == 0:
+        raise ValueError("POVM elements must be square matrices of size at least 1")
+    if any(E.shape != (d, d) for E in els):
+        raise ValueError("POVM elements must share one square shape")
+    return np.array(els)
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int: an int or numpy integer passes, a float is refused,
-    not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int: an int or numpy integer passes; a float is refused,
+    not truncated, and a bool, not counted as 0 or 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """POVMs of one dimension, of finite Hermitian PSD elements summing to I within
-    ``TOL``; ``rows`` stacks every element once, in ``ParentPovm.marginals`` order."""
+    """POVMs of one dimension, each a stack (outcomes, d, d) of finite Hermitian PSD
+    elements summing to I within ``TOL``; ``rows`` stacks a copy of every element
+    once, in ``ParentPovm.marginals`` order, and each POVM is a view of it."""
 
     povms: tuple
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        povms = tuple(self.povms)
-        if not povms:
+        stacks = [_stack(p) for p in self.povms]
+        if not stacks:
             raise ValueError("a measurement set needs at least one POVM")
-        d = povms[0].dim
-        if any(p.dim != d for p in povms):
+        d = stacks[0].shape[1]
+        if any(s.shape[1] != d for s in stacks):
             raise ValueError("all POVMs must share one dimension")
-        rows = np.concatenate([p.elements for p in povms])
+        rows = np.concatenate(stacks)
         if not np.isfinite(rows).all():
             raise ValueError("measurement elements must be finite (no NaN or infinity)")
         if not _psd_residual(rows) <= TOL:  # the gap to Hermitian counts
             raise ValueError("POVM elements must be Hermitian and positive semidefinite")
-        starts = np.cumsum([0] + [p.outcomes for p in povms[:-1]])
+        starts = np.cumsum([0] + [len(s) for s in stacks[:-1]])
         if not np.abs(np.add.reduceat(rows, starts) - np.eye(d)).max() <= TOL:
             raise ValueError("POVM elements must sum to the identity")
-        object.__setattr__(self, "povms", povms)
+        object.__setattr__(self, "povms", tuple(np.split(rows, starts[1:])))
         object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
-        return self.povms[0].dim
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
         return len(self.povms)
@@ -180,8 +170,9 @@ def coherent_projector(mu: complex, d: int) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def displaced_onoff(mu: complex, d: int) -> Povm:
-    """Two-outcome displaced on-off detection {|mu><mu|, I - |mu><mu|}.
+def displaced_onoff(mu: complex, d: int) -> np.ndarray:
+    """Two-outcome displaced on-off detection {|mu><mu|, I - |mu><mu|}, as a
+    stack (2, d, d).
 
     The complement is formed inside the truncated space, so the pair sums to
     the d-dimensional identity exactly at every cutoff.
@@ -189,17 +180,7 @@ def displaced_onoff(mu: complex, d: int) -> Povm:
     if d < 2:
         raise ValueError("d must be >= 2")
     P = coherent_projector(mu, d)
-    return Povm((P, np.eye(d, dtype=complex) - P))
-
-
-def lossy_povm(povm: Povm, tau: float) -> Povm:
-    """Image of a POVM under the dual loss channel (exact under truncation).
-
-    The stack goes through one :func:`apply_dual` at every tau, tau = 1 (the
-    identity map) included: an element that is not Hermitian within ``TOL``
-    is refused, and the image is exactly Hermitian.
-    """
-    return Povm(apply_dual(tau, povm.elements))
+    return np.array((P, np.eye(d, dtype=complex) - P))
 
 
 def _rotation_phases(count: int, d: int) -> np.ndarray:
@@ -230,18 +211,18 @@ def _rotated(elements: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def symmetric_family(params: FamilyParams) -> MeasurementSet:
     """The symmetric displaced on-off family after loss.
 
-    Measurement 0 (displacement r) goes through one stacked dual-loss call;
+    Measurement 0 (displacement r) goes through one apply_dual on its stack;
     measurement k is its exact phase rotation R^k M^0 R^-k (the loss channel
     is phase covariant), so conj(M^k) == M^-k holds bitwise.  tau = 1 returns
     the noiseless family; the dual channel is then the identity map exactly.
     """
-    first = lossy_povm(displaced_onoff(params.r, params.d), params.tau)
-    copies = _rotated(first.elements, _rotation_phases(params.count, params.d))
-    return MeasurementSet(tuple(Povm(els) for els in copies))
+    first = apply_dual(params.tau, displaced_onoff(params.r, params.d))
+    return MeasurementSet(_rotated(first, _rotation_phases(params.count, params.d)))
 
 
-def random_two_outcome_povm(dim: int, rng: np.random.Generator) -> Povm:
-    """Haar-random rank-1 projector mixed with the maximally mixed effect.
+def random_two_outcome_povm(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random rank-1 projector mixed with the maximally mixed effect, as a
+    stack (2, dim, dim).
 
     A = w P + (1 - w) I/dim with w uniform on [0, 1] and P a Haar-random
     rank-1 projector; the complement I - A is the second element.
@@ -251,7 +232,7 @@ def random_two_outcome_povm(dim: int, rng: np.random.Generator) -> Povm:
     P = np.outer(v, v.conj())
     w = rng.uniform()
     A = w * P + (1.0 - w) * np.eye(dim) / dim
-    return Povm((A, np.eye(dim, dtype=complex) - A))
+    return np.array((A, np.eye(dim, dtype=complex) - A))
 
 
 def random_measurement_set(dim: int, n: int, rng: np.random.Generator) -> MeasurementSet:

@@ -38,8 +38,8 @@ import math
 import numpy as np
 
 from .fock import _hermitian_lower
-from .loss import _chain_step, _split_amplitudes
-from .measurements import MeasurementSet, ParentPovm, lossy_povm
+from .loss import _chain_step, _split_amplitudes, apply_dual
+from .measurements import MeasurementSet, ParentPovm
 
 # Kept limit on the measured arms: d ** n above this is refused, although the
 # chain never forms that grid (the leak arm, never contracted, is not counted).
@@ -85,12 +85,13 @@ def lon_parent(mset: MeasurementSet, taus) -> ParentPovm:
     for j in reversed(range(n)):
         suffix += taus[j]  # weight of arm j and of every arm after it
         s = taus[j] / suffix if suffix > 0.0 else 1.0  # no photon reaches arm j
-        R = _chain_step(mset.povms[j].elements, _split_amplitudes(s, d), R)
-    return ParentPovm(tuple(p.outcomes for p in mset), _hermitian_lower(R))
+        R = _chain_step(mset.povms[j], _split_amplitudes(s, d), R)
+    return ParentPovm(tuple(len(p) for p in mset), _hermitian_lower(R))
 
 
 def verify_marginal_identity(mset: MeasurementSet, taus) -> float:
-    """Worst-case gap between the parent marginals and the dual-loss images.
+    """Worst-case gap between the parent marginals and the dual-loss images,
+    each image one ``apply_dual`` call on a measurement's element stack.
 
     Returns max over measurements j and outcomes a of
     || marginal_j(parent)_a - E*_{tau_j}(M^j_a) ||_max, which is zero up to
@@ -98,5 +99,5 @@ def verify_marginal_identity(mset: MeasurementSet, taus) -> float:
     """
     taus = list(taus)  # read once: lon_parent and the images both need it
     parent = lon_parent(mset, taus)
-    images = tuple(lossy_povm(p, float(t)) for p, t in zip(mset, taus))
+    images = tuple(apply_dual(float(t), p) for p, t in zip(mset, taus))
     return parent.marginal_residual(MeasurementSet(images))

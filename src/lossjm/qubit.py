@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import FamilyParams, MeasurementSet, Povm, symmetric_family
+from .measurements import FamilyParams, MeasurementSet, _stack, symmetric_family
 
 DEGENERATE_F_TOL = 1e-12
 
@@ -44,17 +44,17 @@ class PairTestReport:
     incompatible: bool
 
 
-def _reading(povm: Povm) -> tuple[float, tuple[float, float, float], float]:
-    """(gamma, m, F) of a two-outcome qubit POVM, read off the entries
+def _reading(povm: np.ndarray) -> tuple[float, tuple[float, float, float], float]:
+    """(gamma, m, F) of a two-outcome qubit POVM (a stack), read off the entries
     a, b, d = A00, A01, A11 of its first element A: gamma = a + d - 1,
     m = (2 Re b, -2 Im b, a - d) and F = sqrt(det A) + sqrt(det(I - A)), with
     4 det A = (1 + gamma)^2 - |m|^2 formed from the entries, not as that
     difference of O(1) numbers, which lost 3-4 digits on near-rank-1 elements."""
-    if povm.dim != 2:
+    if povm.shape[1] != 2:
         raise ValueError("the pair criterion requires dimension 2")
-    if povm.outcomes != 2:
+    if len(povm) != 2:
         raise ValueError("the pair criterion requires exactly two outcomes")
-    A = povm.elements[0]
+    A = povm[0]
     a, b, d = A[0, 0].real, A[0, 1], A[1, 1].real
     off = b.real**2 + b.imag**2
     dets = (a * d - off, (1.0 - a) * (1.0 - d) - off)
@@ -63,9 +63,10 @@ def _reading(povm: Povm) -> tuple[float, tuple[float, float, float], float]:
     return float(a + d) - 1.0, tuple(float(x) + 0.0 for x in m), F  # + 0.0 turns -0.0 to 0.0
 
 
-def pair_test(a: Povm, b: Povm) -> PairTestReport:
-    """Evaluate the pair criterion; incompatible iff test_value > 0."""
-    (gamma1, m1, F1), (gamma2, m2, F2) = _reading(a), _reading(b)
+def pair_test(a, b) -> PairTestReport:
+    """Evaluate the pair criterion on two POVMs, each a stack of elements (an
+    array or nested lists); incompatible iff test_value > 0."""
+    (gamma1, m1, F1), (gamma2, m2, F2) = _reading(_stack(a)), _reading(_stack(b))
     MeasurementSet((a, b))  # refuses a pair that is not of POVMs
     if F1 < DEGENERATE_F_TOL or F2 < DEGENERATE_F_TOL:
         raise DegenerateMeasurementError(
@@ -76,7 +77,7 @@ def pair_test(a: Povm, b: Povm) -> PairTestReport:
     return PairTestReport(gamma1, gamma2, m1, m2, F1, F2, test, test > 0)
 
 
-def lossy_displaced_pair(r: float, tau: float) -> tuple[Povm, Povm]:
+def lossy_displaced_pair(r: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The mu = +r / -r displaced on-off pair after loss, on the qubit block:
     the count-2 symmetric family at d = 2.
 

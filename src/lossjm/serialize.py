@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurements import MeasurementSet, ParentPovm, Povm, _integer
+from .measurements import MeasurementSet, ParentPovm, _integer, _stack
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -26,17 +26,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return data.view(complex).reshape(rows, cols)  # keeps the sign of a zero imaginary part
 
 
-def _povm(obj: dict) -> Povm:
-    """The POVM of a payload, checked for shape against its ``dim`` only."""
+def _povm(obj: dict) -> np.ndarray:
+    """The element stack of a POVM payload, checked for shape against its
+    ``dim`` only (``MeasurementSet`` checks the rest)."""
     d = _integer("dim", obj["dim"])
-    p = Povm([matrix_from_json(e) for e in obj["elements"]])
-    if p.dim != d:
+    p = _stack([matrix_from_json(e) for e in obj["elements"]])
+    if p.shape[1] != d:
         raise ValueError(f"POVM elements must be {d} x {d} matrices")
     return p
 
 
 def measurement_set_to_json(mset: MeasurementSet) -> dict:
-    povms = [{"dim": p.dim, "elements": [matrix_to_json(E) for E in p.elements]} for p in mset]
+    povms = [{"dim": mset.dim, "elements": [matrix_to_json(E) for E in p]} for p in mset]
     return {"dim": mset.dim, "povms": povms}
 
 

@@ -44,14 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from lossjm.fock import coherent_ket, require_hermitian
-from lossjm.loss import _check_tau
-from lossjm.measurements import (
-    FamilyParams,
-    ParentPovm,
-    Povm,
-    displaced_onoff,
-    lossy_povm,
-)
+from lossjm.loss import _check_tau, apply_dual
+from lossjm.measurements import FamilyParams, ParentPovm, displaced_onoff
 from lossjm.qubit import leading_order_prediction, lossy_displaced_pair, pair_test
 from lossjm.usd import _check_n
 
@@ -482,10 +476,10 @@ def displacements(params: FamilyParams) -> list[complex]:
     return [params.r * np.exp(2j * math.pi * k / params.count) for k in range(params.count)]
 
 
-def displaced_pair_reference(r: float, tau: float) -> tuple[Povm, Povm]:
+def displaced_pair_reference(r: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The mu = +r / -r displaced on-off pair after loss on the qubit block,
     each measurement sent through the dual loss channel on its own."""
-    return tuple(lossy_povm(displaced_onoff(mu, 2), tau) for mu in (r, -r))
+    return tuple(apply_dual(tau, displaced_onoff(mu, 2)) for mu in (r, -r))
 
 
 def leading_order_check(r: float, tau: float) -> tuple[float, float]:
@@ -510,14 +504,15 @@ def psd_residual(M: np.ndarray) -> float:
     return max(0.0, -lam_min)
 
 
-def validation_residuals(povm: Povm) -> tuple[float, float]:
-    """(worst PSD residual, max-norm distance of the element sum from I)."""
-    psd = max(psd_residual(E) for E in povm.elements)
-    total = sum(povm.elements)
-    return psd, float(np.abs(total - np.eye(povm.dim)).max())
+def validation_residuals(povm: np.ndarray) -> tuple[float, float]:
+    """(worst PSD residual, max-norm distance of the element sum from I) of a
+    POVM given as its stack of elements."""
+    psd = max(psd_residual(E) for E in povm)
+    total = sum(povm)
+    return psd, float(np.abs(total - np.eye(povm.shape[1])).max())
 
 
-def validate(povm: Povm) -> Povm:
+def validate(povm: np.ndarray) -> np.ndarray:
     """Raise ValueError unless both residuals are at most PSD_TOL."""
     psd, ssum = validation_residuals(povm)
     if psd > PSD_TOL:

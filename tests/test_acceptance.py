@@ -50,9 +50,7 @@ def test_criterion_2_constructive_breaking(criterion_report):
         mset = meas.random_measurement_set(d, n, rng)
         for eta in (1.0, 0.8):
             par = parent.lon_parent(mset, [eta / n] * n)
-            lossy = meas.MeasurementSet(
-                tuple(meas.lossy_povm(p, eta / n) for p in mset)
-            )
+            lossy = meas.MeasurementSet(tuple(loss.apply_dual(eta / n, p) for p in mset))
             res = compat.certify(lossy, par)
             worst_marg = max(worst_marg, res.marginal_residual)
             worst_psd = max(worst_psd, res.psd_residual)

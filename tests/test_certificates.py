@@ -54,7 +54,7 @@ def test_row_witness_is_exact(digits50, params):
     assert res.verdict == "INCOMPATIBLE"
 
     d = mset.dim
-    M = [[exact(E) for E in p.elements] for p in mset]
+    M = [[exact(E) for E in p] for p in mset]
     Y = [[exact(W) for W in rows] for rows in res.witness]
     C = [[sum(E[i, i] for i in range(d)).real / d * mpmath.eye(d) for E in p] for p in M]
     for t in itertools.product(*[range(len(p)) for p in M]):
@@ -81,7 +81,7 @@ def test_compatible_parent_is_exact(digits50):
         assert smallest_eigenvalue(G) >= 0
     worst = mpmath.mpf(0)
     for j, p in enumerate(mset):
-        for a, E in enumerate(p.elements):
+        for a, E in enumerate(p):
             marg = sum((G for t, G in blocks.items() if t[j] == a), mpmath.zeros(mset.dim))
             worst = max(worst, mpmath.mnorm(marg - exact(E), 1))
     assert worst <= 1e-14

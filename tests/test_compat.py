@@ -19,7 +19,7 @@ import oracles
 
 
 def projective_z():
-    return meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
+    return np.array((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
 
 
 class TestJmFeasibility:
@@ -30,7 +30,7 @@ class TestJmFeasibility:
         assert res.marginal_residual < 1e-12
         assert res.psd_residual < 1e-12
         for a in range(2):
-            assert np.abs(oracles.element(res.parent, (a,)) - p.elements[a]).max() < 1e-8
+            assert np.abs(oracles.element(res.parent, (a,)) - p[a]).max() < 1e-8
 
     def test_identical_projective_pair(self):
         p = projective_z()
@@ -41,7 +41,7 @@ class TestJmFeasibility:
         expected = compat.ParentPovm(
             (2, 2),
             np.stack(
-                [p.elements[0], np.zeros((2, 2)), np.zeros((2, 2)), p.elements[1]]
+                [p[0], np.zeros((2, 2)), np.zeros((2, 2)), p[1]]
             ),
         )
         check = compat.certify(meas.MeasurementSet((p, p)), expected)
@@ -49,7 +49,7 @@ class TestJmFeasibility:
 
     def test_nine_levels_solve(self):
         # no cap on the dimension: a d = 9 set is decided like any other
-        p = meas.Povm((np.eye(9) / 2, np.eye(9) / 2))
+        p = (np.eye(9) / 2, np.eye(9) / 2)
         res = compat.robustness(meas.MeasurementSet((p,)))
         assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
 
@@ -58,7 +58,7 @@ class TestJmFeasibility:
         # once every error was NaN, no iterate was kept, and the solve died
         # unpacking its sentinel; the set now refuses such elements
         A = np.array([[0.5, 0.1], [0.1, value]])
-        p = meas.Povm((A, np.eye(2) - A))
+        p = (A, np.eye(2) - A)
         with pytest.raises(ValueError, match="elements must be finite"):
             compat.robustness(meas.MeasurementSet((p, p)))
 
@@ -68,7 +68,7 @@ def random_povm(outcomes, d, rng):
     P = A @ A.conj().transpose(0, 2, 1)
     w, V = np.linalg.eigh(P.sum(axis=0))
     R = (V / np.sqrt(w)) @ V.conj().T
-    return meas.Povm(tuple(R @ E @ R for E in P))
+    return R @ P @ R
 
 
 def random_blocks(T, d, rng, shift=0.0):
@@ -96,7 +96,7 @@ def covariant_sets():
     first = (R @ P @ R).astype(complex)
     first = 0.5 * (first + first.transpose(0, 2, 1))
     copies = meas._rotated(first, meas._rotation_phases(3, 3))
-    sets.append(meas.MeasurementSet(tuple(meas.Povm(tuple(els)) for els in copies)))
+    sets.append(meas.MeasurementSet(copies))
     return sets
 
 
@@ -273,7 +273,7 @@ class TestMarginal:
         p = projective_z()
         mset = meas.MeasurementSet((p, p))
         res = compat.robustness(mset)
-        want = np.concatenate([np.stack(p.elements)] * 2)
+        want = np.concatenate([p] * 2)
         assert np.abs(res.parent.marginals() - want).max() < 1e-7
         assert res.parent.marginal_residual(mset) < 1e-7
 
@@ -284,7 +284,7 @@ class TestMarginal:
         marg = par.marginals()
         for j in range(2):
             for a in range(2):
-                expect = loss.apply_dual(0.5, mset.povms[j].elements[a])
+                expect = loss.apply_dual(0.5, mset.povms[j][a])
                 assert np.abs(marg[2 * j + a] - expect).max() < 1e-10
 
     def test_marginal_normalization(self):
@@ -292,7 +292,7 @@ class TestMarginal:
         mset = meas.random_measurement_set(2, 3, rng)
         par = parent.lon_parent(mset, [1 / 3] * 3)
         for rows in np.split(par.marginals(), 3):
-            oracles.validate(meas.Povm(tuple(rows)))
+            oracles.validate(rows)
 
 
 class TestCertify:
@@ -345,7 +345,7 @@ class TestRobustness:
         assert res.verdict != "INCOMPATIBLE"
 
     def test_identical_pair_compatible(self):
-        a = meas.lossy_povm(meas.displaced_onoff(0.1, 2), 1.0)
+        a = loss.apply_dual(1.0, meas.displaced_onoff(0.1, 2))
         res = compat.robustness(meas.MeasurementSet((a, a)))
         assert res.eta_star == 1.0
         assert res.verdict != "INCOMPATIBLE"
@@ -399,8 +399,8 @@ class TestRobustness:
         # every element a multiple of I: the product parent serves every eta
         half = np.eye(2) / 2
         mset = meas.MeasurementSet((
-            meas.Povm((half, half)),
-            meas.Povm((np.eye(2) / 3, 2 * np.eye(2) / 3)),
+            (half, half),
+            (np.eye(2) / 3, 2 * np.eye(2) / 3),
         ))
         res = compat.robustness(mset)
         assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
@@ -445,11 +445,11 @@ class TestNewtonStep:
         B, eye = loss._split_amplitudes(params.tau, d), np.eye(d, dtype=complex)[None]
         povms = []
         for mu in oracles.displacements(params):
-            raw = loss._chain_step(np.stack(meas.displaced_onoff(mu, d).elements), B, eye)
-            povms.append(meas.Povm(tuple(0.5 * (raw + raw.conj().transpose(0, 2, 1)))))
+            raw = loss._chain_step(meas.displaced_onoff(mu, d), B, eye)
+            povms.append(0.5 * (raw + raw.conj().transpose(0, 2, 1)))
         averaged = meas.MeasurementSet(tuple(povms))
         gaps = [np.abs(E - F).max() for p, q in zip(built, averaged)
-                for E, F in zip(p.elements, q.elements)]
+                for E, F in zip(p, q)]
         assert 0.0 < max(gaps) <= 1e-16
         a, b = compat.robustness(built), compat.robustness(averaged)
         assert (a.verdict, a.method) == (b.verdict, b.method) == ("INCOMPATIBLE", "sdp-witness")
@@ -471,9 +471,8 @@ def broken_copy(mset):
     """The set with one entry of measurement 1 moved by one rounding: no
     longer exactly covariant, so it is solved with one block per tuple."""
     povms = list(mset)
-    E = povms[1].elements[0].copy()
-    E[0, 0] = np.nextafter(E[0, 0].real, 2.0)
-    povms[1] = meas.Povm((E, *povms[1].elements[1:]))
+    povms[1] = E = povms[1].copy()
+    E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
     return meas.MeasurementSet(tuple(povms))
 
 
@@ -567,7 +566,7 @@ class TestResult2Completeness:
             mset = meas.random_measurement_set(3, n, rng)
             par = parent.lon_parent(mset, [1.0 / n] * n)
             lossy = meas.MeasurementSet(
-                tuple(meas.lossy_povm(p, 1.0 / n) for p in mset)
+                tuple(loss.apply_dual(1.0 / n, p) for p in mset)
             )
             res = compat.certify(lossy, par)
             assert res.verdict == "COMPATIBLE"
@@ -624,7 +623,7 @@ class TestDecideTableRow:
     def test_lon_parent_refuses_what_the_budget_refuses(self):
         # at 1.0 / count and one float above it: a slack of 1e-12 once let
         # lon_parent accept sums one ulp over 1
-        one = meas.Povm((np.eye(1, dtype=complex),))
+        one = (np.eye(1, dtype=complex),)
         for count in range(1, 101):
             mset = meas.MeasurementSet((one,) * count)
             for t in (1.0 / count, math.nextafter(1.0 / count, 1.0)):
@@ -785,6 +784,19 @@ class TestOneThreshold:
     def test_negative_step_cap_refused_on_every_path(self, tau):
         with pytest.raises(ValueError, match="max_iter must be non-negative"):
             compat.decide_table_row(meas.FamilyParams(3, 0.005, tau, 3), max_iter=-1)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, np.bool_(False)], ids=["float", "bool", "np-bool"]
+    )
+    @pytest.mark.parametrize("tau", [1.0 / 3.0, 0.50005], ids=["lon-parent", "sdp"])
+    def test_non_integer_step_cap_refused_on_every_path(self, tau, value):
+        # 2.5 once raised a TypeError from range inside the solve, or passed
+        # on a network row; True ran one Newton step
+        params = meas.FamilyParams(3, 0.005, tau, 3)
+        with pytest.raises(ValueError, match=f"max_iter must be an integer, got {value!r}"):
+            compat.decide_table_row(params, max_iter=value)
+        with pytest.raises(ValueError, match=f"max_iter must be an integer, got {value!r}"):
+            compat.robustness(meas.symmetric_family(params), max_iter=value)
 
 
 def _family(count):

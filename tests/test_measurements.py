@@ -15,8 +15,8 @@ import oracles
 class TestDisplacedOnoff:
     def test_vacuum_detection_qubit(self):
         p = meas.displaced_onoff(0.0, 2)
-        assert np.array_equal(p.elements[0], np.diag([1.0 + 0j, 0.0]))
-        assert np.array_equal(p.elements[1], np.diag([0.0 + 0j, 1.0]))
+        assert np.array_equal(p, [np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])])
+        assert p.dtype == complex
 
     def test_click_element_trace(self):
         # trace of the projective element is the truncated-ket norm, short of
@@ -28,13 +28,13 @@ class TestDisplacedOnoff:
             tail = float(
                 sum(mpmath.e ** (-lam) * lam**m / mpmath.factorial(m) for m in range(d, 60))
             )
-        assert np.trace(p.elements[0]).real == pytest.approx(1.0 - tail, abs=5e-16)
+        assert np.trace(p[0]).real == pytest.approx(1.0 - tail, abs=5e-16)
 
     @pytest.mark.parametrize("mu", [0.0, 0.4, -0.2 + 0.7j])
     @pytest.mark.parametrize("d", [2, 5])
     def test_complement_sums_to_identity(self, mu, d):
         p = meas.displaced_onoff(mu, d)
-        assert np.abs(sum(p.elements) - np.eye(d)).max() < 1e-15
+        assert np.abs(sum(p) - np.eye(d)).max() < 1e-15
         oracles.validate(p)
 
 
@@ -50,7 +50,7 @@ class TestSymmetricFamily:
         assert len(mset) == 3
         assert mset.dim == 3
         for p in mset:
-            assert p.outcomes == 2
+            assert p.shape == (2, 3, 3)
             oracles.validate(p)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
@@ -74,31 +74,12 @@ class TestSymmetricFamily:
     def test_distinct_displacements_give_distinct_povms(self):
         mset = meas.symmetric_family(meas.FamilyParams(2, 0.1, 1.0, 2))
         a, b = mset.povms
-        assert np.abs(a.elements[0] - b.elements[0]).max() > 1e-3
+        assert np.abs(a[0] - b[0]).max() > 1e-3
 
     def test_lossless_family_is_projective(self):
         params = meas.FamilyParams(2, 0.1, 1.0, 4)
         for p, mu in zip(meas.symmetric_family(params), oracles.displacements(params)):
-            assert np.abs(p.elements[0] - meas.coherent_projector(mu, 4)).max() < 1e-14
-
-    @pytest.mark.parametrize("tau", [0.2512, 0.50005, 0.9])
-    def test_lossy_povm_one_dual_call_per_povm(self, monkeypatch, tau):
-        rng = np.random.default_rng(17)
-        povms = [meas.displaced_onoff(0.3 - 0.1j, 4), meas.random_two_outcome_povm(5, rng)]
-        calls = []
-
-        def counted(t, M):
-            calls.append(np.shape(M))
-            return loss.apply_dual(t, M)
-
-        monkeypatch.setattr(meas, "apply_dual", counted)
-        for p in povms:
-            out = meas.lossy_povm(p, tau)
-            for E, image in zip(p.elements, out.elements):
-                alone = loss.apply_dual(tau, E)
-                assert np.array_equal(image, image.conj().T)
-                assert np.abs(image - alone).max() <= 1e-15 * np.abs(alone).max()
-        assert calls == [(2, 4, 4), (2, 5, 5)]
+            assert np.abs(p[0] - meas.coherent_projector(mu, 4)).max() < 1e-14
 
     def test_lossless_image_is_the_hermitian_povm(self):
         # tau = 1 takes the one route through apply_dual, whose split is then
@@ -108,18 +89,19 @@ class TestSymmetricFamily:
         povms = [meas.displaced_onoff(mu, d) for mu in (0.3 - 0.1j, 1.7) for d in (2, 5, 9)]
         povms += [meas.random_two_outcome_povm(d, rng) for d in (2, 3, 6) for _ in range(4)]
         for p in povms:
-            image = meas.lossy_povm(p, 1.0).elements
-            assert np.array_equal(image, fock._hermitian_lower(p.elements))
-            assert np.abs(image - p.elements).max() <= 1e-16
+            image = loss.apply_dual(1.0, p)
+            assert np.array_equal(image, fock._hermitian_lower(p))
+            assert np.abs(image - p).max() <= 1e-16
         for d in (2, 5, 9):
             p = meas.displaced_onoff(1.7, d)
-            assert np.array_equal(meas.lossy_povm(p, 1.0).elements, p.elements)
+            assert np.array_equal(loss.apply_dual(1.0, p), p)
 
     @pytest.mark.parametrize("tau", [1.0, 0.999])
     def test_lossy_povm_refuses_a_non_hermitian_element(self, tau):
+        # at tau = 1 too, where the dual channel is the identity map
         A = np.array([[0.5, 10 * meas.TOL], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="not Hermitian"):
-            meas.lossy_povm(meas.Povm((A, np.eye(2) - A)), tau)
+            loss.apply_dual(tau, np.array((A, np.eye(2) - A)))
 
     @pytest.mark.parametrize("tau", [1.0, 0.50005, 0.0913])
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -128,8 +110,8 @@ class TestSymmetricFamily:
             params = meas.FamilyParams(count, 0.3, tau, d)
             family = meas.symmetric_family(params)
             for p, mu in zip(family, oracles.displacements(params)):
-                alone = meas.lossy_povm(meas.displaced_onoff(mu, d), tau)
-                for E, F in zip(p.elements, alone.elements):
+                alone = loss.apply_dual(tau, meas.displaced_onoff(mu, d))
+                for E, F in zip(p, alone):
                     assert np.array_equal(E, E.conj().T)
                     assert np.abs(E - F).max() <= 1e-15
 
@@ -139,13 +121,13 @@ class TestSymmetricFamily:
         # compares against, with no tolerance
         for count in range(1, 17):
             family = meas.symmetric_family(meas.FamilyParams(count, 0.2, 0.6, d))
-            first = np.stack(family.povms[0].elements)
+            first = family.povms[0]
             assert not first.imag.any()
             rotated = meas._rotated(first, meas._rotation_phases(count, d))
             for k, p in enumerate(family):
                 mirror = family.povms[-k % count]
-                for a, E in enumerate(p.elements):
-                    assert np.array_equal(E.conj(), mirror.elements[a])
+                for a, E in enumerate(p):
+                    assert np.array_equal(E.conj(), mirror[a])
                     assert np.array_equal(E, rotated[k, a])
 
     def test_rotation_phases_within_the_stated_bound(self):
@@ -191,7 +173,7 @@ class TestProjection:
             for k in (2, 3, 5):
                 sub = meas.symmetric_family(dataclasses.replace(params, d=k))
                 for p, q in zip(full, sub):
-                    for E, F in zip(p.elements, q.elements):
+                    for E, F in zip(p, q):
                         assert np.array_equal(E[:k, :k], F)
 
     @pytest.mark.parametrize("taus", [[0.25] * 3, [0.2, 0.3, 0.1]])
@@ -210,15 +192,15 @@ class TestBlochParams:
 
     def test_projective_z(self):
         # F = 0, so pair_test refuses the pair; the reading behind it holds
-        p = meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
+        p = np.array((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
         with pytest.raises(qubit.DegenerateMeasurementError):
             qubit.pair_test(p, p)
         gamma, m, F = qubit._reading(p)
         assert (gamma, m, F) == (0.0, (0.0, 0.0, 1.0), 0.0)
-        assert (gamma, m) == oracles.bloch_params(p.elements[0])
+        assert (gamma, m) == oracles.bloch_params(p[0])
 
     def test_trivial_measurement(self):
-        p = meas.Povm((np.eye(2) / 2, np.eye(2) / 2))
+        p = (np.eye(2) / 2, np.eye(2) / 2)
         report = qubit.pair_test(p, p)
         assert report.gamma1 == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(report.m1, [0, 0, 0])
@@ -227,7 +209,7 @@ class TestBlochParams:
         # oracle: traces of the Kraus-route matrix
         tau, mu = 0.6, 0.015
         A = loss.apply_dual(tau, meas.coherent_projector(mu, 2))
-        p = meas.Povm((A, np.eye(2) - A))
+        p = np.array((A, np.eye(2) - A))
         report = qubit.pair_test(p, p)
         gamma, m = oracles.bloch_params(A)
         assert report.gamma1 == pytest.approx(gamma, abs=1e-15)
@@ -241,8 +223,8 @@ class TestBlochParams:
             for tau in np.linspace(0.01, 0.99, 9):
                 a, b = qubit.lossy_displaced_pair(r, tau)
                 report = qubit.pair_test(a, b)
-                assert (report.gamma1, report.m1) == oracles.bloch_params(a.elements[0])
-                assert (report.gamma2, report.m2) == oracles.bloch_params(b.elements[0])
+                assert (report.gamma1, report.m1) == oracles.bloch_params(a[0])
+                assert (report.gamma2, report.m2) == oracles.bloch_params(b[0])
                 assert all(math.copysign(1.0, x) > 0 for x in report.m1 + report.m2 if x == 0)
 
     def test_reconstruction_roundtrip(self):
@@ -252,13 +234,13 @@ class TestBlochParams:
             b = meas.random_two_outcome_povm(2, rng)
             report = qubit.pair_test(a, b)
             for gamma, m, p in ((report.gamma1, report.m1, a), (report.gamma2, report.m2, b)):
-                assert np.abs(oracles.bloch_reconstruct(gamma, m) - p.elements[0]).max() < 1e-12
+                assert np.abs(oracles.bloch_reconstruct(gamma, m) - p[0]).max() < 1e-12
 
     def test_rejects_wrong_shape(self):
-        good = meas.Povm((np.eye(2) / 2,) * 2)
+        good = (np.eye(2) / 2,) * 2
         for bad, msg in (
-            (meas.Povm((np.eye(3) / 3,) * 3), "dimension 2"),
-            (meas.Povm((np.eye(2) / 3,) * 3), "exactly two outcomes"),
+            ((np.eye(3) / 3,) * 3, "dimension 2"),
+            ((np.eye(2) / 3,) * 3, "exactly two outcomes"),
         ):
             for pair in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match=msg):
@@ -272,12 +254,12 @@ class TestRotationalCovariance:
         d, r, tau, phi = 4, 0.3, 0.7, 0.83
         base = meas.FamilyParams(3, r, tau, d)
         rotated = [
-            meas.lossy_povm(meas.displaced_onoff(mu * np.exp(1j * phi), d), tau)
+            loss.apply_dual(tau, meas.displaced_onoff(mu * np.exp(1j * phi), d))
             for mu in oracles.displacements(base)
         ]
         D = oracles.phase_rotation(phi, d)
         for p, q in zip(meas.symmetric_family(base), rotated):
-            for E, F in zip(p.elements, q.elements):
+            for E, F in zip(p, q):
                 assert np.abs(D @ E @ D.conj().T - F).max() < 1e-10
 
     def test_pair_verdict_invariant_under_rotation(self):
@@ -286,9 +268,7 @@ class TestRotationalCovariance:
         d, r, tau = 2, 0.1, 0.7
         def pair_with_phase(phi):
             povms = [
-                meas.lossy_povm(
-                    meas.displaced_onoff(r * s * np.exp(1j * phi), d), tau
-                )
+                loss.apply_dual(tau, meas.displaced_onoff(r * s * np.exp(1j * phi), d))
                 for s in (1, -1)
             ]
             return qubit.pair_test(povms[0], povms[1])
@@ -305,8 +285,7 @@ class TestRandomSets:
         a = meas.random_measurement_set(3, 2, np.random.default_rng(42))
         b = meas.random_measurement_set(3, 2, np.random.default_rng(42))
         for p, q in zip(a, b):
-            for E, F in zip(p.elements, q.elements):
-                assert np.array_equal(E, F)
+            assert np.array_equal(p, q)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_random_povms_valid(self, dim):
@@ -318,15 +297,34 @@ class TestRandomSets:
 def _set_with(A, B=None):
     """A set of a valid pair and the pair (A, I - A), or (A, B)."""
     A = np.asarray(A, dtype=complex)
-    pair = meas.Povm((A, np.eye(2) - A if B is None else np.asarray(B, dtype=complex)))
+    pair = (A, np.eye(2) - A if B is None else np.asarray(B, dtype=complex))
     return meas.MeasurementSet((meas.displaced_onoff(0.1, 2), pair))
 
 
 def test_povm_holds_one_complex_stack():
-    p = meas.Povm(([[1, 0], [0, 0]], np.diag([0.0, 1.0]), np.zeros((2, 2), dtype=np.float32)))
-    assert isinstance(p.elements, np.ndarray)
-    assert p.elements.dtype == complex and p.elements.shape == (3, 2, 2)
-    assert (p.outcomes, p.dim) == (3, 2)
+    # nested lists and a float32 element load as one complex stack per POVM,
+    # each a view of the set's rows
+    mset = meas.MeasurementSet(
+        (([[1, 0], [0, 0]], np.diag([0.0, 1.0]), np.zeros((2, 2), dtype=np.float32)),)
+    )
+    (p,) = mset
+    assert isinstance(p, np.ndarray) and p.base is mset.rows
+    assert p.dtype == complex and p.shape == (3, 2, 2)
+    assert mset.dim == 2 and mset.rows.shape == (3, 2, 2)
+
+
+def test_set_copies_its_input():
+    # the set holds its own rows: writing into the caller's arrays afterwards
+    # changes neither its rows nor its POVMs
+    first, second = meas.displaced_onoff(0.1, 2), meas.displaced_onoff(-0.1, 2)
+    mset = meas.MeasurementSet((first, second))
+    before = mset.rows.copy()
+    first[0, 0, 0] = second[1] = np.nan
+    assert np.array_equal(mset.rows, before)
+    assert np.array_equal(np.concatenate(mset.povms), before)
+    family = meas.symmetric_family(meas.FamilyParams(3, 0.1, 0.5, 3))
+    again = meas.MeasurementSet(family.povms)
+    assert not np.shares_memory(again.rows, family.rows)
 
 
 def test_set_with_sum_within_tol_loads():
@@ -337,18 +335,24 @@ def test_rows_are_the_marginal_order():
     # a product of diagonal POVMs is a parent whose marginals are exactly the
     # elements; three measurements with 2, 3 and 2 outcomes
     diag = [np.random.default_rng(5).dirichlet(np.ones(o), size=3).T for o in (2, 3, 2)]
-    mset = meas.MeasurementSet(tuple(meas.Povm(tuple(np.diag(w) for w in p)) for p in diag))
+    mset = meas.MeasurementSet(tuple(tuple(np.diag(w) for w in p) for p in diag))
     blocks = np.einsum("ai,bi,ci->abci", *diag).reshape(12, 3)  # each block's diagonal
     parent_ = meas.ParentPovm((2, 3, 2), np.stack([np.diag(b) for b in blocks]))
-    assert np.array_equal(mset.rows, np.concatenate([np.stack(p.elements) for p in mset]))
+    assert np.array_equal(mset.rows, np.concatenate(mset.povms))
     assert np.abs(parent_.marginals() - mset.rows).max() <= 1e-15
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: meas.Povm(()), "a POVM needs at least one element"),
-    (lambda: meas.Povm((np.zeros((0, 0)),)), "square matrices of size at least 1"),
-    (lambda: meas.Povm((1.0,)), "square matrices of size at least 1"),
-    (lambda: meas.Povm((np.eye(2), np.eye(3))), "POVM elements must share one square shape"),
+    # the shape refusals of one POVM's elements, before any value is read
+    (lambda: meas.MeasurementSet(((),)), "a POVM needs at least one element"),
+    (lambda: meas.MeasurementSet(((np.zeros((0, 0)),),)), "square matrices of size at least 1"),
+    (lambda: meas.MeasurementSet(((1.0,),)), "square matrices of size at least 1"),
+    (lambda: meas.MeasurementSet(((np.eye(2), np.eye(3)),)),
+     "POVM elements must share one square shape"),
+    (lambda: meas.MeasurementSet(((np.eye(2), np.ones((2, 3))),)),
+     "POVM elements must share one square shape"),
+    (lambda: meas.MeasurementSet((meas.displaced_onoff(0.1, 2), (np.nan * np.ones(2),))),
+     "square matrices of size at least 1"),
     (lambda: meas.MeasurementSet(()), "a measurement set needs at least one POVM"),
     (lambda: meas.MeasurementSet((meas.displaced_onoff(0.1, 2), meas.displaced_onoff(0.1, 3))),
      "all POVMs must share one dimension"),
@@ -359,7 +363,7 @@ def test_rows_are_the_marginal_order():
     (lambda: _set_with(np.diag([1.5, -0.5])), "Hermitian and positive semidefinite"),
     (lambda: _set_with(0.5 * np.eye(2), (0.5 + 2e-8) * np.eye(2)), "sum to the identity"),
     # robustness once called two copies of this pair INCOMPATIBLE, eta_hi 0.5
-    (lambda: meas.MeasurementSet((meas.Povm(([[0.5, 2], [0, 0.5]], 0.3 * np.eye(2))),) * 2),
+    (lambda: meas.MeasurementSet((([[0.5, 2], [0, 0.5]], 0.3 * np.eye(2)),) * 2),
      "Hermitian"),
     (lambda: meas.ParentPovm((2, 2), np.zeros((3, 2, 2))),
      r"blocks must have shape \(prod\(outcome_counts\), d, d\)"),
@@ -376,16 +380,25 @@ def test_rows_are_the_marginal_order():
      "each outcome count must be an integer, got 2.9"),
     (lambda: meas.ParentPovm((2, 2.0), np.zeros((4, 2, 2))),
      "each outcome count must be an integer, got 2.0"),
+    # a bool is an int to Python: (True, 2) was taken as the counts (1, 2)
+    (lambda: meas.ParentPovm((True, 2), np.zeros((2, 2, 2))),
+     "each outcome count must be an integer, got True"),
+    (lambda: meas.ParentPovm((2, np.bool_(True)), np.zeros((2, 2, 2))),
+     "each outcome count must be an integer, got "),
+    (lambda: meas.FamilyParams(True, 0.1, 0.5, 3), "count must be an integer, got True"),
+    (lambda: meas.FamilyParams(2, 0.1, 0.5, np.bool_(True)), "d must be an integer, got "),
     (lambda: meas.FamilyParams(2, 0.1, 1.5, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, math.nan, 3), r"tau must lie in \[0, 1\]"),
     (lambda: meas.FamilyParams(2, 0.1, 0.5, 1), "d must be >= 2"),
     (lambda: meas.displaced_onoff(0.1, 1), "d must be >= 2"),
-], ids=["no-element", "empty-element", "scalar-element", "shapes", "no-povm", "dimensions",
+], ids=["no-element", "empty-element", "scalar-element", "shapes", "non-square",
+        "vector-element", "no-povm", "dimensions",
         "set-nan", "set-inf", "set-non-hermitian", "set-not-psd", "set-sum-off-past-tol",
         "set-non-povm-pair",
         "parent-blocks", "parent-zero-dim", "parent-count-wraps-to-0",
         "parent-count-wraps-negative", "parent-no-count", "parent-zero-count",
         "parent-negative-counts", "parent-float-counts", "parent-integral-float-count",
+        "parent-bool-count", "parent-numpy-bool-count", "family-bool-count", "family-numpy-bool-d",
         "tau", "tau-nan", "family-d", "onoff-d"])
 def test_refusal_messages(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,11 @@
 """The installed surface: numpy-only imports, a resolvable public API,
 module layers without cycles, source and test lines of at most 100
 characters, the names the benchmark reads, README constants that exist
-with the values it states, README dotted names that resolve, README phase
-names, and a listed set of module-level constants."""
+with the values it states, README dotted and class names that resolve,
+README phase names, and a listed set of module-level constants."""
 
 import ast
+import builtins
 import functools
 import importlib
 import json
@@ -45,7 +46,7 @@ def test_import_loads_numpy_only():
     # the exact threshold test compares integers: no rational or decimal arithmetic
     assert not {"fractions", "decimal"} & set(probe["loaded"])
     assert probe["missing"] == []
-    assert probe["count"] == len(set(lossjm.__all__)) == 31
+    assert probe["count"] == len(set(lossjm.__all__)) == 29
 
 
 def _relative_imports(path: Path) -> tuple[set[str], list[int]]:
@@ -197,6 +198,21 @@ def test_readme_dotted_names_resolve():
             missing.append(name)
     assert {"lossjm.compat", "fock.TOL"} <= set(checked)
     assert missing == []
+
+
+def test_readme_class_names_exist():
+    # a backticked bare CamelCase name is a public lossjm name, a builtin
+    # (`OverflowError`, `None`) or a JSON token, so a class that is gone from
+    # the package cannot stay in README
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = {
+        span
+        for span in re.findall(r"`([^`\n]+)`", readme.read_text())
+        if re.fullmatch(r"[A-Z]\w*[a-z]\w*", span)
+    }
+    assert {"MeasurementSet", "Verdict", "None"} <= names
+    known = set(lossjm.__all__) | set(dir(builtins)) | {"NaN", "Infinity"}
+    assert sorted(names - known) == []
 
 
 def test_readme_names_every_phase():

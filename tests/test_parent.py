@@ -18,7 +18,7 @@ def vacuum_onoff(d):
 class TestLonParent:
     def test_trivial_measurements(self):
         d = 3
-        trivial = meas.Povm((np.eye(d, dtype=complex), np.zeros((d, d))))
+        trivial = (np.eye(d, dtype=complex), np.zeros((d, d)))
         par = parent.lon_parent(meas.MeasurementSet((trivial, trivial)), [0.5, 0.5])
         assert np.abs(oracles.element(par, (0, 0)) - np.eye(d)).max() < 1e-12
         for t in [(0, 1), (1, 0), (1, 1)]:
@@ -39,7 +39,7 @@ class TestLonParent:
         marg = par.marginals()
         for j in range(2):
             for a in range(2):
-                expect = loss.apply_dual(0.5, mset.povms[j].elements[a])
+                expect = loss.apply_dual(0.5, mset.povms[j][a])
                 assert np.abs(marg[2 * j + a] - expect).max() < 1e-10
 
     def test_rejects_oversubscribed_transmissivities(self):
@@ -90,7 +90,7 @@ class TestLonParent:
         p = meas.random_two_outcome_povm(d, np.random.default_rng(d))
         for tau in np.linspace(0.0, 1.0, 21):
             got = parent.lon_parent(meas.MeasurementSet((p,)), [tau]).blocks
-            want = loss.apply_dual(tau, np.stack(p.elements))
+            want = loss.apply_dual(tau, p)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), f"tau = {tau}"
 
@@ -104,7 +104,7 @@ class TestLonParent:
         marg = par.marginals()
         for j in range(2):
             for a in range(2):
-                expect = loss.apply_dual(0.5, mset.povms[j].elements[a])
+                expect = loss.apply_dual(0.5, mset.povms[j][a])
                 assert np.abs(marg[2 * j + a] - expect).max() < 1e-10
 
 
@@ -116,10 +116,10 @@ def network_oracle(mset, taus, eta):
     # columns U |i, 0, ..., 0>: the signal enters arm 1, the others are vacuum
     V = oracles.lon_unitary(transfer, d)[:, [i * d ** (m - 1) for i in range(d)]]
     blocks = []
-    for t in itertools.product(*[range(p.outcomes) for p in mset]):
+    for t in itertools.product(*[range(len(p)) for p in mset]):
         op = np.eye(1)
         for j in range(n):
-            op = np.kron(op, mset.povms[j].elements[t[j]])
+            op = np.kron(op, mset.povms[j][t[j]])
         op = np.kron(op, np.eye(d ** (m - n)))  # unmeasured deficit arm
         el = V.conj().T @ op @ V
         blocks.append(loss.apply_dual(eta, (el + el.conj().T) / 2))
@@ -170,30 +170,31 @@ class TestMarginalIdentity:
         marg = par.marginals()
         for j, tau_j in enumerate([0.7, 0.3]):
             for a in range(2):
-                expect = loss.apply_dual(tau_j, mset.povms[j].elements[a])
+                expect = loss.apply_dual(tau_j, mset.povms[j][a])
                 assert np.abs(marg[2 * j + a] - expect).max() < 1e-10
 
     def test_one_lossy_povm_call_per_measurement(self, monkeypatch):
+        # each image is one apply_dual call on the measurement's whole stack
         calls = []
 
-        def counted(povm, tau):
-            calls.append(tau)
-            return meas.lossy_povm(povm, tau)
+        def counted(tau, M):
+            calls.append((tau, M.shape))
+            return loss.apply_dual(tau, M)
 
-        monkeypatch.setattr(parent, "lossy_povm", counted)
+        monkeypatch.setattr(parent, "apply_dual", counted)
         mset = meas.random_measurement_set(3, 3, np.random.default_rng(59))
         taus = [0.5 * t for t in (0.2, 0.3, 0.4)]
         assert parent.verify_marginal_identity(mset, taus) <= 1e-11
-        assert calls == [0.1, 0.15, 0.2]
+        assert calls == [(0.1, (2, 3, 3)), (0.15, (2, 3, 3)), (0.2, (2, 3, 3))]
 
     def test_set_accepted_within_tol_is_accepted_by_the_loss_channel(self):
         # a Hermitian gap of 1e-10 passes MeasurementSet; the loss channel once
         # refused it at its own threshold of 1e-12
         A = np.array([[0.6, 0.1 + 1e-10], [0.1, 0.3]])
-        half = meas.Povm((np.eye(2) / 2, np.eye(2) / 2))
-        mset = meas.MeasurementSet((meas.Povm((A, np.eye(2) - A)), half))
+        half = (np.eye(2) / 2, np.eye(2) / 2)
+        mset = meas.MeasurementSet(((A, np.eye(2) - A), half))
         assert parent.verify_marginal_identity(mset, [0.5, 0.5]) <= 1e-15
-        images = meas.MeasurementSet(tuple(meas.lossy_povm(p, 0.5) for p in mset))
+        images = meas.MeasurementSet(tuple(loss.apply_dual(0.5, p) for p in mset))
         assert compat.certify(images, parent.lon_parent(mset, [0.5, 0.5])).verdict == "COMPATIBLE"
         assert compat.robustness(mset).verdict == "COMPATIBLE"
 
@@ -223,7 +224,7 @@ class TestEndToEnd:
         rng = np.random.default_rng(60 + n)
         mset = meas.random_measurement_set(4, n, rng)
         lossy = meas.MeasurementSet(
-            tuple(meas.lossy_povm(p, 1.0 / n) for p in mset)
+            tuple(loss.apply_dual(1.0 / n, p) for p in mset)
         )
         par = parent.lon_parent(mset, [1.0 / n] * n)
         res = compat.certify(lossy, par)

@@ -14,7 +14,7 @@ import oracles
 def noisy_direction(axis, visibility):
     """Unbiased measurement [I +/- v sigma_axis] / 2."""
     A = (np.eye(2, dtype=complex) + visibility * oracles.PAULI[axis]) / 2
-    return meas.Povm((A, np.eye(2) - A))
+    return np.array((A, np.eye(2) - A))
 
 
 class TestPairTest:
@@ -22,7 +22,7 @@ class TestPairTest:
     def test_refusal_messages(self, bad_first):
         # A = diag(1.5, -0.5) sums with I - A to the identity but is not PSD
         A = np.diag([1.5, -0.5]).astype(complex)
-        bad, good = meas.Povm((A, np.eye(2) - A)), noisy_direction(2, 0.9)
+        bad, good = (A, np.eye(2) - A), noisy_direction(2, 0.9)
         pair = (bad, good) if bad_first else (good, bad)
         with pytest.raises(ValueError, match="positive semidefinite"):
             qubit.pair_test(*pair)
@@ -76,16 +76,23 @@ class TestPairTest:
             z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             Q, R = np.linalg.qr(z)
             U = Q * (np.diag(R) / np.abs(np.diag(R)))
-            rot = lambda p: meas.Povm(tuple(U @ E @ U.conj().T for E in p.elements))
+            rot = lambda p: U @ p @ U.conj().T
             assert qubit.pair_test(rot(a), rot(b)).test_value == pytest.approx(
                 base, abs=1e-10
             )
 
     def test_degenerate_fuzziness_raises(self):
         # both elements singular: projective measurement
-        z = meas.Povm((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
+        z = np.array((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
         with pytest.raises(qubit.DegenerateMeasurementError):
             qubit.pair_test(z, z)
+
+    def test_nested_lists_accepted(self):
+        # a POVM is its elements: nested lists read as the same stack
+        a, b = noisy_direction(0, 0.8), noisy_direction(2, 0.7)
+        report = qubit.pair_test(a.tolist(), [list(E) for E in b])
+        assert report == qubit.pair_test(a, b)
+        assert report.incompatible
 
 
 def exact_fuzziness(A):
@@ -105,7 +112,7 @@ class TestFuzzinessPrecision:
         a, b = qubit.lossy_displaced_pair(r, tau)
         report = qubit.pair_test(a, b)
         for F, p in ((report.F1, a), (report.F2, b)):
-            assert abs(F - exact_fuzziness(p.elements[0])) <= 1e-15
+            assert abs(F - exact_fuzziness(p[0])) <= 1e-15
 
 
 class TestKrausRoute:
@@ -119,9 +126,9 @@ class TestKrausRoute:
                 ref = []
                 for mu in (r, -r):
                     A = oracles.dual_coherent_projector(tau, mu, 2)
-                    ref.append(meas.Povm((A, np.eye(2, dtype=complex) - A)))
+                    ref.append(np.array((A, np.eye(2, dtype=complex) - A)))
                 for p, q in zip(pair, ref):
-                    for E, F in zip(p.elements, q.elements):
+                    for E, F in zip(p, q):
                         worst_entry = max(worst_entry, float(np.abs(E - F).max()))
                 got, want = qubit.pair_test(*pair), qubit.pair_test(*ref)
                 worst_test = max(worst_test, abs(got.test_value - want.test_value))
@@ -141,7 +148,7 @@ class TestFamilyRoute:
                 got = qubit.lossy_displaced_pair(r, tau)
                 want = oracles.displaced_pair_reference(r, tau)
                 for p, q in zip(got, want):
-                    for E, F in zip(p.elements, q.elements):
+                    for E, F in zip(p, q):
                         assert np.array_equal(E, F), (r, tau)
 
 

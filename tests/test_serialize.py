@@ -36,8 +36,7 @@ def test_povm_roundtrip():
     (payload,) = serialize.measurement_set_to_json(meas.MeasurementSet((p,)))["povms"]
     assert payload.keys() == {"dim", "elements"}
     (back,) = _one_povm_set(json.loads(json.dumps(payload)), d=4)
-    for E, F in zip(p.elements, back.elements):
-        assert np.array_equal(E, F)
+    assert np.array_equal(p, back)
 
 
 def test_measurement_set_roundtrip():
@@ -45,9 +44,7 @@ def test_measurement_set_roundtrip():
     text = json.dumps(serialize.measurement_set_to_json(mset))
     back = serialize.measurement_set_from_json(json.loads(text))
     assert back.dim == mset.dim
-    for p, q in zip(mset, back):
-        for E, F in zip(p.elements, q.elements):
-            assert np.array_equal(E, F)
+    assert np.array_equal(mset.rows, back.rows)
 
 
 def test_povm_payload_must_match_its_dim():
@@ -172,6 +169,30 @@ def test_non_integer_fields_refused_not_truncated(kind, edit, message):
         load(obj)
 
 
+@pytest.mark.parametrize("kind, edit", [
+    ("matrix", lambda o: o.update(rows=True, cols=True)),
+    ("povm", lambda o: o.update(dim=True)),
+    ("set", lambda o: o.update(dim=True)),
+    ("set", lambda o: o.update(dim=np.True_)),
+    ("parent", lambda o: o.update(dim=True)),
+    ("parent", lambda o: o.update(outcome_counts=[True])),
+], ids=["matrix-shape", "povm-dim", "set-dim", "set-numpy-dim", "parent-dim", "parent-counts"])
+def test_boolean_fields_refused(kind, edit):
+    # at d = 1, where True counts as 1, each of these once loaded
+    unit = serialize.matrix_to_json(np.eye(1))
+    povm = {"dim": 1, "elements": [unit]}
+    obj, load = {
+        "matrix": (unit, serialize.matrix_from_json),
+        "povm": (povm, lambda o: _one_povm_set(o, d=1)),
+        "set": ({"dim": 1, "povms": [povm]}, serialize.measurement_set_from_json),
+        "parent": ({"dim": 1, "outcome_counts": [1], "blocks": [unit]}, serialize.parent_from_json),
+    }[kind]
+    load(obj)  # the unedited payload loads
+    edit(obj)
+    with pytest.raises(ValueError, match="must be an integer, got (np.)?True"):
+        load(obj)
+
+
 def _two_outcome_payload(A, B):
     # the POVM payload measurement_set_to_json writes, of a pair no set accepts
     return {"dim": 2, "elements": [serialize.matrix_to_json(np.asarray(E)) for E in (A, B)]}
@@ -204,7 +225,7 @@ def test_povm_payload_must_be_a_povm(A, B, message):
 
 def test_povm_within_tol_loads():
     obj = _two_outcome_payload(0.5 * np.eye(2), (0.5 + 5e-9) * np.eye(2))
-    assert _one_povm_set(obj).povms[0].outcomes == 2
+    assert _one_povm_set(obj).povms[0].shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
