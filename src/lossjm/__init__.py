@@ -30,7 +30,6 @@ from .measurements import (
 )
 from .parent import lon_parent, verify_marginal_identity
 from .qubit import (
-    DegenerateMeasurementError,
     PairTestReport,
     lossy_displaced_pair,
     pair_test,
@@ -48,7 +47,6 @@ from .usd import (
 )
 
 __all__ = [
-    "DegenerateMeasurementError",
     "FamilyParams",
     "MeasurementSet",
     "PairTestReport",

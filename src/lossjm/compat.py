@@ -519,11 +519,12 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
 
     The repaired dual iterate is the witness behind ``eta_hi``.  If it proves
     eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise the
-    primal iterate at eta_p is carried to eta = 1 and checked by ``certify``:
-    it passing gives COMPATIBLE ("sdp-parent") with eta_star = 1, and it
-    failing UNDECIDED.  Short of COMPATIBLE the primal, projected onto
-    the marginals at eta_p and mixed with the eta = 0 product parent until
-    its least eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
+    primal iterate at eta_p, then the eta = 0 product parent, is carried to
+    eta = 1 and checked by ``certify``: one passing gives COMPATIBLE
+    ("sdp-parent") with eta_star = 1, both failing UNDECIDED.  Short of
+    COMPATIBLE the primal, projected onto the marginals at eta_p and mixed
+    with the eta = 0 product parent until its least eigenvalue is within
+    TOL/2 of zero, gives eta_star < eta_p.
 
     ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
     of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
@@ -544,10 +545,12 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     W, eta_hi = _lap(phases, t0, "repair", sdp.repair_witness(-y))
     P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
-        lam = min(1.0, 1.0 / eta_p)
-        G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
-        parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
-        check = _lap(phases, t0, "certify", certify(mset, parent))
+        for lam in (min(1.0, 1.0 / eta_p), 0.0):  # lam = 0: the product parent alone
+            G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
+            parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
+            check = _lap(phases, t0, "certify", certify(mset, parent))
+            if check.verdict == "COMPATIBLE":
+                break
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:

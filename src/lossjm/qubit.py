@@ -1,15 +1,20 @@
-"""Closed-form compatibility test for pairs of two-outcome qubit measurements.
+"""Closed-form compatibility test for pairs of two-outcome qubit measurements
+(Yu, Liu, Li & Oh, PRA 81:062116, 2010).
 
 With each measurement written as A_+/- = [(1 +/- gamma) I +/- m . sigma] / 2,
 the pair is incompatible if and only if
 
-    Test = (1 - F_1^2 - F_2^2) (1 - (gamma_1/F_1)^2 - (gamma_2/F_2)^2)
-           - (m_1 . m_2 - gamma_1 gamma_2)^2  >  0,
+    Test = (1 - F_1^2 - F_2^2) (1 - q_1 - q_2) - (m_1 . m_2 - gamma_1 gamma_2)^2  >  0,
 
-where F_i = [sqrt((1 + gamma_i)^2 - |m_i|^2) + sqrt((1 - gamma_i)^2 - |m_i|^2)] / 2
-= sqrt(det A_i,+) + sqrt(det A_i,-).  gamma_i, m_i and F_i are read off the
-entries of A_i,+ alone.  This is the standard criterion for biased pairs and
-serves as the independent oracle for the joint-measurability solver on qubits.
+where q_i = (gamma_i/F_i)^2 and F_i = sqrt(det A_i,+) + sqrt(det A_i,-); gamma_i, m_i and
+F_i are read off the entries of A_i,+ alone.  It is the independent oracle for the
+joint-measurability solver on qubits.
+
+F = 0 is the criterion's limit, not a refusal: gamma = det A_+ - det A_-, so
+gamma/F = sqrt(det A_+) - sqrt(det A_-), |gamma/F| <= F and q = 0 at F = 0.  There A_+
+is a rank-1 projector (gamma = 0, |m| = 1), and as (1 - F^2)(1 - q) = |m|^2 for every
+measurement, Test = |m_1 x m_2|^2: zero iff the pair commutes, as a sharp measurement
+is compatible exactly with those that commute with it.
 """
 
 from __future__ import annotations
@@ -20,14 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import FamilyParams, MeasurementSet, _stack, symmetric_family
-
-DEGENERATE_F_TOL = 1e-12
-
-
-class DegenerateMeasurementError(ValueError):
-    """Raised when some F_i vanishes: both elements of a measurement are
-    singular and the closed-form criterion does not apply; defer to the
-    solver for such pairs."""
 
 
 @dataclass(frozen=True)
@@ -65,16 +62,20 @@ def _reading(povm: np.ndarray) -> tuple[float, tuple[float, float, float], float
 
 def pair_test(a, b) -> PairTestReport:
     """Evaluate the pair criterion on two POVMs, each a stack of elements (an
-    array or nested lists); incompatible iff test_value > 0."""
+    array or nested lists); incompatible iff test_value > B, where
+    B = 5 eps [(1 + F_1^2 + F_2^2)(1 + q_1 + q_2) + (|m_1| |m_2| + |gamma_1 gamma_2|)^2]
+    bounds the rounding error of evaluating Test from the read (gamma, m, F): counting
+    eps/2 per operation, 3 eps/2 |m_1| |m_2| for m_1 . m_2, and F_i <= 1, the first-order
+    error is below B - 2 eps.  B does not bound the error of the reading, which is
+    ill-conditioned near sharp elements: r = 1e-7, tau = 1 reads F_1 = 1.3e-15 for 7.1e-15."""
     (gamma1, m1, F1), (gamma2, m2, F2) = _reading(_stack(a)), _reading(_stack(b))
     MeasurementSet((a, b))  # refuses a pair that is not of POVMs
-    if F1 < DEGENERATE_F_TOL or F2 < DEGENERATE_F_TOL:
-        raise DegenerateMeasurementError(
-            "measurement with vanishing fuzziness: criterion undefined"
-        )
+    q1, q2 = ((g / F) ** 2 if F else 0.0 for g, F in ((gamma1, F1), (gamma2, F2)))
     cross = float(np.dot(m1, m2)) - gamma1 * gamma2
-    test = (1.0 - F1**2 - F2**2) * (1.0 - (gamma1 / F1) ** 2 - (gamma2 / F2) ** 2) - cross**2
-    return PairTestReport(gamma1, gamma2, m1, m2, F1, F2, test, test > 0)
+    test = (1.0 - F1**2 - F2**2) * (1.0 - q1 - q2) - cross**2
+    size = math.hypot(*m1) * math.hypot(*m2) + abs(gamma1 * gamma2)
+    bound = 5 * math.ulp(1.0) * ((1 + F1**2 + F2**2) * (1 + q1 + q2) + size**2)
+    return PairTestReport(gamma1, gamma2, m1, m2, F1, F2, test, test > bound)
 
 
 def lossy_displaced_pair(r: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +91,5 @@ def lossy_displaced_pair(r: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 def leading_order_prediction(r: float, tau: float) -> float:
     """Small-r form 16 tau (2 tau - 1) r^2 of Test for the lossy displaced pair."""
-    coef = 16.0 * tau * (2.0 * tau - 1.0)
-    try:
-        return coef * r**2
-    except OverflowError:  # r^2 past the float range: the product may still fit
-        return coef * r * r
+    return 16.0 * tau * (2.0 * tau - 1.0) * r * r  # r * r, not r**2: no OverflowError
 

@@ -151,6 +151,14 @@ class TestCompatCommand:
         payload = json.loads(out)
         assert code == 3 and (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
 
+    def test_near_trivial_pair_compatible(self, capsys):
+        # elements within 1.5e-10 of multiples of I: the solve's parent fails
+        # certify (PSD residual 7.3e-3), the product parent passes (1.5e-10)
+        code, out = run(["compat", "--count", "2", "--r", "5", "--tau", "0.9", "--d", "2"], capsys)
+        payload = json.loads(out)
+        assert code == 0 and (payload["verdict"], payload["method"]) == ("COMPATIBLE", "sdp-parent")
+        assert payload["psd_residual"] <= 1e-9
+
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         # count 16 at d = 25 once died with a traceback from the Schur assembly
         message = "Unable to allocate 13.1 GiB for an array with shape (2250, 25, 25, 25, 25)"
@@ -210,6 +218,15 @@ class TestQubitPairCommand:
         code, out = run(["qubit-pair", "--r", "0.01", "--tau", "0.4"], capsys)
         assert code == 0
         assert json.loads(out)["incompatible"] is False
+
+    @pytest.mark.parametrize("tau", ["1", "0.3"])
+    def test_zero_displacement_exit_zero(self, capsys, tau):
+        # tau = 1 reads F = 0 for both (sharp, identical); tau = 0.3 reads a
+        # rounding-sized Test of 1.1e-16, inside the bound B
+        code, out = run(["qubit-pair", "--r", "0", "--tau", tau], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["incompatible"] is False and abs(payload["test_value"]) <= 1e-15
 
     def test_negative_r_exit_one(self, capsys):
         # the pair is the count-2 family, so its parameter checks apply

@@ -191,10 +191,11 @@ class TestBlochParams:
     first elements, against their Pauli traces in ``oracles.bloch_params``."""
 
     def test_projective_z(self):
-        # F = 0, so pair_test refuses the pair; the reading behind it holds
+        # F = 0: the criterion's limit q = 0 answers the pair, a sharp
+        # measurement paired with itself, as compatible at Test = 0
         p = np.array((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
-        with pytest.raises(qubit.DegenerateMeasurementError):
-            qubit.pair_test(p, p)
+        report = qubit.pair_test(p, p)
+        assert (report.test_value, report.incompatible) == (0.0, False)
         gamma, m, F = qubit._reading(p)
         assert (gamma, m, F) == (0.0, (0.0, 0.0, 1.0), 0.0)
         assert (gamma, m) == oracles.bloch_params(p[0])

@@ -46,7 +46,7 @@ def test_import_loads_numpy_only():
     # the exact threshold test compares integers: no rational or decimal arithmetic
     assert not {"fractions", "decimal"} & set(probe["loaded"])
     assert probe["missing"] == []
-    assert probe["count"] == len(set(lossjm.__all__)) == 29
+    assert probe["count"] == len(set(lossjm.__all__)) == 28
 
 
 def _relative_imports(path: Path) -> tuple[set[str], list[int]]:
@@ -233,7 +233,7 @@ CONSTANTS = {
     ("cli", "EXIT_UNDECIDED"), ("cli", "RECORD"), ("cli", "TABLE_POINTS"),
     ("compat", "DEFAULT_MAX_ITER"), ("compat", "MAX_TUPLES"), ("compat", "_EPS"),
     ("compat", "_IPM_TOL"), ("fock", "TOL"), ("parent", "MAX_GRID"),
-    ("qubit", "DEGENERATE_F_TOL"), ("usd", "_EXACT_MAX_N"), ("usd", "_LOG_SLACK"),
+    ("usd", "_EXACT_MAX_N"), ("usd", "_LOG_SLACK"),
 }
 
 

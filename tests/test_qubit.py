@@ -81,11 +81,15 @@ class TestPairTest:
                 base, abs=1e-10
             )
 
-    def test_degenerate_fuzziness_raises(self):
-        # both elements singular: projective measurement
-        z = np.array((np.diag([1.0 + 0j, 0.0]), np.diag([0.0 + 0j, 1.0])))
-        with pytest.raises(qubit.DegenerateMeasurementError):
-            qubit.pair_test(z, z)
+    @pytest.mark.parametrize(
+        "axis,test,incompatible", [(2, 0.0, False), (0, 1.0, True)], ids=["zz", "zx"]
+    )
+    def test_sharp_pairs(self, axis, test, incompatible):
+        # F = 0 for both: Test = |m_1 x m_2|^2, zero iff the projectors commute
+        z = noisy_direction(2, 1.0)
+        report = qubit.pair_test(z, noisy_direction(axis, 1.0))
+        assert (report.F1, report.F2) == (0.0, 0.0)
+        assert (report.test_value, report.incompatible) == (test, incompatible)
 
     def test_nested_lists_accepted(self):
         # a POVM is its elements: nested lists read as the same stack
@@ -93,6 +97,71 @@ class TestPairTest:
         report = qubit.pair_test(a.tolist(), [list(E) for E in b])
         assert report == qubit.pair_test(a, b)
         assert report.incompatible
+
+
+def rounding_bound(report):
+    """B of ``qubit.pair_test``, from the fields of its report."""
+    q = [(g / F) ** 2 if F else 0.0 for g, F in ((report.gamma1, report.F1),
+                                                  (report.gamma2, report.F2))]
+    size = math.hypot(*report.m1) * math.hypot(*report.m2) + abs(report.gamma1 * report.gamma2)
+    return 5 * math.ulp(1.0) * ((1 + report.F1**2 + report.F2**2) * (1 + sum(q)) + size**2)
+
+
+def exact_test(report):
+    """Test of the read (gamma, m, F) of a report, in 60 digits."""
+    with mpmath.workdps(60):
+        g1, g2, F1, F2 = map(mpmath.mpf, (report.gamma1, report.gamma2, report.F1, report.F2))
+        q = sum((g / F) ** 2 for g, F in ((g1, F1), (g2, F2)) if F)
+        cross = mpmath.fsum(mpmath.mpf(x) * y for x, y in zip(report.m1, report.m2)) - g1 * g2
+        return (1 - F1**2 - F2**2) * (1 - q) - cross**2
+
+
+def commuting_pairs(count, seed):
+    """A Haar-random sharp measurement {P, I - P} with the commuting effect
+    w_1 P + w_2 (I - P), w ~ U(0, 1), and its complement."""
+    rng, eye = np.random.default_rng(seed), np.eye(2)
+    for _ in range(count):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = z / np.linalg.norm(z)
+        P, w = np.outer(v, v.conj()), rng.uniform(size=2)
+        E = w[0] * P + w[1] * (eye - P)
+        yield np.array((P, eye - P)), np.array((E, eye - E))
+
+
+class TestRoundingBound:
+    """``incompatible`` needs Test > B, where B bounds the rounding error of
+    evaluating Test from the read (gamma, m, F)."""
+
+    def pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            yield meas.random_two_outcome_povm(2, rng), meas.random_two_outcome_povm(2, rng)
+        for tau in np.linspace(0.01, 0.99, 99):
+            yield qubit.lossy_displaced_pair(0.0, tau)
+        yield from commuting_pairs(100, 5)
+
+    def test_bound_covers_the_evaluation(self):
+        worst = 0.0
+        for a, b in self.pairs():
+            report = qubit.pair_test(a, b)
+            bound = rounding_bound(report)
+            assert report.incompatible == (report.test_value > bound)
+            worst = max(worst, float(abs(report.test_value - exact_test(report)) / bound))
+        assert worst <= 1.0
+        assert worst > 0.01  # the pairs do round: B is not vacuous here
+
+    def test_zero_displacement_compatible(self):
+        # r = 0: two identical measurements, compatible at every tau; Test reads
+        # up to 4.4e-16 here, so test_value > 0 would call 27 of them incompatible
+        for tau in [*np.linspace(0.01, 0.99, 99), 1.0]:
+            report = qubit.pair_test(*qubit.lossy_displaced_pair(0.0, tau))
+            assert not report.incompatible, tau
+
+    def test_commuting_pairs_compatible(self):
+        # 742 of these read F_1 = 0 exactly, and 469 read 0 < Test <= 3.3e-16:
+        # rounding, not incompatibility
+        for a, b in commuting_pairs(2000, 5):
+            assert not qubit.pair_test(a, b).incompatible
 
 
 def exact_fuzziness(A):
