@@ -8,7 +8,8 @@ REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
 ``phases_s`` the median of each of their ``phases``, as ``robustness``
 records them:
 
-* ``build``: ``_RobustnessSdp(mset)`` (the group, its orbits, the coordinates);
+* ``build``: ``_RobustnessSdp(mset)`` (the group, its orbits, the coordinates,
+  the product parent);
 * ``solve``: the Newton iteration, and the six laps that partition it, each
   summed over the steps: ``solve.residual`` (the residuals and the stop
   test), ``solve.factor`` (the Cholesky factor, its inverse and Z^-1),
@@ -18,8 +19,8 @@ records them:
   average).  Medians do not add, so the part medians sum to about the
   median ``solve``, not to at most it;
 * ``repair``: ``repair_witness``;
-* ``parent``: projecting the primal, mixing it with the product parent and
-  expanding it to all tuples;
+* ``parent``: projecting the primal, checking its positivity or mixing it
+  with the product parent, and expanding it to all tuples;
 * ``certify``: ``certify``, with ``depolarize``.
 
 The record also holds the peak resident set of the process, the Newton
@@ -55,13 +56,15 @@ INHERITED_THREAD_ENV = {v: os.environ.get(v) for v in THREAD_VARS}
 # tau = 1/n + eps (rows 2 and 3 are the benchmark's table-incompatible rows);
 # "count" is count n at r = 0.005, tau = 1/(n - 1) + 5e-5; "broken" is the
 # table row with one entry moved by one rounding, which the solve treats with
-# the trivial group, one block per tuple.
+# the trivial group, one block per tuple; "compatible" is count n at r = 4.5,
+# tau = 0.5, a near-trivial COMPATIBLE set whose solve runs past a stall.
 WORKLOADS = {
     **{f"table-d3-n{n}": ("table", 3, n) for n in range(2, 11)},
     "count13-d3": ("count", 3, 13),
     "count16-d3": ("count", 3, 16),
     "count16-d2": ("count", 2, 16),
     "broken-table-d3-n9": ("broken", 3, 9),
+    "compatible-count4-d3": ("compatible", 3, 4),
 }
 
 
@@ -75,6 +78,8 @@ def measurement_set(name: str):
     kind, d, n = WORKLOADS[name]
     if kind == "count":
         params = meas.FamilyParams(n, 0.005, 1.0 / (n - 1) + 5e-5, d)
+    elif kind == "compatible":
+        params = meas.FamilyParams(n, 4.5, 0.5, d)
     else:
         r, eps = TABLE_POINTS[n]
         params = meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)

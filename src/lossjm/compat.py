@@ -305,6 +305,9 @@ class _RobustnessSdp:
         self.dd = np.outer(self.dv, self.dv)
         eye = np.broadcast_to(self.identity, (len(self.rep), d, d))
         self.gram = self.schur(eye, eye, 0.0)  # of the constraint map, for ``project``
+        g0 = self.C[self.offsets[:-1, None] + self.digits, 0, 0].real.prod(axis=0)  # tr(M^j_a)/d
+        self.G0 = g0[:, None, None] * eye  # the eta = 0 product parent
+        self.product_parent = self.project(self.G0, 1.0)  # carried to eta = 1
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
@@ -381,13 +384,15 @@ class _RobustnessSdp:
         gives Z^-1 and both step lengths), "solve.schur", "solve.direction"
         (both directions, mu), "solve.step_length" (``_max_steps``) and
         "solve.update" (the step, ``invariant``).  The iterate is one stack
-        W = [X, Z] and each direction one stack dW = [dX, dZ].  A singular
-        Schur matrix, as near the optimum of degenerate sets, ends it early.
+        W = [X, Z] and each direction one stack dW = [dX, dZ].
 
-        The orbit weights make <X, Z>, mu and the dual residual those of the
-        solve over all T blocks; the primal residual is measured on the
-        solve's own coordinates.  The stop rule only ends the iteration: the
-        certificates checked after it decide.
+        It ends below ``_IPM_TOL``, at ``max_iter`` steps, or at a stall
+        (rounding stalls ill-conditioned solves) five steps past the least
+        residual once a certificate is in hand: that residual within TOL, or
+        ``product_parent`` PSD within TOL, read only then.  A singular Schur
+        matrix, as near the optimum of degenerate sets, ends it early.  The
+        orbit weights make <X, Z>, mu and the dual residual those of the
+        solve over all T blocks; the primal residual is on its coordinates.
         """
         t0, parts = time.perf_counter(), dict.fromkeys(
             ("solve.residual", "solve.factor", "solve.schur", "solve.direction",
@@ -409,8 +414,8 @@ class _RobustnessSdp:
             err = max(gap, pinf, np.hypot(np.sqrt(self.inner(Rd, Rd)), rd) / 2)
             if err < best[0]:
                 best = (err, steps, X, x, c)
-            # rounding stalls ill-conditioned solves short of the tolerance
-            if err < _IPM_TOL or steps in (max_iter, best[1] + 5):
+            if err < _IPM_TOL or steps == max_iter or steps == best[1] + 5 and (
+                    best[0] <= TOL or _psd_residual(self.product_parent) <= TOL):
                 break
             _lap(parts, t0, "solve.residual")
             try:
@@ -518,26 +523,23 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     solve of at most ``max_iter`` Newton steps (``iterations``).
 
     The repaired dual iterate is the witness behind ``eta_hi``.  If it proves
-    eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise the
-    primal iterate at eta_p, then the eta = 0 product parent, is carried to
-    eta = 1 and checked by ``certify``: one passing gives COMPATIBLE
-    ("sdp-parent") with eta_star = 1, both failing UNDECIDED.  Short of
-    COMPATIBLE the primal, projected onto the marginals at eta_p and mixed
-    with the eta = 0 product parent until its least eigenvalue is within
-    TOL/2 of zero, gives eta_star < eta_p.
+    eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise one
+    candidate goes to ``certify``: the primal iterate at eta_p carried to
+    eta = 1 if its blocks are PSD within TOL, else the carried product parent.
+    Passing gives COMPATIBLE ("sdp-parent") with eta_star = 1, failing
+    UNDECIDED.  Short of COMPATIBLE the primal, projected onto the marginals
+    at eta_p and mixed with the eta = 0 product parent until its least
+    eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
 
     ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
-    of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
-    expanding to all tuples) and certify (``depolarize`` included).
+    of ``_RobustnessSdp.solve``), repair, parent (projecting, the positivity
+    check or mixing, expanding to all tuples) and certify (with ``depolarize``).
     """
     if _integer("max_iter", max_iter) < 0:
         raise ValueError("max_iter must be non-negative")
     t0, phases = time.perf_counter(), {}
     sdp = _RobustnessSdp(mset)
-    weights = [r[:, 0, 0].real for r in sdp.rows(sdp.C)]  # tr(M^j_a)/d
-    # the eta = 0 product parent, at the representatives
-    G0 = math.prod(w[t] for w, t in zip(weights, sdp.digits)).reshape(-1, 1, 1) * sdp.identity
-    _lap(phases, t0, "build")
+    G0 = _lap(phases, t0, "build", sdp.G0)  # the eta = 0 product parent, at the representatives
     if np.any(sdp.D):
         X, eta_p, y, steps, parts = _lap(phases, t0, "solve", sdp.solve(max_iter))
     else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
@@ -545,20 +547,18 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     W, eta_hi = _lap(phases, t0, "repair", sdp.repair_witness(-y))
     P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
-        for lam in (min(1.0, 1.0 / eta_p), 0.0):  # lam = 0: the product parent alone
-            G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
-            parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
-            check = _lap(phases, t0, "certify", certify(mset, parent))
-            if check.verdict == "COMPATIBLE":
-                break
+        lam = min(1.0, 1.0 / eta_p)
+        G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
+        G = G if _psd_residual(G) <= TOL else sdp.product_parent
+        parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
+        check = _lap(phases, t0, "certify", certify(mset, parent))
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
-        # mixing in G0 lifts the smallest eigenvalue from -neg towards g0;
-        # stop once what is left is within TOL/2, inside what certify demands
-        neg = _psd_residual(P)
+        # mixing in G0 lifts the smallest eigenvalue from minus P's PSD residual
+        # towards g0; stop once what is left is within TOL/2, inside what certify demands
         g0 = float(G0[:, 0, 0].real.min())
-        lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + neg))
+        lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + _psd_residual(P)))
         eta_star = float(lam * eta_p)
         G = lam * P + (1.0 - lam) * G0
         parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))

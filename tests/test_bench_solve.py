@@ -62,7 +62,9 @@ def test_smallest_workload_in_process(monkeypatch):
 def test_workloads_cover_the_solver_rows():
     bench = _load()
     assert [f"table-d3-n{n}" for n in range(2, 11)] == list(bench.WORKLOADS)[:9]
-    others = {"count13-d3", "count16-d3", "count16-d2", "broken-table-d3-n9"}
+    others = {
+        "count13-d3", "count16-d3", "count16-d2", "broken-table-d3-n9", "compatible-count4-d3"
+    }
     assert others <= bench.WORKLOADS.keys()
     mset, _ = bench.measurement_set("broken-table-d3-n9")
     assert len(compat._RobustnessSdp(mset).rep) == 2**10  # the trivial group

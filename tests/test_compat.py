@@ -406,6 +406,30 @@ class TestRobustness:
         assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
         assert res.iterations == 0
 
+    @pytest.mark.parametrize("count,r,tau,d", [
+        *((2, 3.1793687353271514, tau, 2) for tau in (0.05, 0.35, 0.85, 0.9)),
+        (4, 4.5, 0.5, 3),
+    ])
+    def test_near_trivial_family_compatible(self, count, r, tau, d):
+        # the solve stalls five steps past its least residual (step 1 at
+        # count 2, step 11 at count 4) with no certificate in hand, as the
+        # product parent's PSD residual is above TOL; it runs on to a parent
+        mset = meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
+        res = compat.robustness(mset)
+        assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
+        assert compat.certify(mset, res.parent).verdict == "COMPATIBLE"
+        if count == 2:
+            assert qubit.pair_test(*mset.povms).test_value < 0
+
+    def test_one_certify_call_on_the_compatible_side(self, monkeypatch):
+        # the solve's parent fails here and the product parent passes: one
+        # candidate is chosen before certify, not tried after it
+        calls, certify = [], compat.certify
+        monkeypatch.setattr(compat, "certify", lambda *args: calls.append(args) or certify(*args))
+        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(2, 5.0, 0.9, 2)))
+        assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
+        assert len(calls) == 1
+
     def test_soundness_recheck(self):
         # every feasible verdict ships a certificate that passes independent
         # validation
@@ -542,6 +566,13 @@ class TestReduction:
     @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
     def test_benchmark_rows_keep_step_counts(self, n, steps):
         assert compat.robustness(table_family(3, n)).iterations == steps
+
+    def test_stall_with_the_residual_within_tol_ends_the_solve(self):
+        # the least residual, within TOL but above the tolerance, comes at step
+        # 13; without that certificate in hand the stall would not end the
+        # solve, which then runs to step 67
+        res = compat.robustness(broken_copy(table_family(2, 5)))
+        assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 18)
 
     @pytest.mark.parametrize("d,eta_hi", [(10, 0.92403), (12, 0.92582)])
     def test_rows_above_eight_levels_incompatible(self, d, eta_hi):
