@@ -154,7 +154,7 @@ class TestCompatCommand:
     def test_near_trivial_pair_compatible(self, capsys):
         # elements within 1.5e-10 of multiples of I: the solve stalls at step 6
         # with the product parent PSD within TOL (1.5e-10), and that parent is
-        # the one certified, as the solve's fails certify (PSD residual 7.3e-3)
+        # the one certified, as the solve's is not (PSD residual 7.3e-3)
         code, out = run(["compat", "--count", "2", "--r", "5", "--tau", "0.9", "--d", "2"], capsys)
         payload = json.loads(out)
         assert code == 0 and (payload["verdict"], payload["method"]) == ("COMPATIBLE", "sdp-parent")
