@@ -19,8 +19,8 @@ records them:
   average).  Medians do not add, so the part medians sum to about the
   median ``solve``, not to at most it;
 * ``repair``: ``repair_witness``;
-* ``parent``: projecting the primal, checking its positivity or mixing it
-  with the product parent, and expanding it to all tuples;
+* ``parent``: projecting the primal, mixing it with the product parent short
+  of COMPATIBLE, and expanding it to all tuples;
 * ``certify``: ``certify``, with ``depolarize``.
 
 The record also holds the peak resident set of the process, the Newton
@@ -57,7 +57,8 @@ INHERITED_THREAD_ENV = {v: os.environ.get(v) for v in THREAD_VARS}
 # "count" is count n at r = 0.005, tau = 1/(n - 1) + 5e-5; "broken" is the
 # table row with one entry moved by one rounding, which the solve treats with
 # the trivial group, one block per tuple; "compatible" is count n at r = 4.5,
-# tau = 0.5, a near-trivial COMPATIBLE set whose solve runs past a stall.
+# tau = 0.5, a near-trivial COMPATIBLE set (elements within 6e-8 of multiples
+# of I) whose solve drives the noise weight to 0.
 WORKLOADS = {
     **{f"table-d3-n{n}": ("table", 3, n) for n in range(2, 11)},
     "count13-d3": ("count", 3, 13),

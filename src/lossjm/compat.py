@@ -5,12 +5,15 @@ POVM G indexed by outcome tuples (a_1, ..., a_n) reproduces every M^j_a as a
 marginal: sum over all other indices of G equals M^j_a, with every G block
 positive semidefinite.
 
-Incompatibility robustness is the largest weight eta at which the depolarized
-set M -> eta M + (1 - eta) tr(M)/d I stays jointly measurable: the optimum of
+Incompatibility robustness is the largest eta <= 1 at which the depolarized
+set M -> eta M + (1 - eta) tr(M)/d I stays jointly measurable: 1 - s at the
+least noise weight s of
 
-    maximise eta  s.t.  sum_{t_j = a} G_t - eta D^j_a = C^j_a,  G_t >= 0,  eta >= 0,
+    minimise s  s.t.  sum_{t_j = a} G_t + s D^j_a = M^j_a,  G_t >= 0,  s >= 0,
 
-with C^j_a = tr(M^j_a) I/d and D^j_a = M^j_a - C^j_a.  One primal-dual
+with C^j_a = tr(M^j_a) I/d and D^j_a = M^j_a - C^j_a (Designolle, Farkas &
+Kaniewski, New J. Phys. 21:113053, 2019).  The product parent is feasible at
+s = 1, and s = 0 exactly when the set is compatible.  One primal-dual
 interior-point solve (HKM direction, Mehrotra predictor-corrector) treats it,
 and each verdict rests on a certificate checked after the solve:
 
@@ -95,8 +98,8 @@ class Verdict:
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
     exact: the witness is valid in exact arithmetic on the stored floats.
-    The ``eta_star`` parent passes ``certify`` only up to ``TOL`` = 1e-8, so
-    the bound guaranteed is eta_star <= eta_hi + TOL.
+    The ``eta_star`` parent passes ``certify`` only up to ``TOL`` = 1e-8;
+    ``robustness`` caps eta_star at eta_hi, so eta_star <= eta_hi.
     """
 
     verdict: str
@@ -224,7 +227,7 @@ def _coordinate_mask(d: int, m: int, classes: int, real: bool) -> np.ndarray:
 
 
 class _RobustnessSdp:
-    """The robustness SDP in standard form, min -eta s.t. A(G, eta) = C,
+    """The robustness SDP in standard form, min s s.t. A(G, s) = C + D,
     solved in the subspace fixed by the group that permutes the set.
 
     Parents are stacks of the representatives' blocks, ``full_blocks`` giving
@@ -307,7 +310,6 @@ class _RobustnessSdp:
         self.gram = self.schur(eye, eye, 0.0)  # of the constraint map, for ``project``
         g0 = self.C[self.offsets[:-1, None] + self.digits, 0, 0].real.prod(axis=0)  # tr(M^j_a)/d
         self.G0 = g0[:, None, None] * eye  # the eta = 0 product parent
-        self.product_parent = self.project(self.G0, 1.0)  # carried to eta = 1
 
     def rows(self, Y: np.ndarray) -> list[np.ndarray]:
         return np.split(Y, self.offsets[1:-1])
@@ -377,22 +379,21 @@ class _RobustnessSdp:
         return (self.VH @ S @ self.V).real + x_over_z * self.dd
 
     def solve(self, max_iter: int):
-        """Infeasible-start HKM predictor-corrector steps from (I/T, 1); returns
-        the best primal (G, eta), G at the representatives, the dual rows Y,
-        the step count, and laps that partition its seconds: "solve.residual"
-        (and the stop test), "solve.factor" (W's Cholesky factor, whose inverse
-        gives Z^-1 and both step lengths), "solve.schur", "solve.direction"
-        (both directions, mu), "solve.step_length" (``_max_steps``) and
-        "solve.update" (the step, ``invariant``).  The iterate is one stack
-        W = [X, Z] and each direction one stack dW = [dX, dZ].
+        """Infeasible-start HKM predictor-corrector steps from (I/T, s = 1);
+        returns the best primal (G, eta = 1 - s), G at the representatives, the
+        dual rows Y, the step count, and laps that partition its seconds:
+        "solve.residual" (and the stop test), "solve.factor" (W's Cholesky
+        factor, whose inverse gives Z^-1 and both step lengths), "solve.schur",
+        "solve.direction" (both directions, mu), "solve.step_length"
+        (``_max_steps``) and "solve.update" (the step, ``invariant``).  The
+        iterate is one stack W = [X, Z] and each direction one stack dW = [dX, dZ].
 
-        It ends below ``_IPM_TOL``, at ``max_iter`` steps, or at a stall
-        (rounding stalls ill-conditioned solves) five steps past the least
-        residual once a certificate is in hand: that residual within TOL, or
-        ``product_parent`` PSD within TOL, read only then.  A singular Schur
-        matrix, as near the optimum of degenerate sets, ends it early.  The
-        orbit weights make <X, Z>, mu and the dual residual those of the
-        solve over all T blocks; the primal residual is on its coordinates.
+        It ends below ``_IPM_TOL`` (the gap read on the eta scale, where the
+        stop comes in fewer steps), at ``max_iter`` steps, or at a stall
+        (rounding stalls ill-conditioned solves) five steps past a least
+        residual within TOL, and only then; a singular Schur matrix would end
+        it early.  The orbit weights make <X, Z>, mu and the dual residual those
+        of the solve over all T blocks; the primal residual is on its coordinates.
         """
         t0, parts = time.perf_counter(), dict.fromkeys(
             ("solve.residual", "solve.factor", "solve.schur", "solve.direction",
@@ -406,16 +407,15 @@ class _RobustnessSdp:
         best = (np.inf, 0)
         for steps in range(max_iter + 1):
             X, Z = W  # views; each step builds a new W, so best keeps its X
-            rp = self.cv - self.marginal_coords(X) + x * self.dv
-            Rd, rd = -self.dual_blocks(c) - Z, -1.0 + self.dv @ c - z
-            dobj = self.cv @ c
-            gap = abs(x + dobj) / (1.0 + x + abs(dobj))
+            rp = self.cv + self.dv - self.marginal_coords(X) - x * self.dv
+            Rd, rd = -self.dual_blocks(c) - Z, 1.0 - self.dv @ c - z
+            dobj = (self.cv + self.dv) @ c
+            gap = abs(x - dobj) / (1.0 + abs(1.0 - x) + abs(1.0 - dobj))
             pinf = np.linalg.norm(rp) / bnorm
             err = max(gap, pinf, np.hypot(np.sqrt(self.inner(Rd, Rd)), rd) / 2)
             if err < best[0]:
                 best = (err, steps, X, x, c)
-            if err < _IPM_TOL or steps == max_iter or steps == best[1] + 5 and (
-                    best[0] <= TOL or _psd_residual(self.product_parent) <= TOL):
+            if err < _IPM_TOL or steps == max_iter or steps == best[1] + 5 and best[0] <= TOL:
                 break
             _lap(parts, t0, "solve.residual")
             try:
@@ -426,9 +426,9 @@ class _RobustnessSdp:
                 XRdZ = X @ Rd @ Zinv
 
                 def direction(Rc, rc):
-                    rhs = rp + self.marginal_coords(XRdZ - Rc) + (rc - x * rd / z) * self.dv
+                    rhs = rp + self.marginal_coords(XRdZ - Rc) - (rc - x * rd / z) * self.dv
                     dc = np.linalg.solve(M, rhs)
-                    dZ, dz = Rd - self.dual_blocks(dc), rd + self.dv @ dc
+                    dZ, dz = Rd - self.dual_blocks(dc), rd - self.dv @ dc
                     dX = Rc - X @ dZ @ Zinv
                     return np.array([0.5 * (dX + _ct(dX)), dZ]), rc - x * dz / z, dc, dz
 
@@ -450,7 +450,7 @@ class _RobustnessSdp:
             W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
             _lap(parts, t0, "solve.update")
         _, _, X, x, c = best
-        return X, x, self.full_rows(c), steps, _lap(parts, t0, "solve.residual", parts)
+        return X, 1.0 - x, self.full_rows(c), steps, _lap(parts, t0, "solve.residual", parts)
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
         """Make W an exact witness; return it with the bound eta_hi it proves.
@@ -524,41 +524,38 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
 
     The repaired dual iterate is the witness behind ``eta_hi``.  If it proves
     eta_hi < 1 the verdict is INCOMPATIBLE ("sdp-witness").  Otherwise one
-    candidate goes to ``certify``: the primal iterate at eta_p carried to
-    eta = 1 if its blocks are PSD within TOL, else the carried product parent.
-    Passing gives COMPATIBLE ("sdp-parent") with eta_star = 1, failing
-    UNDECIDED.  Short of COMPATIBLE the primal, projected onto the marginals
-    at eta_p and mixed with the eta = 0 product parent until its least
-    eigenvalue is within TOL/2 of zero, gives eta_star < eta_p.
+    candidate, the primal carried to eta = 1 (a set of multiples of I is no
+    special case), goes to ``certify``: passing gives COMPATIBLE ("sdp-parent")
+    with eta_star = 1, failing UNDECIDED.  Short of COMPATIBLE the primal,
+    projected onto the marginals at the solve's eta_p <= 1 and mixed with the
+    eta = 0 product parent until its least eigenvalue is within TOL/2 of zero,
+    or until eta_hi, gives eta_star <= min(eta_p, eta_hi).
 
     ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
-    of ``_RobustnessSdp.solve``), repair, parent (projecting, the positivity
-    check or mixing, expanding to all tuples) and certify (with ``depolarize``).
+    of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
+    expanding to all tuples) and certify (with ``depolarize``).
     """
     if _integer("max_iter", max_iter) < 0:
         raise ValueError("max_iter must be non-negative")
     t0, phases = time.perf_counter(), {}
     sdp = _RobustnessSdp(mset)
     G0 = _lap(phases, t0, "build", sdp.G0)  # the eta = 0 product parent, at the representatives
-    if np.any(sdp.D):
-        X, eta_p, y, steps, parts = _lap(phases, t0, "solve", sdp.solve(max_iter))
-    else:  # every element is a multiple of I: the SDP is unbounded, G0 serves every eta
-        X, eta_p, y, steps, parts = G0, 1.0, np.zeros_like(sdp.C), 0, {}
+    X, eta_p, y, steps, parts = _lap(phases, t0, "solve", sdp.solve(max_iter))
     W, eta_hi = _lap(phases, t0, "repair", sdp.repair_witness(-y))
-    P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
     if eta_hi >= 1.0:
-        lam = min(1.0, 1.0 / eta_p)
-        G = sdp.project(lam * P + (1.0 - lam) * G0, 1.0)
-        G = G if _psd_residual(G) <= TOL else sdp.product_parent
+        G = sdp.project(X, 1.0)
         parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
         check = _lap(phases, t0, "certify", certify(mset, parent))
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
-        # mixing in G0 lifts the smallest eigenvalue from minus P's PSD residual
-        # towards g0; stop once what is left is within TOL/2, inside what certify demands
+        P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
+        # mixing in G0 lifts the smallest eigenvalue from minus P's PSD residual towards
+        # g0; stop within TOL/2 of zero, inside what certify demands, or at eta_hi
         g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + _psd_residual(P)))
+        if lam * eta_p > eta_hi:
+            lam = eta_hi / eta_p
         eta_star = float(lam * eta_p)
         G = lam * P + (1.0 - lam) * G0
         parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))

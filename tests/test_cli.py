@@ -152,18 +152,16 @@ class TestCompatCommand:
         assert code == 3 and (payload["verdict"], payload["method"]) == ("UNDECIDED", "none")
 
     def test_near_trivial_pair_compatible(self, capsys):
-        # elements within 1.5e-10 of multiples of I: the solve stalls at step 6
-        # with the product parent PSD within TOL (1.5e-10), and that parent is
-        # the one certified, as the solve's is not (PSD residual 7.3e-3)
+        # elements within 1.5e-10 of multiples of I, where the robustness is
+        # about 1/|D|: the solve drives the noise weight s to 0 in 8 steps
         code, out = run(["compat", "--count", "2", "--r", "5", "--tau", "0.9", "--d", "2"], capsys)
         payload = json.loads(out)
         assert code == 0 and (payload["verdict"], payload["method"]) == ("COMPATIBLE", "sdp-parent")
-        assert payload["iterations"] == 6 and payload["psd_residual"] <= 1e-9
+        assert payload["iterations"] == 8 and payload["psd_residual"] <= 1e-9
 
     def test_stalled_pair_runs_on_to_a_parent(self, capsys):
-        # the solve stalls at step 6 with no certificate in hand (the product
-        # parent's PSD residual is 1.6e-4) and runs on; the closed form reads
-        # Test = -2.3e-7
+        # the solve once stalled here at step 6 with no certificate in hand;
+        # the closed form reads Test = -2.3e-7
         argv = ["compat", "--count", "2", "--r", "3.1793687353271514", "--tau", "0.85", "--d", "2"]
         code, out = run(argv, capsys)
         payload = json.loads(out)

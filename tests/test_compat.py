@@ -395,8 +395,24 @@ class TestRobustness:
         with pytest.raises(ValueError):
             compat.robustness(meas.MeasurementSet((projective_z(),)), max_iter=-1)
 
-    def test_multiples_of_identity_compatible_without_a_solve(self):
-        # every element a multiple of I: the product parent serves every eta
+    def test_truncated_solves_keep_eta_star_in_range(self):
+        # the noise-weight form has no eta >= 0 bound: a solve cut short at any
+        # step must still give 0 <= eta_star <= 1, and eta_star <= eta_hi
+        sets = [
+            meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
+            for count in (2, 3) for r in (0.3, 4.5) for tau in (0.3, 0.9) for d in (2, 3)
+        ]
+        rng = np.random.default_rng(7)
+        sets += [meas.random_measurement_set(2, 2, rng) for _ in range(10)]
+        for mset in sets:
+            for k in range(8):
+                res = compat.robustness(mset, max_iter=k)
+                assert 0.0 <= res.eta_star <= 1.0
+                assert res.eta_hi is None or res.eta_star <= res.eta_hi
+
+    def test_multiples_of_identity_compatible_by_the_solve(self):
+        # every element a multiple of I (D = 0): the noise weight s has a zero
+        # column, the solve drives it to 0 like any other, and no witness exists
         half = np.eye(2) / 2
         mset = meas.MeasurementSet((
             (half, half),
@@ -404,26 +420,29 @@ class TestRobustness:
         ))
         res = compat.robustness(mset)
         assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
-        assert res.iterations == 0
+        assert res.iterations == 6 and res.eta_hi is None
 
     @pytest.mark.parametrize("count,r,tau,d", [
         *((2, 3.1793687353271514, tau, 2) for tau in (0.05, 0.35, 0.85, 0.9)),
         (4, 4.5, 0.5, 3),
+        (4, float(np.geomspace(1, 12, 8)[4]), float(np.linspace(0.05, 1, 8)[1]), 3),
+        (3, float(np.geomspace(1, 12, 8)[5]), float(np.linspace(0.05, 1, 8)[3]), 2),
     ])
     def test_near_trivial_family_compatible(self, count, r, tau, d):
-        # the solve stalls five steps past its least residual (step 1 at
-        # count 2, step 11 at count 4) with no certificate in hand, as the
-        # product parent's PSD residual is above TOL; it runs on to a parent
+        # elements close to multiples of I, where the robustness grows like
+        # 1/|D|: the noise weight s stays bounded and reaches 0 in few steps
+        # (the last two took 43 and 37 when the solve maximised eta unbounded)
         mset = meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
         res = compat.robustness(mset)
         assert (res.verdict, res.method, res.eta_star) == ("COMPATIBLE", "sdp-parent", 1.0)
         assert compat.certify(mset, res.parent).verdict == "COMPATIBLE"
+        assert res.iterations <= 15
         if count == 2:
             assert qubit.pair_test(*mset.povms).test_value < 0
 
     def test_one_certify_call_on_the_compatible_side(self, monkeypatch):
-        # the solve's parent fails here and the product parent passes: one
-        # candidate is chosen before certify, not tried after it
+        # elements within 1.5e-10 of multiples of I: the one candidate, the
+        # solve's primal carried to eta = 1, is certified in a single call
         calls, certify = [], compat.certify
         monkeypatch.setattr(compat, "certify", lambda *args: calls.append(args) or certify(*args))
         res = compat.robustness(meas.symmetric_family(meas.FamilyParams(2, 5.0, 0.9, 2)))
@@ -556,30 +575,35 @@ class TestReduction:
         X = sdp.solve(compat.DEFAULT_MAX_ITER)[0]
         assert np.abs(X - sdp.invariant(X)).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
 
-    @pytest.mark.parametrize("d,n", TIER1_ROWS)
-    def test_eta_star_within_tol_of_eta_hi(self, d, n):
-        # eta_hi is an exact bound; the eta_star parent passes certify only
-        # up to TOL, so eta_star may exceed eta_hi, by no more than TOL
-        res = compat.robustness(table_family(d, n))
-        assert res.eta_star <= res.eta_hi + compat.TOL
+    @pytest.mark.parametrize("d,n,broken", [
+        *(pytest.param(d, n, False, id=f"{d}-{n}") for d, n in TIER1_ROWS),
+        pytest.param(3, 9, True, id="broken-3-9"),
+        pytest.param(4, 4, True, id="broken-4-4"),
+    ])
+    def test_eta_star_within_tol_of_eta_hi(self, d, n, broken):
+        # eta_hi is an exact bound; the eta_star parent passes certify only up
+        # to TOL, so the mix with G0 stops at eta_hi.  Uncapped, the broken
+        # copies returned eta_star above eta_hi by 3.1e-11 and 2.3e-11
+        family = table_family(d, n)
+        res = compat.robustness(broken_copy(family) if broken else family)
+        assert res.verdict == "INCOMPATIBLE" and res.eta_star <= res.eta_hi
 
     @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
     def test_benchmark_rows_keep_step_counts(self, n, steps):
         assert compat.robustness(table_family(3, n)).iterations == steps
 
     def test_stall_with_the_residual_within_tol_ends_the_solve(self):
-        # the least residual, within TOL but above the tolerance, comes at step
-        # 13; without that certificate in hand the stall would not end the
-        # solve, which then runs to step 67
+        # the least residual, 1.2e-10: within TOL but above the tolerance,
+        # comes at step 12; without the stall the solve runs to step 43
         res = compat.robustness(broken_copy(table_family(2, 5)))
-        assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 18)
+        assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 17)
 
     @pytest.mark.parametrize("d,eta_hi", [(10, 0.92403), (12, 0.92582)])
     def test_rows_above_eight_levels_incompatible(self, d, eta_hi):
         res = compat.robustness(meas.symmetric_family(meas.FamilyParams(3, 0.3, 0.51, d)))
         assert (res.verdict, res.method) == ("INCOMPATIBLE", "sdp-witness")
         assert res.eta_hi == pytest.approx(eta_hi, abs=1e-5)
-        assert res.eta_star <= res.eta_hi + compat.TOL
+        assert res.eta_star <= res.eta_hi
 
     def test_count_13_row_incompatible(self):
         # 8192 outcome tuples, 380 orbits
