@@ -160,8 +160,8 @@ class TestCompatCommand:
         assert payload["iterations"] == 8 and payload["psd_residual"] <= 1e-9
 
     def test_stalled_pair_runs_on_to_a_parent(self, capsys):
-        # the solve once stalled here at step 6 with no certificate in hand;
-        # the closed form reads Test = -2.3e-7
+        # elements within 1.6e-4 of multiples of I, whose solve's steps once
+        # shrank early; the closed form reads Test = -2.3e-7
         argv = ["compat", "--count", "2", "--r", "3.1793687353271514", "--tau", "0.85", "--d", "2"]
         code, out = run(argv, capsys)
         payload = json.loads(out)
