@@ -99,7 +99,7 @@ class Verdict:
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
     exact: the witness is valid in exact arithmetic on the stored floats.
     The ``eta_star`` parent passes ``certify`` only up to ``TOL`` = 1e-8;
-    ``robustness`` caps eta_star at eta_hi, so eta_star <= eta_hi.
+    ``robustness`` projects it at min(eta_p, eta_hi), so eta_star <= eta_hi.
     """
 
     verdict: str
@@ -527,9 +527,9 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     candidate, the primal carried to eta = 1 (a set of multiples of I is no
     special case), goes to ``certify``: passing gives COMPATIBLE ("sdp-parent")
     with eta_star = 1, failing UNDECIDED.  Short of COMPATIBLE the primal,
-    projected onto the marginals at the solve's eta_p <= 1 and mixed with the
-    eta = 0 product parent until its least eigenvalue is within TOL/2 of zero,
-    or until eta_hi, gives eta_star <= min(eta_p, eta_hi).
+    projected onto the marginals at min(eta_p, eta_hi), for the solve's
+    eta_p <= 1, and mixed with the eta = 0 product parent until its least
+    eigenvalue is within TOL/2 of zero, gives eta_star <= min(eta_p, eta_hi).
 
     ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
     of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
@@ -549,14 +549,13 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     if eta_hi >= 1.0 and check.verdict == "COMPATIBLE":
         verdict, method, eta_star = "COMPATIBLE", "sdp-parent", 1.0
     else:
-        P = sdp.project(X, eta_p)  # the marginals of the set at eta_p
+        eta = min(eta_p, eta_hi)
+        P = sdp.project(X, eta)  # the marginals of the set at eta <= eta_hi
         # mixing in G0 lifts the smallest eigenvalue from minus P's PSD residual towards
-        # g0; stop within TOL/2 of zero, inside what certify demands, or at eta_hi
+        # g0; stop within TOL/2 of zero, inside what certify demands
         g0 = float(G0[:, 0, 0].real.min())
         lam = min(1.0, (g0 + 0.5 * TOL) / (g0 + _psd_residual(P)))
-        if lam * eta_p > eta_hi:
-            lam = eta_hi / eta_p
-        eta_star = float(lam * eta_p)
+        eta_star = float(lam * eta)
         G = lam * P + (1.0 - lam) * G0
         parent = _lap(phases, t0, "parent", ParentPovm(sdp.outs, sdp.full_blocks(G)))
         check = _lap(phases, t0, "certify", certify(depolarize(mset, eta_star), parent))

@@ -390,6 +390,9 @@ class TestRobustness:
         assert res.verdict == "INCOMPATIBLE"
         assert res.method == "sdp-witness"
         assert res.eta_star <= res.eta_hi < 1.0 - 1e-6
+        # eta_p is above eta_hi here, so the parent is projected at eta_hi
+        check = compat.certify(compat.depolarize(mset, res.eta_star), res.parent)
+        assert check.verdict == "COMPATIBLE"
 
     def test_negative_step_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -579,14 +582,21 @@ class TestReduction:
         *(pytest.param(d, n, False, id=f"{d}-{n}") for d, n in TIER1_ROWS),
         pytest.param(3, 9, True, id="broken-3-9"),
         pytest.param(4, 4, True, id="broken-4-4"),
+        pytest.param(3, 10, True, id="broken-3-10"),
     ])
     def test_eta_star_within_tol_of_eta_hi(self, d, n, broken):
         # eta_hi is an exact bound; the eta_star parent passes certify only up
-        # to TOL, so the mix with G0 stops at eta_hi.  Uncapped, the broken
-        # copies returned eta_star above eta_hi by 3.1e-11 and 2.3e-11
+        # to TOL, so it is projected at min(eta_p, eta_hi).  The solve's eta_p
+        # exceeds eta_hi on the broken d=3 n=10 copy (by 1.3e-8 at one BLAS
+        # thread, 3.6e-9 at two) and on the pair of
+        # test_near_boundary_pair_incompatible (9.0e-11); on the broken d=3
+        # n=9 and d=4 n=4 copies it lies below eta_hi
         family = table_family(d, n)
-        res = compat.robustness(broken_copy(family) if broken else family)
+        mset = broken_copy(family) if broken else family
+        res = compat.robustness(mset)
         assert res.verdict == "INCOMPATIBLE" and res.eta_star <= res.eta_hi
+        check = compat.certify(compat.depolarize(mset, res.eta_star), res.parent)
+        assert check.verdict == "COMPATIBLE"
 
     @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
     def test_benchmark_rows_keep_step_counts(self, n, steps):
@@ -605,9 +615,11 @@ class TestReduction:
         assert res.eta_hi == pytest.approx(eta_hi, abs=1e-5)
         assert res.eta_star <= res.eta_hi
 
-    def test_count_13_row_incompatible(self):
-        # 8192 outcome tuples, 380 orbits
-        params = meas.FamilyParams(13, 0.005, 1.0 / 12 + 5e-5, 3)
+    @pytest.mark.parametrize("count,d", [(13, 3), (15, 2)], ids=["count13-d3", "count15-d2"])
+    def test_count_13_and_15_rows_incompatible(self, count, d):
+        # 8192 outcome tuples and 380 orbits at count 13; count 15 (1224 orbits)
+        # stalls at step 6, UNDECIDED, unless the stall waits for a residual within TOL
+        params = meas.FamilyParams(count, 0.005, 1.0 / (count - 1) + 5e-5, d)
         row = compat.decide_table_row(params)
         assert (row.verdict, row.method) == ("INCOMPATIBLE", "sdp-witness")
         assert row.eta_star < 1.0
