@@ -8,8 +8,9 @@ REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
 ``phases_s`` the median of each of their ``phases``, as ``robustness``
 records them:
 
-* ``build``: ``_RobustnessSdp(mset)`` (the group, its orbits, the coordinates,
-  the product parent);
+* ``build``: ``_RobustnessSdp(mset)`` (the group, the coordinates, the
+  image table of the orbits, and the per-representative arrays ``reduce``
+  builds from it, the product parent among them);
 * ``solve``: the Newton iteration, and the six laps that partition it, each
   summed over the steps: ``solve.residual`` (the residuals and the stop
   test), ``solve.factor`` (the Cholesky factor, its inverse and Z^-1),

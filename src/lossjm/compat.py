@@ -164,31 +164,21 @@ def _covariance_phases(sdp: _RobustnessSdp) -> np.ndarray | None:
     return phases if covariant else None
 
 
-def _orbits(outs: tuple, elements: list) -> tuple:
-    """Orbits of the outcome tuples under the group ``elements``: pairs (s, f)
-    standing for shift^s reverse^f, where shift moves the outcome of
-    measurement j to j + 1 and reverse that of j to -j (mod n).
+def _orbits(outs: tuple, elements: list) -> np.ndarray:
+    """The image table of the outcome tuples' orbits under the group
+    ``elements``, pairs (s, f) standing for shift^s reverse^f: shift moves
+    the outcome of measurement j to j + 1, reverse that of j to -j (mod n).
 
-    Returns the representatives (the least flat index of each orbit), the
-    orbit of each tuple t, the element (s, f) with t = (s, f)(representative),
-    and (i, s, f) for each element other than the identity that fixes
-    representative i, in increasing i.  ``elements[0]`` must be the identity.
+    Row e holds the flat indices of the representatives' images under
+    ``elements[e]``.  A representative is the least flat index of its orbit;
+    ``elements[0]`` must be the identity, so row 0 lists them in order.
     """
     n, T = len(outs), math.prod(outs)
     digits = np.indices(outs).reshape(n, T)
     place = T // np.cumprod(outs)
     j = np.arange(n)
     images = np.stack([place @ digits[(s - j if f else j - s) % n] for s, f in elements])
-    to_rep = images.argmin(axis=0)  # the first element taking t to its representative
-    least = images[to_rep, np.arange(T)]
-    is_rep = least == np.arange(T)
-    rep, orbit = np.flatnonzero(is_rep), np.cumsum(is_rep)[least] - 1
-    s, f = np.array(elements).T
-    i, e = np.nonzero((images[1:, rep] == rep).T)  # sorted by representative
-    fixed = i, s[1:][e], f[1:][e].astype(bool)
-    s, f = s[to_rep], f[to_rep]
-    # a reversal is its own inverse; the inverse of shift^s is shift^-s
-    return rep, orbit, np.where(f, s, -s) % n, f.astype(bool), fixed
+    return images[:, images.min(axis=0) == np.arange(T)]
 
 
 def _phase_classes(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +230,8 @@ class _RobustnessSdp:
     else the trivial one.  An invariant parent needs one block per orbit of
     outcome tuples (binary bracelets for two outcomes: 4 of 8 at n = 3, 126
     of 2048 at n = 11); sums over tuples become sums over representatives,
-    each weighted by its orbit size, and ``full_blocks`` recovers all T.
+    each weighted by its orbit size 2n / |stabiliser|.  ``reduce`` builds the
+    representatives' arrays from the image table of ``_orbits``.
 
     The dual is held in real coordinates c of Y = ``full_rows(c)``: one
     generating row class rho per outcome of measurement 0 (every outcome row
@@ -279,15 +270,7 @@ class _RobustnessSdp:
             keep[self.offsets[2:] - 1] = False
             src, rshift = np.where(keep, np.cumsum(keep) - 1, -1), np.zeros(len(keep), dtype=int)
             phases = np.ones((1, d, d), dtype=complex)
-        self.phases, m = phases, len(phases)
-        self.rep, self.orbit, self.shift, self.flip, self.fixed = _orbits(self.outs, elements)
-        self.weight = np.bincount(self.orbit).astype(float)
-        fixed_rep, fixed_shift, _ = self.fixed
-        self.stabiliser = 1.0 + np.bincount(fixed_rep, minlength=len(self.rep))
-        self.fixed_phases = phases[fixed_shift]
-        # the representatives with a stabiliser, and where each one's elements start
-        self.symmetric = np.flatnonzero(self.stabiliser > 1)
-        self.starts = np.flatnonzero(np.diff(fixed_rep, prepend=-1))
+        self.phases, self.elements, m = phases, elements, len(phases)
         funcs, mats = _phase_classes(phases)
         classes = int(src.max()) + 1
         is_class = src[:, None] == np.arange(classes)
@@ -298,15 +281,33 @@ class _RobustnessSdp:
         masked = (mats.reshape(-1, d2, 1) * _hermitian_basis(d)).reshape(-1, d2)
         self.V = np.kron(np.eye(classes), masked)[:, mask.ravel()]
         self.VH = self.V.conj().T
+        self.cv, self.dv = self.row_coords(self.C), self.row_coords(self.D)
+        self.dd = np.outer(self.dv, self.dv)
+        self.reduce(_orbits(self.outs, elements))
 
-        self.digits = np.unravel_index(self.rep, self.outs)  # each one's outcome per measurement
+    def reduce(self, images: np.ndarray):
+        """Build every per-representative array from an image table of
+        ``_orbits``, or from any subset of its columns, on whose orbits alone
+        parents then live.  ``fixed`` lists (i, s, f) for each element other
+        than the identity that fixes representative i, in increasing i; an
+        orbit's size is the group's order over its stabiliser's."""
+        self.images = images
+        self.rep = rep = images[0]
+        s, f = np.array(self.elements).T
+        i, e = np.nonzero((images[1:] == rep).T)  # sorted by representative
+        self.fixed = i, s[1:][e], f[1:][e].astype(bool)
+        self.stabiliser = 1.0 + np.bincount(i, minlength=len(rep))
+        self.weight = len(self.elements) / self.stabiliser
+        self.fixed_phases = self.phases[self.fixed[1]]
+        # the representatives with a stabiliser, and where each one's elements start
+        self.symmetric = np.flatnonzero(self.stabiliser > 1)
+        self.starts = np.flatnonzero(np.diff(i, prepend=-1))
+        self.digits = np.unravel_index(rep, self.outs)  # each one's outcome per measurement
         g = self.gen[self.offsets[:-1, None] + self.digits].sum(axis=0)  # (reps, classes*K), real
         gw = self.weight[:, None] * g
         self.pairs = (g[:, :, None] * gw[:, None, :]).reshape(len(g), -1)
         self.g, self.gwT = g.astype(complex), gw.T.astype(complex, order="C")
-        self.cv, self.dv = self.row_coords(self.C), self.row_coords(self.D)
-        self.dd = np.outer(self.dv, self.dv)
-        eye = np.broadcast_to(self.identity, (len(self.rep), d, d))
+        eye = np.broadcast_to(self.identity, (len(rep), self.d, self.d))
         self.gram = self.schur(eye, eye, 0.0)  # of the constraint map, for ``project``
         g0 = self.C[self.offsets[:-1, None] + self.digits, 0, 0].real.prod(axis=0)  # tr(M^j_a)/d
         self.G0 = g0[:, None, None] * eye  # the eta = 0 product parent
@@ -323,9 +324,15 @@ class _RobustnessSdp:
         return (self.gen @ (self.V @ c).reshape(self.gen.shape[1], -1)).reshape(-1, self.d, self.d)
 
     def full_blocks(self, X: np.ndarray) -> np.ndarray:
-        """The blocks of all T tuples from those of the representatives."""
-        B = X[self.orbit]
-        return np.where(self.flip[:, None, None], B.conj(), B) * self.phases[self.shift]
+        """The blocks of all T tuples, zero outside the orbits of ``images``,
+        by one scatter per element (s, f) = ``elements[s + n f]``.  A tuple
+        with a stabiliser keeps the last write: the inverse of the first
+        element that takes it to its representative."""
+        B = np.zeros((self.T, self.d, self.d), dtype=complex)
+        for s, f in reversed(self.elements):
+            s = s if f else -s % self.n  # the inverse: a reversal is its own
+            B[self.images[s + self.n * f]] = (X.conj() if f else X) * self.phases[s]
+        return B
 
     def invariant(self, X: np.ndarray) -> np.ndarray:
         """Each representative's block averaged over the elements that fix the
@@ -372,7 +379,8 @@ class _RobustnessSdp:
         """
         d2 = self.d**2
         K = np.einsum("tab,tec->tacbe", X, Zinv).reshape(len(X), -1)
-        # pairs is real: one product sums the re/im parts, as K^T pairs (same bits at 1, 2 threads)
+        # pairs is real: one product sums the re/im parts, as K^T pairs; its bits differ
+        # between 1 and 2 OpenBLAS threads from 687 representatives on (d=3, count 14)
         S = np.ascontiguousarray((K.view(float).T @ self.pairs).T).view(complex)
         q = self.g.shape[1]
         S = S.reshape(q, q, d2, d2).transpose(0, 2, 1, 3).reshape(q * d2, q * d2)

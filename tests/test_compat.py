@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -531,6 +532,38 @@ class TestReduction:
         sdp = compat._RobustnessSdp(meas.symmetric_family(meas.FamilyParams(count, 0.1, 0.5, 2)))
         assert len(sdp.rep) == self.BRACELETS[count - 1]
         assert sdp.weight.sum() == sdp.T == 2**count
+        # each orbit's size: the distinct images of its representative under the
+        # count rotations and their reversals
+        tuples = list(itertools.product((0, 1), repeat=count))  # in flat index order
+        for r, w in zip(sdp.rep, sdp.weight):
+            t = tuples[r]
+            assert w == len({u[k:] + u[:k] for u in (t, t[::-1]) for k in range(count)})
+
+    @pytest.mark.parametrize("count,d,size", [(16, 3, 40), (11, 2, 20), (6, 4, 5)],
+                             ids=["count16-d3", "count11-d2", "count6-d4"])
+    def test_reduction_on_a_subset_of_the_orbits(self, count, d, size):
+        # the reduction built from some columns of the image table agrees with
+        # the full one on those orbits, and expands a parent to them alone
+        mset = meas.symmetric_family(meas.FamilyParams(count, 0.005, 1.0 / (count - 1), d))
+        full, sub = compat._RobustnessSdp(mset), compat._RobustnessSdp(mset)
+        rng = np.random.default_rng(count)
+        R = len(full.rep)
+        cols = np.r_[0, np.sort(rng.choice(np.arange(1, R), size - 1, replace=False))]
+        sub.reduce(full.images[:, cols])
+        assert np.array_equal(sub.rep, full.rep[cols]) and np.array_equal(sub.G0, full.G0[cols])
+        assert np.array_equal(sub.weight, full.weight[cols]) and (sub.stabiliser > 1).any()
+        c = rng.normal(size=len(full.dv))
+        assert np.array_equal(sub.dual_blocks(c), full.dual_blocks(c)[cols])
+        X = sub.invariant(random_blocks(size, d, rng) / full.T)
+        padded = np.zeros((R, d, d), dtype=complex)
+        padded[cols] = X
+        want = full.marginal_coords(padded)
+        assert np.abs(sub.marginal_coords(X) - want).max() <= 1e-15 * np.abs(want).max()
+        B = sub.full_blocks(X)
+        assert np.array_equal(B, full.full_blocks(padded))
+        outside = np.ones(full.T, dtype=bool)
+        outside[sub.images.ravel()] = False
+        assert outside.sum() == full.T - sub.weight.sum() and not B[outside].any()
 
     @pytest.mark.parametrize("params", [
         meas.FamilyParams(3, 0.005, 0.50005, 3),  # INCOMPATIBLE; the repair shifts the witness
