@@ -18,18 +18,11 @@ whenever n! > tau^{1-n}; a threshold n exists for every positive tau.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
 from dataclasses import dataclass
-
-# math.lgamma(n + 1) was within 2.4 eps (relative) of log n! at each n tried
-# (n = 2..2,999 and 5,000 log-spaced n up to 1e300, against 50-digit mpmath);
-# log(tau), the products with n - 1 and the difference add at most 2.5 eps of
-# a + b, so _LOG_SLACK (a + b) bounds the error of a - b with room to spare
-_LOG_SLACK = 16 * sys.float_info.epsilon
-# an exact comparison of n! with tau^{1-n} takes ~0.1 s at n = 2^14
-_EXACT_MAX_N = 1 << 14
 
 
 def _check_n(n: int) -> int:
@@ -75,6 +68,8 @@ def p_d(n: int, r: float) -> float:
     1.0 with no pass where |P_D - 1| <= (n - 1) exp(-2 r^2 sin^2(pi/n)) (from
     S_t = sum_j e^{2 pi i jt/n} exp(r^2 (e^{2 pi i j/n} - 1))) is below
     2^-54, and 0.0 past n = 78 r + 3000, the pass's reach: a class gets none.
+    Where P_D is subnormal it loses relative accuracy (the floor drops the far terms):
+    p_d(11057, 145.46612432842437) returns 4.5111e-319 against a true 3.409e-313.
 
     The reach, from the float format: with x = r^2, step j from the peak
     multiplies by at most 1/(1 + (j-1)/x), rounding twice, so normal terms
@@ -165,52 +160,82 @@ def lossy_usd_success(n: int, r: float, tau_b: float) -> float:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _atan(a: int, b: int, bits: int, sign: int) -> tuple[int, int]:
+    """atanh (sign 1) or atan (sign -1) of z = a/b in [0, 1/3], times 2^bits, and a bound
+    on its error in ulps (2^-bits): 2J + 4 for J nonzero terms.  Z = floor(2^bits z) and
+    Y = floor(Z^2 / 2^bits) lie below z and z^2 by < 1 and < 2z + 1 ulps; if T lies below
+    z^{2j-1} by e, floor(T Y / 2^bits) lies below z^{2j+1} by < (5/3) z + e/9 + 1, so every
+    term by < 1.75, term j / (2j + 1) is off by < 1.75/(2j + 1) + 1, and the terms past the
+    last sum to < (9/8) 1.75: in all < 2.75 + 1.59 (J - 1) + 1.97."""
+    z = (a << bits) // b
+    y, term, total, j = z * z >> bits, z, 0, 0
+    while term:
+        total += sign**j * (term // (2 * j + 1))
+        term, j = term * y >> bits, j + 1
+    return total, 2 * j + 4
+
+
+def _bracket(n: int, p: int, q: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, err) with lo < 2^{bits+1} F(n) < hi at tau = p/q, as ``_beats`` derives."""
+    half_ln2, e3 = _atan(1, 3, bits, 1)
+    (a5, e5), (a239, e239) = _atan(1, 5, bits, -1), _atan(1, 239, bits, -1)
+    pi, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    total, ln2s = -2 * n << bits, 1 - bits - 2 * (n - 1) * (q.bit_length() - 1)
+    for x, c in ((n, 2 * n + 1), (p, 2 * n - 2), (pi, 1)):
+        e = x.bit_length() - 1
+        s, es = _atan(x - (1 << e), x + (1 << e), bits, 1)
+        total, err, ln2s = total + 2 * c * s, err + 2 * c * es, ln2s + c * e
+    total, err = total + 2 * ln2s * half_ln2, err + 2 * abs(ln2s) * e3
+    lo = total - err + (2 << bits) // (12 * n + 1)
+    return lo, total + err - (-(1 << bits) // (6 * n)), err
+
+
 def _beats(n: int, tau: float) -> bool:
-    """n! > tau^{1-n}, for an n that ``_check_n`` accepts: in floats when
-    log n! and (n - 1) log(1/tau) differ by more than _LOG_SLACK times their
-    sum, else exactly in integers, as n! p^{n-1} > q^{n-1} for tau = p/q (a
-    float is exactly such a ratio)."""
-    a, b = math.lgamma(n + 1), (n - 1) * -math.log(tau)
-    if abs(a - b) > _LOG_SLACK * (a + b):
-        return a > b
-    if n > _EXACT_MAX_N:
-        raise ValueError(
-            f"n! and tau^(1-n) agree to within rounding at tau = {tau!r}, past the "
-            f"n = {_EXACT_MAX_N} limit of the exact comparison"
-        )
-    p, q = tau.as_integer_ratio()
-    return math.factorial(n) * p ** (n - 1) > q ** (n - 1)
+    """n! > tau^{1-n} for n >= 2, proven: the sign of F(n) = ln n! - (n - 1) ln(q/p), tau =
+    p/q, q = 2^k.  Robbins (Amer. Math. Monthly 62:26, 1955): ln n! = (n + 1/2) ln n - n +
+    ln(2 pi)/2 + t, 1/(12n + 1) < t < 1/(12n).  ``_bracket`` sums the rest of 2F, 2G =
+    (2n + 1) ln n + 2(n - 1) ln p + ln Pi - (2k(n - 1) + P - 1) ln 2 - 2n, in integers
+    scaled by 2^P: ln x = e ln 2 + 2 atanh((x - 2^e)/(x + 2^e)) for 2^e <= x < 2^{e+1},
+    ln 2 = 2 atanh(1/3), Pi = 2^P pi = 2^P (16 atan(1/5) - 4 atan(1/239)) (Machin), each
+    series within ``_atan``'s bound.  Pi is off by d < 16 e_5 + 4 e_239 < 2^{P-1} ulps, ln Pi
+    by < d / (pi (1 - d 2^-P)) < d; so err, d plus each bound times its coefficient in 2G,
+    bounds |2^P 2G - total|, and lo = total - err + floor(2^{P+1} / (12n + 1)) <
+    2^{P+1} F < total + err + ceil(2^P / (6n)) = hi.  n beats if lo >= 0, not if hi <= 0.
+    P starts at bit_length(n) + 48 and doubles while neither holds and 2 err exceeds
+    Robbins' width; once it does not, |F| < 1/(6n(12n + 1)) + 2^{1-P}, and n! p^{n-1} is
+    compared with q^{n-1} exactly.  F = 0 needs p = 1 and n! = 2^{k(n-1)}: only 2! = 2 at
+    tau = 1/2.  Such near-ties are rare past small n (by a counting estimate, ~2^53 /
+    (72 n^2) floats at most have one at a count >= n), but the comparison costs 0.05 s at
+    n = 10^4, 1.3 s at 10^5 and 49 s at 10^6 on a 2-vCPU host."""
+    bits, (p, q) = n.bit_length() + 48, tau.as_integer_ratio()
+    while True:
+        lo, hi, err = _bracket(n, p, q, bits)
+        if lo >= 0 or hi <= 0:
+            return lo >= 0
+        if 4 * err <= hi - lo:  # Robbins' width, not the rounding, leaves the sign open
+            return math.factorial(n) * p ** (n - 1) > q ** (n - 1)
+        bits *= 2
 
 
 def beats_no_loss_optimum(n: int, tau: float) -> bool:
-    """Whether n! > tau^{1-n}, decided as ``result4_threshold`` decides it."""
+    """Whether n! > tau^{1-n}, decided as ``result4_threshold`` decides it, for the counts
+    ``_check_n`` accepts; ``result4_threshold`` returns larger ones for tau below ~1e-305."""
     return _beats(_check_n(n), _check_tau(tau))
 
 
 def result4_threshold(tau: float) -> int:
-    """Smallest n >= 2 with n! > tau^{1-n}.
+    """Smallest n >= 2 with n! > tau^{1-n}, for every tau in (0, 1] (others rejected).
 
     n! tau^{n-1} is the product of k tau over k = 2..n.  Its factors are at
     most 1 up to k = floor(1/tau) and exceed 1 past it, so the product falls
     and then rises for good: the threshold lies above floor(1/tau), and at
     most at 3/tau because n! > (n/e)^n.  Bisection between the two finds it,
-    each comparison as in ``_beats``; ties such as 2! = 2 at tau = 1/2 are
-    decided exactly.  Rejects tau outside (0, 1].  Raises ValueError when a
-    comparison past _EXACT_MAX_N is too close to call: the float band grows
-    like n log n, so that happens for 1 tau in 2,000 between 1e-9 and 1e-8,
-    1 in 27 between 1e-11 and 1e-10, and every tau below 1e-12.  A tau
-    below ~1e-305, whose search would reach counts with no float log n!, is
-    refused before any comparison.
+    each comparison by ``_beats``'s proven bracket (2! = 2 at tau = 1/2 gives
+    3): ~0.2 ms a tau in [1e-11, 1], 0.02 s at 1e-100, 0.3 s at 5e-324.
     """
     p, q = _check_tau(tau).as_integer_ratio()
     lo, hi = max(1, q // p), 3 * (q // p + 1)  # n = lo does not beat, n = hi does
-    try:
-        _check_n(hi)  # every n the bisection compares then has a float log n!
-    except ValueError:
-        raise ValueError(
-            f"tau = {tau!r} is too small: the threshold search reaches counts whose "
-            "log n! is past the float range"
-        ) from None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _beats(mid, tau):

@@ -337,6 +337,12 @@ class TestUsdCommand:
         assert code == 0 and time.perf_counter() - t0 < 2.0
         assert json.loads(out)["threshold_n"] == 2718260
 
+    def test_tau_below_1e_12_answers(self, capsys):
+        # exited 1 while the threshold search refused comparisons too close for floats
+        code, out = run(["usd", "--n", "4", "--r", "0.1", "--tau", "1e-13"], capsys)
+        assert code == 0
+        assert json.loads(out)["threshold_n"] == 27182818284545
+
     def test_sweep_csv(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.csv"
         code, out = run(

@@ -444,6 +444,16 @@ class TestRobustness:
         if count == 2:
             assert qubit.pair_test(*mset.povms).test_value < 0
 
+    @pytest.mark.parametrize("count", [6, 7, 8, 9])
+    def test_stall_ends_compatible_solves(self, count):
+        # at tau = 1/count the d=3 family is compatible and the residual stalls
+        # within TOL: the stall ends the solve (22-25 steps), which without it
+        # ran to the 100-step cap; it returns the best iterate either way
+        r = TABLE_POINTS[count - 1][0]
+        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(count, r, 1 / count, 3)))
+        assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
+        assert res.iterations <= 30
+
     def test_one_certify_call_on_the_compatible_side(self, monkeypatch):
         # elements within 1.5e-10 of multiples of I: the one candidate, the
         # solve's primal carried to eta = 1, is certified in a single call

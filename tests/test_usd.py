@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -481,6 +482,15 @@ class TestLossySuccess:
             assert_near_product(usd.lossy_usd_success(n, r, tau), n, r, tau)
 
 
+def assert_least_count(tau, n):
+    """n! tau^(n-1) > 1 >= (n-1)! tau^(n-2), by mpmath's loggamma at enough digits."""
+    with mpmath.workdps(40 + len(str(n))):
+        def log_ratio(m):
+            return mpmath.loggamma(m + 1) + (m - 1) * mpmath.log(mpmath.mpf(tau))
+
+        assert log_ratio(n) > 0 and (n == 2 or log_ratio(n - 1) < 0), (tau, n)
+
+
 class TestThreshold:
     def test_half(self):
         # 2! = 2 fails the strict comparison against 2^1, 3! = 6 beats 2^2
@@ -547,17 +557,86 @@ class TestThresholdSearch:
         t0 = time.perf_counter()
         n = usd.result4_threshold(1e-9)
         assert time.perf_counter() - t0 < 0.1
-        with mpmath.workdps(60):
-            def log_ratio(m):  # log(m! tau^(m-1))
-                return mpmath.loggamma(m + 1) - (m - 1) * mpmath.log(1 / mpmath.mpf(1e-9))
-
-            assert log_ratio(n) > 0 > log_ratio(n - 1)
+        assert_least_count(1e-9, n)
         assert n == 2718281796
 
-    def test_too_close_to_call_refused(self):
-        # below tau ~ 1e-12 the rounding band of the float test spans several n
-        with pytest.raises(ValueError, match="agree to within rounding"):
-            usd.result4_threshold(1e-13)
+    def test_once_too_close_to_call_answers(self):
+        # below tau ~ 1e-12 the rounding band of the former float test spanned
+        # several n, and past n = 2^14 it refused; 1e-100 once raised as well
+        for tau, want in ((1e-12, 2718281828417), (1e-13, 27182818284545)):
+            assert usd.result4_threshold(tau) == want
+            assert_least_count(tau, want)
+        t0 = time.perf_counter()
+        n = usd.result4_threshold(1e-100)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(str(n)) == 101
+        assert_least_count(1e-100, n)
+
+    def test_seeded_log_uniform_taus(self):
+        # 300 taus in [1e-11, 1]; the former float band refused 3.080835799794614e-09
+        rng = random.Random(5)
+        for tau in [10 ** rng.uniform(-11, 0) for _ in range(300)]:
+            assert_least_count(tau, usd.result4_threshold(tau))
+        assert usd.result4_threshold(3.080835799794614e-09) == 882319576
+
+    @pytest.mark.parametrize("a,b", [
+        (1, 3), (1, 5), (1, 239), (0, 2), (1, 10**40), (2**60 - 1, 2**62), (3**600, 3**601),
+        (5**400 - 7, 5**400 * 3 + 1),
+    ], ids=["third", "fifth", "machin-239", "zero", "tiny", "near-quarter", "big-third", "big"])
+    @pytest.mark.parametrize("bits", [8, 60, 1200])
+    def test_fixed_point_series_within_their_bound(self, a, b, bits):
+        for sign, exact in ((1, mpmath.atanh), (-1, mpmath.atan)):
+            total, bound = usd._atan(a, b, bits, sign)
+            with mpmath.workdps(bits // 3 + 40):
+                assert abs(total - exact(mpmath.mpf(a) / b) * mpmath.mpf(2) ** bits) < bound
+
+    LOG_ARGS = {
+        "two": 2, "three": 3, "odd-53-bit": 2**53 - 1, "googol": 10**100,
+        "past-floats": 3 * 2**1074 + 1,
+    }
+
+    @pytest.mark.parametrize("x", LOG_ARGS.values(), ids=LOG_ARGS)
+    @pytest.mark.parametrize("bits", [60, 1200])
+    def test_fixed_point_logarithms_within_their_bound(self, x, bits):
+        # ln x = e ln 2 + 2 atanh((x - 2^e)/(x + 2^e)), ln 2 = 2 atanh(1/3), as _bracket sums them
+        e = x.bit_length() - 1
+        (s, es), (s3, e3) = usd._atan(x - (1 << e), x + (1 << e), bits, 1), usd._atan(1, 3, bits, 1)
+        with mpmath.workdps(bits // 3 + 40):
+            exact = mpmath.log(x) * mpmath.mpf(2) ** bits
+            assert abs(2 * s + 2 * e * s3 - exact) < 2 * es + 2 * e * e3
+
+    BRACKETS = {
+        "tie": (2, 0.5), "half": (3, 0.5), "quarter": (7, 0.25),
+        "width-blocks": (40000, 6.793018371443059e-05),
+        "rounding-blocks": (101814, 2.6693993361968942e-05), "1e-12": (2718281828417, 1e-12),
+        "count-1e305": (10**305, 0.5), "tiny-tau": (3, 5e-324),
+        "past-floats": (3 * 2**1074, 5e-324),
+    }
+
+    @pytest.mark.parametrize("n,tau", BRACKETS.values(), ids=BRACKETS)
+    def test_bracket_holds_the_mpmath_value(self, n, tau):
+        p, q = tau.as_integer_ratio()
+        for bits in (n.bit_length() + 48, 2 * (n.bit_length() + 48)):
+            lo, hi, err = usd._bracket(n, p, q, bits)
+            with mpmath.workdps(bits // 3 + 60):
+                scale, lnfact = mpmath.mpf(2) ** (bits + 1), mpmath.loggamma(n + 1)
+                two_f = scale * (lnfact + (n - 1) * mpmath.log(mpmath.mpf(tau)))
+                stirling = (mpmath.mpf(n) + 0.5) * mpmath.log(n) - n + mpmath.log(2 * mpmath.pi) / 2
+                two_g = two_f - scale * (lnfact - stirling)
+                assert lo < two_f < hi
+                # the rounding part alone: total = lo + err - floor(2^{bits+1} / (12n + 1))
+                assert abs(lo + err - (2 << bits) // (12 * n + 1) - two_g) < err
+
+    def test_precision_doubles_while_the_rounding_blocks(self, monkeypatch):
+        # F = 7.8e-13: on the 2F scale the first bracket's rounding, 2 err = 1.6e-12,
+        # exceeds Robbins' width, 1.3e-12, so the precision doubles once, and the
+        # second bracket, [1.1e-13, 7.8e-13] on the F scale, decides
+        n, tau = 101814, 2.6693993361968942e-05
+        seen, bracket = [], usd._bracket
+        monkeypatch.setattr(usd, "_bracket", lambda *args: seen.append(args[-1]) or bracket(*args))
+        assert usd.beats_no_loss_optimum(n, tau)
+        assert seen == [65, 130]
+        assert_least_count(tau, n)
 
 
 class TestCount:
@@ -600,12 +679,15 @@ class TestCount:
         f, *args = call
         assert 0.0 <= f(10**305, *args) <= 1.0
 
-    def test_tau_past_the_float_threshold_refused(self):
-        # the threshold search once reached counts whose log n! overflowed and
-        # refused with the false "agree to within rounding"
-        for tau in (1e-306, 5e-324):
-            with pytest.raises(ValueError, match="is too small"):
-                usd.result4_threshold(tau)
+    def test_tau_past_the_float_threshold_answers(self):
+        # the threshold search reaches counts whose log n! overflows a float;
+        # these taus were once refused as "too small"
+        for tau, digits in ((1e-306, 307), (5e-324, 324)):
+            t0 = time.perf_counter()
+            n = usd.result4_threshold(tau)
+            assert time.perf_counter() - t0 < 5.0
+            assert len(str(n)) == digits
+            assert_least_count(tau, n)
 
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_numpy_integer_count_accepted(self, call):
@@ -619,6 +701,19 @@ class TestExactThreshold:
     def test_matches_rational_comparison(self, n, tau):
         want = math.factorial(n) * Fraction(tau) ** (n - 1) > 1
         assert usd.beats_no_loss_optimum(n, tau) is want
+
+    def test_near_ties_match_rational_comparison(self):
+        # the nine floats from 4 ulps below to 4 above each root (n!)^(-1/(n-1)):
+        # the bracket's edge, and the exact comparison where Robbins' width blocks
+        for n in [*range(3, 61), 100, 500, 2000]:
+            with mpmath.workdps(50):
+                tau = float(mpmath.exp(-mpmath.loggamma(n + 1) / (n - 1)))
+            for _ in range(4):
+                tau = math.nextafter(tau, 0.0)
+            for _ in range(9):
+                want = math.factorial(n) * Fraction(tau) ** (n - 1) > 1
+                assert usd.beats_no_loss_optimum(n, tau) is want, (n, tau)
+                tau = math.nextafter(tau, 1.0)
 
 
 class TestReport:
