@@ -16,12 +16,13 @@ records them:
   test), ``solve.factor`` (the Cholesky factor, its inverse and Z^-1),
   ``solve.schur`` (the Schur matrix), ``solve.direction`` (both directions
   with their linear solves, and mu), ``solve.step_length`` (the two
-  ``_max_steps`` calls) and ``solve.update`` (the step and the group
-  average).  Medians do not add, so the part medians sum to about the
-  median ``solve``, not to at most it;
+  ``_max_steps`` calls) and ``solve.update`` (the step).  Medians do not
+  add, so the part medians sum to about the median ``solve``, not to at
+  most it;
 * ``repair``: ``repair_witness``;
 * ``parent``: projecting the primal, mixing it with the product parent short
-  of COMPATIBLE, and expanding it to all tuples;
+  of COMPATIBLE, and expanding it to all tuples as its average over each
+  orbit;
 * ``certify``: ``certify``, with ``depolarize``.
 
 The record also holds the peak resident set of the process, the Newton

@@ -3,10 +3,11 @@
     python3 scripts/record_digests.py > digests.txt
 
 At one BLAS thread, prints one line per record: its name, verdict, method,
-Newton steps and a sha256 of ``eta_star``, ``eta_hi``, both residuals, the
-parent's bytes and the witness's bytes.  A refused record prints its error
-message instead.  Two trees whose outputs ``diff`` equal compute every record
-bit for bit alike.
+Newton steps, ``eta_hi`` and ``eta_star`` (repr, None when absent), and a
+sha256 of ``eta_star``, ``eta_hi``, both residuals, the parent's bytes and the
+witness's bytes.  A refused record prints its error message instead.  Two
+trees whose outputs ``diff`` equal compute every record bit for bit alike;
+where they differ, the two bounds show how far the values moved.
 
 The groups (``GROUPS``), in the order printed:
 
@@ -105,7 +106,8 @@ GROUPS = {
 
 
 def digest(name: str, call) -> str:
-    """The record's line: name, verdict, method, steps and the sha256 of its values."""
+    """The record's line: name, verdict, method, steps, eta_hi, eta_star and the
+    sha256 of its values."""
     try:
         v = call()
     except ValueError as exc:
@@ -115,7 +117,8 @@ def digest(name: str, call) -> str:
     h.update(v.parent.blocks.tobytes() if v.parent is not None else b"")
     for rows in v.witness or ():
         h.update(rows.tobytes())
-    return f"{name} | {v.verdict} {v.method} {v.iterations} {h.hexdigest()}"
+    return (f"{name} | {v.verdict} {v.method} {v.iterations} {v.eta_hi!r} {v.eta_star!r} "
+            f"{h.hexdigest()}")
 
 
 def main() -> int:

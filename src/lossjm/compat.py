@@ -44,7 +44,7 @@ rotation R = exp(2 pi i N / n) and complex conjugation: averaging a parent or
 a witness over it keeps it valid, so one block per orbit of outcome tuples
 and the rows of measurement 0 suffice (Gatermann & Parrilo, J. Pure Appl.
 Algebra 192, 2004).  Parents are projected and witnesses checked on the
-representatives; a parent is expanded to all tuples once, for ``certify``.
+representatives; a parent is averaged over each orbit once, for ``certify``.
 """
 
 from __future__ import annotations
@@ -233,6 +233,11 @@ class _RobustnessSdp:
     each weighted by its orbit size 2n / |stabiliser|.  ``reduce`` builds the
     representatives' arrays from the image table of ``_orbits``.
 
+    Blocks need not be invariant under their stabiliser: every dual block is,
+    so the constraint map, ``inner`` and ``schur`` read only a block's average
+    over it, whose least eigenvalue is at least the block's.  ``full_blocks``
+    takes that average once, when a parent is expanded.
+
     The dual is held in real coordinates c of Y = ``full_rows(c)``: one
     generating row class rho per outcome of measurement 0 (every outcome row
     of measurement j is R^j Y_rho R^-j), restricted to the real symmetric
@@ -288,20 +293,12 @@ class _RobustnessSdp:
     def reduce(self, images: np.ndarray):
         """Build every per-representative array from an image table of
         ``_orbits``, or from any subset of its columns, on whose orbits alone
-        parents then live.  ``fixed`` lists (i, s, f) for each element other
-        than the identity that fixes representative i, in increasing i; an
-        orbit's size is the group's order over its stabiliser's."""
+        parents then live.  An orbit's size is the group's order over its
+        stabiliser's, the elements that fix its representative."""
         self.images = images
         self.rep = rep = images[0]
-        s, f = np.array(self.elements).T
-        i, e = np.nonzero((images[1:] == rep).T)  # sorted by representative
-        self.fixed = i, s[1:][e], f[1:][e].astype(bool)
-        self.stabiliser = 1.0 + np.bincount(i, minlength=len(rep))
+        self.stabiliser = (images == rep).sum(axis=0)
         self.weight = len(self.elements) / self.stabiliser
-        self.fixed_phases = self.phases[self.fixed[1]]
-        # the representatives with a stabiliser, and where each one's elements start
-        self.symmetric = np.flatnonzero(self.stabiliser > 1)
-        self.starts = np.flatnonzero(np.diff(i, prepend=-1))
         self.digits = np.unravel_index(rep, self.outs)  # each one's outcome per measurement
         g = self.gen[self.offsets[:-1, None] + self.digits].sum(axis=0)  # (reps, classes*K), real
         gw = self.weight[:, None] * g
@@ -324,27 +321,14 @@ class _RobustnessSdp:
         return (self.gen @ (self.V @ c).reshape(self.gen.shape[1], -1)).reshape(-1, self.d, self.d)
 
     def full_blocks(self, X: np.ndarray) -> np.ndarray:
-        """The blocks of all T tuples, zero outside the orbits of ``images``,
-        by one scatter per element (s, f) = ``elements[s + n f]``.  A tuple
-        with a stabiliser keeps the last write: the inverse of the first
-        element that takes it to its representative."""
+        """The group average over all T tuples of the blocks X, zero outside the
+        orbits of ``images``: element (s, f) adds conj^f(X) * phases[s], over
+        the stabiliser's order, at its row of ``images``."""
         B = np.zeros((self.T, self.d, self.d), dtype=complex)
-        for s, f in reversed(self.elements):
-            s = s if f else -s % self.n  # the inverse: a reversal is its own
-            B[self.images[s + self.n * f]] = (X.conj() if f else X) * self.phases[s]
+        X = X / self.stabiliser[:, None, None]
+        for (s, f), image in zip(self.elements, self.images):
+            B[image] += (X.conj() if f else X) * self.phases[s]
         return B
-
-    def invariant(self, X: np.ndarray) -> np.ndarray:
-        """Each representative's block averaged over the elements that fix the
-        representative: the projection onto invariant parents, which keeps
-        rounding from building up outside them over the Newton steps.  Without
-        it the d = 3 table rows' iterate strays from invariance by 4.6e4 eps
-        (count 6) and 8.9e4 eps (count 11) of max|X|, against 0.5 eps with it."""
-        i, _, f = self.fixed
-        images = np.where(f[:, None, None], X[i].conj(), X[i]) * self.fixed_phases
-        X = X.copy()
-        X[self.symmetric] += np.add.reduceat(images, self.starts, axis=0)
-        return X / self.stabiliser[:, None, None]
 
     def marginal_coords(self, G: np.ndarray) -> np.ndarray:
         """``row_coords`` of the marginal rows of ``full_blocks(G)``, from the
@@ -356,16 +340,16 @@ class _RobustnessSdp:
         return (self.g @ (self.V @ c).reshape(self.g.shape[1], -1)).reshape(-1, self.d, self.d)
 
     def project(self, G: np.ndarray, eta: float) -> np.ndarray:
-        """Orthogonal projection, under ``inner``, of invariant blocks G onto the
-        parents of the set depolarized to eta: G + dual_blocks(a), with gram a
-        = cv + eta dv - marginal_coords(G).  The group average of a parent is a
+        """Orthogonal projection, under ``inner``, of blocks G onto the parents
+        of the set depolarized to eta: G + dual_blocks(a), with gram a = cv +
+        eta dv - marginal_coords(G).  The group average of a parent is a
         parent, so this is the projection over all T tuples."""
         a = np.linalg.solve(self.gram, self.cv + eta * self.dv - self.marginal_coords(G))
         return G + self.dual_blocks(a)
 
     def inner(self, A: np.ndarray, B: np.ndarray) -> float:
-        """``_inner`` of the full stacks of two invariant Hermitian stacks of
-        representatives: Re tr(A_t B_t) weighted by the orbit sizes."""
+        """``_inner`` of the full stacks of Hermitian stacks A, B of representatives,
+        B invariant: Re tr(A_t B_t) weighted by the orbit sizes."""
         return float(np.einsum("t,tab,tba->", self.weight, A, B).real)
 
     def schur(self, X: np.ndarray, Zinv: np.ndarray, x_over_z: float) -> np.ndarray:
@@ -393,7 +377,7 @@ class _RobustnessSdp:
         "solve.residual" (and the stop test), "solve.factor" (W's Cholesky
         factor, whose inverse gives Z^-1 and both step lengths), "solve.schur",
         "solve.direction" (both directions, mu), "solve.step_length"
-        (``_max_steps``) and "solve.update" (the step, ``invariant``).  The
+        (``_max_steps``) and "solve.update" (the step).  The
         iterate is one stack W = [X, Z] and each direction one stack dW = [dX, dZ].
 
         It ends below ``_IPM_TOL`` (the gap read on the eta scale, where the
@@ -455,7 +439,7 @@ class _RobustnessSdp:
             except np.linalg.LinAlgError:
                 break
             W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
-            W[0], x, c, z = self.invariant(W[0]), x + ap * dx, c + ad * dc, z + ad * dz
+            x, c, z = x + ap * dx, c + ad * dc, z + ad * dz
             _lap(parts, t0, "solve.update")
         _, _, X, x, c = best
         return X, 1.0 - x, self.full_rows(c), steps, _lap(parts, t0, "solve.residual", parts)

@@ -262,7 +262,8 @@ class UsdReport:
 def usd_report(n: int, r: float, tau: float) -> UsdReport:
     """Every quantity at one point; RuntimeError if p_lon > p_d (1 + 4 eps) + 2^-1022.
     Over n = 2..1000, r = 1e-8..100, p_lon exceeds p_d only at n = 2, where the two
-    are equal, by at most 2 eps relative; 2^-1022 covers subnormal rounding."""
+    are equal, by at most 2 eps relative; 2^-1022 covers subnormal rounding.  n beats
+    the optimum iff n >= threshold_n: n! tau^{n-1} falls, then rises for good."""
     report = UsdReport(
         n=n,
         r=r,
@@ -272,8 +273,8 @@ def usd_report(n: int, r: float, tau: float) -> UsdReport:
         p_d_approx=p_d_approx(n, r),
         p_lon_approx=p_lon_approx(n, r),
         lossy_success=lossy_usd_success(n, r, tau),
-        threshold_n=result4_threshold(tau),
-        beats_optimum=beats_no_loss_optimum(n, tau),
+        threshold_n=(threshold := result4_threshold(tau)),
+        beats_optimum=_check_n(n) >= threshold,
     )
     if report.p_lon > report.p_d * (1.0 + 4.0 * sys.float_info.epsilon) + sys.float_info.min:
         raise RuntimeError(f"split-and-detect success {report.p_lon!r} exceeds {report.p_d!r}")

@@ -169,6 +169,13 @@ class TestMarginalMap:
         assert sdp.weight.sum() == sdp.T and (len(mset) == 1 or len(sdp.rep) < sdp.T)
         full, reps = invariant_blocks(sdp, rng)
         assert np.abs(sdp.full_blocks(reps) - full).max() <= 1e-14 * np.abs(full).max()
+        # blocks that are not invariant expand to their group average: X weight
+        # at the representatives, zero elsewhere
+        X = random_blocks(len(sdp.rep), sdp.d, rng)
+        stack = np.zeros((sdp.T, sdp.d, sdp.d), dtype=complex)
+        stack[sdp.rep] = X * sdp.weight[:, None, None]
+        want = oracles.dihedral_average(sdp.outs, stack)
+        assert np.abs(sdp.full_blocks(X) - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("mset", COVARIANT, ids=COVARIANT_IDS)
     def test_covariant_marginal_coords_match_full_map(self, mset):
@@ -564,7 +571,7 @@ class TestReduction:
         assert np.array_equal(sub.weight, full.weight[cols]) and (sub.stabiliser > 1).any()
         c = rng.normal(size=len(full.dv))
         assert np.array_equal(sub.dual_blocks(c), full.dual_blocks(c)[cols])
-        X = sub.invariant(random_blocks(size, d, rng) / full.T)
+        X = random_blocks(size, d, rng) / full.T
         padded = np.zeros((R, d, d), dtype=complex)
         padded[cols] = X
         want = full.marginal_coords(padded)
@@ -614,12 +621,13 @@ class TestReduction:
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
 
     @pytest.mark.parametrize("n", [5, 10], ids=["count6", "count11"])
-    def test_iterate_stays_invariant(self, n):
-        # without the per-step group average the part outside the invariant
-        # blocks reached 4.6e4 eps (count 6) and 8.9e4 eps (count 11) of max|X|
+    def test_expanded_iterate_is_invariant(self, n):
+        # the Newton steps leave the iterate off invariance (850 eps of max|X| at
+        # count 6, 1.3e5 eps at count 11); its expansion is the group average
         sdp = compat._RobustnessSdp(table_family(3, n))
-        X = sdp.solve(compat.DEFAULT_MAX_ITER)[0]
-        assert np.abs(X - sdp.invariant(X)).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
+        B = sdp.full_blocks(sdp.solve(compat.DEFAULT_MAX_ITER)[0])
+        gap = np.abs(B - oracles.dihedral_average(sdp.outs, B)).max()
+        assert gap <= 4 * np.finfo(float).eps * np.abs(B).max()
 
     @pytest.mark.parametrize("d,n,broken", [
         *(pytest.param(d, n, False, id=f"{d}-{n}") for d, n in TIER1_ROWS),

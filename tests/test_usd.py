@@ -723,3 +723,10 @@ class TestReport:
         assert d["threshold_n"] == 3
         assert d["beats_optimum"] is True
         assert 0 <= d["p_lon"] <= d["p_d"] + 1e-12
+
+    def test_beats_optimum_is_the_threshold_decision(self):
+        # the report reads n >= threshold_n; beats_no_loss_optimum decides n alone
+        for tau in TestThresholdSearch.GRID:
+            for n in range(2, 13):
+                want = usd.beats_no_loss_optimum(n, tau)
+                assert usd.usd_report(n, 0.1, tau).beats_optimum is want, (n, tau)
