@@ -2,9 +2,9 @@
 
     python3 scripts/bench_solve.py
 
-Each workload runs in a fresh Python process with one BLAS thread: its
-measurement set is built, ``robustness`` is called once to warm up and then
-REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
+Each workload runs in a fresh Python process, at one BLAS thread, on the
+set whose records scripts/record_digests.py checks bit for bit:
+``robustness`` is called once to warm up and then REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
 ``phases_s`` the median of each of their ``phases``, as ``robustness``
 records them:
 
@@ -54,45 +54,26 @@ REPEATS = 5
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 INHERITED_THREAD_ENV = {v: os.environ.get(v) for v in THREAD_VARS}
 
-# name -> (kind, d, n).  "table" is the d = 3 table row n: count n + 1 at
-# tau = 1/n + eps (rows 2 and 3 are the benchmark's table-incompatible rows);
-# "count" is count n at r = 0.005, tau = 1/(n - 1) + 5e-5; "broken" is the
-# table row with one entry moved by one rounding, which the solve treats with
-# the trivial group, one block per tuple; "compatible" is count n at r = 4.5,
-# tau = 0.5, a near-trivial COMPATIBLE set (elements within 6e-8 of multiples
-# of I) whose solve drives the noise weight to 0.
+# name -> its FamilyParams, a recipe of record_digests and its arguments (n2 and n3
+# are the benchmark's table-incompatible rows); "broken": the set is the recipe's
+# ``broken`` copy
 WORKLOADS = {
-    **{f"table-d3-n{n}": ("table", 3, n) for n in range(2, 11)},
-    "count13-d3": ("count", 3, 13),
-    "count16-d3": ("count", 3, 16),
-    "count16-d2": ("count", 2, 16),
-    "broken-table-d3-n9": ("broken", 3, 9),
-    "compatible-count4-d3": ("compatible", 3, 4),
+    **{f"table-d3-n{n}": {"params": ("table_row", 3, n)} for n in range(2, 11)},
+    "count13-d3": {"params": ("count_row", 13, 3)},
+    "count16-d3": {"params": ("count_row", 16, 3)},
+    "count16-d2": {"params": ("count_row", 16, 2)},
+    "broken-table-d3-n9": {"params": ("table_row", 3, 9), "broken": True},
+    "compatible-count4-d3": {"params": ("compatible_row",)},
 }
 
 
 def measurement_set(name: str):
     """The set of workload ``name``, with its FamilyParams."""
-    import numpy as np
+    import record_digests as rd
 
-    from lossjm import measurements as meas
-    from lossjm.cli import TABLE_POINTS
-
-    kind, d, n = WORKLOADS[name]
-    if kind == "count":
-        params = meas.FamilyParams(n, 0.005, 1.0 / (n - 1) + 5e-5, d)
-    elif kind == "compatible":
-        params = meas.FamilyParams(n, 4.5, 0.5, d)
-    else:
-        r, eps = TABLE_POINTS[n]
-        params = meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
-    mset = meas.symmetric_family(params)
-    if kind == "broken":
-        povms = list(mset)
-        povms[1] = E = povms[1].copy()
-        E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
-        mset = meas.MeasurementSet(tuple(povms))
-    return mset, params
+    spec = WORKLOADS[name]
+    params = getattr(rd, spec["params"][0])(*spec["params"][1:])
+    return (rd.broken if spec.get("broken") else rd.meas.symmetric_family)(params), params
 
 
 def measure(name: str) -> dict:

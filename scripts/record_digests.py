@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 if __name__ == "__main__":  # one BLAS thread, set before numpy loads
@@ -49,17 +50,30 @@ from lossjm import compat, measurements as meas  # noqa: E402
 from lossjm.cli import TABLE_POINTS  # noqa: E402
 
 
-def _family(count, r, tau, d):
-    return lambda: meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
-
-
-def _broken(d, n):
-    """The refuted table row with one entry of measurement 1 moved by one rounding."""
+def table_row(d, n, tau=None):
+    """Table row n at d: count n + 1 at ``TABLE_POINTS[n]``, tau = 1/n + eps unless given."""
     r, eps = TABLE_POINTS[n]
-    povms = list(_family(n + 1, r, 1.0 / n + eps, d)())
+    return meas.FamilyParams(n + 1, r, 1.0 / n + eps if tau is None else tau, d)
+
+
+def count_row(count, d):
+    return meas.FamilyParams(count, 0.005, 1.0 / (count - 1) + 5e-5, d)
+
+
+def compatible_row():
+    return meas.FamilyParams(4, 4.5, 0.5, 3)
+
+
+def broken(params):
+    """The family of ``params`` with one entry of measurement 1 moved by one rounding."""
+    povms = list(meas.symmetric_family(params))
     povms[1] = E = povms[1].copy()
     E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
     return meas.MeasurementSet(tuple(povms))
+
+
+def _family(count, r, tau, d):
+    return lambda: meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
 
 
 def _pairs(seed, k):
@@ -73,17 +87,16 @@ def _solve(build, max_iter=compat.DEFAULT_MAX_ITER):
 
 def _table():
     return [
-        (f"table d={d} n={n} tau={tau!r}", lambda p=meas.FamilyParams(n + 1, r, tau, d):
-         compat.decide_table_row(p))
+        (f"table d={d} n={n} tau={p.tau!r}", lambda p=p: compat.decide_table_row(p))
         for d, top in ((2, 8), (3, 10), (4, 8)) for n in range(2, top + 1)
-        for r, eps in [TABLE_POINTS[n]] for tau in (1.0 / n + eps, 1.0 / (n + 1))
+        for p in (table_row(d, n), table_row(d, n, 1.0 / (n + 1)))
     ]
 
 
 def _truncated():
     sets = [(f"count={c} r={r} tau={t} d={d}", _family(c, r, t, d))
             for c in (2, 3) for r in (0.3, 4.5) for t in (0.3, 0.9) for d in (2, 3)]
-    sets += _pairs(7, 10) + [("count13-d3", _family(13, 0.005, 1.0 / 12 + 5e-5, 3))]
+    sets += _pairs(7, 10) + [("count13-d3", partial(meas.symmetric_family, count_row(13, 3)))]
     return [(f"truncated {name} max_iter={k}", _solve(build, k))
             for name, build in sets for k in range(23)]
 
@@ -96,11 +109,12 @@ GROUPS = {
                       for c in range(2, 6) for d in (2, 3)
                       for r in np.geomspace(1, 12, 8) for t in np.linspace(0.05, 1, 8)],
     "pairs": lambda: [(name, _solve(build)) for name, build in _pairs(11, 500)],
-    "broken": lambda: [(f"broken d={d} n={n}", _solve(lambda d=d, n=n: _broken(d, n)))
+    "broken": lambda: [(f"broken d={d} n={n}", _solve(partial(broken, table_row(d, n))))
                        for d, n in ((3, 3), (3, 7), (3, 9), (2, 5), (4, 4))],
-    "counts": lambda: [(f"count{c}-d3", _solve(_family(c, 0.005, 1.0 / (c - 1) + 5e-5, 3)))
+    "counts": lambda: [(f"count{c}-d3", _solve(partial(meas.symmetric_family, count_row(c, 3))))
                        for c in (13, 16)],
-    "compatible": lambda: [("compatible count4-d3", _solve(_family(4, 4.5, 0.5, 3)))],
+    "compatible": lambda: [
+        ("compatible count4-d3", _solve(partial(meas.symmetric_family, compatible_row())))],
     "truncated": _truncated,
 }
 

@@ -1,5 +1,6 @@
 """The solver-phase harness scripts/bench_solve.py, on its smallest workload."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -7,8 +8,10 @@ import pkgutil
 import subprocess
 from pathlib import Path
 
+import record_digests
+
 import lossjm
-from lossjm import compat
+from lossjm import compat, measurements as meas
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_solve.py"
 
@@ -68,6 +71,29 @@ def test_workloads_cover_the_solver_rows():
     assert others <= bench.WORKLOADS.keys()
     mset, _ = bench.measurement_set("broken-table-d3-n9")
     assert len(compat._RobustnessSdp(mset).rep) == 2**10  # the trivial group
+
+
+def test_workloads_build_the_digest_records_sets(monkeypatch):
+    # each set as record_digests builds it for its record, without a solve
+    bench = _load()
+    monkeypatch.setattr(compat, "robustness", lambda mset, max_iter: mset)
+    monkeypatch.setattr(compat, "decide_table_row", meas.symmetric_family)
+    sets = {
+        rec: call() for group in ("table", "broken", "counts", "compatible")
+        for rec, call in record_digests.GROUPS[group]()
+    }
+    records = {
+        "count13-d3": "count13-d3", "count16-d3": "count16-d3",
+        "broken-table-d3-n9": "broken d=3 n=9", "compatible-count4-d3": "compatible count4-d3",
+    }
+    for name in set(bench.WORKLOADS) - {"count20-d3", "count16-d2"}:
+        mset, params = bench.measurement_set(name)
+        rec = records.get(name, f"table d=3 n={params.count - 1} tau={params.tau!r}")
+        assert mset.rows.shape == sets[rec].rows.shape, name
+        assert mset.rows.tobytes() == sets[rec].rows.tobytes(), name
+    # record_digests has no d=2 count: count16-d2 is its count-16 row at d=2
+    _, params = bench.measurement_set("count16-d2")
+    assert dataclasses.replace(params, d=3) == bench.measurement_set("count16-d3")[1]
 
 
 def test_tier1_reads_the_count_line(monkeypatch):
