@@ -2,9 +2,10 @@
 
     python3 scripts/bench_solve.py
 
-Each workload runs in a fresh Python process, at one BLAS thread, on the
-set whose records scripts/record_digests.py checks bit for bit:
-``robustness`` is called once to warm up and then REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
+Each workload runs in a fresh Python process, at one BLAS thread and pinned
+to one CPU (``pin``), on the set whose records scripts/record_digests.py
+checks bit for bit: ``robustness`` is called once to warm up and then
+REPEATS times.  ``wall_s`` is the median of the calls' ``seconds`` and
 ``phases_s`` the median of each of their ``phases``, as ``robustness``
 records them:
 
@@ -32,6 +33,10 @@ Python, numpy, BLAS, nproc, the thread variables and the git commit
 (``git_dirty`` when the tracked files differ from it).  ``tier1`` is one run
 of the tier-1 suite (ROADMAP.md) at one BLAS thread: its seconds and its
 passed and failed counts.
+
+``count20-d3`` (count 20, 2^20 outcome tuples) raises compat.MAX_TUPLES to
+2^20 while it is measured.  It takes about 20 s a call and 830 MiB, so it adds
+about 2 minutes to a run.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ INHERITED_THREAD_ENV = {v: os.environ.get(v) for v in THREAD_VARS}
 
 # name -> its FamilyParams, a recipe of record_digests and its arguments (n2 and n3
 # are the benchmark's table-incompatible rows); "broken": the set is the recipe's
-# ``broken`` copy
+# ``broken`` copy; "max_tuples": compat.MAX_TUPLES while ``measure`` runs it
 WORKLOADS = {
     **{f"table-d3-n{n}": {"params": ("table_row", 3, n)} for n in range(2, 11)},
     "count13-d3": {"params": ("count_row", 13, 3)},
@@ -64,6 +69,7 @@ WORKLOADS = {
     "count16-d2": {"params": ("count_row", 16, 2)},
     "broken-table-d3-n9": {"params": ("table_row", 3, 9), "broken": True},
     "compatible-count4-d3": {"params": ("compatible_row",)},
+    "count20-d3": {"params": ("count_row", 20, 3), "max_tuples": 1 << 20},
 }
 
 
@@ -76,10 +82,19 @@ def measurement_set(name: str):
     return (rd.broken if spec.get("broken") else rd.meas.symmetric_family)(params), params
 
 
+def pin() -> int:
+    """Pin this process to the last CPU it may run on, as perfbench/run.py does; return it."""
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
 def measure(name: str) -> dict:
     """One warm-up and REPEATS ``robustness`` calls, in this process."""
     from lossjm import compat
 
+    default = compat.MAX_TUPLES
+    compat.MAX_TUPLES = WORKLOADS[name].get("max_tuples", default)
     mset, params = measurement_set(name)
     runs = []
     for _ in range(REPEATS + 1):
@@ -87,6 +102,7 @@ def measure(name: str) -> dict:
         runs.append({"wall": res.seconds, **res.phases})
     runs = runs[1:]  # the first call warms up
     sdp = compat._RobustnessSdp(mset)
+    compat.MAX_TUPLES = default
     return {
         "params": {"count": params.count, "r": params.r, "tau": params.tau, "d": params.d},
         "repeats": REPEATS,
@@ -103,7 +119,7 @@ def measure(name: str) -> dict:
 
 
 CHILD = (
-    "import json, sys; sys.path.insert(0, sys.argv[1]); import bench_solve; "
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import bench_solve; bench_solve.pin(); "
     "print(json.dumps(bench_solve.measure(sys.argv[2])))"
 )
 
@@ -129,6 +145,7 @@ def manifest() -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "nproc": os.cpu_count(),
+        "cpu_pinned": max(os.sched_getaffinity(0)),  # each child's, by ``pin``
         "thread_env": {v: os.environ.get(v) for v in THREAD_VARS},
         "thread_env_inherited": INHERITED_THREAD_ENV,
         "git_sha": sha.strip() if sha else None,

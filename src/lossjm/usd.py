@@ -187,33 +187,34 @@ def _bracket(n: int, p: int, q: int, bits: int) -> tuple[int, int, int]:
         s, es = _atan(x - (1 << e), x + (1 << e), bits, 1)
         total, err, ln2s = total + 2 * c * s, err + 2 * c * es, ln2s + c * e
     total, err = total + 2 * ln2s * half_ln2, err + 2 * abs(ln2s) * e3
-    lo = total - err + (2 << bits) // (12 * n + 1)
-    return lo, total + err - (-(1 << bits) // (6 * n)), err
+    s, scale = (2 << bits) * (210 * n**4 - 7 * n * n), 2520 * n**5
+    return total - err + s // scale, total + err - (-(s + (4 << bits)) // scale), err
 
 
 def _beats(n: int, tau: float) -> bool:
     """n! > tau^{1-n} for n >= 2, proven: the sign of F(n) = ln n! - (n - 1) ln(q/p), tau =
-    p/q, q = 2^k.  Robbins (Amer. Math. Monthly 62:26, 1955): ln n! = (n + 1/2) ln n - n +
-    ln(2 pi)/2 + t, 1/(12n + 1) < t < 1/(12n).  ``_bracket`` sums the rest of 2F, 2G =
-    (2n + 1) ln n + 2(n - 1) ln p + ln Pi - (2k(n - 1) + P - 1) ln 2 - 2n, in integers
-    scaled by 2^P: ln x = e ln 2 + 2 atanh((x - 2^e)/(x + 2^e)) for 2^e <= x < 2^{e+1},
-    ln 2 = 2 atanh(1/3), Pi = 2^P pi = 2^P (16 atan(1/5) - 4 atan(1/239)) (Machin), each
-    series within ``_atan``'s bound.  Pi is off by d < 16 e_5 + 4 e_239 < 2^{P-1} ulps, ln Pi
-    by < d / (pi (1 - d 2^-P)) < d; so err, d plus each bound times its coefficient in 2G,
-    bounds |2^P 2G - total|, and lo = total - err + floor(2^{P+1} / (12n + 1)) <
-    2^{P+1} F < total + err + ceil(2^P / (6n)) = hi.  n beats if lo >= 0, not if hi <= 0.
-    P starts at bit_length(n) + 48 and doubles while neither holds and 2 err exceeds
-    Robbins' width; once it does not, |F| < 1/(6n(12n + 1)) + 2^{1-P}, and n! p^{n-1} is
-    compared with q^{n-1} exactly.  F = 0 needs p = 1 and n! = 2^{k(n-1)}: only 2! = 2 at
-    tau = 1/2.  Such near-ties are rare past small n (by a counting estimate, ~2^53 /
-    (72 n^2) floats at most have one at a count >= n), but the comparison costs 0.05 s at
-    n = 10^4, 1.3 s at 10^5 and 49 s at 10^6 on a 2-vCPU host."""
+    p/q, q = 2^k.  Stirling's series (DLMF 5.11(ii)): ln n! = (n + 1/2) ln n - n + ln(2 pi)/2
+    + t, s < t < s + 1/(1260n^5), s = 1/(12n) - 1/(360n^3), since for real n > 0 the
+    remainder after each term has the sign of the first term left out and is smaller.
+    ``_bracket`` sums the rest of 2F, 2G = (2n + 1) ln n + 2(n - 1) ln p + ln Pi - (2k(n - 1)
+    + P - 1) ln 2 - 2n, in integers scaled by 2^P: ln x = e ln 2 + 2 atanh((x - 2^e)/(x +
+    2^e)) for 2^e <= x < 2^{e+1}, ln 2 = 2 atanh(1/3), Pi = 2^P pi = 2^P (16 atan(1/5) - 4
+    atan(1/239)) (Machin), each series within ``_atan``'s bound.  Pi is off by d < 16 e_5 + 4
+    e_239 < 2^{P-1} ulps, ln Pi by < d / (pi (1 - d 2^-P)) < d; so err, d plus each bound
+    times its coefficient in 2G, bounds |2^P 2G - total|, and lo = total - err + floor(2^{P+1}
+    s) < 2^{P+1} F < total + err + ceil(2^{P+1} (s + 1/(1260n^5))) = hi.  n beats if lo >= 0,
+    not if hi <= 0.  P starts at bit_length(n) + 48 and doubles while neither holds and 2 err
+    exceeds the series' width; once it does not, |F| < 1/(630n^5) + 2^{1-P}, and n! p^{n-1}
+    is compared with q^{n-1} exactly.  F = 0 needs p = 1 and n! = 2^{k(n-1)}: only 2! = 2 at
+    tau = 1/2.  Such near-ties are rare past small n: by a counting estimate ~2^53 / (1575
+    n^5) floats at most have one at a count >= n, fewer than one past n = 400; there the
+    exact comparison takes 0.2 ms on a 2-vCPU host."""
     bits, (p, q) = n.bit_length() + 48, tau.as_integer_ratio()
     while True:
         lo, hi, err = _bracket(n, p, q, bits)
         if lo >= 0 or hi <= 0:
             return lo >= 0
-        if 4 * err <= hi - lo:  # Robbins' width, not the rounding, leaves the sign open
+        if 4 * err <= hi - lo:  # the series' width, not the rounding, leaves the sign open
             return math.factorial(n) * p ** (n - 1) > q ** (n - 1)
         bits *= 2
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import subprocess
 from pathlib import Path
@@ -62,15 +63,28 @@ def test_smallest_workload_in_process(monkeypatch):
     json.dumps(rec, allow_nan=False)
 
 
-def test_workloads_cover_the_solver_rows():
+def test_workloads_cover_the_solver_rows(monkeypatch):
     bench = _load()
     assert [f"table-d3-n{n}" for n in range(2, 11)] == list(bench.WORKLOADS)[:9]
     others = {
-        "count13-d3", "count16-d3", "count16-d2", "broken-table-d3-n9", "compatible-count4-d3"
+        "count13-d3", "count16-d3", "count16-d2", "broken-table-d3-n9", "compatible-count4-d3",
+        "count20-d3",
     }
     assert others <= bench.WORKLOADS.keys()
     mset, _ = bench.measurement_set("broken-table-d3-n9")
     assert len(compat._RobustnessSdp(mset).rep) == 2**10  # the trivial group
+    # count 20 raises the tuple cap while it is measured, and no other workload does;
+    # the solves here run on table-d3-n2's small set
+    assert [n for n, spec in bench.WORKLOADS.items() if "max_tuples" in spec] == ["count20-d3"]
+    small, _ = bench.measurement_set("table-d3-n2")
+    _, params = bench.measurement_set("count20-d3")
+    assert dataclasses.asdict(params) == {"count": 20, "r": 0.005, "tau": 1 / 19 + 5e-5, "d": 3}
+    default, robustness, caps = compat.MAX_TUPLES, compat.robustness, []
+    monkeypatch.setattr(bench, "measurement_set", lambda name: (small, params))
+    monkeypatch.setattr(
+        compat, "robustness", lambda mset: caps.append(compat.MAX_TUPLES) or robustness(mset))
+    assert bench.measure("count20-d3")["params"]["count"] == 20
+    assert caps == [1 << 20] * (bench.REPEATS + 1) and compat.MAX_TUPLES == default
 
 
 def test_workloads_build_the_digest_records_sets(monkeypatch):
@@ -94,6 +108,17 @@ def test_workloads_build_the_digest_records_sets(monkeypatch):
     # record_digests has no d=2 count: count16-d2 is its count-16 row at d=2
     _, params = bench.measurement_set("count16-d2")
     assert dataclasses.replace(params, d=3) == bench.measurement_set("count16-d3")[1]
+
+
+def test_child_pins_one_cpu(monkeypatch):
+    bench = _load()
+    pinned = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append((pid, cpus)))
+    assert bench.pin() == 5 and pinned == [(0, {5})]
+    assert bench.manifest()["cpu_pinned"] == 5
+    # the child pins itself before measure loads numpy
+    assert bench.CHILD.index("bench_solve.pin()") < bench.CHILD.index("bench_solve.measure(")
 
 
 def test_tier1_reads_the_count_line(monkeypatch):

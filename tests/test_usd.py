@@ -605,10 +605,12 @@ class TestThresholdSearch:
             exact = mpmath.log(x) * mpmath.mpf(2) ** bits
             assert abs(2 * s + 2 * e * s3 - exact) < 2 * es + 2 * e * e3
 
+    # "width-blocks" and "rounding-blocks" name what left Robbins' bracket open there
     BRACKETS = {
         "tie": (2, 0.5), "half": (3, 0.5), "quarter": (7, 0.25),
         "width-blocks": (40000, 6.793018371443059e-05),
-        "rounding-blocks": (101814, 2.6693993361968942e-05), "1e-12": (2718281828417, 1e-12),
+        "rounding-blocks": (101814, 2.6693993361968942e-05),
+        "series-rounding-blocks": (156929, 1.731975864350245e-05), "1e-12": (2718281828417, 1e-12),
         "count-1e305": (10**305, 0.5), "tiny-tau": (3, 5e-324),
         "past-floats": (3 * 2**1074, 5e-324),
     }
@@ -624,19 +626,39 @@ class TestThresholdSearch:
                 stirling = (mpmath.mpf(n) + 0.5) * mpmath.log(n) - n + mpmath.log(2 * mpmath.pi) / 2
                 two_g = two_f - scale * (lnfact - stirling)
                 assert lo < two_f < hi
-                # the rounding part alone: total = lo + err - floor(2^{bits+1} / (12n + 1))
-                assert abs(lo + err - (2 << bits) // (12 * n + 1) - two_g) < err
+                # the rounding part alone: total = lo + err - floor(2^{bits+1} s),
+                # s = 1/(12n) - 1/(360n^3)
+                s = (2 << bits) * (30 * n * n - 1) // (360 * n**3)
+                assert abs(lo + err - s - two_g) < err
 
     def test_precision_doubles_while_the_rounding_blocks(self, monkeypatch):
-        # F = 7.8e-13: on the 2F scale the first bracket's rounding, 2 err = 1.6e-12,
-        # exceeds Robbins' width, 1.3e-12, so the precision doubles once, and the
-        # second bracket, [1.1e-13, 7.8e-13] on the F scale, decides
-        n, tau = 101814, 2.6693993361968942e-05
+        # F = -1.0e-13: the first bracket's rounding, 2 err = 1.5e-12 on the 2F scale,
+        # leaves [-5.5e-13, 2.0e-13] on the F scale, far wider than the series' width,
+        # 1.7e-28, so the precision doubles once, and the second bracket, within 1e-31
+        # of F, decides.  At F = 7.8e-13 the first bracket, [2.9e-13, 1.1e-12], decides
         seen, bracket = [], usd._bracket
         monkeypatch.setattr(usd, "_bracket", lambda *args: seen.append(args[-1]) or bracket(*args))
-        assert usd.beats_no_loss_optimum(n, tau)
-        assert seen == [65, 130]
-        assert_least_count(tau, n)
+        for n, tau, beats, bits in ((156929, 1.731975864350245e-05, False, [66, 132]),
+                                    (101814, 2.6693993361968942e-05, True, [65])):
+            seen.clear()
+            assert usd.beats_no_loss_optimum(n, tau) is beats
+            assert seen == bits
+            assert_least_count(tau, n if beats else n + 1)
+
+    def test_near_tie_without_the_exact_comparison(self, monkeypatch):
+        # |F(40000)| = 1.2e-12 lies inside Robbins' width ~1/(72 n^2) but far outside the
+        # series' 1/(630 n^5), so no exact comparison of 40000! p^39999 with q^39999 is made
+        tau = 6.793018371443059e-05
+
+        def factorial(n):
+            raise AssertionError(f"exact comparison at n = {n}")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        t0 = time.perf_counter()
+        assert usd.result4_threshold(tau) == 40000
+        assert time.perf_counter() - t0 < 0.01
+        monkeypatch.undo()
+        assert_least_count(tau, 40000)
 
 
 class TestCount:
@@ -704,7 +726,7 @@ class TestExactThreshold:
 
     def test_near_ties_match_rational_comparison(self):
         # the nine floats from 4 ulps below to 4 above each root (n!)^(-1/(n-1)):
-        # the bracket's edge, and the exact comparison where Robbins' width blocks
+        # the bracket's edge, and the exact comparison where the series' width blocks
         for n in [*range(3, 61), 100, 500, 2000]:
             with mpmath.workdps(50):
                 tau = float(mpmath.exp(-mpmath.loggamma(n + 1) / (n - 1)))
