@@ -50,6 +50,10 @@ from lossjm import compat, measurements as meas  # noqa: E402
 from lossjm.cli import TABLE_POINTS  # noqa: E402
 
 
+def _family(count, r, tau, d):
+    return lambda: meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
+
+
 def table_row(d, n, tau=None):
     """Table row n at d: count n + 1 at ``TABLE_POINTS[n]``, tau = 1/n + eps unless given."""
     r, eps = TABLE_POINTS[n]
@@ -70,10 +74,6 @@ def broken(params):
     povms[1] = E = povms[1].copy()
     E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
     return meas.MeasurementSet(tuple(povms))
-
-
-def _family(count, r, tau, d):
-    return lambda: meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
 
 
 def _pairs(seed, k):

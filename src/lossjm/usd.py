@@ -187,8 +187,9 @@ def _bracket(n: int, p: int, q: int, bits: int) -> tuple[int, int, int]:
         s, es = _atan(x - (1 << e), x + (1 << e), bits, 1)
         total, err, ln2s = total + 2 * c * s, err + 2 * c * es, ln2s + c * e
     total, err = total + 2 * ln2s * half_ln2, err + 2 * abs(ln2s) * e3
-    s, scale = (2 << bits) * (210 * n**4 - 7 * n * n), 2520 * n**5
-    return total - err + s // scale, total + err - (-(s + (4 << bits)) // scale), err
+    # 2^{P+1} s = low / scale, and 2^{P+1} (s + 1/(1260n^5)) = (low + 2^{P+2}) / scale
+    low, scale = (2 << bits) * (210 * n**4 - 7 * n * n), 2520 * n**5
+    return total - err + low // scale, total + err - (-(low + (4 << bits)) // scale), err
 
 
 def _beats(n: int, tau: float) -> bool:
