@@ -35,8 +35,8 @@ of the tier-1 suite (ROADMAP.md) at one BLAS thread: its seconds and its
 passed and failed counts.
 
 ``count20-d3`` (count 20, 2^20 outcome tuples) raises compat.MAX_TUPLES to
-2^20 while it is measured.  It takes about 20 s a call and 830 MiB, so it adds
-about 2 minutes to a run.
+2^20 while it is measured.  It takes about 25 s a call and 980 MiB at peak, so
+it adds 2 to 3 minutes to a run.
 """
 
 from __future__ import annotations
