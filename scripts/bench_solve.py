@@ -35,8 +35,8 @@ of the tier-1 suite (ROADMAP.md) at one BLAS thread: its seconds and its
 passed and failed counts.
 
 ``count20-d3`` (count 20, 2^20 outcome tuples) raises compat.MAX_TUPLES to
-2^20 while it is measured.  It takes about 25 s a call and 980 MiB at peak, so
-it adds 2 to 3 minutes to a run.
+2^20 while it is measured.  It takes about 20 s a call and 700 MiB at peak, so
+it adds about 2 minutes to a run.
 """
 
 from __future__ import annotations
@@ -96,25 +96,26 @@ def measure(name: str) -> dict:
     default = compat.MAX_TUPLES
     compat.MAX_TUPLES = WORKLOADS[name].get("max_tuples", default)
     mset, params = measurement_set(name)
+    sdp = compat._RobustnessSdp(mset)
+    size = {"tuples": sdp.T, "blocks": len(sdp.rep), "coordinates": len(sdp.dv)}
+    del sdp
     runs = []
     for _ in range(REPEATS + 1):
         res = compat.robustness(mset)
-        runs.append({"wall": res.seconds, **res.phases})
+        runs.append({"wall": res.seconds, "phases": res.phases, "newton_steps": res.iterations,
+                     "verdict": res.verdict, "method": res.method})
+        del res  # so that the peak resident set counts one call's result
     runs = runs[1:]  # the first call warms up
-    sdp = compat._RobustnessSdp(mset)
     compat.MAX_TUPLES = default
     return {
         "params": {"count": params.count, "r": params.r, "tau": params.tau, "d": params.d},
         "repeats": REPEATS,
         "wall_s": statistics.median(run["wall"] for run in runs),
-        "phases_s": {phase: statistics.median(run[phase] for run in runs) for phase in res.phases},
+        "phases_s": {phase: statistics.median(run["phases"][phase] for run in runs)
+                     for phase in runs[-1]["phases"]},
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "newton_steps": res.iterations,
-        "verdict": res.verdict,
-        "method": res.method,
-        "tuples": sdp.T,
-        "blocks": len(sdp.rep),
-        "coordinates": len(sdp.dv),
+        **{k: runs[-1][k] for k in ("newton_steps", "verdict", "method")},
+        **size,
     }
 
 

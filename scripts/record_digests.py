@@ -24,9 +24,10 @@ The groups (``GROUPS``), in the order printed:
   group;
 * ``counts``: counts 13 and 16 at d=3, r = 0.005, tau = 1/(count - 1) + 5e-5;
 * ``compatible``: count 4 at r = 4.5, tau = 0.5, d=3, COMPATIBLE by the solve;
-* ``truncated``: ``max_iter`` 0..22 over the 16 families and 10 seed-7
-  random qubit pairs of ``test_truncated_solves_keep_eta_star_in_range``,
-  and over count 13.
+* ``truncated``: ``max_iter`` 0..22 over ``truncated_sets`` (the 16
+  families and 10 seed-7 random qubit pairs that
+  ``test_truncated_solves_keep_eta_star_in_range`` also reads), and over
+  count 13.
 
 The first seven hold 1,304 solves and two refusals, ``truncated`` 621 solves.
 """
@@ -47,17 +48,11 @@ if __name__ == "__main__":  # one BLAS thread, set before numpy loads
 import numpy as np  # noqa: E402
 
 from lossjm import compat, measurements as meas  # noqa: E402
-from lossjm.cli import TABLE_POINTS  # noqa: E402
+from lossjm.cli import table_row  # noqa: E402
 
 
 def _family(count, r, tau, d):
     return lambda: meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
-
-
-def table_row(d, n, tau=None):
-    """Table row n at d: count n + 1 at ``TABLE_POINTS[n]``, tau = 1/n + eps unless given."""
-    r, eps = TABLE_POINTS[n]
-    return meas.FamilyParams(n + 1, r, 1.0 / n + eps if tau is None else tau, d)
 
 
 def count_row(count, d):
@@ -93,10 +88,16 @@ def _table():
     ]
 
 
-def _truncated():
+def truncated_sets():
+    """(name, build) of the 16 families and 10 seed-7 random qubit pairs that
+    solves cut short at every step must keep eta_star in range."""
     sets = [(f"count={c} r={r} tau={t} d={d}", _family(c, r, t, d))
             for c in (2, 3) for r in (0.3, 4.5) for t in (0.3, 0.9) for d in (2, 3)]
-    sets += _pairs(7, 10) + [("count13-d3", partial(meas.symmetric_family, count_row(13, 3)))]
+    return sets + _pairs(7, 10)
+
+
+def _truncated():
+    sets = truncated_sets() + [("count13-d3", partial(meas.symmetric_family, count_row(13, 3)))]
     return [(f"truncated {name} max_iter={k}", _solve(build, k))
             for name, build in sets for k in range(23)]
 

@@ -47,6 +47,12 @@ TABLE_POINTS = {
 }
 
 
+def table_row(d: int, n: int, tau: float | None = None) -> FamilyParams:
+    """Table row n at d: count n + 1 at ``TABLE_POINTS[n]``, tau = 1/n + eps unless given."""
+    r, eps = TABLE_POINTS[n]
+    return FamilyParams(n + 1, r, 1.0 / n + eps if tau is None else tau, d)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for verdicts
         self.print_usage(sys.stderr)
@@ -127,12 +133,9 @@ def cmd_compat(args) -> int:
 
 
 def _run_row(n: int, d: int, max_iter: int):
-    """The row's family at tau = 1/n + eps, then at the breaking point 1/count
-    of a count-measurement set, where it is compatible by construction
-    (Result 2); (params, verdict) for each."""
-    r, eps = TABLE_POINTS[n]
-    count = n + 1
-    points = [FamilyParams(count, r, 1.0 / n + eps, d), FamilyParams(count, r, 1.0 / count, d)]
+    """The row's family at tau = 1/n + eps, then at its breaking point 1/(n + 1),
+    compatible by construction (Result 2); (params, verdict) for each."""
+    points = [table_row(d, n), table_row(d, n, 1.0 / (n + 1))]
     return [(p, compat.decide_table_row(p, max_iter=max_iter)) for p in points]
 
 

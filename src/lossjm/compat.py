@@ -169,16 +169,12 @@ def _orbits(outs: tuple, elements: list) -> np.ndarray:
     ``elements``, pairs (s, f) standing for shift^s reverse^f: shift moves
     the outcome of measurement j to j + 1, reverse that of j to -j (mod n).
 
-    Row e holds the flat indices of the representatives' images under
-    ``elements[e]``.  A representative is the least flat index of its orbit;
-    ``elements[0]`` must be the identity, so row 0 lists them in order.
+    Row e is the flat-index grid with its axes moved by ``elements[e]``, read at
+    each orbit's least index, its representative; ``elements[0]`` must be the identity.
     """
-    n, T = len(outs), math.prod(outs)
-    digits = np.indices(outs).reshape(n, T)
-    place = T // np.cumprod(outs)
-    j = np.arange(n)
-    images = np.stack([place @ digits[(s - j if f else j - s) % n] for s, f in elements])
-    return images[:, images.min(axis=0) == np.arange(T)]
+    grid, j = np.arange(math.prod(outs)).reshape(outs), np.arange(len(outs))
+    images = np.stack([grid.transpose((s - j if f else j + s) % len(j)) for s, f in elements])
+    return images.reshape(len(elements), -1)[:, (images.min(axis=0) == grid).ravel()]
 
 
 def _phase_classes(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

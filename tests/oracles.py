@@ -26,8 +26,9 @@ in the package:
 * the block of a parent POVM at one outcome tuple, the marginal map, its
   adjoint, the Schur matrix of the robustness solve and the closed-form
   projection onto the parents of given marginals by sums over the axes of
-  the outcome-tuple grid, and the average of parent blocks over the
-  dihedral group of a rotation-covariant set.
+  the outcome-tuple grid, the image table of the outcome tuples' orbits by
+  mixed-radix digits, and the average of parent blocks over the dihedral
+  group of a rotation-covariant set.
 
 Operators follow the conventions of ``lossjm.fock``: dense complex matrices
 in the number basis, multimode states indexed row-major by photon-number
@@ -605,6 +606,20 @@ def project_reference(outs: tuple, G: np.ndarray, targets: np.ndarray) -> np.nda
     weight = np.repeat(outs, outs)[:, None, None] / T
     gap = marginals_reference(outs, G) - targets
     return G - spread_reference(outs, weight * gap - shift)
+
+
+def orbits_reference(outs: tuple, elements: list) -> np.ndarray:
+    """The image table of ``compat._orbits`` by mixed-radix digits: every
+    tuple's digits as an n x T table, and for each element (s, f) the
+    digits of measurement (j - s) or (s - j) mod n at position j, times the
+    place values; the representatives are the columns whose least image is
+    their own flat index."""
+    n, T = len(outs), math.prod(outs)
+    digits = np.indices(outs).reshape(n, T)
+    place = T // np.cumprod(outs)
+    j = np.arange(n)
+    images = np.stack([place @ digits[(s - j if f else j - s) % n] for s, f in elements])
+    return images[:, images.min(axis=0) == np.arange(T)]
 
 
 def dihedral_average(outs: tuple, X: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from lossjm import (
     qubit,
     usd,
 )
-from lossjm.cli import TABLE_POINTS
+from lossjm.cli import table_row
 
 import oracles
 
@@ -25,10 +25,7 @@ def test_criterion_1_benchmark_verdicts(criterion_report):
     details = []
     ok = True
     for n in (2, 3, 4, 5):
-        r, eps = TABLE_POINTS[n]
-        row = compat.decide_table_row(
-            meas.FamilyParams(n + 1, r, 1.0 / n + eps, 3)
-        )
+        row = compat.decide_table_row(table_row(3, n))
         incompatible = row.verdict == "INCOMPATIBLE"
         ok &= incompatible
         if n == 5:
@@ -219,11 +216,8 @@ def test_criterion_8_stretch_rows(criterion_report):
     ok = True
     details = []
     for n in (6, 7, 8):
-        r, eps = TABLE_POINTS[n]
         t0 = time.perf_counter()
-        row = compat.decide_table_row(
-            meas.FamilyParams(n + 1, r, 1.0 / n + eps, 2)
-        )
+        row = compat.decide_table_row(table_row(2, n))
         elapsed = time.perf_counter() - t0
         ok &= row.verdict == "INCOMPATIBLE" and elapsed < 3600
         details.append(f"n={n}: {row.verdict} eta*={row.eta_star:.6f} ({elapsed:.0f}s)")

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import subprocess
+import weakref
 from pathlib import Path
 
 import record_digests
@@ -61,6 +62,28 @@ def test_smallest_workload_in_process(monkeypatch):
     assert abs(sum(phases[k] for k in parts) - phases["solve"]) <= 0.1 * phases["solve"]
     assert phases["solve"] <= rec["wall_s"]
     json.dumps(rec, allow_nan=False)
+
+
+def test_one_result_alive_per_call(monkeypatch):
+    # peak_rss_mib counts one call: when a call starts, no Verdict of an earlier
+    # call and no _RobustnessSdp (measure's own, for the sizes, or a call's) is alive
+    bench = _load()
+    robustness, build, made, alive = compat.robustness, compat._RobustnessSdp, [], []
+
+    def tracked(mset):
+        made.append(weakref.ref(sdp := build(mset)))
+        return sdp
+
+    def spy(mset):
+        alive.append(sum(ref() is not None for ref in made))
+        made.append(weakref.ref(res := robustness(mset)))
+        return res
+
+    monkeypatch.setattr(compat, "_RobustnessSdp", tracked)
+    monkeypatch.setattr(compat, "robustness", spy)
+    rec = bench.measure("table-d3-n2")
+    assert alive == [0] * (bench.REPEATS + 1) and len(made) == 2 * bench.REPEATS + 3
+    assert (rec["tuples"], rec["blocks"], rec["coordinates"]) == (8, 4, 9)
 
 
 def test_workloads_cover_the_solver_rows(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lossjm import compat, measurements as meas
-from lossjm.cli import TABLE_POINTS
+from lossjm.cli import table_row
 
 import oracles
 
@@ -36,13 +36,8 @@ def digits50():
         yield
 
 
-def table_row(n, d=3):
-    r, eps = TABLE_POINTS[n]
-    return meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
-
-
 @pytest.mark.parametrize("params", [
-    table_row(2), table_row(6), table_row(8), meas.FamilyParams(3, 0.3, 0.51, 10),
+    table_row(3, 2), table_row(3, 6), table_row(3, 8), meas.FamilyParams(3, 0.3, 0.51, 10),
 ], ids=["d3-n2", "d3-n6", "d3-n8", "d10-count3"])
 def test_row_witness_is_exact(digits50, params):
     """The repaired witness of an incompatible row proves eta* < 1 exactly,

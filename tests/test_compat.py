@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from lossjm import compat, loss, measurements as meas, parent, qubit
-from lossjm.cli import TABLE_POINTS
+from lossjm.cli import table_row
 
 import oracles
+import record_digests
 
 
 def projective_z():
@@ -252,7 +253,7 @@ class TestProjection:
             return marginals(self)
 
         monkeypatch.setattr(meas.ParentPovm, "marginals", counted_marginals)
-        res = compat.robustness(table_family(3, 3))
+        res = compat.robustness(meas.symmetric_family(table_row(3, 3)))
         assert res.verdict == "INCOMPATIBLE"
         assert calls == [16]
 
@@ -261,7 +262,8 @@ class TestProjection:
     def test_witness_repair_reads_the_representatives(self, monkeypatch, covariant, blocks):
         # one eigvalsh over the representatives' blocks Z_t = sum_j Y^j_{t_j}:
         # 126 of the 2048 tuples of count 11, every tuple for the trivial group
-        sdp = compat._RobustnessSdp(table_family(3, 10) if covariant else TRIVIAL)
+        mset = meas.symmetric_family(table_row(3, 10)) if covariant else TRIVIAL
+        sdp = compat._RobustnessSdp(mset)
         W = -sdp.full_rows(np.random.default_rng(35).normal(size=len(sdp.dv)))
         read = []
         eigvalsh = np.linalg.eigvalsh
@@ -339,10 +341,9 @@ class TestCertify:
     def test_built_parents_exactly_hermitian(self, d, n):
         # the gap adds nothing to the residual of a parent lossjm builds:
         # the network parent at tau = 1/count and the SDP's at 1/n + eps
-        r, _ = TABLE_POINTS[n]
-        row = compat.decide_table_row(meas.FamilyParams(n + 1, r, 1.0 / (n + 1), d))
+        row = compat.decide_table_row(table_row(d, n, 1.0 / (n + 1)))
         assert row.method == "lon-parent"
-        for par in (row.parent, compat.robustness(table_family(d, n)).parent):
+        for par in (row.parent, compat.robustness(meas.symmetric_family(table_row(d, n))).parent):
             assert np.array_equal(par.blocks, np.conj(np.swapaxes(par.blocks, 1, 2)))
 
 
@@ -409,13 +410,8 @@ class TestRobustness:
     def test_truncated_solves_keep_eta_star_in_range(self):
         # the noise-weight form has no eta >= 0 bound: a solve cut short at any
         # step must still give 0 <= eta_star <= 1, and eta_star <= eta_hi
-        sets = [
-            meas.symmetric_family(meas.FamilyParams(count, r, tau, d))
-            for count in (2, 3) for r in (0.3, 4.5) for tau in (0.3, 0.9) for d in (2, 3)
-        ]
-        rng = np.random.default_rng(7)
-        sets += [meas.random_measurement_set(2, 2, rng) for _ in range(10)]
-        for mset in sets:
+        for _, build in record_digests.truncated_sets():
+            mset = build()
             for k in range(8):
                 res = compat.robustness(mset, max_iter=k)
                 assert 0.0 <= res.eta_star <= 1.0
@@ -456,8 +452,7 @@ class TestRobustness:
         # at tau = 1/count the d=3 family is compatible and the residual stalls
         # within TOL: the stall ends the solve (22-25 steps), which without it
         # ran to the 100-step cap; it returns the best iterate either way
-        r = TABLE_POINTS[count - 1][0]
-        res = compat.robustness(meas.symmetric_family(meas.FamilyParams(count, r, 1 / count, 3)))
+        res = compat.robustness(meas.symmetric_family(table_row(3, count - 1, 1 / count)))
         assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
         assert res.iterations <= 30
 
@@ -497,14 +492,29 @@ class TestNewtonStep:
         # one Cholesky call factorises the stacked iterate [X, Z]
         assert counts == {"cholesky": res.iterations, "eigh": 0}
 
+    def test_singular_step_ends_the_solve_undecided(self, monkeypatch):
+        # a factorisation that fails ends the solve at the best iterate so far:
+        # no witness proves eta_hi < 1 after 3 steps, so the row is UNDECIDED
+        calls, cholesky = [], np.linalg.cholesky
+
+        def failing(a):
+            calls.append(1)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        res = compat.robustness(meas.symmetric_family(table_row(3, 2)))
+        assert (res.verdict, res.method, res.iterations) == ("UNDECIDED", "none", 3)
+        assert len(calls) == 4 and res.eta_star < res.eta_hi
+
     def test_verdict_insensitive_to_input_rounding(self):
         # the same row with each element, built per POVM, the average of the
         # two triangles of the split instead of a rotation of the mirrored
         # lower one: entries move by at most one rounding, and the set is no
         # longer exactly covariant, so it is solved with one block per tuple
-        n, d = 6, 3
-        r, eps = TABLE_POINTS[n]
-        params = meas.FamilyParams(n + 1, r, 1.0 / n + eps, d)
+        d = 3
+        params = table_row(d, 6)
         built = meas.symmetric_family(params)
         B, eye = loss._split_amplitudes(params.tau, d), np.eye(d, dtype=complex)[None]
         povms = []
@@ -526,20 +536,6 @@ TIER1_ROWS = (
 )
 
 
-def table_family(d, n):
-    r, eps = TABLE_POINTS[n]
-    return meas.symmetric_family(meas.FamilyParams(n + 1, r, 1.0 / n + eps, d))
-
-
-def broken_copy(mset):
-    """The set with one entry of measurement 1 moved by one rounding: no
-    longer exactly covariant, so it is solved with one block per tuple."""
-    povms = list(mset)
-    povms[1] = E = povms[1].copy()
-    E[0, 0, 0] = np.nextafter(E[0, 0, 0].real, 2.0)
-    return meas.MeasurementSet(tuple(povms))
-
-
 class TestReduction:
     # binary bracelets, OEIS A000029
     BRACELETS = [2, 3, 4, 6, 8, 13, 18, 30, 46, 78, 126, 224, 380, 687, 1224, 2250]
@@ -555,6 +551,20 @@ class TestReduction:
         for r, w in zip(sdp.rep, sdp.weight):
             t = tuples[r]
             assert w == len({u[k:] + u[:k] for u in (t, t[::-1]) for k in range(count)})
+
+    @pytest.mark.parametrize("count", range(1, 15))
+    def test_orbit_table_matches_the_digit_table(self, count):
+        # the transposed index grid against every tuple's mixed-radix digits
+        # times the place values, for the dihedral and the trivial group
+        dihedral = [(s, f) for f in (0, 1) for s in range(count)]
+        for elements in (dihedral, [(0, 0)]):
+            want = oracles.orbits_reference((2,) * count, elements)
+            assert np.array_equal(compat._orbits((2,) * count, elements), want)
+
+    def test_orbit_table_of_the_three_outcome_set(self):
+        sdp = compat._RobustnessSdp(COVARIANT[-1])
+        assert sdp.outs == (3, 3, 3) and len(sdp.elements) == 6
+        assert np.array_equal(sdp.images, oracles.orbits_reference(sdp.outs, sdp.elements))
 
     @pytest.mark.parametrize("count,d,size", [(16, 3, 40), (11, 2, 20), (6, 4, 5)],
                              ids=["count16-d3", "count11-d2", "count6-d4"])
@@ -611,11 +621,12 @@ class TestReduction:
 
     @pytest.mark.parametrize("d,n", TIER1_ROWS)
     def test_reduced_matches_trivial_group(self, d, n):
-        family = table_family(d, n)
-        broken = broken_copy(family)
+        # the broken copy is no longer exactly covariant: one block per tuple
+        params = table_row(d, n)
+        family, copy = meas.symmetric_family(params), record_digests.broken(params)
         assert len(compat._RobustnessSdp(family).rep) < 2 ** (n + 1)
-        assert len(compat._RobustnessSdp(broken).rep) == 2 ** (n + 1)
-        a, b = compat.robustness(family), compat.robustness(broken)
+        assert len(compat._RobustnessSdp(copy).rep) == 2 ** (n + 1)
+        a, b = compat.robustness(family), compat.robustness(copy)
         assert (a.verdict, a.method) == (b.verdict, b.method) == ("INCOMPATIBLE", "sdp-witness")
         assert abs(a.eta_star - b.eta_star) <= 1e-8
         assert abs(a.eta_hi - b.eta_hi) <= 1e-8
@@ -624,7 +635,7 @@ class TestReduction:
     def test_expanded_iterate_is_invariant(self, n):
         # the Newton steps leave the iterate off invariance (850 eps of max|X| at
         # count 6, 1.3e5 eps at count 11); its expansion is the group average
-        sdp = compat._RobustnessSdp(table_family(3, n))
+        sdp = compat._RobustnessSdp(meas.symmetric_family(table_row(3, n)))
         B = sdp.full_blocks(sdp.solve(compat.DEFAULT_MAX_ITER)[0])
         gap = np.abs(B - oracles.dihedral_average(sdp.outs, B)).max()
         assert gap <= 4 * np.finfo(float).eps * np.abs(B).max()
@@ -642,8 +653,7 @@ class TestReduction:
         # thread, 3.6e-9 at two) and on the pair of
         # test_near_boundary_pair_incompatible (9.0e-11); on the broken d=3
         # n=9 and d=4 n=4 copies it lies below eta_hi
-        family = table_family(d, n)
-        mset = broken_copy(family) if broken else family
+        mset = (record_digests.broken if broken else meas.symmetric_family)(table_row(d, n))
         res = compat.robustness(mset)
         assert res.verdict == "INCOMPATIBLE" and res.eta_star <= res.eta_hi
         check = compat.certify(compat.depolarize(mset, res.eta_star), res.parent)
@@ -651,12 +661,12 @@ class TestReduction:
 
     @pytest.mark.parametrize("n,steps", [(2, 9), (3, 11)])
     def test_benchmark_rows_keep_step_counts(self, n, steps):
-        assert compat.robustness(table_family(3, n)).iterations == steps
+        assert compat.robustness(meas.symmetric_family(table_row(3, n))).iterations == steps
 
     def test_stall_with_the_residual_within_tol_ends_the_solve(self):
         # the least residual, 1.2e-10: within TOL but above the tolerance,
         # comes at step 12; without the stall the solve runs to step 43
-        res = compat.robustness(broken_copy(table_family(2, 5)))
+        res = compat.robustness(record_digests.broken(table_row(2, 5)))
         assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 17)
 
     @pytest.mark.parametrize("d,eta_hi", [(10, 0.92403), (12, 0.92582)])
@@ -670,8 +680,7 @@ class TestReduction:
     def test_count_13_and_15_rows_incompatible(self, count, d):
         # 8192 outcome tuples and 380 orbits at count 13; count 15 (1224 orbits)
         # stalls at step 6, UNDECIDED, unless the stall waits for a residual within TOL
-        params = meas.FamilyParams(count, 0.005, 1.0 / (count - 1) + 5e-5, d)
-        row = compat.decide_table_row(params)
+        row = compat.decide_table_row(record_digests.count_row(count, d))
         assert (row.verdict, row.method) == ("INCOMPATIBLE", "sdp-witness")
         assert row.eta_star < 1.0
 
@@ -697,8 +706,7 @@ class TestDecideTableRow:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_table_breaking_point_certified(self, n):
         # count n+1 at tau = 1/(n+1): every row the network parent can reach
-        r, _ = TABLE_POINTS[n]
-        row = compat.decide_table_row(meas.FamilyParams(n + 1, r, 1.0 / (n + 1), 3))
+        row = compat.decide_table_row(table_row(3, n, 1.0 / (n + 1)))
         assert row.verdict == "COMPATIBLE"
         assert row.method == "lon-parent"
         assert row.iterations == 0
@@ -706,9 +714,8 @@ class TestDecideTableRow:
         assert row.psd_residual <= 1e-10
 
     def test_table_breaking_point_beyond_arm_limit(self):
-        r, _ = TABLE_POINTS[10]
         with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
-            compat.decide_table_row(meas.FamilyParams(11, r, 1.0 / 11, 3))
+            compat.decide_table_row(table_row(3, 10, 1.0 / 11))
 
     def test_refused_network_row_builds_one_family(self, monkeypatch):
         # the lossy family was once built before lon_parent refused the network
@@ -946,12 +953,10 @@ class TestDeterminism:
     ROWS = """
 import hashlib, json
 from lossjm import compat
-from lossjm.cli import TABLE_POINTS
-from lossjm.measurements import FamilyParams
+from lossjm.cli import table_row
 records = []
 for n in (9, 10):
-    r, eps = TABLE_POINTS[n]
-    v = compat.decide_table_row(FamilyParams(n + 1, r, 1.0 / n + eps, 3))
+    v = compat.decide_table_row(table_row(3, n))
     h = hashlib.sha256(v.parent.blocks.tobytes())
     for rows in v.witness:
         h.update(rows.tobytes())
