@@ -35,7 +35,7 @@ of the tier-1 suite (ROADMAP.md) at one BLAS thread: its seconds and its
 passed and failed counts.
 
 ``count20-d3`` (count 20, 2^20 outcome tuples) raises compat.MAX_TUPLES to
-2^20 while it is measured.  It takes about 20 s a call and 700 MiB at peak, so
+2^20 while it is measured.  It takes about 17 s a call and 560 MiB at peak, so
 it adds about 2 minutes to a run.
 """
 

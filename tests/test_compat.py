@@ -450,8 +450,8 @@ class TestRobustness:
     @pytest.mark.parametrize("count", [6, 7, 8, 9])
     def test_stall_ends_compatible_solves(self, count):
         # at tau = 1/count the d=3 family is compatible and the residual stalls
-        # within TOL: the stall ends the solve (22-25 steps), which without it
-        # ran to the 100-step cap; it returns the best iterate either way
+        # within TOL: the stall ends the solve (22-26 steps), which without it
+        # runs 42-100 steps; it returns the best iterate either way
         res = compat.robustness(meas.symmetric_family(table_row(3, count - 1, 1 / count)))
         assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
         assert res.iterations <= 30
