@@ -19,9 +19,9 @@ The groups (``GROUPS``), in the order printed:
 * ``sweep``: counts 2-5 x d in {2, 3} x 8 r in geomspace(1, 12) x 8 tau in
   linspace(0.05, 1);
 * ``pairs``: 500 random qubit pairs, seed 11;
-* ``broken``: the refuted table rows d=3 n=3, 7, 9, d=2 n=5 and d=4 n=4 with
-  one entry of measurement 1 moved by one rounding, solved with the trivial
-  group;
+* ``broken``: the refuted table rows d=3 n=3, 7, 9, d=2 n=5 and d=4 n=4, and
+  the d=2 n=8 row at its breaking point tau = 1/9, with one entry of
+  measurement 1 moved by one rounding, solved with the trivial group;
 * ``counts``: counts 13 and 16 at d=3, r = 0.005, tau = 1/(count - 1) + 5e-5;
 * ``compatible``: count 4 at r = 4.5, tau = 0.5, d=3, COMPATIBLE by the solve;
 * ``truncated``: ``max_iter`` 0..22 over ``truncated_sets`` (the 16
@@ -29,7 +29,7 @@ The groups (``GROUPS``), in the order printed:
   ``test_truncated_solves_keep_eta_star_in_range`` also reads), and over
   count 13.
 
-The first seven hold 1,304 solves and two refusals, ``truncated`` 621 solves.
+The first seven hold 1,305 solves and two refusals, ``truncated`` 621 solves.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ GROUPS = {
                       for r in np.geomspace(1, 12, 8) for t in np.linspace(0.05, 1, 8)],
     "pairs": lambda: [(name, _solve(build)) for name, build in _pairs(11, 500)],
     "broken": lambda: [(f"broken d={d} n={n}", _solve(partial(broken, table_row(d, n))))
-                       for d, n in ((3, 3), (3, 7), (3, 9), (2, 5), (4, 4))],
+                       for d, n in ((3, 3), (3, 7), (3, 9), (2, 5), (4, 4))]
+    + [(f"broken d=2 n=8 tau={1 / 9!r}", _solve(partial(broken, table_row(2, 8, 1 / 9))))],
     "counts": lambda: [(f"count{c}-d3", _solve(partial(meas.symmetric_family, count_row(c, 3))))
                        for c in (13, 16)],
     "compatible": lambda: [

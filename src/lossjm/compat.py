@@ -34,9 +34,9 @@ The dimension d is not capped, but each Newton step's Schur products hold
 representatives x d^4 complex numbers: about 2.4 GB for count 16 at d = 16.
 
 ``eta_star`` is the certified lower end: the returned parent certifies the set
-depolarized to eta_star, up to ``TOL``.  ``certify``, ``robustness`` and
-``decide_table_row`` all return one record, ``Verdict``; when no certificate
-holds its verdict is UNDECIDED, never a guess.
+depolarized to eta_star, up to ``TOL``, and eta_star is None when it does not.
+``certify``, ``robustness`` and ``decide_table_row`` all return one record,
+``Verdict``; when no certificate holds its verdict is UNDECIDED, never a guess.
 
 The solve runs in the subspace fixed by the group that permutes the set.  For
 the symmetric family that is the dihedral group generated by the phase
@@ -90,10 +90,10 @@ class Verdict:
     rounding is not bounded), and so does "lon-parent", whose network is the
     same at every d; "sdp-parent" speaks only for the truncated set.
 
-    ``parent`` certifies the set depolarized to ``eta_star`` (the set itself
-    for ``certify``); ``marginal_residual`` and ``psd_residual`` are its
-    residuals.  ``witness[j][a]`` = Y^j_a proves ``eta_hi``; both are None
-    when no witness proves a bound.  ``iterations`` counts Newton steps and
+    ``parent`` certifies the set depolarized to ``eta_star`` (the set itself for
+    ``certify``) or eta_star is None, with residuals ``marginal_residual`` and
+    ``psd_residual``.  ``witness[j][a]`` = Y^j_a proves ``eta_hi``; both are
+    None when no witness proves a bound.  ``iterations`` counts Newton steps and
     ``phases`` (see ``robustness``; None for ``certify``) the seconds per phase.
 
     The two ends of the bracket hold in different senses.  ``eta_hi`` is
@@ -368,19 +368,19 @@ class _RobustnessSdp:
 
     def solve(self, max_iter: int):
         """Infeasible-start HKM predictor-corrector steps from (I/T, s = 1);
-        returns the best primal (G, eta = 1 - s), G at the representatives, the
+        returns its last primal (G, eta = 1 - s), G at the representatives, the
         dual rows Y, the step count, and laps that partition its seconds:
         "solve.residual" (and the stop test), "solve.factor" (W's Cholesky
         factor, whose inverse gives Z^-1 and both step lengths), "solve.schur",
         "solve.direction" (both directions, mu), "solve.step_length"
-        (``_max_steps``) and "solve.update" (the step).  The
-        iterate is one stack W = [X, Z] and each direction one stack dW = [dX, dZ].
+        (``_max_steps``) and "solve.update" (the step).  The iterate is one
+        stack W = [X, Z] and each direction one stack dW = [dX, dZ].
 
         It ends below ``_IPM_TOL`` (the gap read on the eta scale, where the
         stop comes in fewer steps), at ``max_iter`` steps, or at a stall
-        (rounding stalls ill-conditioned solves) five steps past a least
-        residual within TOL, and only then; a singular Schur matrix would end
-        it early.  The orbit weights make <X, Z>, mu and the dual residual those
+        (rounding stalls ill-conditioned solves): a residual not below the
+        previous one, once that is within TOL; a singular Schur matrix ends it
+        early.  The orbit weights make <X, Z>, mu and the dual residual those
         of the solve over all T blocks; the primal residual is on its coordinates.
         """
         t0, parts = time.perf_counter(), dict.fromkeys(
@@ -392,19 +392,18 @@ class _RobustnessSdp:
         c = np.zeros(len(self.dv))
         N = self.T * self.d + 1
         bnorm = 1.0 + np.linalg.norm(self.cv)
-        best = (np.inf, 0)
+        prev = np.inf
         for steps in range(max_iter + 1):
-            X, Z = W  # views; each step builds a new W, so best keeps its X
+            X, Z = W  # views into W, which each step updates in place
             rp = self.cv + self.dv - self.marginal_coords(X) - x * self.dv
             Rd, rd = -self.dual_blocks(c) - Z, 1.0 - self.dv @ c - z
             dobj = (self.cv + self.dv) @ c
             gap = abs(x - dobj) / (1.0 + abs(1.0 - x) + abs(1.0 - dobj))
             pinf = np.linalg.norm(rp) / bnorm
             err = max(gap, pinf, np.hypot(np.sqrt(self.inner(Rd, Rd)), rd) / 2)
-            if err < best[0]:
-                best = (err, steps, X, x, c)
-            if err < _IPM_TOL or steps == max_iter or steps == best[1] + 5 and best[0] <= TOL:
+            if err < _IPM_TOL or steps == max_iter or err >= prev and prev <= TOL:
                 break
+            prev = err
             _lap(parts, t0, "solve.residual")
             try:
                 R = np.linalg.inv(np.linalg.cholesky(W))  # R W R^H = I, W^-1 = R^H R
@@ -434,10 +433,9 @@ class _RobustnessSdp:
                 _lap(parts, t0, "solve.step_length")
             except np.linalg.LinAlgError:
                 break
-            W = W + np.reshape([ap, ad], (2, 1, 1, 1)) * dW
+            W += np.reshape([ap, ad], (2, 1, 1, 1)) * dW
             x, c, z = x + ap * dx, c + ad * dc, z + ad * dz
             _lap(parts, t0, "solve.update")
-        _, _, X, x, c = best
         return X, 1.0 - x, self.full_rows(c), steps, _lap(parts, t0, "solve.residual", parts)
 
     def repair_witness(self, W: np.ndarray) -> tuple[np.ndarray, float]:
@@ -517,7 +515,8 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
     with eta_star = 1, failing UNDECIDED.  Short of COMPATIBLE the primal,
     projected onto the marginals at min(eta_p, eta_hi), for the solve's
     eta_p <= 1, and mixed with the eta = 0 product parent until its least
-    eigenvalue is within TOL/2 of zero, gives eta_star <= min(eta_p, eta_hi).
+    eigenvalue is within TOL/2 of zero, gives eta_star <= min(eta_p, eta_hi),
+    or None if this parent fails ``certify``.
 
     ``phases`` holds the seconds of build, solve (split by the "solve.*" laps
     of ``_RobustnessSdp.solve``), repair, parent (projecting, mixing and
@@ -553,7 +552,7 @@ def robustness(mset: MeasurementSet, max_iter: int = DEFAULT_MAX_ITER) -> Verdic
         check,
         verdict=verdict,
         method=method,
-        eta_star=eta_star,
+        eta_star=eta_star if check.verdict == "COMPATIBLE" else None,
         eta_hi=eta_hi if proven else None,
         iterations=steps,
         seconds=time.perf_counter() - t0,

@@ -450,11 +450,11 @@ class TestRobustness:
     @pytest.mark.parametrize("count", [6, 7, 8, 9])
     def test_stall_ends_compatible_solves(self, count):
         # at tau = 1/count the d=3 family is compatible and the residual stalls
-        # within TOL: the stall ends the solve (22-26 steps), which without it
-        # runs 42-100 steps; it returns the best iterate either way
+        # within TOL: the stall ends the solve one step past its least residual
+        # (16-19 steps), which without it runs 42-100 steps
         res = compat.robustness(meas.symmetric_family(table_row(3, count - 1, 1 / count)))
         assert (res.verdict, res.method) == ("COMPATIBLE", "sdp-parent")
-        assert res.iterations <= 30
+        assert res.iterations <= 20
 
     def test_one_certify_call_on_the_compatible_side(self, monkeypatch):
         # elements within 1.5e-10 of multiples of I: the one candidate, the
@@ -477,6 +477,19 @@ class TestRobustness:
                 check = compat.certify(noisy, res.parent)
                 assert check.verdict == "COMPATIBLE"
 
+    def test_eta_star_only_with_a_certified_parent(self):
+        # both sums are within TOL of I, so the set is accepted, but the solve
+        # reads measurement 1's dropped row as I minus its other rows: its
+        # parent misses the set's marginals by 1.8e-8 > TOL and fails certify,
+        # so no eta_star is reported; the parent and its residuals are kept
+        povms = [p.copy() for p in meas.random_measurement_set(2, 2, np.random.default_rng(5))]
+        povms[0][1] -= 0.9e-8 * np.eye(2)
+        povms[1][1] += 0.9e-8 * np.eye(2)
+        res = compat.robustness(meas.MeasurementSet(tuple(povms)))
+        assert (res.verdict, res.method, res.eta_star) == ("INCOMPATIBLE", "sdp-witness", None)
+        assert res.eta_hi < 1.0 and res.parent is not None
+        assert res.marginal_residual > compat.TOL
+
 
 class TestNewtonStep:
     def test_one_factorisation_per_iterate_per_step(self, monkeypatch):
@@ -493,7 +506,7 @@ class TestNewtonStep:
         assert counts == {"cholesky": res.iterations, "eigh": 0}
 
     def test_singular_step_ends_the_solve_undecided(self, monkeypatch):
-        # a factorisation that fails ends the solve at the best iterate so far:
+        # a factorisation that fails ends the solve at its last iterate:
         # no witness proves eta_hi < 1 after 3 steps, so the row is UNDECIDED
         calls, cholesky = [], np.linalg.cholesky
 
@@ -665,9 +678,10 @@ class TestReduction:
 
     def test_stall_with_the_residual_within_tol_ends_the_solve(self):
         # the least residual, 1.2e-10: within TOL but above the tolerance,
-        # comes at step 12; without the stall the solve runs to step 43
+        # comes at step 12, and the solve stops one step later, at the first
+        # residual that does not fall; without the stall it runs to step 43
         res = compat.robustness(record_digests.broken(table_row(2, 5)))
-        assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 17)
+        assert (res.verdict, res.iterations) == ("INCOMPATIBLE", 13)
 
     @pytest.mark.parametrize("d,eta_hi", [(10, 0.92403), (12, 0.92582)])
     def test_rows_above_eight_levels_incompatible(self, d, eta_hi):
